@@ -211,11 +211,13 @@ void gatePressureDeterminism(JsonReport &Report) {
     X[I] = std::sin(0.21 * static_cast<double>(I)) - 0.4;
   std::vector<double> YRef(static_cast<std::size_t>(Batch * Len));
   P->executeBatch(YRef.data(), X.data(), Batch, 1);
+  runtime::BatchLayout BL;
+  BL.HowMany = Batch;
 
   // A comfortable budget must change nothing, bit for bit.
   std::vector<double> YOk(static_cast<std::size_t>(Batch * Len));
   const runtime::ExecStatus StOk = P->executeBatch(
-      YOk.data(), X.data(), Batch, support::Deadline::afterMs(60000), 1);
+      YOk.data(), X.data(), BL, support::Deadline::afterMs(60000), 1);
   gate(StOk == runtime::ExecStatus::Ok && YOk == YRef,
        "(c) ample deadline: status Ok, bit-identical to unpressured");
 
@@ -224,7 +226,7 @@ void gatePressureDeterminism(JsonReport &Report) {
   const double NaN = std::nan("");
   std::vector<double> YCut(static_cast<std::size_t>(Batch * Len), NaN);
   const runtime::ExecStatus StCut = P->executeBatch(
-      YCut.data(), X.data(), Batch, support::Deadline::afterMs(1), 1);
+      YCut.data(), X.data(), BL, support::Deadline::afterMs(1), 1);
   std::int64_t Computed = 0;
   bool PrefixIdentical = true;
   for (std::int64_t V = 0; V != Batch; ++V) {

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <sstream>
 
 using namespace spl;
@@ -102,15 +101,8 @@ std::unique_ptr<Plan::ExecCtx> Plan::acquireCtx() {
   auto Ctx = std::make_unique<ExecCtx>();
   if (Resolved == Backend::VM)
     Ctx->VM = std::make_unique<vm::Executor>(Final);
-  Ctx->Scratch.resize(static_cast<std::size_t>(IOLen));
-  if (Lanes > 1) {
-    Ctx->PackX.resize(static_cast<std::size_t>(KernelLen) * Lanes);
-    Ctx->PackY.resize(static_cast<std::size_t>(KernelLen) * Lanes);
-  }
-  if (IOLayout == Layout::HalfComplex && Resolved != Backend::Oracle) {
-    Ctx->KernIn.resize(static_cast<std::size_t>(KernelLen));
-    Ctx->KernOut.resize(static_cast<std::size_t>(KernelLen));
-  }
+  Ctx->StageX.resize(static_cast<std::size_t>(KernelLen) * Lanes);
+  Ctx->StageY.resize(static_cast<std::size_t>(KernelLen) * Lanes);
   return Ctx;
 }
 
@@ -145,351 +137,201 @@ void Plan::applyOracle(double *Y, const double *X) const {
     Y[I] = Out[I].real();
 }
 
-void Plan::runGroup(ExecCtx &Ctx, double *Y, const double *X, std::int64_t K,
-                    std::int64_t StrideY, std::int64_t StrideX) {
-  assert(K >= 1 && K <= Lanes && "group holds 1..Lanes vectors");
-  const std::int64_t M = Lanes;
-  double *PX = Ctx.PackX.data();
-  double *PY = Ctx.PackY.data();
-  // The staging buffers feed the kernel's aligned SIMD loads directly, so
-  // their alignment is a correctness contract, not a fast-path hint.
-  assert(reinterpret_cast<std::uintptr_t>(PX) % AlignedBuffer::Alignment ==
-             0 &&
-         reinterpret_cast<std::uintptr_t>(PY) % AlignedBuffer::Alignment ==
-             0 &&
-         "lane staging buffers must be AlignedBuffer-aligned");
-  // Slot-major staging: physical double s of column j lives at s*M + j, so
-  // the M columns of one slot are the contiguous lane group the kernel's
-  // SIMD loads expect. The input is fully read before the kernel writes
-  // PY, which makes Y == X (in place) safe without extra scratch.
-  if (IOLayout == Layout::HalfComplex) {
-    // Kernel-facing slots are interleaved complex: even slot 2j is the
-    // real input x_j, odd slots are the zero imaginary parts.
-    for (std::int64_t S = 0; S != KernelLen; ++S) {
-      const bool Re = (S & 1) == 0;
-      const std::int64_t Src = S / 2;
-      std::int64_t J = 0;
-      for (; J != K; ++J)
-        PX[S * M + J] = Re ? X[J * StrideX + Src] : 0.0;
-      for (; J != M; ++J)
-        PX[S * M + J] = 0.0; // Inert: lanes never mix.
-    }
-    Native->run(PY, PX);
-    const std::int64_t N = IOLen; // Halfcomplex vectors hold N doubles.
-    for (std::int64_t J = 0; J != K; ++J) {
-      double *YJ = Y + J * StrideY;
-      YJ[0] = PY[0 * M + J];
-      for (std::int64_t F = 1; F <= N / 2; ++F)
-        YJ[F] = PY[(2 * F) * M + J];
-      for (std::int64_t F = 1; F < N / 2; ++F)
-        YJ[N - F] = PY[(2 * F + 1) * M + J];
-    }
-    return;
-  }
-  for (std::int64_t S = 0; S != IOLen; ++S) {
-    std::int64_t J = 0;
-    for (; J != K; ++J)
-      PX[S * M + J] = X[J * StrideX + S];
-    for (; J != M; ++J)
-      PX[S * M + J] = 0.0; // Inert: lanes never mix.
-  }
-  Native->run(PY, PX);
-  for (std::int64_t J = 0; J != K; ++J)
-    for (std::int64_t S = 0; S != IOLen; ++S)
-      Y[J * StrideY + S] = PY[S * M + J];
-}
-
 void Plan::runKernel(ExecCtx &Ctx, double *KY, const double *KX) {
   if (Resolved == Backend::Native)
     Native->run(KY, KX);
-  else
+  else if (Resolved == Backend::VM)
     Ctx.VM->runReal(KX, KY);
-}
-
-void Plan::runOne(ExecCtx &Ctx, double *Y, const double *X) {
-  if (Resolved == Backend::Oracle) {
-    applyOracle(Y, X);
-    return;
-  }
-  if (Resolved == Backend::Native && Lanes > 1) {
-    // A single vector rides lane 0; the staging copy doubles as the
-    // in-place scratch.
-    runGroup(Ctx, Y, X, 1, IOLen, IOLen);
-    return;
-  }
-  if (IOLayout == Layout::HalfComplex) {
-    // The rdft layout adapter: embed N reals as N interleaved complex
-    // points, run the complex kernel, then fold the conjugate-symmetric
-    // spectrum into FFTW's r2hc order. The input is fully read into KernIn
-    // before Y is written, so Y == X is safe.
-    const std::int64_t N = IOLen;
-    double *KI = Ctx.KernIn.data();
-    double *KO = Ctx.KernOut.data();
-    for (std::int64_t J = 0; J != N; ++J) {
-      KI[2 * J] = X[J];
-      KI[2 * J + 1] = 0.0;
-    }
-    runKernel(Ctx, KO, KI);
-    Y[0] = KO[0];
-    for (std::int64_t F = 1; F <= N / 2; ++F)
-      Y[F] = KO[2 * F];
-    for (std::int64_t F = 1; F < N / 2; ++F)
-      Y[N - F] = KO[2 * F + 1];
-    return;
-  }
-  if (Y == X) {
-    // In-place request: compute into aligned scratch, then copy back. The
-    // generated kernels are out-of-place (y and x are restrict-qualified).
-    double *S = Ctx.Scratch.data();
-    runKernel(Ctx, S, X);
-    std::memcpy(Y, S, static_cast<std::size_t>(IOLen) * sizeof(double));
-    return;
-  }
-  runKernel(Ctx, Y, X);
+  else
+    applyOracle(KY, KX);
 }
 
 namespace {
-telemetry::Counter &deadlineExceededCounter() {
-  static telemetry::Counter &C = telemetry::counter("runtime.deadline_exceeded");
-  return C;
+/// The deadline-free entry points share one unbounded deadline: a fresh
+/// Deadline allocates its cancel token.
+const support::Deadline &unbounded() {
+  static const support::Deadline D;
+  return D;
 }
 } // namespace
 
-ExecStatus Plan::execute(double *Y, const double *X,
-                         const support::Deadline &DL) {
-  // A single vector is all-or-nothing: either we start in budget and finish
-  // it, or we refuse up front and leave Y untouched.
-  if (DL.expired()) {
-    deadlineExceededCounter().add();
-    return ExecStatus::DeadlineExceeded;
-  }
-  execute(Y, X);
-  return ExecStatus::Ok;
+void Plan::execute(double *Y, const double *X) {
+  run(Y, X, BatchLayout(), unbounded(), 1, /*Single=*/true);
 }
 
-ExecStatus Plan::executeBatch(double *Y, const double *X, std::int64_t Count,
-                              const support::Deadline &DL, int Threads,
-                              std::int64_t StrideY, std::int64_t StrideX) {
-  if (Count <= 0)
-    return ExecStatus::Ok;
-  if (DL.expired()) {
-    deadlineExceededCounter().add();
-    return ExecStatus::DeadlineExceeded;
-  }
-  unsigned Mask = telemetry::armedMask();
-  bool Completed;
-  if (Mask != 0) {
-    std::uint64_t Start = telemetry::traceNowNs();
-    Completed = runBatch(Y, X, Count, Threads, StrideY, StrideX, DL);
-    std::uint64_t Dur = telemetry::traceNowNs() - Start;
-    if (Mask & telemetry::kMetrics) {
-      NumBatches.fetch_add(1, std::memory_order_relaxed);
-      NumVectors.fetch_add(static_cast<std::uint64_t>(Count),
-                           std::memory_order_relaxed);
-      BatchNs.recordAlways(Dur);
-    }
-    if (Mask & telemetry::kTrace)
-      telemetry::Tracer::instance().record("executeBatch", Start, Dur);
-  } else {
-    Completed = runBatch(Y, X, Count, Threads, StrideY, StrideX, DL);
-  }
-  if (Completed)
-    return ExecStatus::Ok; // Expiry after the last vector still counts as Ok.
-  deadlineExceededCounter().add();
-  return ExecStatus::DeadlineExceeded;
+void Plan::executeBatch(double *Y, const double *X, std::int64_t Count,
+                        int Threads) {
+  BatchLayout L;
+  L.HowMany = Count;
+  run(Y, X, L, unbounded(), Threads, /*Single=*/false);
 }
 
 ExecStatus Plan::executeBatch(double *Y, const double *X, const BatchLayout &L,
                               const support::Deadline &DL, int Threads) {
+  return run(Y, X, L, DL, Threads, /*Single=*/false);
+}
+
+ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
+                     const support::Deadline &DL, int Threads, bool Single) {
   assert(L.StrideX >= 1 && L.StrideY >= 1 && "element strides must be >= 1");
-  if (L.HowMany <= 0)
-    return ExecStatus::Ok;
-  const std::int64_t SpanX = (IOLen - 1) * L.StrideX + 1;
-  const std::int64_t SpanY = (IOLen - 1) * L.StrideY + 1;
-  const std::int64_t DistX = L.DistX ? L.DistX : SpanX;
-  const std::int64_t DistY = L.DistY ? L.DistY : SpanY;
-  if (L.StrideX == 1 && L.StrideY == 1)
-    return executeBatch(Y, X, L.HowMany, DL, Threads, DistY, DistX);
-
-  // Non-unit element strides: gather every vector into dense aligned
-  // staging, run the dense batch core (which keeps thread-count
-  // bit-identity and lane grouping), then scatter results back. The output
-  // staging is pre-seeded from Y so vectors a deadline skipped scatter
-  // back their original bytes — untouched, matching the dense contract.
-  const std::size_t Total =
-      static_cast<std::size_t>(L.HowMany) * static_cast<std::size_t>(IOLen);
-  AlignedBuffer In(Total), Out(Total);
-  for (std::int64_t V = 0; V != L.HowMany; ++V) {
-    const double *XV = X + V * DistX;
-    const double *YV = Y + V * DistY;
-    double *IV = In.data() + V * IOLen;
-    double *OV = Out.data() + V * IOLen;
-    for (std::int64_t S = 0; S != IOLen; ++S) {
-      IV[S] = XV[S * L.StrideX];
-      OV[S] = YV[S * L.StrideY];
-    }
-  }
-  ExecStatus St =
-      executeBatch(Out.data(), In.data(), L.HowMany, DL, Threads, 0, 0);
-  for (std::int64_t V = 0; V != L.HowMany; ++V) {
-    double *YV = Y + V * DistY;
-    const double *OV = Out.data() + V * IOLen;
-    for (std::int64_t S = 0; S != IOLen; ++S)
-      YV[S * L.StrideY] = OV[S];
-  }
-  return St;
-}
-
-void Plan::execute(double *Y, const double *X) {
-  // Disarmed hot path: one relaxed load of the telemetry mask, then work.
-  unsigned Mask = telemetry::armedMask();
-  if (Mask == 0) {
-    auto Ctx = acquireCtx();
-    runOne(*Ctx, Y, X);
-    releaseCtx(std::move(Ctx));
-    return;
-  }
-
-  std::uint64_t Start = telemetry::traceNowNs();
-  auto Ctx = acquireCtx();
-  runOne(*Ctx, Y, X);
-  releaseCtx(std::move(Ctx));
-  std::uint64_t Dur = telemetry::traceNowNs() - Start;
-  if (Mask & telemetry::kMetrics) {
-    NumExecutes.fetch_add(1, std::memory_order_relaxed);
-    ExecuteNs.recordAlways(Dur);
-    static telemetry::Counter &Executes =
-        telemetry::counter("runtime.executes");
-    static telemetry::Histogram &GlobalNs =
-        telemetry::histogram("runtime.execute_ns");
-    Executes.add();
-    GlobalNs.recordAlways(Dur);
-  }
-  if (Mask & telemetry::kTrace)
-    telemetry::Tracer::instance().record("execute", Start, Dur);
-}
-
-void Plan::executeBatch(double *Y, const double *X, std::int64_t Count,
-                        int Threads, std::int64_t StrideY,
-                        std::int64_t StrideX) {
+  const std::int64_t Count = L.HowMany;
   if (Count <= 0)
-    return;
-  // Batch-granular instrumentation: when armed, the whole batch is one
-  // sample/span; when disarmed this is the single relaxed mask load.
-  unsigned Mask = telemetry::armedMask();
+    return ExecStatus::Ok;
+  // Disarmed, telemetry costs this one relaxed load of the mask; armed, the
+  // whole call is one sample/span.
+  const unsigned Mask = telemetry::armedMask();
+  const std::uint64_t Start = Mask ? telemetry::traceNowNs() : 0;
+
+  const std::int64_t M = Lanes, N = IOLen;
+  const std::int64_t SX = L.StrideX, SY = L.StrideY;
+  const std::int64_t DX = L.DistX ? L.DistX : (N - 1) * SX + 1;
+  const std::int64_t DY = L.DistY ? L.DistY : (N - 1) * SY + 1;
+  // The rdft adapter: a halfcomplex plan runs a complex kernel of 2N
+  // doubles. Load embeds N reals as interleaved points; store folds the
+  // conjugate-symmetric spectrum into FFTW's r2hc order.
+  const bool HalfComplex = KernelLen != N;
+  // Zero-copy: a scalar kernel whose vector sits densely in user memory
+  // runs on it directly. The generated kernels are out-of-place (y and x
+  // are restrict-qualified), so in-place calls stage.
+  const bool Direct = M == 1 && !HalfComplex && SX == 1 && SY == 1 && Y != X;
+
+  // One lane group: load -> kernel -> store for vectors V .. V+K-1.
+  auto RunGroup = [&](ExecCtx &Ctx, std::int64_t V) {
+    const double *XV = X + V * DX;
+    double *YV = Y + V * DY;
+    if (Direct) {
+      runKernel(Ctx, YV, XV);
+      return;
+    }
+    const std::int64_t K = std::min(M, Count - V);
+    double *PX = Ctx.StageX.data();
+    double *PY = Ctx.StageY.data();
+    // The staging feeds vector kernels' aligned SIMD loads directly, so
+    // its alignment is a correctness contract, not a fast-path hint.
+    assert(reinterpret_cast<std::uintptr_t>(PX) % AlignedBuffer::Alignment ==
+               0 &&
+           reinterpret_cast<std::uintptr_t>(PY) % AlignedBuffer::Alignment ==
+               0 &&
+           "lane staging buffers must be AlignedBuffer-aligned");
+    // Load into slot-major staging: double s of lane j lives at s*M + j,
+    // so the M lanes of one slot are the contiguous group the kernel's SIMD
+    // loads expect. Tail lanes are zero-filled; lanes never mix, so the
+    // padding is inert. Every input is read before the kernel writes PY,
+    // which makes Y == X safe.
+    for (std::int64_t J = 0; J != M; ++J) {
+      double *P = PX + J;
+      if (J >= K) {
+        for (std::int64_t S = 0; S != KernelLen; ++S)
+          P[S * M] = 0.0;
+      } else if (HalfComplex) {
+        const double *XJ = XV + J * DX;
+        for (std::int64_t I = 0; I != N; ++I) {
+          P[2 * I * M] = XJ[I * SX];
+          P[(2 * I + 1) * M] = 0.0;
+        }
+      } else {
+        const double *XJ = XV + J * DX;
+        for (std::int64_t S = 0; S != N; ++S)
+          P[S * M] = XJ[S * SX];
+      }
+    }
+    runKernel(Ctx, PY, PX);
+    // Store: unpack each live lane, folding halfcomplex spectra.
+    for (std::int64_t J = 0; J != K; ++J) {
+      const double *P = PY + J;
+      double *YJ = YV + J * DY;
+      if (HalfComplex) {
+        YJ[0] = P[0];
+        for (std::int64_t F = 1; F <= N / 2; ++F)
+          YJ[F * SY] = P[2 * F * M];
+        for (std::int64_t F = 1; F < N / 2; ++F)
+          YJ[(N - F) * SY] = P[(2 * F + 1) * M];
+      } else {
+        for (std::int64_t S = 0; S != N; ++S)
+          YJ[S * SY] = P[S * M];
+      }
+    }
+  };
+
+  // Cooperative cancellation: the deadline is checked before each lane
+  // group, never inside one, so every vector that runs at all produces
+  // exactly the bits an unpressured run would, and skipped groups leave
+  // their output untouched. One worker noticing expiry stops the others at
+  // their next group through the shared flag.
+  std::atomic<bool> Stop{false};
+  auto Work = [&](std::int64_t Lo, std::int64_t Hi) {
+    auto Ctx = acquireCtx();
+    for (std::int64_t G = Lo; G != Hi; ++G) {
+      if (Stop.load(std::memory_order_relaxed) || DL.expired()) {
+        Stop.store(true, std::memory_order_relaxed);
+        break;
+      }
+      RunGroup(*Ctx, G * M);
+    }
+    releaseCtx(std::move(Ctx));
+  };
+
+  const std::int64_t Groups = (Count + M - 1) / M;
+  const std::int64_t T = std::clamp<std::int64_t>(Threads, 1, Groups);
+  if (T == 1) {
+    Work(0, Groups);
+  } else {
+    // One contiguous chunk of lane groups per worker: coarse-grained enough
+    // that the pool's queue never becomes the bottleneck, and each worker
+    // touches a disjoint slice of the batch. Lane independence keeps every
+    // vector's bits the same whatever its group-mates (or padding) are.
+    std::lock_guard<std::mutex> Lock(BatchM);
+    if (!Pool || PoolThreads != static_cast<int>(T)) {
+      Pool.reset(); // Join the old workers before spawning the new set.
+      Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(T));
+      PoolThreads = static_cast<int>(T);
+    }
+    const std::int64_t Chunk = (Groups + T - 1) / T;
+    parallelFor(*Pool, static_cast<size_t>(T), [&](size_t J) {
+      const std::int64_t Lo = static_cast<std::int64_t>(J) * Chunk;
+      const std::int64_t Hi = std::min(Groups, Lo + Chunk);
+      if (Lo < Hi)
+        Work(Lo, Hi);
+    });
+  }
+
   if (Mask != 0) {
-    std::uint64_t Start = telemetry::traceNowNs();
-    runBatch(Y, X, Count, Threads, StrideY, StrideX, support::Deadline());
-    std::uint64_t Dur = telemetry::traceNowNs() - Start;
-    if (Mask & telemetry::kMetrics) {
-      NumBatches.fetch_add(1, std::memory_order_relaxed);
-      NumVectors.fetch_add(static_cast<std::uint64_t>(Count),
-                           std::memory_order_relaxed);
-      BatchNs.recordAlways(Dur);
+    const std::uint64_t Dur = telemetry::traceNowNs() - Start;
+    if ((Mask & telemetry::kMetrics) && Single) {
+      static telemetry::Counter &Executes =
+          telemetry::counter("runtime.executes");
+      static telemetry::Histogram &GlobalNs =
+          telemetry::histogram("runtime.execute_ns");
+      NumExecutes.fetch_add(1, std::memory_order_relaxed);
+      ExecuteNs.recordAlways(Dur);
+      Executes.add();
+      GlobalNs.recordAlways(Dur);
+    } else if (Mask & telemetry::kMetrics) {
+      // Every executeBatch form lands here: dense, strided, deadline-bearing.
       static telemetry::Counter &Batches =
           telemetry::counter("runtime.batches");
       static telemetry::Counter &Vectors =
           telemetry::counter("runtime.batch_vectors");
       static telemetry::Histogram &GlobalNs =
           telemetry::histogram("runtime.batch_ns");
+      NumBatches.fetch_add(1, std::memory_order_relaxed);
+      NumVectors.fetch_add(static_cast<std::uint64_t>(Count),
+                           std::memory_order_relaxed);
+      BatchNs.recordAlways(Dur);
       Batches.add();
       Vectors.add(static_cast<std::uint64_t>(Count));
       GlobalNs.recordAlways(Dur);
     }
     if (Mask & telemetry::kTrace)
-      telemetry::Tracer::instance().record("executeBatch", Start, Dur);
-    return;
+      telemetry::Tracer::instance().record(Single ? "execute" : "executeBatch",
+                                           Start, Dur);
   }
-  runBatch(Y, X, Count, Threads, StrideY, StrideX, support::Deadline());
-}
-
-bool Plan::runBatch(double *Y, const double *X, std::int64_t Count,
-                    int Threads, std::int64_t StrideY, std::int64_t StrideX,
-                    const support::Deadline &DL) {
-  if (StrideX == 0)
-    StrideX = IOLen;
-  if (StrideY == 0)
-    StrideY = IOLen;
-  assert(StrideX >= IOLen && StrideY >= IOLen &&
-         "batch strides must not make vectors overlap");
-
-  // Vector kernels take whole lane groups; chunk boundaries only change
-  // which vectors share a group, and lane independence keeps every vector's
-  // result bit-identical whatever its group-mates (or zero padding) are.
-  const bool Grouped = Resolved == Backend::Native && Lanes > 1;
-
-  // Cooperative cancellation: the deadline is checked before each vector
-  // (lane group for vector kernels), never inside one, so every vector that
-  // runs at all produces exactly the bits an unpressured run would. An
-  // unbounded deadline's expired() is one relaxed atomic load.
-  bool Completed = true;
-
-  std::int64_t T = std::clamp<std::int64_t>(Threads, 1, Count);
-  if (T == 1) {
-    auto Ctx = acquireCtx();
-    if (Grouped) {
-      for (std::int64_t I = 0; I < Count; I += Lanes) {
-        if (DL.expired()) {
-          Completed = false;
-          break;
-        }
-        runGroup(*Ctx, Y + I * StrideY, X + I * StrideX,
-                 std::min<std::int64_t>(Lanes, Count - I), StrideY, StrideX);
-      }
-    } else {
-      for (std::int64_t I = 0; I != Count; ++I) {
-        if (DL.expired()) {
-          Completed = false;
-          break;
-        }
-        runOne(*Ctx, Y + I * StrideY, X + I * StrideX);
-      }
-    }
-    releaseCtx(std::move(Ctx));
-    return Completed;
-  }
-
-  // One contiguous chunk per worker: coarse-grained enough that the pool's
-  // queue never becomes the bottleneck, and each worker touches a disjoint,
-  // cache-friendly slice of the batch.
-  std::lock_guard<std::mutex> Lock(BatchM);
-  if (!Pool || PoolThreads != static_cast<int>(T)) {
-    Pool.reset(); // Join the old workers before spawning the new set.
-    Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(T));
-    PoolThreads = static_cast<int>(T);
-  }
-  std::int64_t Chunk = (Count + T - 1) / T;
-  // One worker noticing expiry stops the whole batch: everyone else sees
-  // the shared flag at their next vector boundary, so no worker keeps
-  // burning pool time on a request whose caller has already given up.
-  std::atomic<bool> Stop{false};
-  parallelFor(*Pool, static_cast<size_t>(T), [&](size_t J) {
-    std::int64_t Lo = static_cast<std::int64_t>(J) * Chunk;
-    std::int64_t Hi = std::min(Count, Lo + Chunk);
-    if (Lo >= Hi)
-      return;
-    auto Ctx = acquireCtx();
-    if (Grouped) {
-      for (std::int64_t I = Lo; I < Hi; I += Lanes) {
-        if (Stop.load(std::memory_order_relaxed) || DL.expired()) {
-          Stop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        runGroup(*Ctx, Y + I * StrideY, X + I * StrideX,
-                 std::min<std::int64_t>(Lanes, Hi - I), StrideY, StrideX);
-      }
-    } else {
-      for (std::int64_t I = Lo; I != Hi; ++I) {
-        if (Stop.load(std::memory_order_relaxed) || DL.expired()) {
-          Stop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        runOne(*Ctx, Y + I * StrideY, X + I * StrideX);
-      }
-    }
-    releaseCtx(std::move(Ctx));
-  });
-  return Completed && !Stop.load(std::memory_order_relaxed);
+  if (!Stop.load(std::memory_order_relaxed))
+    return ExecStatus::Ok; // Expiry after the last group still counts as Ok.
+  static telemetry::Counter &Exceeded =
+      telemetry::counter("runtime.deadline_exceeded");
+  Exceeded.add();
+  return ExecStatus::DeadlineExceeded;
 }
 
 ExecStats Plan::stats() const {

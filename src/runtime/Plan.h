@@ -15,9 +15,13 @@
 ///
 /// Plans are built by runtime::Planner, shared through runtime::PlanRegistry,
 /// and applied with execute() (one vector) or executeBatch() (many vectors,
-/// sharded across a worker pool). All execution entry points are thread-safe:
-/// worker state (a VM instance plus aligned scratch) lives in a checkout pool
-/// of contexts, so concurrent callers never share mutable state.
+/// dense or FFTW-advanced strided, sharded across a worker pool). All three
+/// entry points wrap one core that runs every layout through the same
+/// pipeline per lane group: load (strided gather, halfcomplex embed, lane
+/// pack) -> kernel -> store (unpack, halfcomplex fold, strided scatter).
+/// They are thread-safe: worker state (a VM instance plus aligned staging)
+/// lives in a checkout pool of contexts, so concurrent callers never share
+/// mutable state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +36,7 @@
 #include "support/Deadline.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Metrics.h"
+#include "transforms/Registry.h"
 #include "vm/Executor.h"
 
 #include <atomic>
@@ -129,14 +134,14 @@ struct BatchLayout {
 /// disarmed execute path stays a single relaxed atomic load.
 struct ExecStats {
   std::uint64_t Executes = 0; ///< execute() calls.
-  std::uint64_t Batches = 0;  ///< executeBatch() calls.
+  std::uint64_t Batches = 0;  ///< executeBatch() calls, either overload.
   std::uint64_t Vectors = 0;  ///< Vectors processed across those batches.
   telemetry::HistogramSnapshot ExecuteNs; ///< Single-vector execute latency.
   telemetry::HistogramSnapshot BatchNs;   ///< Whole-batch latency.
 };
 
-/// Outcome of a deadline-bearing execute call. Execution is all-or-nothing
-/// per vector (a vector is never half-written), but a batch cancelled
+/// Outcome of a deadline-bearing batch. Execution is all-or-nothing per
+/// lane group (a vector is never half-written), but a batch cancelled
 /// mid-flight leaves untouched output slots for the vectors it skipped.
 enum class ExecStatus {
   Ok,               ///< Every requested vector was computed.
@@ -150,9 +155,9 @@ enum class ExecStatus {
 /// as interleaved (re,im) pairs; real transforms use N doubles.
 class Plan {
 public:
-  /// User-facing I/O layout (mirrors transforms::Layout): Interleaved
-  /// complex pairs, plain real, or real-in/halfcomplex-out (rdft).
-  enum class Layout { Interleaved, Real, HalfComplex };
+  /// User-facing I/O layout: Interleaved complex pairs, plain real, or
+  /// real-in/halfcomplex-out (rdft).
+  using Layout = transforms::Layout;
 
   const PlanSpec &spec() const { return Spec; }
 
@@ -203,45 +208,32 @@ public:
   /// The compiled i-code (shared with every VM worker context).
   const icode::Program &program() const { return Final; }
 
-  /// Applies the plan to one vector: Y = M X. Thread-safe; Y == X runs
-  /// in place through aligned scratch. Partial overlap is undefined.
+  /// Applies the plan to one vector: Y = M X (a batch of one). Thread-safe;
+  /// Y == X runs in place through the staging buffers. Partial overlap is
+  /// undefined.
   void execute(double *Y, const double *X);
 
-  /// Applies the plan to \p Count vectors. Vector i reads from
-  /// X + i*StrideX and writes to Y + i*StrideY; a stride of 0 means densely
-  /// packed (vectorLen()). With Threads > 1 the batch is cut into one
-  /// contiguous chunk per worker and dispatched on an internal ThreadPool;
-  /// results are bit-identical for every thread count, since each vector is
-  /// computed by exactly the same code whichever worker it lands on.
+  /// Applies the plan to \p Count densely packed vectors (vector i at
+  /// X + i*vectorLen()); the BatchLayout overload with an unbounded
+  /// deadline.
+  void executeBatch(double *Y, const double *X, std::int64_t Count,
+                    int Threads = 1);
+
+  /// FFTW-advanced-style strided/batched execute (see BatchLayout). With
+  /// Threads > 1 the batch's lane groups are cut into one contiguous chunk
+  /// per worker on an internal ThreadPool; results are bit-identical for
+  /// every thread count and layout, since each vector is computed by
+  /// exactly the same code whichever worker and lane group it lands in.
+  ///
+  /// \p DL is checked cooperatively before each lane group (each worker
+  /// also watches a shared stop flag); once it expires no new group
+  /// starts. Vectors already computed keep their results and skipped
+  /// output elements are left untouched. Returns DeadlineExceeded (and
+  /// bumps runtime.deadline_exceeded) when any vector was skipped; an
+  /// unbounded deadline costs one relaxed atomic load per group.
   ///
   /// Thread-safe; concurrent multi-threaded batches serialize on the pool
   /// (single-threaded calls and execute() never block each other).
-  void executeBatch(double *Y, const double *X, std::int64_t Count,
-                    int Threads = 1, std::int64_t StrideY = 0,
-                    std::int64_t StrideX = 0);
-
-  /// Deadline-bearing execute: refuses to start when \p DL is already
-  /// expired and returns ExecStatus::DeadlineExceeded (Y untouched).
-  /// An unbounded deadline costs one relaxed atomic load over the plain
-  /// overload. Bumps runtime.deadline_exceeded on expiry.
-  ExecStatus execute(double *Y, const double *X, const support::Deadline &DL);
-
-  /// Deadline-bearing batch execute: checks the deadline cooperatively
-  /// between vectors (every vector serially; each worker checks its own
-  /// chunk and a shared stop flag when Threads > 1) and stops dispatching
-  /// new vectors once it expires. Vectors already computed keep their
-  /// results — identical bit-for-bit to an unpressured run — and skipped
-  /// output slots are left untouched. Returns DeadlineExceeded when any
-  /// vector was skipped.
-  ExecStatus executeBatch(double *Y, const double *X, std::int64_t Count,
-                          const support::Deadline &DL, int Threads = 1,
-                          std::int64_t StrideY = 0, std::int64_t StrideX = 0);
-
-  /// FFTW-advanced-style strided/batched execute (see BatchLayout). Unit
-  /// element strides delegate to the dense batch path; otherwise vectors
-  /// are gathered through aligned staging, executed densely, and scattered
-  /// back. Deadline semantics match executeBatch: vectors skipped on expiry
-  /// leave their output elements untouched. Thread-safe.
   ExecStatus executeBatch(double *Y, const double *X, const BatchLayout &L,
                           const support::Deadline &DL = support::Deadline(),
                           int Threads = 1);
@@ -259,34 +251,25 @@ private:
   Plan() = default;
 
   /// Per-worker execution state: a VM instance (VM backend only; the native
-  /// kernel is reentrant and shared) plus aligned scratch for in-place runs
-  /// and, for vector kernels, the slot-major lane-staging buffers.
+  /// kernel is reentrant and shared) plus the slot-major kernel-facing
+  /// staging, Lanes * KernelLen doubles each, sized when the plan is built.
   struct ExecCtx {
     std::unique_ptr<vm::Executor> VM;
-    AlignedBuffer Scratch;
-    AlignedBuffer PackX, PackY; ///< Lanes * KernelLen doubles each.
-    /// Kernel-facing interleaved staging for halfcomplex plans (the rdft
-    /// layout adapter): KernelLen doubles each.
-    AlignedBuffer KernIn, KernOut;
+    AlignedBuffer StageX, StageY;
   };
 
   std::unique_ptr<ExecCtx> acquireCtx();
   void releaseCtx(std::unique_ptr<ExecCtx> Ctx);
-  void runOne(ExecCtx &Ctx, double *Y, const double *X);
-  /// Runs one lane group of a vector kernel: packs \p K vectors (tail
-  /// lanes zero-filled — lane independence makes the padding inert) into
-  /// slot-major staging, runs the kernel once, unpacks K results.
-  void runGroup(ExecCtx &Ctx, double *Y, const double *X, std::int64_t K,
-                std::int64_t StrideY, std::int64_t StrideX);
-  /// Shared batch core. \p DL / \p Stopped are the cooperative-cancel
-  /// hooks: null Stopped (the legacy path) skips every check.
-  bool runBatch(double *Y, const double *X, std::int64_t Count, int Threads,
-                std::int64_t StrideY, std::int64_t StrideX,
-                const support::Deadline &DL);
-  void applyOracle(double *Y, const double *X) const;
-  /// Runs the kernel-facing substrate on interleaved buffers (the inner
-  /// step of the halfcomplex adapter).
+
+  /// The one execute core behind all three entry points: telemetry, lane
+  /// grouping, staging, deadline checks and thread dispatch. \p Single
+  /// selects execute()'s metrics over executeBatch()'s.
+  ExecStatus run(double *Y, const double *X, const BatchLayout &L,
+                 const support::Deadline &DL, int Threads, bool Single);
+
+  /// Runs the tier's kernel on one kernel-facing lane group.
   void runKernel(ExecCtx &Ctx, double *KY, const double *KX);
+  void applyOracle(double *Y, const double *X) const;
 
   PlanSpec Spec;
   Backend Resolved = Backend::VM;
@@ -300,8 +283,9 @@ private:
   bool Pressured = false; ///< Built after its planning deadline expired.
   std::string FallbackReason;
   std::int64_t IOLen = 0;     ///< Doubles per user-facing vector.
-  std::int64_t KernelLen = 0; ///< Doubles per kernel-facing vector (2N for
-                              ///< halfcomplex plans, else == IOLen).
+  std::int64_t KernelLen = 0; ///< Doubles per kernel-facing vector: 2N for
+                              ///< halfcomplex plans off the oracle tier
+                              ///< (the rdft adapter), else == IOLen.
   Layout IOLayout = Layout::Interleaved;
   int Lanes = 1; ///< Native->lanes() for vector kernels, else 1.
 

@@ -554,6 +554,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
     P->OracleMat = UseRegistryOracle ? transforms::oracleMatrix(TI, Dims)
                                      : Winner->toMatrix();
     P->Resolved = Backend::Oracle;
+    P->KernelLen = P->IOLen; // The oracle speaks the user-facing layout.
   }
 
   if (!Demotions.empty()) {
@@ -570,7 +571,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   P->Pressured = Deadline.expired();
 
   // Pre-warm one execution context: validates the program in the VM case
-  // and sizes the aligned scratch, so the first execute() is allocation-free.
+  // and sizes the aligned staging, so the first execute() is allocation-free.
   P->releaseCtx(P->acquireCtx());
   return P;
 }

@@ -471,8 +471,10 @@ void Server::handleExecute(std::shared_ptr<Conn> C, Frame F,
   Resp.Count = Req.Count;
   Resp.VectorLen = Len;
   Resp.Data.resize(Req.Data.size());
-  if (P->executeBatch(Resp.Data.data(), Req.Data.data(), Req.Count, DL,
-                      Threads) == runtime::ExecStatus::DeadlineExceeded) {
+  runtime::BatchLayout BL;
+  BL.HowMany = Req.Count;
+  if (P->executeBatch(Resp.Data.data(), Req.Data.data(), BL, DL, Threads) ==
+      runtime::ExecStatus::DeadlineExceeded) {
     // Partial batches are never shipped: the client asked for Count
     // results and gets a typed error instead of silently truncated data.
     sendError(*C, F.RequestId, Status::DeadlineExceeded,

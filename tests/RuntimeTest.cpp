@@ -377,7 +377,11 @@ TEST(Plan, StridedBatchTouchesOnlyItsLanes) {
 
   const std::int64_t Len = P->vectorLen(), Stride = Len + 3, Batch = 5;
   std::vector<double> X(Batch * Stride, 0.5), Y(Batch * Stride, -7.0);
-  P->executeBatch(Y.data(), X.data(), Batch, 2, Stride, Stride);
+  runtime::BatchLayout BL;
+  BL.HowMany = Batch;
+  BL.DistX = BL.DistY = Stride;
+  ASSERT_EQ(P->executeBatch(Y.data(), X.data(), BL, support::Deadline(), 2),
+            runtime::ExecStatus::Ok);
   for (std::int64_t I = 0; I != Batch; ++I)
     for (std::int64_t J = Len; J != Stride; ++J)
       EXPECT_EQ(Y[I * Stride + J], -7.0) << "pad lane written";
@@ -670,9 +674,11 @@ TEST(Plan, ExecuteBatchHonorsDeadlineWithoutTouchingOutput) {
   const std::uint64_t Rejected0 =
       telemetry::counter("runtime.deadline_exceeded").value();
 
+  runtime::BatchLayout BL;
+  BL.HowMany = 8;
   support::Deadline Dead = support::Deadline::afterMs(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(P->executeBatch(Y.data(), X.data(), 8, Dead, 1),
+  EXPECT_EQ(P->executeBatch(Y.data(), X.data(), BL, Dead, 1),
             runtime::ExecStatus::DeadlineExceeded);
   for (double V : Y)
     EXPECT_EQ(V, -7.0) << "a rejected batch must not touch the output";
@@ -680,17 +686,53 @@ TEST(Plan, ExecuteBatchHonorsDeadlineWithoutTouchingOutput) {
   // Cancellation rides the same token as clock expiry.
   support::Deadline Cancelled = support::Deadline::afterMs(60000);
   Cancelled.cancel();
-  EXPECT_EQ(P->execute(Y.data(), X.data(), Cancelled),
+  EXPECT_EQ(P->executeBatch(Y.data(), X.data(), runtime::BatchLayout(),
+                            Cancelled),
             runtime::ExecStatus::DeadlineExceeded);
   EXPECT_GT(telemetry::counter("runtime.deadline_exceeded").value(),
             Rejected0);
   telemetry::setMetricsEnabled(false);
   telemetry::resetAllMetrics();
 
-  // An unbounded deadline behaves exactly like the legacy entry points.
-  EXPECT_EQ(P->executeBatch(Y.data(), X.data(), 8, support::Deadline(), 1),
-            runtime::ExecStatus::Ok);
+  // An unbounded deadline behaves exactly like the deadline-free overload.
+  EXPECT_EQ(P->executeBatch(Y.data(), X.data(), BL), runtime::ExecStatus::Ok);
   EXPECT_NE(Y[0], -7.0);
+}
+
+TEST(Plan, EveryExecuteBatchFormRecordsBatchMetrics) {
+  // Regression: the deadline-bearing and strided forms (spld's and
+  // splrun's batches) once skipped the global runtime.batch* metrics.
+  Diagnostics Diags;
+  runtime::Planner Planner(Diags, testOptions());
+  runtime::PlanSpec Spec;
+  Spec.Size = 16;
+  Spec.Want = runtime::Backend::VM;
+  auto P = Planner.plan(Spec);
+  ASSERT_TRUE(P) << Diags.dump();
+
+  runtime::BatchLayout Dense, Strided;
+  Dense.HowMany = Strided.HowMany = 3;
+  Strided.StrideX = Strided.StrideY = 2;
+  const std::int64_t Span = (P->vectorLen() - 1) * 2 + 1;
+  std::vector<double> X(static_cast<size_t>(3 * Span), 0.25);
+  std::vector<double> Y(X.size());
+
+  telemetry::setMetricsEnabled(true);
+  telemetry::Counter &Batches = telemetry::counter("runtime.batches");
+  telemetry::Counter &Vectors = telemetry::counter("runtime.batch_vectors");
+  telemetry::Histogram &Ns = telemetry::histogram("runtime.batch_ns");
+  const std::uint64_t B0 = Batches.value(), V0 = Vectors.value(),
+                      N0 = Ns.snapshot().Count;
+  EXPECT_EQ(P->executeBatch(Y.data(), X.data(), Dense,
+                            support::Deadline::afterMs(60000)),
+            runtime::ExecStatus::Ok);
+  EXPECT_EQ(P->executeBatch(Y.data(), X.data(), Strided),
+            runtime::ExecStatus::Ok);
+  EXPECT_EQ(Batches.value() - B0, 2u);
+  EXPECT_EQ(Vectors.value() - V0, 6u);
+  EXPECT_EQ(Ns.snapshot().Count - N0, 2u);
+  telemetry::setMetricsEnabled(false);
+  telemetry::resetAllMetrics();
 }
 
 TEST(Planner, ExpiredDeadlineStillYieldsAWorkingPressuredPlan) {
@@ -874,47 +916,129 @@ TEST(Plan, OracleTierServesEveryLayout) {
   }
 }
 
+/// Doubles spanned by \p H vectors of \p Len under one side of a layout.
+std::int64_t layoutExtent(std::int64_t H, std::int64_t Len, std::int64_t Stride,
+                          std::int64_t Dist) {
+  const std::int64_t Span = (Len - 1) * Stride + 1;
+  return (H - 1) * (Dist ? Dist : Span) + Span;
+}
+
 TEST(Plan, StridedBatchLayoutMatchesDenseAndSparesPadding) {
-  // FFTW-advanced layout with an odd batch and a non-unit stride: each
-  // gathered vector matches a dense execute, and doubles the layout never
-  // addresses keep their original bytes.
+  // Fixed-seed sweep over every staging combination: tier x transform x
+  // layout x batch size x threads, out of place and in place. Each vector
+  // must be bit-identical to a per-vector execute of its gathered input,
+  // and doubles the output layout never addresses keep their bytes.
+  struct Tier {
+    const char *Name;
+    runtime::Backend Want;
+    runtime::CodegenMode Codegen;
+  };
+  std::vector<Tier> Tiers = {
+      {"vm", runtime::Backend::VM, runtime::CodegenMode::Auto},
+      {"oracle", runtime::Backend::Oracle, runtime::CodegenMode::Auto}};
+  if (perf::NativeModule::available()) {
+    Tiers.push_back(
+        {"scalar", runtime::Backend::Native, runtime::CodegenMode::Scalar});
+    if (codegen::vectorBackendAvailable())
+      Tiers.push_back(
+          {"vector", runtime::Backend::Native, runtime::CodegenMode::Vector});
+  }
+
   Diagnostics Diags;
   runtime::Planner Planner(Diags, testOptions());
-  for (const char *Name : {"fft", "rdft"}) {
-    runtime::PlanSpec Spec;
-    Spec.Transform = Name;
-    Spec.Size = 8;
-    Spec.Want = runtime::Backend::VM;
-    auto P = Planner.plan(Spec);
-    ASSERT_TRUE(P) << Name << ": " << Diags.dump();
+  unsigned Seed = 0;
+  for (const Tier &TierCase : Tiers) {
+    for (const char *Name : {"fft", "rdft", "dct2"}) {
+      runtime::PlanSpec Spec;
+      Spec.Transform = Name;
+      Spec.Size = 8;
+      Spec.Want = TierCase.Want;
+      Spec.Codegen = TierCase.Codegen;
+      auto P = Planner.plan(Spec);
+      ASSERT_TRUE(P) << Name << " " << TierCase.Name << ": " << Diags.dump();
+      const std::int64_t Len = P->vectorLen();
 
-    runtime::BatchLayout BL;
-    BL.HowMany = 7;
-    BL.StrideX = BL.StrideY = 3;
-    const std::int64_t Len = P->vectorLen();
-    const std::int64_t Span = (Len - 1) * 3 + 1;
-    const std::int64_t Total = BL.HowMany * Span; // Dist 0 = span-packed.
-    std::vector<double> X(static_cast<size_t>(Total));
-    for (std::int64_t I = 0; I != Total; ++I)
-      X[static_cast<size_t>(I)] = 0.01 * static_cast<double>(I % 97) - 0.3;
-    std::vector<double> Y(static_cast<size_t>(Total), -9.0);
-    ASSERT_EQ(P->executeBatch(Y.data(), X.data(), BL), runtime::ExecStatus::Ok);
+      for (std::int64_t H : {std::int64_t(1), std::int64_t(P->lanes()) + 1}) {
+        // {HowMany, StrideX, DistX, StrideY, DistY}: dense, distinct
+        // input/output strides, interleaved vectors, padded dists.
+        const runtime::BatchLayout Layouts[] = {{H, 1, 0, 1, 0},
+                                                {H, 2, 0, 3, 0},
+                                                {H, H, 1, H, 1},
+                                                {H, 1, Len + 3, 1, Len + 5}};
+        for (const runtime::BatchLayout &Base : Layouts) {
+          for (int Threads : {1, 3}) {
+            for (bool InPlace : {false, true}) {
+              runtime::BatchLayout L = Base;
+              if (InPlace) {
+                L.StrideY = L.StrideX;
+                L.DistY = L.DistX;
+              }
+              std::ostringstream Case;
+              Case << Name << " " << TierCase.Name << " H=" << H
+                   << " stride " << L.StrideX << "/" << L.StrideY << " dist "
+                   << L.DistX << "/" << L.DistY << " threads=" << Threads
+                   << (InPlace ? " in place" : "");
+              const std::vector<double> X0 = randomRealVector(
+                  static_cast<size_t>(
+                      layoutExtent(H, Len, L.StrideX, L.DistX)),
+                  ++Seed);
+              std::vector<double> X = X0;
+              std::vector<double> YOut(static_cast<size_t>(layoutExtent(
+                                           H, Len, L.StrideY, L.DistY)),
+                                       -9.0);
+              std::vector<double> &Y = InPlace ? X : YOut;
+              const std::vector<double> Y0 = Y;
+              ASSERT_EQ(P->executeBatch(Y.data(), X.data(), L,
+                                        support::Deadline(), Threads),
+                        runtime::ExecStatus::Ok)
+                  << Case.str();
 
-    std::vector<double> DIn(static_cast<size_t>(Len)),
-        DOut(static_cast<size_t>(Len));
-    for (std::int64_t V = 0; V != BL.HowMany; ++V) {
-      for (std::int64_t I = 0; I != Len; ++I)
-        DIn[static_cast<size_t>(I)] = X[static_cast<size_t>(V * Span + I * 3)];
-      P->execute(DOut.data(), DIn.data());
-      for (std::int64_t I = 0; I != Len; ++I)
-        EXPECT_EQ(Y[static_cast<size_t>(V * Span + I * 3)],
-                  DOut[static_cast<size_t>(I)])
-            << Name << " vector " << V << " element " << I;
-      // The two pad doubles between consecutive addressed elements.
-      for (std::int64_t I = 0; I + 1 != Len; ++I)
-        for (std::int64_t Pad = 1; Pad != 3; ++Pad)
-          EXPECT_EQ(Y[static_cast<size_t>(V * Span + I * 3 + Pad)], -9.0)
-              << Name << " pad written at vector " << V;
+              const std::int64_t DX =
+                  L.DistX ? L.DistX : (Len - 1) * L.StrideX + 1;
+              const std::int64_t DY =
+                  L.DistY ? L.DistY : (Len - 1) * L.StrideY + 1;
+              std::vector<bool> Addressed(Y.size(), false);
+              std::vector<double> DIn(static_cast<size_t>(Len)),
+                  DOut(static_cast<size_t>(Len)), Got(DOut.size());
+              for (std::int64_t V = 0; V != H; ++V) {
+                for (std::int64_t I = 0; I != Len; ++I) {
+                  const auto YI = static_cast<size_t>(V * DY + I * L.StrideY);
+                  DIn[static_cast<size_t>(I)] =
+                      X0[static_cast<size_t>(V * DX + I * L.StrideX)];
+                  Got[static_cast<size_t>(I)] = Y[YI];
+                  Addressed[YI] = true;
+                }
+                P->execute(DOut.data(), DIn.data());
+                EXPECT_EQ(std::memcmp(Got.data(), DOut.data(),
+                                      DOut.size() * sizeof(double)),
+                          0)
+                    << Case.str() << ": vector " << V;
+              }
+              std::int64_t PadsWritten = 0;
+              for (size_t I = 0; I != Y.size(); ++I)
+                PadsWritten += !Addressed[I] && std::memcmp(&Y[I], &Y0[I],
+                                                            sizeof(double));
+              EXPECT_EQ(PadsWritten, 0) << Case.str();
+            }
+          }
+        }
+      }
+
+      // An expired deadline skips every lane group of a strided batch.
+      const std::int64_t H = P->lanes() + 1;
+      const runtime::BatchLayout L = {H, 2, 0, 3, 0};
+      std::vector<double> X(static_cast<size_t>(layoutExtent(H, Len, 2, 0)),
+                            0.5);
+      std::vector<double> Y(static_cast<size_t>(layoutExtent(H, Len, 3, 0)),
+                            -3.0);
+      support::Deadline Dead;
+      Dead.cancel();
+      EXPECT_EQ(P->executeBatch(Y.data(), X.data(), L, Dead, 3),
+                runtime::ExecStatus::DeadlineExceeded)
+          << Name << " " << TierCase.Name;
+      for (double V : Y)
+        ASSERT_EQ(V, -3.0) << Name << " " << TierCase.Name
+                           << ": an expired strided batch touched Y";
     }
   }
 }
@@ -943,7 +1067,7 @@ TEST(Plan, StridedBatchDeadlineLeavesSkippedVectorsUntouched) {
 }
 
 TEST(Runtime, AlignedBufferStagingIsCacheLineAligned) {
-  // Plan::runGroup asserts its staging pointers sit on
+  // Plan::run asserts its staging pointers sit on
   // AlignedBuffer::Alignment; this pins the allocator contract it leans on.
   for (size_t N : {size_t(1), size_t(33), size_t(1024)}) {
     runtime::AlignedBuffer B(N);
