@@ -63,14 +63,14 @@ struct KernelTime {
 inline KernelTime timeFinal(const icode::Program &Final, int Repeats = 3) {
   KernelTime Out;
   if (nativeAllowed()) {
-    std::string Err;
+    perf::KernelError Err;
     if (auto K = perf::CompiledKernel::create(Final, &Err)) {
       Out.Seconds = K->time(Repeats);
       Out.Native = true;
       return Out;
     }
     std::fprintf(stderr, "note: native compile failed (%s); using the VM\n",
-                 Err.c_str());
+                 Err.str().c_str());
   }
   vm::Executor VM(Final);
   std::mt19937 Gen(3);

@@ -52,10 +52,10 @@ int main() {
     double VMSec =
         timeBestOf([&] { VM.runReal(X.data(), Y.data()); }, 3);
 
-    std::string Err;
+    perf::KernelError Err;
     auto Kernel = perf::CompiledKernel::create(Compiled->Final, &Err);
     if (!Kernel) {
-      std::fprintf(stderr, "%s\n", Err.c_str());
+      std::fprintf(stderr, "%s\n", Err.str().c_str());
       return 1;
     }
     double NatSec = Kernel->time(3);

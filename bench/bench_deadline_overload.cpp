@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -114,6 +115,7 @@ void gateShedBeforeWork(JsonReport &Report) {
     Len = PR->VectorLen;
   }
 
+  const std::uint64_t RequestsBefore = Srv.stats().Requests;
   const std::uint64_t ExecBefore =
       telemetry::histogram("spld.execute_ns").snapshot().Count;
   const std::uint64_t TypedBefore =
@@ -131,10 +133,22 @@ void gateShedBeforeWork(JsonReport &Report) {
                                 Len));
   });
 
-  // Give the saturating frame time to reach the worker, then unleash the
-  // storm: each request carries a 1 ms budget that is long dead by the
-  // time the worker frees up.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Wait until the server has read the whole saturating frame (it is then
+  // handed to the only worker), then unleash the storm: each request
+  // carries a 1 ms budget that is long dead by the time the worker frees
+  // up. No fixed head start is safe: on a loaded host the 20 MB upload
+  // can take longer than any short sleep.
+  const auto ReadBy =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Srv.stats().Requests == RequestsBefore &&
+         std::chrono::steady_clock::now() < ReadBy)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (Srv.stats().Requests == RequestsBefore) {
+    gate(false, "(a) server read the saturating frame within 30 s");
+    Srv.stop();
+    Saturator.join();
+    return;
+  }
   std::atomic<int> TypedRejections{0}, OtherOutcomes{0};
   std::vector<std::thread> Stormers;
   Stormers.reserve(Storm);

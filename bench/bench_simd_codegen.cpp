@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The vectorization payoff: the same searched FFT formula built through
-/// the scalar C emitter and through the SIMD vector emitter (the paper's
-/// Section-5 A (x) I_m wrapper at instruction level, docs/VECTORIZATION.md),
+/// The vectorization payoff: the same searched FFT formula emitted as
+/// scalar C and as SIMD C for the host ISA (the paper's Section-5
+/// A (x) I_m wrapper at instruction level, docs/VECTORIZATION.md),
 /// timed per transform. The vector kernel computes laneCount(ISA) transform
 /// columns per call, so its per-transform time is the per-call time divided
 /// by the lane count.

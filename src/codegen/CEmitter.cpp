@@ -18,14 +18,64 @@ using namespace spl::icode;
 
 namespace {
 
+/// The per-ISA spellings, the only part of the output that depends on the
+/// ISA. Loads and stores use the unaligned forms: the runtime hands kernels
+/// 64-byte AlignedBuffer bases, but stack/static temporaries only get the
+/// platform's natural array alignment, and unaligned ops on aligned
+/// addresses are free on every targeted microarchitecture.
+struct Spelling {
+  const char *Type;    ///< One lane group (the type of the f temporaries).
+  const char *Include; ///< The intrinsics header.
+  const char *Load, *Store, *Broadcast; ///< Unused at one lane.
+  const char *NegOpen, *NegClose;       ///< Wrapped around the operand.
+  const char *Ops[4]; ///< Add, Sub, Mul, Div: infix at one lane, else calls.
+};
+
+const Spelling &spelling(VectorISA ISA) {
+  static const Spelling Scalar = {
+      "double", "", "", "", "", "-", "", {" + ", " - ", " * ", " / "}};
+  // Sign-bit flip: exact negation with no -0.0/rounding surprises, matching
+  // what the scalar kernel's unary minus does.
+  static const Spelling AVX2 = {
+      "__m256d",
+      "#include <immintrin.h>\n",
+      "_mm256_loadu_pd",
+      "_mm256_storeu_pd",
+      "_mm256_set1_pd",
+      "_mm256_xor_pd(",
+      ", _mm256_set1_pd(-0.0))",
+      {"_mm256_add_pd", "_mm256_sub_pd", "_mm256_mul_pd", "_mm256_div_pd"}};
+  static const Spelling NEON = {
+      "float64x2_t",
+      "#include <arm_neon.h>\n",
+      "vld1q_f64",
+      "vst1q_f64",
+      "vdupq_n_f64",
+      "vnegq_f64(",
+      ")",
+      {"vaddq_f64", "vsubq_f64", "vmulq_f64", "vdivq_f64"}};
+  switch (ISA) {
+  case VectorISA::AVX2:
+    return AVX2;
+  case VectorISA::NEON:
+    return NEON;
+  case VectorISA::Scalar:
+    break;
+  }
+  return Scalar;
+}
+
 class CEmitterImpl {
 public:
   CEmitterImpl(const Program &P, const CEmitOptions &Opts)
-      : P(P), Opts(Opts) {}
+      : P(P), Opts(Opts), Spell(spelling(Opts.ISA)),
+        Lanes(laneCount(Opts.ISA)) {}
 
   std::string run() {
     assert(P.Type == DataType::Real &&
            "C output requires a real-typed program (lower complex first)");
+    assert((Lanes == 1 || (!Opts.StrideParams && Opts.VectorizeCount == 0)) &&
+           "stride parameters and VectorizeCount apply to scalar C only");
     // The outer-loop variable of the vectorization wrapper.
     VecVar = P.NumLoopVars;
 
@@ -60,6 +110,8 @@ public:
 private:
   const Program &P;
   const CEmitOptions &Opts;
+  const Spelling &Spell;
+  const int Lanes;
   std::ostringstream Out;
   int Indent = 0;
   int VecVar = 0;
@@ -71,32 +123,41 @@ private:
   }
 
   void emitHeader() {
-    Out << "/* Generated by the SPL compiler.\n";
+    Out << "/* Generated by the SPL compiler";
+    if (Lanes > 1)
+      Out << " (vector backend, " << isaName(Opts.ISA) << ", " << Lanes
+          << " lanes)";
+    Out << ".\n";
     Out << " * subroutine: " << P.SubName << "\n";
     Out << " * input elements: " << P.InSize << ", output elements: "
         << P.OutSize;
     if (P.LoweredToReal)
       Out << " (complex, stored as interleaved re/im pairs of doubles)";
     Out << "\n";
+    if (Lanes > 1)
+      Out << " * layout: " << Lanes << " transform columns, slot-major "
+          << "(buffer index = " << Lanes << "*slot + column)\n";
     if (!Opts.HeaderComment.empty())
       Out << " * " << Opts.HeaderComment << "\n";
     Out << " */\n";
   }
 
-  /// Largest temporary kept on the stack; larger ones are static (the
-  /// paper's Fortran behavior) or heap-allocated under ThreadSafe.
+  /// Largest temporary (in doubles, after lane scaling) kept on the stack;
+  /// larger ones are static (the paper's Fortran behavior) or
+  /// heap-allocated under ThreadSafe.
   static constexpr std::int64_t StackTempLimit = std::int64_t(1) << 14;
 
   bool needsMalloc() const {
     if (!Opts.ThreadSafe)
       return false;
     for (std::int64_t Size : P.TempVecSizes)
-      if (Size > StackTempLimit)
+      if (Size * Lanes > StackTempLimit)
         return true;
     return false;
   }
 
   void emitIncludes() {
+    Out << Spell.Include;
     if (needsMalloc())
       Out << "#include <stdlib.h>\n";
   }
@@ -183,7 +244,8 @@ private:
       }
       Out << ";\n";
     };
-    EmitList("double", "f", UsedF);
+    // At m lanes each scalar f temporary becomes one lane-group register.
+    EmitList(Spell.Type, "f", UsedF);
     EmitList("int", "i", UsedI);
 
     for (size_t T = 0; T != P.TempVecSizes.size(); ++T)
@@ -192,16 +254,15 @@ private:
         // (the Fortran compilers of the paper's era defaulted to static
         // storage — see the "automatic" discussion in Section 3.4) or, when
         // the routine must be reentrant, heap allocations freed on exit.
-        bool OnStack = P.TempVecSizes[T] <= StackTempLimit;
-        if (OnStack) {
-          Out << "  double t" << T << "[" << P.TempVecSizes[T] << "];\n";
+        std::int64_t Doubles = P.TempVecSizes[T] * Lanes;
+        if (Doubles <= StackTempLimit) {
+          Out << "  double t" << T << "[" << Doubles << "];\n";
         } else if (Opts.ThreadSafe) {
-          Out << "  double *t" << T << " = (double *)malloc("
-              << P.TempVecSizes[T] << " * sizeof(double));\n";
+          Out << "  double *t" << T << " = (double *)malloc(" << Doubles
+              << " * sizeof(double));\n";
           HeapTemps.push_back(T);
         } else {
-          Out << "  static double t" << T << "[" << P.TempVecSizes[T]
-              << "];\n";
+          Out << "  static double t" << T << "[" << Doubles << "];\n";
         }
       }
   }
@@ -268,29 +329,59 @@ private:
     return S;
   }
 
-  std::string operandStr(const Operand &O) {
+  /// Vector element \p O: the element `base[sub]` at one lane; above one,
+  /// the address of its lane group, base + Lanes*(scalar slot). The scalar
+  /// slot is the raw subscript, which for I/O already includes the re/im
+  /// doubling the complex lowering bakes into coefficients, so the vector
+  /// buffer is the scalar buffer with each double widened to a lane group.
+  std::string memRef(const Operand &O) {
+    std::string Base = O.Id == VecIn    ? "x"
+                       : O.Id == VecOut ? "y"
+                                        : "t" + std::to_string(O.Id -
+                                                               FirstTempVec);
+    if (Lanes > 1)
+      return Base + " + " + std::to_string(Lanes) + "*(" + affineStr(O.Subs) +
+             ")";
+    if (O.Id == VecIn || O.Id == VecOut)
+      return Base + "[" + ioSubscript(O.Subs, O.Id == VecOut) + "]";
+    return Base + "[" + affineStr(O.Subs) + "]";
+  }
+
+  /// \p Fn applied to \p Args; the identity at one lane.
+  std::string call(const char *Fn, const std::string &Args) const {
+    return Lanes == 1 ? Args : std::string(Fn) + "(" + Args + ")";
+  }
+
+  /// A lane-group expression reading operand \p O.
+  std::string valueStr(const Operand &O) {
     switch (O.Kind) {
     case OpndKind::FltConst: {
       double V = O.FConst.real();
       std::string S = formatDouble(V);
       // Negative constants in parentheses (the paper's SPARC note).
-      return V < 0 ? "(" + S + ")" : S;
+      return call(Spell.Broadcast, V < 0 ? "(" + S + ")" : S);
     }
     case OpndKind::FltTemp:
       return "f" + std::to_string(O.Id);
     case OpndKind::VecElem:
-      if (O.Id == VecIn)
-        return "x[" + ioSubscript(O.Subs, false) + "]";
-      if (O.Id == VecOut)
-        return "y[" + ioSubscript(O.Subs, true) + "]";
-      return "t" + std::to_string(O.Id - FirstTempVec) + "[" +
-             affineStr(O.Subs) + "]";
+      return call(Spell.Load, memRef(O));
     case OpndKind::TableElem:
-      return "tab" + std::to_string(O.Id) + "[" + affineStr(O.Subs) + "]";
+      // Tables hold one scalar per logical entry; all columns share it.
+      return call(Spell.Broadcast, "tab" + std::to_string(O.Id) + "[" +
+                                       affineStr(O.Subs) + "]");
     default:
       assert(false && "intrinsics must be evaluated before emission");
       return "<?>";
     }
+  }
+
+  /// Emits `Dst = <Val>` as an assignment or, above one lane, a store.
+  void emitAssign(const Operand &Dst, const std::string &Val) {
+    pad();
+    if (Dst.Kind == OpndKind::VecElem && Lanes > 1)
+      Out << Spell.Store << "(" << memRef(Dst) << ", " << Val << ");\n";
+    else // A register, or at one lane a plain C lvalue.
+      Out << valueStr(Dst) << " = " << Val << ";\n";
   }
 
   void emitBody() {
@@ -308,21 +399,18 @@ private:
         Out << "}\n";
         break;
       case Op::Copy:
-        pad();
-        Out << operandStr(I.Dst) << " = " << operandStr(I.A) << ";\n";
+        emitAssign(I.Dst, valueStr(I.A));
         break;
       case Op::Neg:
-        pad();
-        Out << operandStr(I.Dst) << " = -" << operandStr(I.A) << ";\n";
+        emitAssign(I.Dst, Spell.NegOpen + valueStr(I.A) + Spell.NegClose);
         break;
       default: {
-        const char *Sym = I.Opcode == Op::Add   ? " + "
-                          : I.Opcode == Op::Sub ? " - "
-                          : I.Opcode == Op::Mul ? " * "
-                                                : " / ";
-        pad();
-        Out << operandStr(I.Dst) << " = " << operandStr(I.A) << Sym
-            << operandStr(I.B) << ";\n";
+        const char *Fn = Spell.Ops[I.Opcode == Op::Add   ? 0
+                                   : I.Opcode == Op::Sub ? 1
+                                   : I.Opcode == Op::Mul ? 2
+                                                         : 3];
+        std::string A = valueStr(I.A), B = valueStr(I.B);
+        emitAssign(I.Dst, Lanes == 1 ? A + Fn + B : call(Fn, A + ", " + B));
         break;
       }
       }

@@ -1,71 +1,30 @@
-//===- codegen/VectorEmitter.h - SIMD C code generation ---------*- C++ -*-==//
+//===- codegen/VectorEmitter.h - Vector C emission alias ---------*- C++ -*-==//
 //
 // Part of the SPL reproduction project. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits explicitly vectorized C from a real-typed i-code program: the
-/// paper's Section-5 wrapper A -> A (x) I_m realized at the instruction
-/// level instead of as an outer loop. m = laneCount(ISA) independent
-/// transform columns are stored slot-major — vector buffer index
-/// m*S + j, where S is the scalar kernel's physical double index (already
-/// including the complex re/im split) and j the column — so the m copies
-/// of every scalar double occupy one contiguous, SIMD-loadable group and
-/// every scalar instruction becomes exactly one intrinsic.
-///
-/// Because every emitted operation is lane-wise (no shuffles, no
-/// horizontal ops, no FMA contraction), column j's results depend only on
-/// column j's inputs. That makes zero-padding partial lane groups safe and
-/// keeps Plan's thread-count bit-identity guarantee regardless of how a
-/// batch is cut into groups. See docs/VECTORIZATION.md.
+/// The old names of the vector C emitter, now one ISA setting of
+/// codegen::emitC. Kept only because perfbench/src/Bench.cpp still includes
+/// this header; new code calls emitC with CEmitOptions::ISA set.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPL_CODEGEN_VECTOREMITTER_H
 #define SPL_CODEGEN_VECTOREMITTER_H
 
-#include "codegen/VectorISA.h"
-#include "icode/ICode.h"
-
-#include <string>
+#include "codegen/CEmitter.h"
 
 namespace spl {
 namespace codegen {
 
-/// Vector C emission options (the SIMD analogue of CEmitOptions; stride
-/// parameters and the scalar outer-loop VectorizeCount do not apply —
-/// the lane group *is* the vectorization wrapper).
-struct VectorEmitOptions {
-  /// Instruction set to target; decides the lane count m and which
-  /// intrinsics are rendered. VectorISA::Scalar degenerates to m = 1
-  /// plain C (useful only for testing the layout logic).
-  VectorISA ISA = VectorISA::Scalar;
+using VectorEmitOptions = CEmitOptions;
 
-  /// Mark pointer arguments restrict (helps back-end compilers).
-  bool UseRestrict = true;
-
-  /// Emit constant tables as pointers bound at run time through an extra
-  /// function <name>_set_tables(const double *const *), like CEmitOptions.
-  /// Tables stay scalar (one value per logical entry) and are broadcast
-  /// into lanes at use sites.
-  bool ExternalTables = false;
-
-  /// Make the generated routine reentrant: large temporaries are
-  /// malloc'd/free'd per call instead of declared static.
-  bool ThreadSafe = false;
-
-  /// Extra text for the header comment (e.g. the source formula).
-  std::string HeaderComment;
-};
-
-/// Renders \p P as a complete C translation unit containing one function
-///   void <SubName>(double *y, const double *x);
-/// where x and y hold laneCount(ISA) interleaved transform columns in the
-/// slot-major layout: laneCount(ISA) * 2 * size doubles for programs
-/// lowered from complex data. Requires a real-typed program.
-std::string emitVectorC(const icode::Program &P,
-                        const VectorEmitOptions &Opts = VectorEmitOptions());
+inline std::string emitVectorC(const icode::Program &P,
+                               const VectorEmitOptions &Opts) {
+  return emitC(P, Opts);
+}
 
 } // namespace codegen
 } // namespace spl

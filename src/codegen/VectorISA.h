@@ -10,7 +10,7 @@
 /// the search engine and runtime thread through kernel builds. The paper's
 /// Section-5 vectorization wrapper (A -> A (x) I_m) turns m independent
 /// transform columns into one SIMD lane group; the detected ISA decides m
-/// (the lane count) and which intrinsics codegen::emitVectorC renders.
+/// (the lane count) and which intrinsics codegen::emitC renders.
 ///
 /// The probe is overridable with SPL_VECTOR_ISA=scalar|avx2|neon|auto —
 /// CI forces `scalar` to prove that wisdom and plans written by a
@@ -29,19 +29,19 @@
 namespace spl {
 namespace codegen {
 
-/// The SIMD instruction sets the vector emitter can target.
+/// The instruction sets the C emitter can target.
 enum class VectorISA {
-  Scalar, ///< No usable SIMD: the vector backend is unavailable.
+  Scalar, ///< Plain C, one lane; as a host probe: no usable SIMD.
   AVX2,   ///< x86-64 AVX2, 4 doubles per lane group (__m256d).
   NEON,   ///< AArch64 Advanced SIMD, 2 doubles per lane group (float64x2_t).
 };
 
-/// Which emitter produced (or should produce) a kernel. This is the
+/// Which ISA a kernel was (or should be) emitted for. This is the
 /// searchable codegen dimension: the DP evaluator times both variants per
 /// node size and records the winner in wisdom.
 enum class CodegenVariant {
-  Scalar, ///< codegen::emitC — one transform per call.
-  Vector, ///< codegen::emitVectorC — laneCount() transforms per call.
+  Scalar, ///< codegen::emitC at VectorISA::Scalar — one transform per call.
+  Vector, ///< codegen::emitC at a SIMD ISA — laneCount() per call.
 };
 
 /// Stable lowercase token ("scalar" | "avx2" | "neon").

@@ -7,7 +7,6 @@
 #include "perf/KernelRunner.h"
 
 #include "codegen/CEmitter.h"
-#include "codegen/VectorEmitter.h"
 #include "support/FaultInjection.h"
 #include "support/Subprocess.h"
 #include "support/Timer.h"
@@ -67,39 +66,34 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
                 "no system C compiler available (set SPL_CC to override)");
 
   const bool Vector = BuildOpts.Variant == codegen::CodegenVariant::Vector;
-  std::string Code;
   std::string Flags = BuildOpts.ExtraFlags;
   std::string KeyTag;
-  int Lanes = 1;
+  codegen::CEmitOptions CO;
+  CO.ExternalTables = true;
+  CO.ThreadSafe = BuildOpts.ThreadSafe;
   if (Vector) {
     if (fault::at("vector-compile"))
       return Fail(KernelErrorKind::CompileFailed,
                   fault::describe("vector-compile"));
-    Lanes = codegen::laneCount(BuildOpts.ISA);
+    CO.ISA = BuildOpts.ISA;
+    std::string ISAFlags = codegen::isaCompilerFlags(BuildOpts.ISA);
+    if (!ISAFlags.empty())
+      Flags += " " + ISAFlags;
+    KeyTag = std::string("vector:") + codegen::isaName(BuildOpts.ISA);
+  }
+  const int Lanes = codegen::laneCount(CO.ISA);
+  auto Start = std::chrono::steady_clock::now();
+  const std::string Code = codegen::emitC(Final, CO);
+  if (Vector) {
     static telemetry::Counter &VectorKernels =
         telemetry::counter("codegen.vector_kernels");
     static telemetry::Histogram &VectorNs =
         telemetry::histogram("codegen.vector_ns");
-    codegen::VectorEmitOptions VO;
-    VO.ISA = BuildOpts.ISA;
-    VO.ExternalTables = true;
-    VO.ThreadSafe = BuildOpts.ThreadSafe;
-    auto Start = std::chrono::steady_clock::now();
-    Code = codegen::emitVectorC(Final, VO);
     VectorNs.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - Start)
             .count()));
     VectorKernels.add();
-    std::string ISAFlags = codegen::isaCompilerFlags(BuildOpts.ISA);
-    if (!ISAFlags.empty())
-      Flags += " " + ISAFlags;
-    KeyTag = std::string("vector:") + codegen::isaName(BuildOpts.ISA);
-  } else {
-    codegen::CEmitOptions CO;
-    CO.ExternalTables = true;
-    CO.ThreadSafe = BuildOpts.ThreadSafe;
-    Code = codegen::emitC(Final, CO);
   }
 
   std::string CompileError;
@@ -138,15 +132,6 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
     Set(Ptrs.data());
   }
   K->Mod = std::move(Mod);
-  return K;
-}
-
-std::unique_ptr<CompiledKernel>
-CompiledKernel::create(const icode::Program &Final, std::string *Error) {
-  KernelError Err;
-  auto K = create(Final, &Err, KernelBuildOptions());
-  if (!K && Error)
-    *Error = Err.str();
   return K;
 }
 

@@ -65,10 +65,10 @@ struct KernelBuildOptions {
   /// ISA's own flags (codegen::isaCompilerFlags) on top.
   std::string ExtraFlags = "-O2";
 
-  /// Which emitter to use: Scalar renders plain C (codegen::emitC, one
-  /// transform per call); Vector renders SIMD intrinsics
-  /// (codegen::emitVectorC, lanes() transform columns per call in the
-  /// slot-major layout). The two variants get distinct kernel-cache keys.
+  /// What codegen::emitC renders: Scalar is plain C (one transform per
+  /// call); Vector is SIMD intrinsics for ISA (lanes() transform columns
+  /// per call in the slot-major layout). The two variants get distinct
+  /// kernel-cache keys.
   codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;
 
   /// Instruction set for the Vector variant (ignored for Scalar).
@@ -93,10 +93,6 @@ public:
   create(const icode::Program &Final, KernelError *Err,
          const KernelBuildOptions &BuildOpts = KernelBuildOptions());
 
-  /// Convenience overload keeping the historical string-error interface.
-  static std::unique_ptr<CompiledKernel> create(const icode::Program &Final,
-                                                std::string *Error = nullptr);
-
   /// Buffer lengths in doubles (2x the logical size for lowered-complex
   /// programs, additionally scaled by lanes() for vector kernels).
   std::int64_t inLen() const { return InLen; }
@@ -104,7 +100,7 @@ public:
 
   /// Transform columns computed per call: 1 for scalar kernels,
   /// laneCount(ISA) for vector kernels (slot-major layout, see
-  /// codegen/VectorEmitter.h).
+  /// codegen/CEmitter.h).
   int lanes() const { return Lanes; }
 
   /// The variant this kernel was built with.

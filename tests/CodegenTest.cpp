@@ -16,7 +16,6 @@
 
 #include "codegen/CEmitter.h"
 #include "codegen/FortranEmitter.h"
-#include "codegen/VectorEmitter.h"
 #include "codegen/VectorISA.h"
 #include "driver/Compiler.h"
 #include "ir/Builder.h"
@@ -256,9 +255,9 @@ void checkVectorC(const std::string &Source, std::int64_t Threshold,
   Opts.UnrollThreshold = Threshold;
   auto Unit = compileOne(Source, Opts);
 
-  codegen::VectorEmitOptions VO;
-  VO.ISA = ISA;
-  std::string Code = codegen::emitVectorC(Unit.Final, VO);
+  codegen::CEmitOptions CO;
+  CO.ISA = ISA;
+  std::string Code = codegen::emitC(Unit.Final, CO);
 
   std::string Err;
   auto Mod =
@@ -321,15 +320,18 @@ TEST(VectorEmitter, AVX2EmissionIsLaneWiseOnly) {
   driver::CompilerOptions Opts;
   Opts.UnrollThreshold = 64;
   auto Unit = compileOne(kVecFFT8, Opts);
-  codegen::VectorEmitOptions VO;
-  VO.ISA = codegen::VectorISA::AVX2;
-  std::string Code = codegen::emitVectorC(Unit.Final, VO);
+  codegen::CEmitOptions CO;
+  CO.ISA = codegen::VectorISA::AVX2;
+  std::string Code = codegen::emitC(Unit.Final, CO);
   EXPECT_NE(Code.find("#include <immintrin.h>"), std::string::npos);
   EXPECT_NE(Code.find("__m256d"), std::string::npos);
   EXPECT_NE(Code.find("_mm256_loadu_pd"), std::string::npos);
   EXPECT_NE(Code.find("_mm256_storeu_pd"), std::string::npos);
   // Lane independence is the whole correctness argument (zero-padded tail
-  // groups, thread-count bit-identity): no cross-lane or contracted ops.
+  // groups, thread-count bit-identity): no cross-lane ops and no FMA
+  // intrinsics in the text. The C compiler may still contract a mul and an
+  // add into an FMA under -mfma, which is lane-wise too but can change the
+  // last bits against the scalar kernel.
   for (const char *Banned :
        {"_mm256_shuffle", "_mm256_permute", "_mm256_hadd", "_mm256_fmadd",
         "_mm256_fmsub"})
@@ -340,13 +342,59 @@ TEST(VectorEmitter, NEONEmissionRendersFloat64x2) {
   driver::CompilerOptions Opts;
   Opts.UnrollThreshold = 64;
   auto Unit = compileOne(kVecFFT8, Opts);
-  codegen::VectorEmitOptions VO;
-  VO.ISA = codegen::VectorISA::NEON;
-  std::string Code = codegen::emitVectorC(Unit.Final, VO);
+  codegen::CEmitOptions CO;
+  CO.ISA = codegen::VectorISA::NEON;
+  std::string Code = codegen::emitC(Unit.Final, CO);
   EXPECT_NE(Code.find("#include <arm_neon.h>"), std::string::npos);
   EXPECT_NE(Code.find("float64x2_t"), std::string::npos);
   EXPECT_NE(Code.find("vld1q_f64"), std::string::npos);
   EXPECT_NE(Code.find("vst1q_f64"), std::string::npos);
+}
+
+std::string renderFor(const icode::Program &P, codegen::VectorISA ISA,
+                      bool ThreadSafe) {
+  codegen::CEmitOptions CO;
+  CO.ISA = ISA;
+  CO.ThreadSafe = ThreadSafe;
+  return codegen::emitC(P, CO);
+}
+
+TEST(CEmitter, TempStorageLimitScalesWithLanes) {
+  // A loop program with one 8192-double temp vector: within the 2^14-double
+  // stack limit at one lane, over it at four (AVX2's 32768 doubles).
+  driver::CompilerOptions Opts;
+  Opts.UnrollThreshold = 2;
+  auto Unit = compileOne("#datatype real\n#subname tmp8k\n"
+                         "(compose (tensor (F 2) (I 4096)) "
+                         "(tensor (I 4096) (F 2)))",
+                         Opts);
+  ASSERT_EQ(Unit.Final.TempVecSizes, std::vector<std::int64_t>({8192}));
+
+  for (bool ThreadSafe : {false, true}) {
+    SCOPED_TRACE(ThreadSafe ? "ThreadSafe" : "not ThreadSafe");
+    std::string Scalar =
+        renderFor(Unit.Final, codegen::VectorISA::Scalar, ThreadSafe);
+    EXPECT_NE(Scalar.find("\n  double t0[8192];\n"), std::string::npos)
+        << Scalar;
+    EXPECT_EQ(Scalar.find("malloc"), std::string::npos) << Scalar;
+    EXPECT_EQ(Scalar.find("static double"), std::string::npos) << Scalar;
+  }
+
+  std::string Static =
+      renderFor(Unit.Final, codegen::VectorISA::AVX2, /*ThreadSafe=*/false);
+  EXPECT_NE(Static.find("\n  static double t0[32768];\n"), std::string::npos)
+      << Static;
+  EXPECT_EQ(Static.find("malloc"), std::string::npos) << Static;
+
+  std::string Heap =
+      renderFor(Unit.Final, codegen::VectorISA::AVX2, /*ThreadSafe=*/true);
+  EXPECT_NE(Heap.find("#include <stdlib.h>\n"), std::string::npos) << Heap;
+  EXPECT_NE(Heap.find("\n  double *t0 = (double *)malloc(32768 * "
+                      "sizeof(double));\n"),
+            std::string::npos)
+      << Heap;
+  EXPECT_NE(Heap.find("\n  free(t0);\n}\n"), std::string::npos) << Heap;
+  EXPECT_EQ(Heap.find("static double"), std::string::npos) << Heap;
 }
 
 TEST(Driver, OptLevelsProduceDifferentCodeSizes) {

@@ -9,16 +9,26 @@
 /// pipeline and validates each against its expected semantics in the VM.
 /// The corpus path comes from the SPL_CORPUS_DIR compile definition.
 ///
+/// The golden emission test renders every corpus unit (plus one searched
+/// FFT) as C under each emitter configuration and compares the text byte
+/// for byte with tests/golden/<unit>.<config>.c. The C text is the kernel
+/// cache key, so any change here changes which kernels get rebuilt. On a
+/// mismatch the actual text is written under the build tree and its path
+/// printed; review the diff and copy the file over the golden to accept it.
+///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "codegen/CEmitter.h"
 #include "driver/Compiler.h"
 #include "ir/Transforms.h"
+#include "search/DPSearch.h"
 #include "vm/Executor.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -114,6 +124,86 @@ TEST(Corpus, HaarUserTemplate) {
     EXPECT_NEAR(Y[I], Sums[I], 1e-12);
     EXPECT_NEAR(Y[4 + I], Diffs[I], 1e-12);
   }
+}
+
+/// One emitter configuration of the golden test.
+struct GoldenConfig {
+  const char *Name;
+  void (*Set)(codegen::CEmitOptions &);
+};
+
+/// Explicit ISAs only (never detectISA()), so the goldens are
+/// host-independent and hold under SPL_VECTOR_ISA=scalar.
+const GoldenConfig kGoldenConfigs[] = {
+    {"scalar", [](codegen::CEmitOptions &) {}},
+    {"stride", [](codegen::CEmitOptions &O) { O.StrideParams = true; }},
+    {"vec2", [](codegen::CEmitOptions &O) { O.VectorizeCount = 2; }},
+    {"runtime",
+     [](codegen::CEmitOptions &O) {
+       O.ExternalTables = true;
+       O.ThreadSafe = true;
+     }},
+    {"avx2-runtime",
+     [](codegen::CEmitOptions &O) {
+       O.ISA = codegen::VectorISA::AVX2;
+       O.ExternalTables = true;
+       O.ThreadSafe = true;
+     }},
+    {"neon",
+     [](codegen::CEmitOptions &O) { O.ISA = codegen::VectorISA::NEON; }},
+};
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return std::string();
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// Compares \p P rendered under every configuration with its goldens.
+void checkGoldens(const std::string &Unit, const icode::Program &P) {
+  for (const GoldenConfig &Cfg : kGoldenConfigs) {
+    const std::string File = Unit + "." + Cfg.Name + ".c";
+    const std::string Want =
+        readFile(std::string(SPL_GOLDEN_DIR) + "/" + File);
+    codegen::CEmitOptions Opts;
+    Cfg.Set(Opts);
+    const std::string Got = codegen::emitC(P, Opts);
+    if (Got == Want)
+      continue;
+    std::filesystem::create_directories(SPL_GOLDEN_ACTUAL_DIR);
+    const std::string Actual = std::string(SPL_GOLDEN_ACTUAL_DIR) + "/" + File;
+    std::ofstream(Actual, std::ios::binary) << Got;
+    ADD_FAILURE() << File << ": emitted C differs from the golden"
+                  << (Want.empty() ? " (golden missing)" : "")
+                  << "; actual text written to " << Actual;
+  }
+}
+
+TEST(Corpus, GoldenEmission) {
+  for (const char *Name : {"fft16", "haar", "i64f2", "wht16"}) {
+    auto Units = compileCorpus(std::string(Name) + ".spl");
+    ASSERT_EQ(Units.size(), 1u) << Name;
+    ASSERT_EQ(Units[0].Final.Type, icode::DataType::Real) << Name;
+    checkGoldens(Name, Units[0].Final);
+  }
+
+  // One searched FFT: the op-count evaluator is deterministic, and a size
+  // above the unroll threshold gives loop code with twiddle tables.
+  Diagnostics Diags;
+  driver::CompilerOptions Opts;
+  Opts.UnrollThreshold = 16;
+  search::OpCountEvaluator Eval(Diags, Opts);
+  search::SearchOptions SOpts;
+  SOpts.MaxLeaf = 16;
+  search::DPSearch Search(Eval, Diags, SOpts);
+  auto Best = Search.best(32);
+  ASSERT_TRUE(Best) << Diags.dump();
+  auto Compiled = Eval.compile(Best->Formula);
+  ASSERT_TRUE(Compiled) << Diags.dump();
+  checkGoldens("fft32-searched", Compiled->Final);
 }
 
 } // namespace

@@ -57,7 +57,7 @@
 #include "ExitCodes.h"
 #include "Version.h"
 
-#include "codegen/VectorEmitter.h"
+#include "codegen/CEmitter.h"
 #include "codegen/VectorISA.h"
 #include "driver/Compiler.h"
 #include "frontend/Parser.h"
@@ -94,6 +94,15 @@ void printUsage() {
                "[--no-kernel-cache] [common options]\n"
                "       splc --version    print version, build date and "
                "compiler\n");
+}
+
+/// Re-renders \p Unit's i-code as SIMD C for the host ISA, with inline
+/// tables: this is display/output code, not a runtime kernel.
+void renderVector(driver::CompiledUnit &Unit, const std::string &Comment) {
+  codegen::CEmitOptions CO;
+  CO.ISA = codegen::detectISA();
+  CO.HeaderComment = Comment;
+  Unit.Code = codegen::emitC(Unit.Final, CO);
 }
 
 } // namespace
@@ -282,12 +291,8 @@ int main(int Argc, char **Argv) {
         std::fputs(Diags.dump().c_str(), stderr);
         return tools::ExitCompile;
       }
-      if (Variant == codegen::CodegenVariant::Vector) {
-        codegen::VectorEmitOptions VO;
-        VO.ISA = codegen::detectISA();
-        VO.HeaderComment = "rule " + F->print();
-        Unit->Code = codegen::emitVectorC(Unit->Final, VO);
-      }
+      if (Variant == codegen::CodegenVariant::Vector)
+        renderVector(*Unit, "rule " + F->print());
       if (Stats)
         std::fprintf(stderr, "%s: rule %s (codegen %s)\n",
                      Dirs.SubName.c_str(), F->print().c_str(),
@@ -375,14 +380,8 @@ int main(int Argc, char **Argv) {
       std::fputs(Diags.dump().c_str(), stderr);
       return tools::ExitCompile;
     }
-    if (Variant == codegen::CodegenVariant::Vector) {
-      // Re-render the winner's i-code through the SIMD backend (inline
-      // tables: this is display/output code, not a runtime kernel).
-      codegen::VectorEmitOptions VO;
-      VO.ISA = codegen::detectISA();
-      VO.HeaderComment = "winner " + Best->Formula->print();
-      Unit->Code = codegen::emitVectorC(Unit->Final, VO);
-    }
+    if (Variant == codegen::CodegenVariant::Vector)
+      renderVector(*Unit, "winner " + Best->Formula->print());
     if (Stats) {
       std::fprintf(stderr,
                    "%s: winner %s (cost %.6g, %llu evaluations, "
