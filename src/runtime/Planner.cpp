@@ -278,6 +278,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
                                     const support::Deadline &Deadline,
                                     PlanError *Err) {
   static telemetry::Histogram &PlanNs = telemetry::histogram("plan.total_ns");
+  static telemetry::Histogram &TrialNs = telemetry::histogram("plan.trial_ns");
   telemetry::StageTimer PlanTimer("plan", &PlanNs);
   auto Report = [&](PlanError E) {
     if (Err)
@@ -468,7 +469,11 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
         }
         if (std::isfinite(Remaining))
           TrialBudget = std::min(TrialBudget, Remaining);
-        auto Trial = K->trial(TrialBudget);
+        perf::CompiledKernel::TrialResult Trial;
+        {
+          telemetry::StageTimer TrialTimer("trial", &TrialNs);
+          Trial = K->trial(TrialBudget);
+        }
         if (!Trial.Ok) {
           Err = perf::KernelError{perf::KernelErrorKind::TrialFailed,
                                   Trial.Reason};

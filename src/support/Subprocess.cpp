@@ -67,9 +67,61 @@ double spl::envTimeoutSeconds(const char *Name, double DefSeconds) {
 
 namespace {
 
-/// Waits for \p Pid with an optional deadline. On expiry kills the child's
-/// whole process group, reaps it, and reports TimedOut through \p TimedOut.
-/// Returns the waitpid status.
+/// Forks a child in its own process group (so a timeout can kill its
+/// descendants too) joined to the parent by a fresh pipe. Returns the pid in
+/// the parent, 0 in the child, -1 on failure. \p Fd receives the read end in
+/// the parent and the write end in the child; the child's exit closes it.
+/// Both ends close on exec, so no other thread's child (a concurrent `cc`)
+/// inherits them; a dup2 onto fds 1 and 2 clears the flag on the copies.
+pid_t forkWithPipe(int &Fd) {
+  int Pipe[2];
+#if defined(__linux__)
+  if (::pipe2(Pipe, O_CLOEXEC) != 0)
+    return -1;
+#else
+  if (::pipe(Pipe) != 0)
+    return -1;
+  ::fcntl(Pipe[0], F_SETFD, FD_CLOEXEC);
+  ::fcntl(Pipe[1], F_SETFD, FD_CLOEXEC);
+#endif
+  pid_t Pid = ::fork();
+  if (Pid < 0) {
+    ::close(Pipe[0]);
+    ::close(Pipe[1]);
+    return -1;
+  }
+  if (Pid == 0) {
+    ::setpgid(0, 0);
+    ::close(Pipe[0]);
+    Fd = Pipe[1];
+    return 0;
+  }
+  ::setpgid(Pid, Pid); // Also from the parent: closes the startup race.
+  ::close(Pipe[1]);
+  Fd = Pipe[0];
+  return Pid;
+}
+
+/// Reads what \p Fd has ready into \p Output (capped at \p MaxOutputBytes;
+/// nullptr discards). Returns false on EOF or a read error.
+bool readChunk(int Fd, std::string *Output, std::size_t MaxOutputBytes) {
+  char Buf[4096];
+  ssize_t N = ::read(Fd, Buf, sizeof(Buf));
+  if (N < 0 && errno == EINTR)
+    return true;
+  if (N <= 0)
+    return false;
+  if (Output && Output->size() < MaxOutputBytes)
+    Output->append(Buf, Buf + std::min<std::size_t>(
+                                  static_cast<std::size_t>(N),
+                                  MaxOutputBytes - Output->size()));
+  return true;
+}
+
+/// Waits for \p Pid, draining \p ReadFd: the read end of a pipe whose only
+/// write end the child holds, so poll() wakes the moment the child exits.
+/// On expiry kills the child's whole process group, reaps it, and reports
+/// TimedOut through \p TimedOut. Returns the waitpid status.
 int waitWithDeadline(pid_t Pid, double TimeoutSeconds, bool &TimedOut,
                      int ReadFd, std::string *Output,
                      std::size_t MaxOutputBytes) {
@@ -82,56 +134,67 @@ int waitWithDeadline(pid_t Pid, double TimeoutSeconds, bool &TimedOut,
   auto RemainingMs = [&]() -> long {
     if (!HasDeadline)
       return -1;
-    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Deadline - Clock::now())
-                    .count();
+    // Round up: the deadline has passed only when nothing is left.
+    auto Left =
+        std::chrono::ceil<std::chrono::milliseconds>(Deadline - Clock::now())
+            .count();
     return Left > 0 ? static_cast<long>(Left) : 0;
   };
+  auto SliceMs = [&]() -> long {
+    return HasDeadline ? std::min<long>(RemainingMs(), 50) : 200;
+  };
 
-  // Drain the output pipe until EOF (child exited and the write ends are
-  // closed) or the deadline expires. poll() doubles as the timeout clock.
-  char Buf[4096];
-  bool PipeOpen = ReadFd >= 0;
-  while (PipeOpen) {
-    long Left = RemainingMs();
-    if (HasDeadline && Left == 0) {
+  // Drain the pipe until EOF (the child exited) or the deadline expires.
+  // poll() doubles as the timeout clock. A descendant or a concurrently
+  // forked sibling can hold a copy of the write end past the child's exit,
+  // so every quiet slice also probes the child itself.
+  int Status = 0;
+  for (;;) {
+    const long Slice = SliceMs();
+    if (Slice == 0) {
       TimedOut = true;
       break;
     }
     struct pollfd PFD = {ReadFd, POLLIN, 0};
-    const long SliceMs = HasDeadline ? std::min<long>(Left, 50) : 200;
-    int PR = ::poll(&PFD, 1, static_cast<int>(SliceMs));
+    int PR = ::poll(&PFD, 1, static_cast<int>(Slice));
     if (PR > 0) {
-      ssize_t N = ::read(ReadFd, Buf, sizeof(Buf));
-      if (N > 0) {
-        if (Output && Output->size() < MaxOutputBytes)
-          Output->append(Buf, Buf + std::min<std::size_t>(
-                                        static_cast<std::size_t>(N),
-                                        MaxOutputBytes - Output->size()));
+      if (readChunk(ReadFd, Output, MaxOutputBytes))
         continue;
+      break; // EOF: the child is done writing.
+    }
+    if (PR < 0 && errno != EINTR)
+      break;
+    if (PR == 0 && ::waitpid(Pid, &Status, WNOHANG) == Pid) {
+      // Reaped while the pipe is still held open elsewhere: keep what is
+      // already buffered, then report the child's real status.
+      while (Output && Output->size() < MaxOutputBytes &&
+             ::poll(&PFD, 1, 0) > 0 &&
+             readChunk(ReadFd, Output, MaxOutputBytes)) {
       }
-      PipeOpen = false; // EOF or read error: the child is done writing.
-    } else if (PR < 0 && errno != EINTR) {
-      PipeOpen = false;
+      return Status;
     }
   }
 
   if (!TimedOut && HasDeadline) {
-    // Pipe EOF (or no pipe at all) with budget left: poll the child
-    // directly — it may have closed its stdio yet still be running.
+    // EOF with budget left: the child is exiting, or it closed its stdio
+    // and runs on. Probe with a geometric backoff from 50 us, capped at
+    // the poll slice, so a prompt exit costs microseconds.
+    long BackoffUs = 50;
     for (;;) {
-      int Status = 0;
       pid_t R = ::waitpid(Pid, &Status, WNOHANG);
       if (R == Pid)
         return Status;
       if (R < 0 && errno != EINTR)
         break;
-      if (RemainingMs() == 0) {
+      const long Slice = SliceMs();
+      if (Slice == 0) {
         TimedOut = true;
         break;
       }
-      struct timespec TS = {0, 20 * 1000 * 1000};
+      BackoffUs = std::min(BackoffUs, Slice * 1000);
+      struct timespec TS = {BackoffUs / 1000000, (BackoffUs % 1000000) * 1000};
       ::nanosleep(&TS, nullptr);
+      BackoffUs *= 2;
     }
   }
   if (TimedOut) {
@@ -139,10 +202,21 @@ int waitWithDeadline(pid_t Pid, double TimeoutSeconds, bool &TimedOut,
     ::kill(-Pid, SIGKILL);
   }
 
-  int Status = 0;
   while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
   }
   return Status;
+}
+
+/// Fills the exit fields shared by SubprocessResult and GuardedResult.
+template <typename ResultT>
+void decodeStatus(int Status, bool TimedOut, ResultT &Res) {
+  Res.TimedOut = TimedOut;
+  if (TimedOut)
+    return;
+  if (WIFSIGNALED(Status))
+    Res.Signal = WTERMSIG(Status);
+  else if (WIFEXITED(Status))
+    Res.ExitCode = WEXITSTATUS(Status);
 }
 
 } // namespace
@@ -155,28 +229,18 @@ SubprocessResult spl::runSubprocess(const std::vector<std::string> &Argv,
     return Res;
   }
 
-  int Pipe[2];
-  if (::pipe(Pipe) != 0) {
-    Res.SpawnFailed = true;
-    return Res;
-  }
-
-  pid_t Pid = ::fork();
+  int Fd = -1;
+  pid_t Pid = forkWithPipe(Fd);
   if (Pid < 0) {
-    ::close(Pipe[0]);
-    ::close(Pipe[1]);
     Res.SpawnFailed = true;
     return Res;
   }
 
   if (Pid == 0) {
-    // Child: own process group (so a timeout can kill compiler descendants),
-    // stdout+stderr into the pipe, stdin from /dev/null.
-    ::setpgid(0, 0);
-    ::close(Pipe[0]);
-    ::dup2(Pipe[1], STDOUT_FILENO);
-    ::dup2(Pipe[1], STDERR_FILENO);
-    ::close(Pipe[1]);
+    // Child: stdout+stderr into the pipe, stdin from /dev/null.
+    ::dup2(Fd, STDOUT_FILENO);
+    ::dup2(Fd, STDERR_FILENO);
+    ::close(Fd);
     int DevNull = ::open("/dev/null", O_RDONLY);
     if (DevNull >= 0) {
       ::dup2(DevNull, STDIN_FILENO);
@@ -192,48 +256,31 @@ SubprocessResult spl::runSubprocess(const std::vector<std::string> &Argv,
     ::_exit(127);
   }
 
-  ::setpgid(Pid, Pid); // Also from the parent: closes the startup race.
-  ::close(Pipe[1]);
-
   bool TimedOut = false;
-  int Status = waitWithDeadline(Pid, Opts.TimeoutSeconds, TimedOut, Pipe[0],
+  int Status = waitWithDeadline(Pid, Opts.TimeoutSeconds, TimedOut, Fd,
                                 &Res.Output, Opts.MaxOutputBytes);
-  ::close(Pipe[0]);
-
-  Res.TimedOut = TimedOut;
-  if (TimedOut)
-    return Res;
-  if (WIFSIGNALED(Status))
-    Res.Signal = WTERMSIG(Status);
-  else if (WIFEXITED(Status))
-    Res.ExitCode = WEXITSTATUS(Status);
+  ::close(Fd);
+  decodeStatus(Status, TimedOut, Res);
   return Res;
 }
 
 GuardedResult spl::runGuarded(const std::function<int()> &Fn,
                               double TimeoutSeconds) {
   GuardedResult Res;
-  pid_t Pid = ::fork();
+  // The child writes nothing to the pipe: its exit alone wakes the parent.
+  int Fd = -1;
+  pid_t Pid = forkWithPipe(Fd);
   if (Pid < 0) {
     Res.SpawnFailed = true;
     return Res;
   }
-  if (Pid == 0) {
-    ::setpgid(0, 0);
+  if (Pid == 0)
     ::_exit(Fn());
-  }
-  ::setpgid(Pid, Pid);
 
   bool TimedOut = false;
-  int Status = waitWithDeadline(Pid, TimeoutSeconds, TimedOut, /*ReadFd=*/-1,
-                                nullptr, 0);
-  Res.TimedOut = TimedOut;
-  if (TimedOut)
-    return Res;
-  if (WIFSIGNALED(Status))
-    Res.Signal = WTERMSIG(Status);
-  else if (WIFEXITED(Status))
-    Res.ExitCode = WEXITSTATUS(Status);
+  int Status = waitWithDeadline(Pid, TimeoutSeconds, TimedOut, Fd, nullptr, 0);
+  ::close(Fd);
+  decodeStatus(Status, TimedOut, Res);
   return Res;
 }
 

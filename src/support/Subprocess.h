@@ -16,9 +16,19 @@
 ///   - a typed result distinguishing exit status, terminating signal,
 ///     timeout, and spawn failure.
 ///
-/// runGuarded() forks a child around an arbitrary callable so freshly
-/// compiled kernels can be proven in isolation: a kernel that segfaults or
-/// spins takes down only the disposable child.
+/// runGuarded() forks a child around an arbitrary callable so compiled
+/// kernels can be proven in isolation: a kernel that segfaults or spins
+/// takes down only the disposable child.
+///
+/// Both share one exit-driven wait. Every child holds the write end of a
+/// close-on-exec pipe (runSubprocess's carries the output; runGuarded's
+/// carries nothing), so the parent's poll() wakes when the child exits and
+/// closes it, not on a timer tick. A descendant or a concurrently forked
+/// sibling can keep a copy of that write end open, so each quiet poll
+/// slice (50 ms under a deadline, 200 ms without) also probes the child
+/// with waitpid(WNOHANG) and returns its real status once it is reaped.
+/// After EOF the child is reaped with a geometric backoff from 50 us, so a
+/// prompt exit costs microseconds rather than a sleep.
 ///
 //===----------------------------------------------------------------------===//
 

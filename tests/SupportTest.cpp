@@ -10,14 +10,28 @@
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/StrUtil.h"
+#include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdlib>
 #include <random>
+#include <set>
+#include <sstream>
 #include <thread>
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SPL_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SPL_SANITIZED_BUILD 1
+#endif
+#endif
 
 using namespace spl;
 
@@ -183,5 +197,135 @@ TEST(CircuitBreaker, TripAndResetAreImmediate) {
   EXPECT_TRUE(B.allow());
   B.recordSuccess();
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+
+double secondsSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
+TEST(Subprocess, GuardedPropagatesExitCodeAndSignal) {
+  GuardedResult Ok = runGuarded([] { return 0; }, 5.0);
+  EXPECT_TRUE(Ok.ok()) << Ok.describe();
+
+  GuardedResult Exit3 = runGuarded([] { return 3; }, 5.0);
+  EXPECT_FALSE(Exit3.ok());
+  EXPECT_EQ(Exit3.ExitCode, 3);
+  EXPECT_EQ(Exit3.Signal, 0);
+
+  // Exit 2 is how a trial reports non-finite output.
+  GuardedResult Exit2 = runGuarded([] { return 2; }, 5.0);
+  EXPECT_EQ(Exit2.ExitCode, 2);
+  EXPECT_EQ(Exit2.describe(), "exit 2");
+
+  GuardedResult Killed = runGuarded(
+      [] {
+        ::raise(SIGKILL);
+        return 0;
+      },
+      5.0);
+  EXPECT_FALSE(Killed.TimedOut);
+  EXPECT_EQ(Killed.Signal, SIGKILL);
+
+  GuardedResult Unbounded = runGuarded([] { return 4; }, 0);
+  EXPECT_EQ(Unbounded.ExitCode, 4);
+}
+
+TEST(Subprocess, HungGuardTimesOut) {
+  auto T0 = std::chrono::steady_clock::now();
+  GuardedResult R = runGuarded(
+      [] {
+        std::this_thread::sleep_for(std::chrono::seconds(30));
+        return 0;
+      },
+      0.2);
+  const double S = secondsSince(T0);
+  EXPECT_TRUE(R.TimedOut);
+  EXPECT_FALSE(R.ok());
+  EXPECT_GE(S, 0.2);
+  EXPECT_LE(S, 2.0);
+}
+
+TEST(Subprocess, CapturesOutputAndExitCode) {
+  SubprocessResult R =
+      runSubprocess({"sh", "-c", "echo out; echo err >&2; exit 3"}, {5.0});
+  EXPECT_EQ(R.ExitCode, 3);
+  EXPECT_NE(R.Output.find("out"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("err"), std::string::npos) << R.Output;
+}
+
+TEST(Subprocess, DescendantHoldingThePipeDoesNotMaskExit) {
+  // The shell exits at once; its background sleep keeps the output pipe
+  // open for two more seconds.
+  auto T0 = std::chrono::steady_clock::now();
+  SubprocessResult R = runSubprocess({"sh", "-c", "sleep 2 & exit 0"}, {1.0});
+  const double S = secondsSince(T0);
+  EXPECT_TRUE(R.ok()) << R.describe();
+  EXPECT_LT(S, 1.0);
+}
+
+TEST(Subprocess, GuardWakesOnChildExit) {
+  std::vector<double> Ms;
+  for (int I = 0; I < 11; ++I) {
+    auto T0 = std::chrono::steady_clock::now();
+    GuardedResult R = runGuarded([] { return 0; }, 5.0);
+    Ms.push_back(secondsSince(T0) * 1e3);
+    ASSERT_TRUE(R.ok()) << R.describe();
+  }
+  std::nth_element(Ms.begin(), Ms.begin() + 5, Ms.end());
+#if !defined(SPL_SANITIZED_BUILD)
+  EXPECT_LT(Ms[5], 10.0) << "median guard round trip in ms";
+#endif
+}
+
+#if defined(__linux__)
+TEST(Subprocess, ChildInheritsNoPipeFromAConcurrentGuard) {
+  // The fds above 2 that a runSubprocess child holds, read from `ls -l
+  // /proc/self/fd` minus ls's own handle on that directory.
+  auto ChildFds = [] {
+    SubprocessResult R = runSubprocess({"ls", "-l", "/proc/self/fd"}, {5.0});
+    EXPECT_TRUE(R.ok()) << R.describe() << R.Output;
+    std::set<int> Fds;
+    std::istringstream In(R.Output);
+    for (std::string Line; std::getline(In, Line);) {
+      const std::size_t Arrow = Line.find(" -> ");
+      if (Arrow == std::string::npos)
+        continue;
+      const std::string Target = Line.substr(Arrow + 4);
+      if (Target.rfind("/proc/", 0) == 0 &&
+          Target.size() >= 3 && Target.compare(Target.size() - 3, 3, "/fd") == 0)
+        continue;
+      const std::size_t Space = Line.rfind(' ', Arrow - 1);
+      const int Fd = std::stoi(Line.substr(Space + 1, Arrow - Space - 1));
+      if (Fd > 2)
+        Fds.insert(Fd);
+    }
+    return Fds;
+  };
+  // Whatever this test process itself inherited without close-on-exec;
+  // empty when it was started with only fds 0-2.
+  const std::set<int> Inherited = ChildFds();
+
+  std::atomic<bool> Started{false};
+  std::thread Guard([&] {
+    Started = true;
+    GuardedResult R = runGuarded(
+        [] {
+          std::this_thread::sleep_for(std::chrono::seconds(1));
+          return 0;
+        },
+        5.0);
+    EXPECT_TRUE(R.ok()) << R.describe();
+  });
+  while (!Started)
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(ChildFds(), Inherited);
+  Guard.join();
+}
+#endif // __linux__
+
+#endif // __unix__ || __APPLE__
 
 } // namespace
