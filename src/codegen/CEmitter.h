@@ -16,13 +16,15 @@
 /// scalar kernel's physical double index (already including the complex
 /// re/im split) and j the column — so the m copies of every scalar double
 /// form one contiguous, SIMD-loadable group and every scalar instruction
-/// becomes exactly one intrinsic. m = 1 (VectorISA::Scalar, the default) is
+/// becomes exactly one operation on a GNU vector of m doubles (one
+/// `vector_size(8*m)` typedef, no intrinsics header; the C compiler selects
+/// the instructions). m = 1 (VectorISA::Scalar, the default) is
 /// plain C, and only there do the paper-facing options apply: the
 /// stride/offset parameters of FFTW-style codelets and the outer-loop
 /// vectorization wrapper.
 ///
 /// Every emitted vector operation is lane-wise (no shuffles, no horizontal
-/// ops, no FMA intrinsics), so column j's results depend only on column j's
+/// ops, no FMA spelling), so column j's results depend only on column j's
 /// inputs. That makes zero-padding partial lane groups safe and keeps Plan's
 /// thread-count bit-identity. The emitted text does not forbid contraction,
 /// though: AVX2 kernels build with -mfma under the C compiler's default
@@ -46,7 +48,7 @@ namespace codegen {
 /// C emission options.
 struct CEmitOptions {
   /// Instruction set to target; decides the lane count m = laneCount(ISA)
-  /// and which intrinsics are rendered. Scalar (m = 1) renders plain C.
+  /// and so the vector typedef's width. Scalar (m = 1) renders plain C.
   VectorISA ISA = VectorISA::Scalar;
 
   /// Add (int ioff, int ooff, int istride, int ostride) parameters, in

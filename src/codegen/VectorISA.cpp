@@ -61,7 +61,7 @@ bool parseVariant(const std::string &Name, CodegenVariant &Out) {
 
 VectorISA hardwareISA() {
 #if defined(__aarch64__)
-  // Advanced SIMD (including float64x2_t) is AArch64 baseline.
+  // Advanced SIMD (2-lane double vectors) is AArch64 baseline.
   static const VectorISA Probed = VectorISA::NEON;
 #elif defined(__x86_64__) && defined(__GNUC__)
   static const VectorISA Probed = [] {

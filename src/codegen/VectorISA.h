@@ -10,14 +10,18 @@
 /// the search engine and runtime thread through kernel builds. The paper's
 /// Section-5 vectorization wrapper (A -> A (x) I_m) turns m independent
 /// transform columns into one SIMD lane group; the detected ISA decides m
-/// (the lane count) and which intrinsics codegen::emitC renders.
+/// (the lane count), the width of the one GNU vector typedef codegen::emitC
+/// renders, and the -m flags the kernel is built with. Those three facts
+/// and the name token are all that differ between ISAs.
 ///
 /// The probe is overridable with SPL_VECTOR_ISA=scalar|avx2|neon|auto —
 /// CI forces `scalar` to prove that wisdom and plans written by a
 /// vector-capable host degrade cleanly, and tests force a concrete ISA to
-/// pin emission output. Forcing an ISA the hardware lacks is caught by the
-/// planner's guarded trial execution (the kernel dies on SIGILL in a forked
-/// child and the plan demotes to scalar). See docs/VECTORIZATION.md.
+/// pin emission output. A forced `neon` builds and runs on any GCC/clang
+/// host (2-lane vectors need no NEON header; x86 runs them as SSE2).
+/// Forcing an ISA the hardware lacks is caught by the planner's guarded
+/// trial execution (the kernel dies on SIGILL in a forked child and the
+/// plan demotes to scalar). See docs/VECTORIZATION.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +36,8 @@ namespace codegen {
 /// The instruction sets the C emitter can target.
 enum class VectorISA {
   Scalar, ///< Plain C, one lane; as a host probe: no usable SIMD.
-  AVX2,   ///< x86-64 AVX2, 4 doubles per lane group (__m256d).
-  NEON,   ///< AArch64 Advanced SIMD, 2 doubles per lane group (float64x2_t).
+  AVX2,   ///< x86-64 AVX2, 4 doubles per group (vector_size(32)).
+  NEON,   ///< AArch64 Advanced SIMD, 2 doubles per group (vector_size(16)).
 };
 
 /// Which ISA a kernel was (or should be) emitted for. This is the
@@ -70,7 +74,8 @@ VectorISA hardwareISA();
 int laneCount(VectorISA ISA);
 
 /// Extra compiler flags a kernel emitted for \p ISA needs ("-mavx2 -mfma"
-/// for AVX2; "" for NEON, which is AArch64 baseline, and Scalar).
+/// for AVX2; "" for Scalar and for NEON, whose 2-lane vectors are baseline
+/// on AArch64 and on x86-64, as SSE2).
 std::string isaCompilerFlags(VectorISA ISA);
 
 /// True when the vector backend can run here (detectISA() != Scalar).

@@ -215,18 +215,17 @@ std::string KernelCache::directory() {
 
 std::string KernelCache::key(const std::string &CSource,
                              const std::string &FnName,
-                             const std::string &ExtraFlags,
-                             const std::string &VariantTag) {
+                             const std::string &ExtraFlags) {
   // Everything that can change the produced machine code, one line each.
   // The source text is folded to its own hash first so the payload stays
-  // small; the outer hash is the cache key (docs/KERNEL_CACHE.md). v2
-  // added the codegen-variant line (scalar vs vector:<isa>).
+  // small; the outer hash is the cache key (docs/KERNEL_CACHE.md). v3
+  // dropped v2's codegen-variant line: the source now spells its ISA (the
+  // vector typedef's width), so the source hash already separates them.
   std::string Payload;
-  Payload += "spl-kernelcache-key v2\n";
+  Payload += "spl-kernelcache-key v3\n";
   Payload += "host " + HostInfo::fingerprint() + "\n";
   Payload += "cc " + NativeModule::compilerIdentity() + "\n";
   Payload += "flags " + ExtraFlags + "\n";
-  Payload += "variant " + (VariantTag.empty() ? "scalar" : VariantTag) + "\n";
   Payload += "fn " + FnName + "\n";
   Payload += "src " + fnv1aHex(CSource) + "\n";
   return fnv1aHex(Payload);

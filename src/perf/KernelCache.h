@@ -84,14 +84,11 @@ public:
 
   /// Derives the content-addressed key (16 hex digits) for one compile
   /// request. Deterministic across processes on the same host+compiler.
-  /// \p VariantTag names the codegen variant that produced the source
-  /// ("" is scalar; the vector backend passes "vector:<isa>"), so scalar
-  /// and vector kernels of the same formula can never collide even if
-  /// their flags and source happened to coincide.
+  /// Scalar and vector kernels of one formula differ in their source (the
+  /// vector typedef carries the ISA's width), so they never collide.
   static std::string key(const std::string &CSource,
                          const std::string &FnName,
-                         const std::string &ExtraFlags,
-                         const std::string &VariantTag = "");
+                         const std::string &ExtraFlags);
 
   /// Looks up \p Key. On a hit the artifact's checksum has been verified
   /// against the index and its recency refreshed; the returned path is

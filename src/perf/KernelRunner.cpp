@@ -67,7 +67,6 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
 
   const bool Vector = BuildOpts.Variant == codegen::CodegenVariant::Vector;
   std::string Flags = BuildOpts.ExtraFlags;
-  std::string KeyTag;
   codegen::CEmitOptions CO;
   CO.ExternalTables = true;
   CO.ThreadSafe = BuildOpts.ThreadSafe;
@@ -79,7 +78,6 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
     std::string ISAFlags = codegen::isaCompilerFlags(BuildOpts.ISA);
     if (!ISAFlags.empty())
       Flags += " " + ISAFlags;
-    KeyTag = std::string("vector:") + codegen::isaName(BuildOpts.ISA);
   }
   const int Lanes = codegen::laneCount(CO.ISA);
   auto Start = std::chrono::steady_clock::now();
@@ -99,7 +97,7 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
   std::string CompileError;
   bool TimedOut = false;
   auto Mod = NativeModule::compile(Code, Final.SubName, &CompileError, Flags,
-                                   &TimedOut, KeyTag, BuildOpts.Deadline);
+                                   &TimedOut, BuildOpts.Deadline);
   if (!Mod)
     return Fail(TimedOut ? KernelErrorKind::CompileTimeout
                          : KernelErrorKind::CompileFailed,
@@ -143,8 +141,12 @@ CompiledKernel::trial(double TimeoutSeconds) const {
   const bool InjectHang = fault::at("trial-hang");
 
   auto Run = [&]() -> int {
-    if (InjectCrash)
+    if (InjectCrash) {
+      // A sanitizer runtime may own SIGSEGV and turn the signal into a
+      // plain exit; the guard must see a real signal death.
+      std::signal(SIGSEGV, SIG_DFL);
       ::raise(SIGSEGV);
+    }
     if (InjectHang)
       std::this_thread::sleep_for(std::chrono::seconds(600));
     std::mt19937 Gen(17);

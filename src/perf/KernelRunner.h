@@ -66,9 +66,9 @@ struct KernelBuildOptions {
   std::string ExtraFlags = "-O2";
 
   /// What codegen::emitC renders: Scalar is plain C (one transform per
-  /// call); Vector is SIMD intrinsics for ISA (lanes() transform columns
-  /// per call in the slot-major layout). The two variants get distinct
-  /// kernel-cache keys.
+  /// call); Vector is GNU vector C for ISA (lanes() transform columns
+  /// per call in the slot-major layout). The two variants differ in their
+  /// source, so they get distinct kernel-cache keys.
   codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;
 
   /// Instruction set for the Vector variant (ignored for Scalar).

@@ -309,15 +309,13 @@ NativeModule::compileFresh(const std::string &CSource,
 std::unique_ptr<NativeModule>
 NativeModule::compile(const std::string &CSource, const std::string &FnName,
                       std::string *Error, const std::string &ExtraFlags,
-                      bool *TimedOut, const std::string &KeyTag,
-                      const support::Deadline &Deadline) {
+                      bool *TimedOut, const support::Deadline &Deadline) {
   if (TimedOut)
     *TimedOut = false;
 #if !defined(SPL_HAVE_DLOPEN)
   (void)CSource;
   (void)FnName;
   (void)ExtraFlags;
-  (void)KeyTag;
   (void)Deadline;
   if (Error)
     *Error = "dlopen is not available on this platform";
@@ -327,7 +325,7 @@ NativeModule::compile(const std::string &CSource, const std::string &FnName,
     return compileFresh(CSource, FnName, Error, ExtraFlags, TimedOut,
                         Deadline);
 
-  std::string Key = KernelCache::key(CSource, FnName, ExtraFlags, KeyTag);
+  std::string Key = KernelCache::key(CSource, FnName, ExtraFlags);
   if (auto Hit = KernelCache::probe(Key)) {
     if (auto M = loadModule(*Hit, FnName, /*OwnsSo=*/false, Error))
       return M;

@@ -48,9 +48,6 @@ public:
   /// nullptr and, when \p Error is non-null, stores the compiler output.
   /// \p TimedOut (when non-null) reports whether the failure was the
   /// compile deadline expiring rather than a compiler diagnostic.
-  /// \p KeyTag extends the kernel-cache key with the codegen variant that
-  /// produced the source ("" scalar, "vector:<isa>" for the vector
-  /// backend) — see KernelCache::key.
   /// \p Deadline caps the invocation by the caller's remaining budget: the
   /// effective subprocess timeout is min(SPL_CC_TIMEOUT_MS, remaining), and
   /// an already-expired deadline fails fast (reported through \p TimedOut)
@@ -63,7 +60,6 @@ public:
   compile(const std::string &CSource, const std::string &FnName,
           std::string *Error = nullptr,
           const std::string &ExtraFlags = "-O2", bool *TimedOut = nullptr,
-          const std::string &KeyTag = "",
           const support::Deadline &Deadline = support::Deadline());
 
   /// True when a working C compiler was found on this machine (cached).

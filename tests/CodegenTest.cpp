@@ -316,39 +316,49 @@ TEST(VectorEmitter, ForcedScalarISADegeneratesToOneLane) {
   checkVectorC(kVecFFT8, /*Threshold=*/64, codegen::VectorISA::Scalar);
 }
 
-TEST(VectorEmitter, AVX2EmissionIsLaneWiseOnly) {
-  driver::CompilerOptions Opts;
-  Opts.UnrollThreshold = 64;
-  auto Unit = compileOne(kVecFFT8, Opts);
-  codegen::CEmitOptions CO;
-  CO.ISA = codegen::VectorISA::AVX2;
-  std::string Code = codegen::emitC(Unit.Final, CO);
-  EXPECT_NE(Code.find("#include <immintrin.h>"), std::string::npos);
-  EXPECT_NE(Code.find("__m256d"), std::string::npos);
-  EXPECT_NE(Code.find("_mm256_loadu_pd"), std::string::npos);
-  EXPECT_NE(Code.find("_mm256_storeu_pd"), std::string::npos);
-  // Lane independence is the whole correctness argument (zero-padded tail
-  // groups, thread-count bit-identity): no cross-lane ops and no FMA
-  // intrinsics in the text. The C compiler may still contract a mul and an
-  // add into an FMA under -mfma, which is lane-wise too but can change the
-  // last bits against the scalar kernel.
-  for (const char *Banned :
-       {"_mm256_shuffle", "_mm256_permute", "_mm256_hadd", "_mm256_fmadd",
-        "_mm256_fmsub"})
-    EXPECT_EQ(Code.find(Banned), std::string::npos) << Banned;
+TEST(VectorEmitter, NEONKernelMatchesOracle) {
+  // 2-lane GNU vectors need no NEON header: any GCC/clang host builds and
+  // runs them (x86-64 as SSE2).
+  checkVectorC(kVecFFT8, /*Threshold=*/64, codegen::VectorISA::NEON);
 }
 
-TEST(VectorEmitter, NEONEmissionRendersFloat64x2) {
+TEST(VectorEmitter, EmissionIsOneHeaderFreeLaneWiseTypedef) {
   driver::CompilerOptions Opts;
-  Opts.UnrollThreshold = 64;
-  auto Unit = compileOne(kVecFFT8, Opts);
-  codegen::CEmitOptions CO;
-  CO.ISA = codegen::VectorISA::NEON;
-  std::string Code = codegen::emitC(Unit.Final, CO);
-  EXPECT_NE(Code.find("#include <arm_neon.h>"), std::string::npos);
-  EXPECT_NE(Code.find("float64x2_t"), std::string::npos);
-  EXPECT_NE(Code.find("vld1q_f64"), std::string::npos);
-  EXPECT_NE(Code.find("vst1q_f64"), std::string::npos);
+  Opts.UnrollThreshold = 2;
+  // A 16384-double temporary is malloc'd at every lane count above one
+  // under ThreadSafe: the one header the text may include.
+  auto Unit = compileOne("#datatype real\n#subname vtmp16k\n"
+                         "(compose (tensor (F 2) (I 8192)) "
+                         "(tensor (I 8192) (F 2)))",
+                         Opts);
+  for (codegen::VectorISA ISA :
+       {codegen::VectorISA::AVX2, codegen::VectorISA::NEON}) {
+    SCOPED_TRACE(codegen::isaName(ISA));
+    codegen::CEmitOptions CO;
+    CO.ISA = ISA;
+    CO.ThreadSafe = true;
+    std::string Code = codegen::emitC(Unit.Final, CO);
+    std::string Typedef =
+        "typedef double vd __attribute__((vector_size(" +
+        std::to_string(8 * codegen::laneCount(ISA)) + "), aligned(8)));\n";
+    EXPECT_NE(Code.find(Typedef), std::string::npos) << Code;
+    size_t Typedefs = 0;
+    for (size_t At = Code.find("typedef"); At != std::string::npos;
+         At = Code.find("typedef", At + 1))
+      ++Typedefs;
+    EXPECT_EQ(Typedefs, 1u) << Code;
+    size_t Include = Code.find("#include");
+    ASSERT_NE(Include, std::string::npos) << Code;
+    EXPECT_EQ(Code.compare(Include, 20, "#include <stdlib.h>\n"), 0) << Code;
+    EXPECT_EQ(Code.find("#include", Include + 1), std::string::npos) << Code;
+    // Lane independence is the whole correctness argument (zero-padded
+    // tail groups, thread-count bit-identity): no cross-lane ops and no FMA
+    // spelling in the text. The C compiler may still contract a mul and an
+    // add into an FMA under -mfma, which is lane-wise too but can change
+    // the last bits against the scalar kernel.
+    for (const char *Banned : {"__builtin_shuffle", "_mm256_", "vfmaq"})
+      EXPECT_EQ(Code.find(Banned), std::string::npos) << Banned;
+  }
 }
 
 std::string renderFor(const icode::Program &P, codegen::VectorISA ISA,

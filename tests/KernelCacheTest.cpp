@@ -17,6 +17,8 @@
 
 #include "TestUtil.h"
 
+#include "codegen/CEmitter.h"
+#include "driver/Compiler.h"
 #include "perf/KernelCache.h"
 #include "perf/NativeCompile.h"
 #include "telemetry/Metrics.h"
@@ -335,43 +337,73 @@ TEST_F(KernelCacheTest, EvictionRespectsByteBudget) {
   EXPECT_EQ(D2.hits(), 1u);
 }
 
-TEST_F(KernelCacheTest, VariantTagsSeparateScalarAndVectorKernels) {
+TEST_F(KernelCacheTest, EmittedISAsSeparateScalarAndVectorKernels) {
   SPL_SKIP_IF_FAULTS_ARMED();
   if (!NativeModule::available())
     GTEST_SKIP() << "no C compiler";
 
-  // Identical source, name and flags under different variant tags must
-  // derive different content-addressed keys — a scalar kernel must never
-  // shadow a vector one (or vice versa) in a shared cache directory.
-  const std::string Src = kernelSource("variant");
-  const std::string Fn = kernelName("variant");
-  std::string KScalar = KernelCache::key(Src, Fn, "-O2", "");
-  std::string KVector = KernelCache::key(Src, Fn, "-O2", "vector:avx2");
-  EXPECT_NE(KScalar, KVector);
-  EXPECT_NE(KVector, KernelCache::key(Src, Fn, "-O2", "vector:neon"));
+  // One program emitted at each ISA, keyed under the same name and flags,
+  // must derive different content-addressed keys: the source itself spells
+  // the ISA, so a scalar kernel can never shadow a vector one (or vice
+  // versa) in a shared cache directory.
+  Diagnostics Diags;
+  driver::Compiler C(Diags);
+  auto Units = C.compileSource("#subname spl_kc_isa\n(F 4)",
+                               driver::CompilerOptions());
+  ASSERT_TRUE(Units) << Diags.dump();
+  const icode::Program &P = Units->front().Final;
+  auto Emit = [&](codegen::VectorISA ISA) {
+    codegen::CEmitOptions CO;
+    CO.ISA = ISA;
+    return codegen::emitC(P, CO);
+  };
+  const std::string Fn = P.SubName;
+  const std::string ScalarSrc = Emit(codegen::VectorISA::Scalar);
+  std::string KScalar = KernelCache::key(ScalarSrc, Fn, "-O2");
+  std::string KAVX2 = KernelCache::key(Emit(codegen::VectorISA::AVX2), Fn,
+                                       "-O2");
+  std::string KNEON = KernelCache::key(Emit(codegen::VectorISA::NEON), Fn,
+                                       "-O2");
+  EXPECT_NE(KScalar, KAVX2);
+  EXPECT_NE(KScalar, KNEON);
+  EXPECT_NE(KAVX2, KNEON);
 
-  // Both variants populate and warm-map independently end to end.
+  // The scalar and host-vector modules populate and warm-map independently
+  // end to end. NEON's 2-lane vectors build on any GCC/clang host, so they
+  // stand in when the probe (or SPL_VECTOR_ISA) reports no SIMD.
+  const codegen::VectorISA Vec = codegen::vectorBackendAvailable()
+                                     ? codegen::detectISA()
+                                     : codegen::VectorISA::NEON;
+  const std::string VectorSrc = Emit(Vec);
+  const std::string VectorFlags = "-O2 " + codegen::isaCompilerFlags(Vec);
   Deltas D;
-  auto S1 = NativeModule::compile(Src, Fn, nullptr, "-O2", nullptr, "");
-  auto V1 = NativeModule::compile(Src, Fn, nullptr, "-O2", nullptr,
-                                  "vector:avx2");
+  auto S1 = NativeModule::compile(ScalarSrc, Fn, nullptr, "-O2");
+  auto V1 = NativeModule::compile(VectorSrc, Fn, nullptr, VectorFlags);
   ASSERT_TRUE(S1);
   ASSERT_TRUE(V1);
-  expectWorks(*S1);
-  expectWorks(*V1);
-  EXPECT_EQ(D.compiles(), 2u) << "distinct tags must not share an artifact";
+  EXPECT_EQ(D.compiles(), 2u) << "distinct ISAs must not share an artifact";
   EXPECT_EQ(D.inserts(), 2u);
 
   Deltas D2;
-  auto S2 = NativeModule::compile(Src, Fn, nullptr, "-O2", nullptr, "");
-  auto V2 = NativeModule::compile(Src, Fn, nullptr, "-O2", nullptr,
-                                  "vector:avx2");
+  auto S2 = NativeModule::compile(ScalarSrc, Fn, nullptr, "-O2");
+  auto V2 = NativeModule::compile(VectorSrc, Fn, nullptr, VectorFlags);
   ASSERT_TRUE(S2);
   ASSERT_TRUE(V2);
-  expectWorks(*S2);
-  expectWorks(*V2);
   EXPECT_EQ(D2.compiles(), 0u);
   EXPECT_EQ(D2.hits(), 2u);
+
+  // Each warm module runs like its cold twin.
+  const int M = codegen::laneCount(Vec);
+  std::vector<double> X(8 * M);
+  for (size_t I = 0; I != X.size(); ++I)
+    X[I] = double(I % 8) - 3.5;
+  auto Run = [&](NativeModule &Mod, int Lanes) {
+    std::vector<double> Y(8 * Lanes, 0.0);
+    Mod.fn()(Y.data(), X.data());
+    return Y;
+  };
+  EXPECT_EQ(Run(*S1, 1), Run(*S2, 1));
+  EXPECT_EQ(Run(*V1, M), Run(*V2, M));
 }
 
 /// Failed compiles must leave the temp directory spotless — both an honest
