@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <thread>
@@ -24,13 +23,8 @@ bool Client::connect(const std::string &SocketPath) {
   disconnect();
   std::string Err;
   Fd = connectUnix(SocketPath, Err);
-  if (Fd < 0) {
-    fail(Status::Protocol, Err);
-    return false;
-  }
-  LastStatus = Status::Ok;
-  LastError.clear();
-  return true;
+  record(Fd < 0 ? Status::Protocol : Status::Ok, Err);
+  return Fd >= 0;
 }
 
 void Client::disconnect() {
@@ -40,7 +34,7 @@ void Client::disconnect() {
   }
 }
 
-void Client::fail(Status S, std::string Message) {
+void Client::record(Status S, std::string Message) {
   LastStatus = S;
   LastError = std::move(Message);
 }
@@ -75,136 +69,128 @@ bool Client::backoff(int Attempt) {
   return !DL.expired();
 }
 
-std::optional<Frame> Client::roundTrip(MsgType Type,
-                                       const std::vector<std::uint8_t> &Body,
-                                       MsgType ExpectedResp) {
+bool Client::broken(std::string Message) {
+  record(Status::Protocol, std::move(Message));
+  disconnect();
+  return false;
+}
+
+bool Client::exchange(MsgType Type, std::span<const std::uint8_t> Prefix,
+                      const void *Payload, std::size_t PayloadLen,
+                      MsgType Expected, FrameHeader &H) {
   if (Fd < 0) {
-    fail(Status::Protocol, "not connected");
-    return std::nullopt;
+    record(Status::Protocol, "not connected");
+    return false;
   }
-  std::uint32_t Id = NextId++;
-  if (!writeFrame(Fd, Type, Id, Body)) {
-    fail(Status::Protocol, "send failed (daemon gone?)");
-    disconnect();
-    return std::nullopt;
-  }
-  Frame F;
-  IoStatus St = readFrame(Fd, kDefaultMaxFrameBytes, F);
-  if (St != IoStatus::Ok) {
-    fail(Status::Protocol, St == IoStatus::Closed
-                               ? "connection closed by daemon"
-                               : "response read failed");
-    disconnect();
-    return std::nullopt;
-  }
-  if (F.RequestId != Id) {
-    fail(Status::Protocol, "response id mismatch (pipelining misuse?)");
-    disconnect();
-    return std::nullopt;
-  }
-  if (F.Type == MsgType::ErrorResp) {
+  const std::uint32_t Id = NextId++;
+  if (!writeFrame(Fd, Type, Id, Prefix, Payload, PayloadLen))
+    return broken("send failed (daemon gone?)");
+  IoStatus St = readHeader(Fd, H);
+  if (St != IoStatus::Ok)
+    return broken(St == IoStatus::Closed ? "connection closed by daemon"
+                                         : "response read failed");
+  if (H.RequestId != Id)
+    return broken("response id mismatch (pipelining misuse?)");
+  if (H.Type == MsgType::ErrorResp) {
+    FrameBuffer Body;
     ErrorBody E;
-    if (!ErrorBody::decode(F.Body.data(), F.Body.size(), E)) {
-      fail(Status::Protocol, "undecodable error response");
-      disconnect();
-      return std::nullopt;
-    }
-    fail(E.Code, E.Message);
+    if (readBody(Fd, H, kDefaultMaxFrameBytes, Body) != IoStatus::Ok ||
+        !ErrorBody::decode(Body.data(), Body.size(), E))
+      return broken("undecodable error response");
+    record(E.Code, E.Message);
+    return false;
+  }
+  if (H.Type != Expected)
+    return broken("unexpected response type");
+  record(Status::Ok, "");
+  return true;
+}
+
+template <class Resp>
+std::optional<Resp> Client::call(MsgType Type,
+                                 std::span<const std::uint8_t> Body,
+                                 MsgType Expected) {
+  FrameHeader H;
+  FrameBuffer B;
+  Resp R;
+  if (!exchange(Type, Body, nullptr, 0, Expected, H))
+    return std::nullopt;
+  if (readBody(Fd, H, kDefaultMaxFrameBytes, B) != IoStatus::Ok ||
+      !Resp::decode(B.data(), B.size(), R)) {
+    broken("undecodable response");
     return std::nullopt;
   }
-  if (F.Type != ExpectedResp) {
-    fail(Status::Protocol, "unexpected response type");
-    disconnect();
-    return std::nullopt;
-  }
-  LastStatus = Status::Ok;
-  LastError.clear();
-  return F;
+  return R;
 }
 
 std::optional<PlanResponse> Client::plan(const runtime::PlanSpec &Spec) {
-  PlanRequest Req;
-  Req.DeadlineMs = wireDeadlineMs();
-  Req.Spec = WireSpec::fromSpec(Spec);
-  auto F = roundTrip(MsgType::PlanReq, Req.encode(), MsgType::PlanResp);
-  if (!F)
-    return std::nullopt;
-  PlanResponse Resp;
-  if (!PlanResponse::decode(F->Body.data(), F->Body.size(), Resp)) {
-    fail(Status::Protocol, "undecodable plan response");
-    return std::nullopt;
-  }
-  return Resp;
+  const PlanRequest Req{wireDeadlineMs(), WireSpec::fromSpec(Spec)};
+  return call<PlanResponse>(MsgType::PlanReq, Req.encode(), MsgType::PlanResp);
 }
 
 bool Client::execute(const runtime::PlanSpec &Spec, double *Y, const double *X,
                      std::int64_t Count, std::int64_t VectorLen, int Threads) {
-  ExecuteRequest Req;
-  Req.DeadlineMs = wireDeadlineMs();
-  Req.Spec = WireSpec::fromSpec(Spec);
-  Req.Count = Count;
-  Req.Threads = Threads;
-  Req.Data.assign(X, X + Count * VectorLen);
-  auto F = roundTrip(MsgType::ExecuteReq, Req.encode(), MsgType::ExecuteResp);
-  if (!F)
+  const ExecuteRequestPrefix Req{wireDeadlineMs(), WireSpec::fromSpec(Spec),
+                                 Count, Threads};
+  const auto N = static_cast<std::uint64_t>(Count * VectorLen);
+  FrameHeader H;
+  if (!exchange(MsgType::ExecuteReq, Req.encodePrefix(N), X, N * 8,
+                MsgType::ExecuteResp, H))
     return false;
-  ExecuteResponse Resp;
-  if (!ExecuteResponse::decode(F->Body.data(), F->Body.size(), Resp)) {
-    fail(Status::Protocol, "undecodable execute response");
-    return false;
-  }
+  // The shape is checked against the caller's before a byte lands in Y.
+  std::uint8_t Head[kExecuteRespPrefixBytes];
+  const std::size_t Got = std::min<std::size_t>(H.BodyLen, sizeof(Head));
+  if (recvAll(Fd, Head, Got) != IoStatus::Ok)
+    return broken("response read failed");
+  ExecuteResponsePrefix Resp;
+  const std::size_t Off = Resp.decodePrefix(Head, Got, H.BodyLen);
+  if (!Off)
+    return broken("undecodable execute response");
   if (Resp.Count != Count || Resp.VectorLen != VectorLen ||
-      Resp.Data.size() != static_cast<std::size_t>(Count * VectorLen)) {
-    fail(Status::Protocol, "execute response shape mismatch");
-    return false;
+      (H.BodyLen - Off) / 8 != N)
+    return broken("execute response shape mismatch");
+  return recvAll(Fd, Y, N * 8) == IoStatus::Ok ||
+         broken("response read failed");
+}
+
+template <class Fn>
+auto Client::retryBusy(Fn Call, int Retries) -> decltype(Call()) {
+  for (int Attempt = 0;; ++Attempt) {
+    if (auto R = Call())
+      return R;
+    // A spent deadline stops early; LastStatus still says Busy then.
+    if (LastStatus != Status::Busy || Attempt >= Retries || !backoff(Attempt))
+      return {};
   }
-  std::memcpy(Y, Resp.Data.data(), Resp.Data.size() * sizeof(double));
-  return true;
 }
 
 std::optional<PlanResponse>
 Client::planRetryBusy(const runtime::PlanSpec &Spec, int Retries) {
-  for (int Attempt = 0;; ++Attempt) {
-    if (auto R = plan(Spec))
-      return R;
-    if (LastStatus != Status::Busy || Attempt >= Retries)
-      return std::nullopt;
-    if (!backoff(Attempt))
-      return std::nullopt; // Deadline spent; LastStatus still says Busy.
-  }
+  return retryBusy([&] { return plan(Spec); }, Retries);
 }
 
 bool Client::executeRetryBusy(const runtime::PlanSpec &Spec, double *Y,
                               const double *X, std::int64_t Count,
                               std::int64_t VectorLen, int Threads,
                               int Retries) {
-  for (int Attempt = 0;; ++Attempt) {
-    if (execute(Spec, Y, X, Count, VectorLen, Threads))
-      return true;
-    if (LastStatus != Status::Busy || Attempt >= Retries)
-      return false;
-    if (!backoff(Attempt))
-      return false;
-  }
+  return retryBusy(
+      [&] { return execute(Spec, Y, X, Count, VectorLen, Threads); }, Retries);
 }
 
 std::optional<std::string> Client::stats() {
-  auto F = roundTrip(MsgType::StatsReq, {}, MsgType::StatsResp);
-  if (!F)
-    return std::nullopt;
-  StatsResponse Resp;
-  if (!StatsResponse::decode(F->Body.data(), F->Body.size(), Resp)) {
-    fail(Status::Protocol, "undecodable stats response");
-    return std::nullopt;
-  }
-  return Resp.Json;
+  auto R = call<StatsResponse>(MsgType::StatsReq, {}, MsgType::StatsResp);
+  return R ? std::optional<std::string>(std::move(R->Json)) : std::nullopt;
 }
 
 bool Client::ping() {
-  return roundTrip(MsgType::PingReq, {}, MsgType::PingResp).has_value();
+  FrameHeader H;
+  return exchange(MsgType::PingReq, {}, nullptr, 0, MsgType::PingResp, H) &&
+         (H.BodyLen == 0 || broken("ping response has a body"));
 }
 
 bool Client::shutdownServer() {
-  return roundTrip(MsgType::ShutdownReq, {}, MsgType::ShutdownResp)
-      .has_value();
+  FrameHeader H;
+  return exchange(MsgType::ShutdownReq, {}, nullptr, 0, MsgType::ShutdownResp,
+                  H) &&
+         (H.BodyLen == 0 || broken("shutdown response has a body"));
 }

@@ -23,6 +23,7 @@
 #include "support/Deadline.h"
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,7 @@ public:
   bool connected() const { return Fd >= 0; }
 
   /// Sets the end-to-end deadline subsequent requests run under. Each
-  /// request carries the budget still remaining when it is sent (the v3
+  /// request carries the budget still remaining when it is sent (the
   /// DeadlineMs field), so the server stops working for this client the
   /// moment the budget is gone — including time the request spent queued.
   /// The retry helpers also stop retrying once the budget is spent. The
@@ -60,7 +61,10 @@ public:
 
   /// Round-trips an execute request: \p Count vectors of \p VectorLen
   /// doubles from \p X into \p Y (caller-sized). VectorLen must match the
-  /// plan's (a plan() call reports it).
+  /// plan's (a plan() call reports it). X is sent and Y received in place,
+  /// without staging copies. A response whose Count, VectorLen or length
+  /// disagrees with the call is a PROTOCOL failure that disconnects and
+  /// leaves Y untouched.
   bool execute(const runtime::PlanSpec &Spec, double *Y, const double *X,
                std::int64_t Count, std::int64_t VectorLen, int Threads = 1);
 
@@ -95,19 +99,36 @@ public:
   const std::string &lastError() const { return LastError; }
 
 private:
-  /// Sends \p Body as \p Type and reads the matching response frame.
-  /// Returns nullopt on transport failure or a typed ErrorResp (recorded).
-  std::optional<Frame> roundTrip(MsgType Type,
-                                 const std::vector<std::uint8_t> &Body,
-                                 MsgType ExpectedResp);
+  /// Sends a request frame whose body is \p Prefix then \p PayloadLen bytes
+  /// at \p Payload, and reads the response header, which must answer it
+  /// with \p Expected. A typed ErrorResp is read and recorded (the
+  /// connection survives); any other failure disconnects.
+  bool exchange(MsgType Type, std::span<const std::uint8_t> Prefix,
+                const void *Payload, std::size_t PayloadLen, MsgType Expected,
+                FrameHeader &H);
 
-  void fail(Status S, std::string Message);
+  /// exchange() with a plain body; the whole response body decodes as
+  /// \p Resp.
+  template <class Resp>
+  std::optional<Resp> call(MsgType Type, std::span<const std::uint8_t> Body,
+                           MsgType Expected);
+
+  /// Records a PROTOCOL failure and drops the connection, whose stream can
+  /// no longer be trusted. Always false.
+  bool broken(std::string Message);
+
+  /// Records the outcome lastStatus()/lastError() report.
+  void record(Status S, std::string Message);
+
+  /// Calls \p Call until it succeeds or fails other than BUSY, as
+  /// planRetryBusy documents.
+  template <class Fn> auto retryBusy(Fn Call, int Retries) -> decltype(Call());
 
   /// Sleeps one backoff step for retry \p Attempt, bounded by the
   /// remaining deadline budget. False when the budget is already spent.
   bool backoff(int Attempt);
 
-  /// The v3 deadline field for a request sent right now: the remaining
+  /// The deadline field for a request sent right now: the remaining
   /// budget in whole milliseconds (at least 1 while any budget remains),
   /// or 0 (unbounded) when no deadline is set.
   std::uint32_t wireDeadlineMs() const;

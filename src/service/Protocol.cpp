@@ -6,33 +6,20 @@
 
 #include "service/Protocol.h"
 
+#include <cstring>
+
 using namespace spl;
 using namespace spl::service;
 
 const char *spl::service::statusName(Status S) {
-  switch (S) {
-  case Status::Ok:
-    return "ok";
-  case Status::BadRequest:
-    return "bad-request";
-  case Status::BadSpec:
-    return "bad-spec";
-  case Status::PlanFailed:
-    return "plan-failed";
-  case Status::ExecFailed:
-    return "exec-failed";
-  case Status::Busy:
-    return "busy";
-  case Status::TooLarge:
-    return "too-large";
-  case Status::ShuttingDown:
-    return "shutting-down";
-  case Status::Protocol:
-    return "protocol-error";
-  case Status::DeadlineExceeded:
-    return "deadline-exceeded";
-  }
-  return "unknown";
+  // Indexed by value; 1 is not a status.
+  static const char *const Names[] = {
+      "ok",          "unknown",        "bad-request",
+      "bad-spec",    "plan-failed",    "exec-failed",
+      "busy",        "too-large",      "shutting-down",
+      "protocol-error", "deadline-exceeded"};
+  const auto V = static_cast<std::uint32_t>(S);
+  return V < std::size(Names) ? Names[V] : "unknown";
 }
 
 // Status values 0..5 are tools/ExitCodes.h by construction (the library
@@ -55,8 +42,8 @@ void FrameHeader::encode(std::uint8_t Out[kHeaderBytes]) const {
   std::vector<std::uint8_t> Buf;
   Buf.reserve(kHeaderBytes);
   WireWriter W(Buf);
-  W.u32(Magic);
-  W.u16(Version);
+  W.u32(kMagic);
+  W.u16(kProtocolVersion);
   W.u16(static_cast<std::uint16_t>(Type));
   W.u32(RequestId);
   W.u32(BodyLen);
@@ -65,13 +52,12 @@ void FrameHeader::encode(std::uint8_t Out[kHeaderBytes]) const {
 
 bool FrameHeader::decode(const std::uint8_t In[kHeaderBytes], FrameHeader &H) {
   WireReader R(In, kHeaderBytes);
-  H.Magic = R.u32();
-  H.Version = R.u16();
+  std::uint32_t Magic = R.u32();
+  std::uint16_t Version = R.u16();
   H.Type = static_cast<MsgType>(R.u16());
   H.RequestId = R.u32();
   H.BodyLen = R.u32();
-  return R.ok() && H.Magic == kMagic && H.Version >= kMinProtocolVersion &&
-         H.Version <= kProtocolVersion;
+  return R.ok() && Magic == kMagic && Version == kProtocolVersion;
 }
 
 //===----------------------------------------------------------------------===//
@@ -104,7 +90,7 @@ WireSpec WireSpec::fromSpec(const runtime::PlanSpec &Spec) {
   return W;
 }
 
-void WireSpec::encode(WireWriter &W, std::uint16_t Version) const {
+void WireSpec::encode(WireWriter &W) const {
   W.str(Transform);
   W.i64(Size);
   W.str(Datatype);
@@ -112,14 +98,12 @@ void WireSpec::encode(WireWriter &W, std::uint16_t Version) const {
   W.i64(MaxLeaf);
   W.str(Backend);
   W.str(Codegen);
-  if (Version >= 4) {
-    W.u32(static_cast<std::uint32_t>(Shape.size()));
-    for (std::int64_t D : Shape)
-      W.i64(D);
-  }
+  W.u32(static_cast<std::uint32_t>(Shape.size()));
+  for (std::int64_t D : Shape)
+    W.i64(D);
 }
 
-bool WireSpec::decode(WireReader &R, WireSpec &Out, std::uint16_t Version) {
+bool WireSpec::decode(WireReader &R, WireSpec &Out) {
   Out.Transform = R.str();
   Out.Size = R.i64();
   Out.Datatype = R.str();
@@ -127,15 +111,12 @@ bool WireSpec::decode(WireReader &R, WireSpec &Out, std::uint16_t Version) {
   Out.MaxLeaf = R.i64();
   Out.Backend = R.str();
   Out.Codegen = R.str();
-  Out.Shape.clear();
-  if (Version >= 4) {
-    std::uint32_t Rank = R.u32();
-    if (!R.ok() || Rank > kMaxShapeRank)
-      return false;
-    Out.Shape.reserve(Rank);
-    for (std::uint32_t I = 0; I != Rank; ++I)
-      Out.Shape.push_back(R.i64());
-  }
+  std::uint32_t Rank = R.u32();
+  if (!R.ok() || Rank > kMaxShapeRank)
+    return false;
+  Out.Shape.resize(Rank);
+  for (std::int64_t &D : Out.Shape)
+    D = R.i64();
   return R.ok();
 }
 
@@ -143,21 +124,19 @@ bool WireSpec::decode(WireReader &R, WireSpec &Out, std::uint16_t Version) {
 // Bodies
 //===----------------------------------------------------------------------===//
 
-std::vector<std::uint8_t> PlanRequest::encode(std::uint16_t Version) const {
+std::vector<std::uint8_t> PlanRequest::encode() const {
   std::vector<std::uint8_t> Buf;
   WireWriter W(Buf);
-  if (Version >= 3)
-    W.u32(DeadlineMs);
-  Spec.encode(W, Version);
+  W.u32(DeadlineMs);
+  Spec.encode(W);
   return Buf;
 }
 
 bool PlanRequest::decode(const std::uint8_t *Data, std::size_t Len,
-                         PlanRequest &Out, std::uint16_t Version) {
+                         PlanRequest &Out) {
   WireReader R(Data, Len);
-  Out.DeadlineMs = Version >= 3 ? R.u32() : 0;
-  return R.ok() && WireSpec::decode(R, Out.Spec, Version) &&
-         R.remaining() == 0;
+  Out.DeadlineMs = R.u32();
+  return R.ok() && WireSpec::decode(R, Out.Spec) && R.remaining() == 0;
 }
 
 std::vector<std::uint8_t> PlanResponse::encode() const {
@@ -180,60 +159,80 @@ bool PlanResponse::decode(const std::uint8_t *Data, std::size_t Len,
   Out.Backend = R.str();
   Out.VectorLen = R.i64();
   Out.Cost = R.f64();
-  Out.Fallback = R.u8() != 0;
+  std::uint8_t Fallback = R.u8();
+  Out.Fallback = Fallback != 0;
   Out.FallbackReason = R.str();
   Out.FormulaText = R.str();
-  return R.ok() && R.remaining() == 0;
+  // Only 0 and 1 re-encode to themselves; any other byte is corruption.
+  return R.ok() && Fallback <= 1 && R.remaining() == 0;
 }
 
-std::vector<std::uint8_t> ExecuteRequest::encode(std::uint16_t Version) const {
-  std::vector<std::uint8_t> Buf;
-  WireWriter W(Buf);
-  if (Version >= 3)
-    W.u32(DeadlineMs);
-  Spec.encode(W, Version);
-  W.i64(Count);
-  W.u32(static_cast<std::uint32_t>(Threads));
-  W.u64(Data.size());
-  W.doubles(Data.data(), Data.size());
+namespace {
+
+/// Ends a prefix: the payload length N, then zero pad to the payload.
+std::vector<std::uint8_t> &padPrefix(std::vector<std::uint8_t> &Buf,
+                                     std::uint64_t N) {
+  WireWriter(Buf).u64(N);
+  Buf.resize((Buf.size() + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign);
   return Buf;
 }
 
-bool ExecuteRequest::decode(const std::uint8_t *Data, std::size_t Len,
-                            ExecuteRequest &Out, std::uint16_t Version) {
-  WireReader R(Data, Len);
-  Out.DeadlineMs = Version >= 3 ? R.u32() : 0;
-  if (!R.ok() || !WireSpec::decode(R, Out.Spec, Version))
-    return false;
-  Out.Count = R.i64();
-  Out.Threads = static_cast<std::int32_t>(R.u32());
-  std::uint64_t N = R.u64();
-  if (!R.ok() || N != R.remaining() / 8 || N * 8 != R.remaining())
-    return false;
-  Out.Data.resize(N);
-  return R.doubles(Out.Data.data(), N) && R.remaining() == 0;
+/// Reads the end of a prefix from \p R and checks the rest of the
+/// \p BodyLen-byte body is exactly the N payload doubles. Returns the
+/// payload's body offset, or 0.
+std::size_t payloadOffset(WireReader &R, std::size_t BodyLen) {
+  const std::uint64_t N = R.u64();
+  while (R.ok() && R.pos() % kPayloadAlign != 0)
+    if (R.u8() != 0)
+      return 0; // Pad bytes must be zero.
+  if (!R.ok() || R.pos() > BodyLen)
+    return 0;
+  // N is untrusted: compare by division so N * 8 cannot wrap.
+  const std::size_t Rest = BodyLen - R.pos();
+  return Rest % 8 == 0 && N == Rest / 8 ? R.pos() : 0;
 }
 
-std::vector<std::uint8_t> ExecuteResponse::encode() const {
+} // namespace
+
+std::vector<std::uint8_t>
+ExecuteRequestPrefix::encodePrefix(std::uint64_t N) const {
+  std::vector<std::uint8_t> Buf;
+  WireWriter W(Buf);
+  W.u32(DeadlineMs);
+  Spec.encode(W);
+  W.i64(Count);
+  W.u32(static_cast<std::uint32_t>(Threads));
+  return padPrefix(Buf, N);
+}
+
+std::size_t ExecuteRequestPrefix::decodePrefix(const std::uint8_t *Data,
+                                               std::size_t Avail,
+                                               std::size_t BodyLen) {
+  WireReader R(Data, Avail);
+  DeadlineMs = R.u32();
+  if (!R.ok() || !WireSpec::decode(R, Spec))
+    return 0;
+  Count = R.i64();
+  Threads = static_cast<std::int32_t>(R.u32());
+  return payloadOffset(R, BodyLen);
+}
+
+std::vector<std::uint8_t>
+ExecuteResponsePrefix::encodePrefix(std::uint64_t N) const {
   std::vector<std::uint8_t> Buf;
   WireWriter W(Buf);
   W.i64(Count);
   W.i64(VectorLen);
-  W.u64(Data.size());
-  W.doubles(Data.data(), Data.size());
-  return Buf;
+  return padPrefix(Buf, N);
 }
 
-bool ExecuteResponse::decode(const std::uint8_t *Data, std::size_t Len,
-                             ExecuteResponse &Out) {
-  WireReader R(Data, Len);
-  Out.Count = R.i64();
-  Out.VectorLen = R.i64();
-  std::uint64_t N = R.u64();
-  if (!R.ok() || N != R.remaining() / 8 || N * 8 != R.remaining())
-    return false;
-  Out.Data.resize(N);
-  return R.doubles(Out.Data.data(), N) && R.remaining() == 0;
+std::size_t ExecuteResponsePrefix::decodePrefix(const std::uint8_t *Data,
+                                                std::size_t Avail,
+                                                std::size_t BodyLen) {
+  WireReader R(Data, Avail);
+  Count = R.i64();
+  VectorLen = R.i64();
+  return payloadOffset(R, BodyLen);
 }
 
 std::vector<std::uint8_t> StatsResponse::encode() const {

@@ -6,26 +6,20 @@
 ///
 /// \file
 /// The wire protocol spoken between the spld plan-serving daemon and its
-/// clients (service::Client, `splrun --connect`). Everything travels over a
-/// Unix-domain stream socket as length-prefixed binary frames:
+/// clients (service::Client, `splrun --connect`): length-prefixed binary
+/// frames over a Unix-domain stream socket.
 ///
 ///   +--------+---------+--------+-----------+---------+=========+
 ///   | magic  | version | type   | requestId | bodyLen | body    |
 ///   | u32    | u16     | u16    | u32       | u32     | bytes   |
 ///   +--------+---------+--------+-----------+---------+=========+
 ///
-/// All integers are little-endian fixed width; doubles are IEEE-754 bit
-/// patterns carried as u64; strings are u32 length + raw bytes. The 16-byte
-/// header is validated before the body is read: a bad magic or an
-/// unsupported version kills the connection (there is no way to resync a
-/// corrupt stream), while an oversized bodyLen is rejected with a typed
-/// TOO_LARGE error so a greedy client learns its request was dropped.
-///
-/// Requests carry a client-chosen requestId that the matching response
-/// echoes, so clients may pipeline. Status codes extend tools/ExitCodes.h:
-/// the shared failure stages (usage/parse/compile/exec) keep their CLI
-/// values, and service-only conditions (BUSY, TOO_LARGE, SHUTTING_DOWN,
-/// PROTOCOL) follow after them. See docs/SERVICE.md for the full catalogue.
+/// Integers are little-endian fixed width, doubles raw IEEE-754 bits,
+/// strings u32 length + bytes. A bad magic or version kills the connection
+/// (a corrupt stream cannot be resynchronized); an oversized bodyLen draws
+/// a typed TOO_LARGE. Responses echo the client-chosen requestId, so
+/// clients may pipeline. Status codes extend tools/ExitCodes.h; see
+/// docs/SERVICE.md for the full catalogue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +28,9 @@
 
 #include "runtime/Plan.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -45,25 +40,13 @@ namespace service {
 /// Frame magic: "SPLD" read as a little-endian u32.
 constexpr std::uint32_t kMagic = 0x444C5053u;
 
-/// Protocol revision. Bump on any incompatible frame or body change; the
-/// server refuses versions outside [kMinProtocolVersion, kProtocolVersion]
-/// with a PROTOCOL error before dropping the connection. v2 added
-/// WireSpec::Codegen (the --codegen variant token). v3 prefixes plan and
-/// execute request bodies with a u32 deadline field: the client's remaining
-/// budget in milliseconds (0 = unbounded), measured from the moment the
-/// server decodes the frame. The server answers DEADLINE_EXCEEDED without
-/// touching the worker pool when a request's budget is already spent.
-/// v4 appends a shape block to WireSpec (u32 rank + rank i64 dims) so
-/// clients can request N-D row-column plans; the deadline stays the FIRST
-/// u32 of v>=3 request bodies (peekDeadlineMs depends on that), which is
-/// why new spec fields append rather than prepend.
-constexpr std::uint16_t kProtocolVersion = 4;
-
-/// Oldest revision the server still speaks. v2 requests carry no deadline
-/// (treated as unbounded); v2/v3 requests carry no shape (1-D) — both get
-/// responses stamped with the request's version. Response bodies are
-/// layout-identical across v2..v4.
-constexpr std::uint16_t kMinProtocolVersion = 2;
+/// The one protocol revision spoken. A header with any other version is
+/// refused with a PROTOCOL error and a hang-up. Plan and execute request
+/// bodies lead with a u32 DeadlineMs (the server reads it before decoding),
+/// the wire spec ends with an N-D shape block, and execute payloads start
+/// at a kPayloadAlign body offset behind zero pad bytes, so an aligned body
+/// buffer holds an aligned payload both ends use in place.
+constexpr std::uint16_t kProtocolVersion = 5;
 
 /// Fixed serialized header size in bytes.
 constexpr std::size_t kHeaderBytes = 16;
@@ -72,6 +55,10 @@ constexpr std::size_t kHeaderBytes = 16;
 /// can lower it (ServerOptions::MaxFrameBytes); execute payloads above the
 /// cap come back as TOO_LARGE.
 constexpr std::uint32_t kDefaultMaxFrameBytes = 64u << 20;
+
+/// Body offset granularity of an execute payload (and the alignment of
+/// every received frame body, see service::FrameBuffer).
+constexpr std::size_t kPayloadAlign = 64;
 
 /// Frame type tags. Requests are < 100, responses >= 100.
 enum class MsgType : std::uint16_t {
@@ -102,7 +89,7 @@ enum class Status : std::uint32_t {
   TooLarge = 7,     ///< Frame or transform exceeds the server's caps.
   ShuttingDown = 8, ///< Server is draining; no new work accepted.
   Protocol = 9,     ///< Framing violation; the connection is dropped.
-  DeadlineExceeded = 10, ///< The request's deadline expired (v3).
+  DeadlineExceeded = 10, ///< The request's deadline expired.
 };
 
 /// Stable lowercase token for a status ("ok", "busy", ...).
@@ -123,37 +110,23 @@ class WireWriter {
 public:
   explicit WireWriter(std::vector<std::uint8_t> &Buf) : Buf(Buf) {}
 
-  void u8(std::uint8_t V) { Buf.push_back(V); }
-  void u16(std::uint16_t V) {
-    Buf.push_back(static_cast<std::uint8_t>(V));
-    Buf.push_back(static_cast<std::uint8_t>(V >> 8));
-  }
-  void u32(std::uint32_t V) {
-    for (int I = 0; I != 4; ++I)
-      Buf.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
-  }
-  void u64(std::uint64_t V) {
-    for (int I = 0; I != 8; ++I)
-      Buf.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
-  }
-  void i64(std::int64_t V) { u64(static_cast<std::uint64_t>(V)); }
-  void f64(double V) {
-    std::uint64_t Bits;
-    std::memcpy(&Bits, &V, 8);
-    u64(Bits);
-  }
+  void u8(std::uint8_t V) { le(V); }
+  void u16(std::uint16_t V) { le(V); }
+  void u32(std::uint32_t V) { le(V); }
+  void u64(std::uint64_t V) { le(V); }
+  void i64(std::int64_t V) { le(static_cast<std::uint64_t>(V)); }
+  void f64(double V) { le(std::bit_cast<std::uint64_t>(V)); }
   void str(const std::string &S) {
     u32(static_cast<std::uint32_t>(S.size()));
     Buf.insert(Buf.end(), S.begin(), S.end());
   }
-  /// Raw doubles, bit-exact (used for execute payloads).
-  void doubles(const double *D, std::size_t N) {
-    std::size_t Off = Buf.size();
-    Buf.resize(Off + N * 8);
-    std::memcpy(Buf.data() + Off, D, N * 8);
-  }
 
 private:
+  template <class T> void le(T V) {
+    for (std::size_t I = 0; I != sizeof(T); ++I)
+      Buf.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
+  }
+
   std::vector<std::uint8_t> &Buf;
 };
 
@@ -166,46 +139,15 @@ public:
       : Data(Data), Len(Len) {}
 
   bool ok() const { return OK; }
+  std::size_t pos() const { return Pos; }
   std::size_t remaining() const { return Len - Pos; }
 
-  std::uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return Data[Pos++];
-  }
-  std::uint16_t u16() {
-    if (!need(2))
-      return 0;
-    std::uint16_t V = static_cast<std::uint16_t>(Data[Pos]) |
-                      static_cast<std::uint16_t>(Data[Pos + 1]) << 8;
-    Pos += 2;
-    return V;
-  }
-  std::uint32_t u32() {
-    if (!need(4))
-      return 0;
-    std::uint32_t V = 0;
-    for (int I = 0; I != 4; ++I)
-      V |= static_cast<std::uint32_t>(Data[Pos + I]) << (8 * I);
-    Pos += 4;
-    return V;
-  }
-  std::uint64_t u64() {
-    if (!need(8))
-      return 0;
-    std::uint64_t V = 0;
-    for (int I = 0; I != 8; ++I)
-      V |= static_cast<std::uint64_t>(Data[Pos + I]) << (8 * I);
-    Pos += 8;
-    return V;
-  }
+  std::uint8_t u8() { return le<std::uint8_t>(); }
+  std::uint16_t u16() { return le<std::uint16_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    std::uint64_t Bits = u64();
-    double V;
-    std::memcpy(&V, &Bits, 8);
-    return V;
-  }
+  double f64() { return std::bit_cast<double>(u64()); }
   std::string str() {
     std::uint32_t N = u32();
     if (!need(N))
@@ -214,16 +156,17 @@ public:
     Pos += N;
     return S;
   }
-  /// Reads \p N doubles; false (and ok() false) on underrun.
-  bool doubles(double *Out, std::size_t N) {
-    if (!need(N * 8))
-      return false;
-    std::memcpy(Out, Data + Pos, N * 8);
-    Pos += N * 8;
-    return true;
-  }
 
 private:
+  template <class T> T le() {
+    if (!need(sizeof(T)))
+      return 0;
+    T V = 0;
+    for (std::size_t I = 0; I != sizeof(T); ++I)
+      V |= static_cast<T>(static_cast<T>(Data[Pos + I]) << (8 * I));
+    Pos += sizeof(T);
+    return V;
+  }
   bool need(std::size_t N) {
     if (!OK || Len - Pos < N) {
       OK = false;
@@ -242,10 +185,9 @@ private:
 // Frames
 //===----------------------------------------------------------------------===//
 
-/// Parsed frame header.
+/// Parsed frame header. Magic and version are not fields: encode() writes
+/// kMagic and kProtocolVersion, and decode() accepts nothing else.
 struct FrameHeader {
-  std::uint32_t Magic = kMagic;
-  std::uint16_t Version = kProtocolVersion;
   MsgType Type = MsgType::PingReq;
   std::uint32_t RequestId = 0;
   std::uint32_t BodyLen = 0;
@@ -253,9 +195,8 @@ struct FrameHeader {
   /// Serializes into exactly kHeaderBytes.
   void encode(std::uint8_t Out[kHeaderBytes]) const;
 
-  /// Parses; false when the bytes cannot be a header of this protocol
-  /// (wrong magic, or a version outside [kMinProtocolVersion,
-  /// kProtocolVersion]) — the stream is unrecoverable then.
+  /// Parses; false on a wrong magic or version -- the stream is
+  /// unrecoverable then.
   static bool decode(const std::uint8_t In[kHeaderBytes], FrameHeader &H);
 };
 
@@ -269,38 +210,33 @@ struct WireSpec {
   std::int64_t MaxLeaf = 16;
   std::string Backend = "auto"; ///< backendName() token.
   std::string Codegen = "auto"; ///< codegenModeName() token.
-  /// Row-major N-D shape (v4+; empty = 1-D of Size). When non-empty the
-  /// server plans the row-column transform and Size is ignored in favour of
-  /// the shape product. Rank is capped at kMaxShapeRank on decode.
+  /// Row-major N-D shape (empty = 1-D of Size). When non-empty the server
+  /// plans the row-column transform and Size is ignored in favour of the
+  /// shape product. Rank is capped at kMaxShapeRank on decode.
   std::vector<std::int64_t> Shape;
 
   runtime::PlanSpec toSpec(bool &OK) const;
   static WireSpec fromSpec(const runtime::PlanSpec &Spec);
 
-  /// v2/v3 omit the shape block; v4 appends it after Codegen.
-  void encode(WireWriter &W, std::uint16_t Version = kProtocolVersion) const;
-  static bool decode(WireReader &R, WireSpec &Out,
-                     std::uint16_t Version = kProtocolVersion);
+  void encode(WireWriter &W) const;
+  static bool decode(WireReader &R, WireSpec &Out);
 };
 
 /// Decode-side cap on WireSpec::Shape rank; the planner's own limit is
 /// lower, so hitting this means a hostile frame, not a real workload.
 constexpr std::uint32_t kMaxShapeRank = 16;
 
-/// PlanReq body. v3 prefixes the body with DeadlineMs; v2 bodies carry the
-/// spec alone (DeadlineMs decodes as 0 = unbounded).
+/// PlanReq body: DeadlineMs, then the spec.
 struct PlanRequest {
   /// Remaining client budget in milliseconds (0 = unbounded). The clock
-  /// starts when the server decodes the frame; queue time counts against
+  /// starts when the server reads the frame; queue time counts against
   /// it, so a request that aged out in the queue is rejected unexecuted.
   std::uint32_t DeadlineMs = 0;
   WireSpec Spec;
 
-  std::vector<std::uint8_t> encode(std::uint16_t Version =
-                                       kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static bool decode(const std::uint8_t *Data, std::size_t Len,
-                     PlanRequest &Out,
-                     std::uint16_t Version = kProtocolVersion);
+                     PlanRequest &Out);
 };
 
 /// PlanResp body: the server-side plan's identity and placement.
@@ -309,7 +245,7 @@ struct PlanResponse {
   std::string Backend;     ///< Tier the degradation chain landed on.
   std::int64_t VectorLen = 0;
   double Cost = 0;
-  bool Fallback = false;
+  bool Fallback = false;   ///< One byte on the wire, 0 or 1.
   std::string FallbackReason;
   std::string FormulaText;
 
@@ -318,35 +254,73 @@ struct PlanResponse {
                      PlanResponse &Out);
 };
 
-/// ExecuteReq body: a spec plus Count packed vectors of Count*VectorLen
-/// doubles. The spec rides along (rather than a plan handle) so the request
-/// is stateless: the registry turns repeats into memo hits.
-struct ExecuteRequest {
+//===----------------------------------------------------------------------===//
+// Execute bodies: the prefix codec
+//===----------------------------------------------------------------------===//
+//
+// An execute body is a prefix -- the message's fields, a u64 payload length
+// N, and zero pad up to the next kPayloadAlign body offset -- followed by N
+// raw doubles. encodePrefix/decodePrefix are the only code that lays out or
+// parses those fields. The server and client move payloads around them
+// without copying; ExecuteRequest/ExecuteResponse are copying wrappers.
+
+/// ExecuteReq fields. The spec rides along (rather than a plan handle) so
+/// the request is stateless: the registry turns repeats into memo hits.
+struct ExecuteRequestPrefix {
   /// Remaining client budget in milliseconds (0 = unbounded); see
-  /// PlanRequest::DeadlineMs. v3-only field, encoded first.
+  /// PlanRequest::DeadlineMs. Encoded first.
   std::uint32_t DeadlineMs = 0;
   WireSpec Spec;
-  std::int64_t Count = 1;
+  std::int64_t Count = 1;   ///< Vectors in the payload.
   std::int32_t Threads = 1; ///< Requested batch workers (server-capped).
-  std::vector<double> Data; ///< Count * vectorLen doubles.
 
-  std::vector<std::uint8_t> encode(std::uint16_t Version =
-                                       kProtocolVersion) const;
-  static bool decode(const std::uint8_t *Data, std::size_t Len,
-                     ExecuteRequest &Out,
-                     std::uint16_t Version = kProtocolVersion);
+  /// The prefix of a body carrying \p N payload doubles.
+  std::vector<std::uint8_t> encodePrefix(std::uint64_t N) const;
+  /// Parses the prefix from the first \p Avail bytes of a \p BodyLen-byte
+  /// body. Returns the payload's body offset when the fields and a zero pad
+  /// fit in \p Avail and exactly N doubles fill the rest; 0 otherwise.
+  std::size_t decodePrefix(const std::uint8_t *Data, std::size_t Avail,
+                           std::size_t BodyLen);
 };
 
-/// ExecuteResp body: the transformed vectors, same layout as the request.
-struct ExecuteResponse {
+/// ExecuteResp fields: the shape of the transformed vectors that follow.
+struct ExecuteResponsePrefix {
   std::int64_t Count = 0;
   std::int64_t VectorLen = 0;
-  std::vector<double> Data;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(const std::uint8_t *Data, std::size_t Len,
-                     ExecuteResponse &Out);
+  /// As ExecuteRequestPrefix's; always kExecuteRespPrefixBytes long.
+  std::vector<std::uint8_t> encodePrefix(std::uint64_t N) const;
+  std::size_t decodePrefix(const std::uint8_t *Data, std::size_t Avail,
+                           std::size_t BodyLen);
 };
+
+/// Count, VectorLen and N, zero-padded to the payload.
+constexpr std::size_t kExecuteRespPrefixBytes = kPayloadAlign;
+
+/// A whole execute body with the payload copied into Data: the prefix
+/// codec for callers that hold payloads in vectors.
+template <class Prefix> struct WholeBody : Prefix {
+  std::vector<double> Data; ///< Count * vectorLen doubles.
+
+  std::vector<std::uint8_t> encode() const {
+    std::vector<std::uint8_t> Buf = this->encodePrefix(Data.size());
+    const auto *P = reinterpret_cast<const std::uint8_t *>(Data.data());
+    Buf.insert(Buf.end(), P, P + Data.size() * 8);
+    return Buf;
+  }
+  static bool decode(const std::uint8_t *Body, std::size_t Len,
+                     WholeBody &Out) {
+    const std::size_t Off = Out.decodePrefix(Body, Len, Len);
+    if (!Off)
+      return false;
+    Out.Data.resize((Len - Off) / 8);
+    std::copy(Body + Off, Body + Len,
+              reinterpret_cast<std::uint8_t *>(Out.Data.data()));
+    return true;
+  }
+};
+using ExecuteRequest = WholeBody<ExecuteRequestPrefix>;
+using ExecuteResponse = WholeBody<ExecuteResponsePrefix>;
 
 /// StatsResp body: the telemetry registry rendered by metricsJson(), plus
 /// the daemon's own identity line.

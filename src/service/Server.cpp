@@ -11,9 +11,10 @@
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 
@@ -22,86 +23,23 @@
 
 using namespace spl;
 using namespace spl::service;
-
-namespace {
-
-/// Minimal JSON string escaping (paths and diagnostics in stats output).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-/// The deadline field of a v3 plan/execute request without decoding the
-/// whole body: DeadlineMs is by design the first u32, so the reader thread
-/// can start the deadline clock at frame-read time (queue time must count
-/// against the budget). v2 frames and truncated bodies read as 0
-/// (unbounded here; a truncated v3 body still fails full decode later).
-std::uint32_t peekDeadlineMs(const Frame &F) {
-  if (F.Version < 3 || F.Body.size() < 4)
-    return 0;
-  return static_cast<std::uint32_t>(F.Body[0]) |
-         static_cast<std::uint32_t>(F.Body[1]) << 8 |
-         static_cast<std::uint32_t>(F.Body[2]) << 16 |
-         static_cast<std::uint32_t>(F.Body[3]) << 24;
-}
-
-/// Decrements the admission counters however a handler exits.
-struct AdmissionGuard {
-  std::atomic<int> &Global;
-  std::atomic<int> &PerConn;
-  telemetry::Gauge &InflightGauge;
-  ~AdmissionGuard() {
-    Global.fetch_sub(1, std::memory_order_relaxed);
-    PerConn.fetch_sub(1, std::memory_order_relaxed);
-    InflightGauge.add(-1);
-  }
-};
-
-} // namespace
+using telemetry::jsonEscape;
 
 Server::Server(ServerOptions OptsIn)
     : Opts(std::move(OptsIn)), ThePlanner(Diags, Opts.Planner),
       Registry(ThePlanner) {
   // Pre-register the spld instrument set so a stats scrape of an idle
   // daemon still shows the full catalogue as zeros.
-  telemetry::counter("spld.connections");
-  telemetry::counter("spld.requests");
-  telemetry::counter("spld.plan_requests");
-  telemetry::counter("spld.execute_requests");
-  telemetry::counter("spld.stats_requests");
-  telemetry::counter("spld.rejected.busy");
-  telemetry::counter("spld.rejected.too_large");
-  telemetry::counter("spld.deadline_exceeded");
-  telemetry::counter("spld.errors");
+  for (const char *Name :
+       {"spld.connections", "spld.requests", "spld.plan_requests",
+        "spld.execute_requests", "spld.stats_requests", "spld.rejected.busy",
+        "spld.rejected.too_large", "spld.deadline_exceeded", "spld.errors"})
+    telemetry::counter(Name);
   telemetry::gauge("spld.inflight");
   telemetry::gauge("spld.active_connections");
-  telemetry::histogram("spld.plan_ns");
-  telemetry::histogram("spld.execute_ns");
+  for (const char *Name : {"spld.plan_ns", "spld.execute_ns", "spld.read_ns",
+                           "spld.queue_ns", "spld.decode_ns", "spld.reply_ns"})
+    telemetry::histogram(Name);
   // The compile breaker is process-wide (one compiler, one breaker); the
   // daemon is the one deployment where overload protection should be on by
   // default, so spld's CLI passes a non-zero threshold here.
@@ -157,18 +95,7 @@ void Server::stop() {
   ::close(ListenFd);
   ListenFd = -1;
 
-  std::vector<std::shared_ptr<Conn>> Remaining;
-  {
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    Remaining.swap(Conns);
-  }
-  for (auto &C : Remaining)
-    ::shutdown(C->Fd, SHUT_RD); // In-flight responses still go out.
-  for (auto &C : Remaining) {
-    if (C->Reader.joinable())
-      C->Reader.join();
-    ::close(C->Fd);
-  }
+  reapConns(/*All=*/true);
   if (Pool)
     Pool->wait();
   ThePlanner.saveWisdom();
@@ -180,19 +107,24 @@ Server::Stats Server::stats() const {
   return S;
 }
 
-void Server::reapFinishedConns() {
+void Server::count(std::uint64_t Stats::*Field) {
+  std::lock_guard<std::mutex> Lock(StatsM);
+  ++(S.*Field);
+}
+
+void Server::reapConns(bool All) {
   std::vector<std::shared_ptr<Conn>> Dead;
   {
     std::lock_guard<std::mutex> Lock(ConnsM);
-    for (auto It = Conns.begin(); It != Conns.end();) {
-      if ((*It)->Done.load()) {
-        Dead.push_back(*It);
-        It = Conns.erase(It);
-      } else {
-        ++It;
-      }
-    }
+    auto Gone = std::stable_partition(
+        Conns.begin(), Conns.end(),
+        [All](const auto &C) { return !All && !C->Done.load(); });
+    Dead.assign(Gone, Conns.end());
+    Conns.erase(Gone, Conns.end());
   }
+  if (All) // Readers stop at their next frame; responses still go out.
+    for (auto &C : Dead)
+      ::shutdown(C->Fd, SHUT_RD);
   for (auto &C : Dead) {
     if (C->Reader.joinable())
       C->Reader.join();
@@ -226,69 +158,63 @@ void Server::acceptLoop() {
       continue;
     }
     AcceptErrorLogged = false;
-    reapFinishedConns();
+    reapConns(/*All=*/false);
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     {
       std::lock_guard<std::mutex> Lock(ConnsM);
-      C->Id = NextConnId++;
       Conns.push_back(C);
     }
     ConnsTotal.add();
     Active.add(1);
-    {
-      std::lock_guard<std::mutex> Lock(StatsM);
-      ++S.Connections;
-    }
+    count(&Stats::Connections);
     C->Reader = std::thread([this, C] { connLoop(C); });
   }
 }
 
 bool Server::sendFrame(Conn &C, MsgType Type, std::uint32_t RequestId,
-                       const std::vector<std::uint8_t> &Body,
-                       std::uint16_t Version) {
+                       std::span<const std::uint8_t> Body) {
   std::lock_guard<std::mutex> Lock(C.WriteM);
-  return writeFrame(C.Fd, Type, RequestId, Body, Version);
+  return writeFrame(C.Fd, Type, RequestId, Body);
 }
 
 void Server::sendError(Conn &C, std::uint32_t RequestId, Status Code,
-                       const std::string &Message, std::uint16_t Version) {
+                       const std::string &Message) {
   static telemetry::Counter &Errors = telemetry::counter("spld.errors");
   static telemetry::Counter &Busy = telemetry::counter("spld.rejected.busy");
   static telemetry::Counter &TooLarge =
       telemetry::counter("spld.rejected.too_large");
   static telemetry::Counter &DeadlineHit =
       telemetry::counter("spld.deadline_exceeded");
-  if (Code == Status::Busy)
+  switch (Code) {
+  case Status::Busy:
     Busy.add();
-  else if (Code == Status::TooLarge)
+    count(&Stats::RejectedBusy);
+    break;
+  case Status::TooLarge:
     TooLarge.add();
-  else if (Code == Status::DeadlineExceeded)
+    count(&Stats::RejectedTooLarge);
+    break;
+  case Status::DeadlineExceeded:
     DeadlineHit.add();
-  else
+    count(&Stats::RejectedDeadline);
+    break;
+  default:
     Errors.add();
-  {
-    std::lock_guard<std::mutex> Lock(StatsM);
-    if (Code == Status::Busy)
-      ++S.RejectedBusy;
-    else if (Code == Status::TooLarge)
-      ++S.RejectedTooLarge;
-    else if (Code == Status::DeadlineExceeded)
-      ++S.RejectedDeadline;
-    else
-      ++S.Errors;
+    count(&Stats::Errors);
+    break;
   }
   ErrorBody E;
   E.Code = Code;
   E.Message = Message;
-  sendFrame(C, MsgType::ErrorResp, RequestId, E.encode(), Version);
+  sendFrame(C, MsgType::ErrorResp, RequestId, E.encode());
 }
 
-bool Server::admit(Conn &C, std::uint32_t RequestId, std::uint16_t Version) {
+bool Server::admit(Conn &C, std::uint32_t RequestId) {
   static telemetry::Gauge &Inflight = telemetry::gauge("spld.inflight");
   if (ShutdownFlag.load()) {
     sendError(C, RequestId, Status::ShuttingDown,
-              "daemon is draining; no new work accepted", Version);
+              "daemon is draining; no new work accepted");
     return false;
   }
   if (GlobalInflight.fetch_add(1, std::memory_order_relaxed) >=
@@ -296,8 +222,7 @@ bool Server::admit(Conn &C, std::uint32_t RequestId, std::uint16_t Version) {
     GlobalInflight.fetch_sub(1, std::memory_order_relaxed);
     sendError(C, RequestId, Status::Busy,
               "server queue is full (" + std::to_string(Opts.MaxInflight) +
-                  " in flight); retry",
-              Version);
+                  " in flight); retry");
     return false;
   }
   if (C.Inflight.fetch_add(1, std::memory_order_relaxed) >=
@@ -306,8 +231,7 @@ bool Server::admit(Conn &C, std::uint32_t RequestId, std::uint16_t Version) {
     GlobalInflight.fetch_sub(1, std::memory_order_relaxed);
     sendError(C, RequestId, Status::Busy,
               "per-client quota exceeded (" +
-                  std::to_string(Opts.PerClientInflight) + " in flight)",
-              Version);
+                  std::to_string(Opts.PerClientInflight) + " in flight)");
     return false;
   }
   Inflight.add(1);
@@ -316,9 +240,9 @@ bool Server::admit(Conn &C, std::uint32_t RequestId, std::uint16_t Version) {
 
 std::shared_ptr<runtime::Plan>
 Server::acquirePlan(Conn &C, std::uint32_t RequestId, const WireSpec &WS,
-                    const support::Deadline &DL, std::uint16_t Version) {
+                    const support::Deadline &DL) {
   // The admission cap applies to the total transform size: the shape
-  // product for N-D requests (v4), WS.Size otherwise. The product is
+  // product for N-D requests, WS.Size otherwise. The product is
   // clamped rather than wrapped so a hostile shape cannot sneak under the
   // cap via overflow.
   std::int64_t Total = WS.Size;
@@ -336,8 +260,7 @@ Server::acquirePlan(Conn &C, std::uint32_t RequestId, const WireSpec &WS,
     sendError(C, RequestId, Status::TooLarge,
               "transform size " + std::to_string(Total) +
                   " exceeds the server cap of " +
-                  std::to_string(Opts.MaxTransformSize),
-              Version);
+                  std::to_string(Opts.MaxTransformSize));
     return nullptr;
   }
   bool SpecOK = false;
@@ -347,8 +270,7 @@ Server::acquirePlan(Conn &C, std::uint32_t RequestId, const WireSpec &WS,
     sendError(C, RequestId, Status::BadRequest,
               !runtime::parseBackend(WS.Backend, B)
                   ? "unknown backend '" + WS.Backend + "'"
-                  : "unknown codegen mode '" + WS.Codegen + "'",
-              Version);
+                  : "unknown codegen mode '" + WS.Codegen + "'");
     return nullptr;
   }
   if (Opts.Codegen != runtime::CodegenMode::Auto)
@@ -357,7 +279,7 @@ Server::acquirePlan(Conn &C, std::uint32_t RequestId, const WireSpec &WS,
   // requesting client instead of piling up in the daemon-wide log.
   Diagnostics Local;
   if (!runtime::Planner::validateSpec(Spec, Local)) {
-    sendError(C, RequestId, Status::BadSpec, Local.dump(), Version);
+    sendError(C, RequestId, Status::BadSpec, Local.dump());
     return nullptr;
   }
   runtime::PlanError PErr = runtime::PlanError::None;
@@ -365,48 +287,74 @@ Server::acquirePlan(Conn &C, std::uint32_t RequestId, const WireSpec &WS,
   if (!P) {
     if (PErr == runtime::PlanError::DeadlineExceeded) {
       sendError(C, RequestId, Status::DeadlineExceeded,
-                "deadline expired while planning '" + Spec.key() + "'",
-                Version);
+                "deadline expired while planning '" + Spec.key() + "'");
     } else {
       sendError(C, RequestId, Status::PlanFailed,
                 "planning failed server-side for '" + Spec.key() +
-                    "' (daemon log has diagnostics)",
-                Version);
+                    "' (daemon log has diagnostics)");
     }
     return nullptr;
   }
   return P;
 }
 
-void Server::handlePlan(std::shared_ptr<Conn> C, Frame F,
-                        support::Deadline DL) {
+void Server::serve(Conn &C, Frame &F, const support::Deadline &DL,
+                   std::uint64_t AdmitNs) {
   static telemetry::Gauge &Inflight = telemetry::gauge("spld.inflight");
-  static telemetry::Histogram &PlanNs = telemetry::histogram("spld.plan_ns");
-  AdmissionGuard Guard{GlobalInflight, C->Inflight, Inflight};
-
-  // Aged out in the pool queue: answer typed without starting the stage
-  // timer — an expired request must not consume (or be counted as) plan
-  // time.
+  static telemetry::Histogram &QueueNs = telemetry::histogram("spld.queue_ns");
+  // Releases the admission however the handler exits. The last job of a
+  // connection wakes its reader if it is waiting to tear down.
+  struct Release {
+    std::atomic<int> &Global;
+    Conn &C;
+    ~Release() {
+      Global.fetch_sub(1, std::memory_order_relaxed);
+      Inflight.add(-1);
+      std::lock_guard<std::mutex> Lock(C.M);
+      if (C.Inflight.fetch_sub(1, std::memory_order_relaxed) == 1)
+        C.Idle.notify_all();
+    }
+  } Guard{GlobalInflight, C};
+  if (AdmitNs)
+    QueueNs.record(telemetry::traceNowNs() - AdmitNs);
+  // Aged out in the pool queue: answer typed before any stage timer, so an
+  // expired request never consumes (or shows up as) plan or execute time
+  // (the overload bench asserts the spld.execute_ns sample count stays
+  // flat during a deadline storm).
   if (DL.expired()) {
-    sendError(*C, F.RequestId, Status::DeadlineExceeded,
-              "deadline expired while queued for a worker", F.Version);
+    sendError(C, F.RequestId, Status::DeadlineExceeded,
+              "deadline expired while queued for a worker");
     return;
   }
+  if (F.Type == MsgType::PlanReq)
+    handlePlan(C, F, DL);
+  else
+    handleExecute(C, F, DL);
+}
+
+void Server::handlePlan(Conn &C, Frame &F, const support::Deadline &DL) {
+  static telemetry::Histogram &PlanNs = telemetry::histogram("spld.plan_ns");
+  static telemetry::Histogram &DecodeNs =
+      telemetry::histogram("spld.decode_ns");
+  static telemetry::Histogram &ReplyNs = telemetry::histogram("spld.reply_ns");
   telemetry::StageTimer T("spld.plan", &PlanNs);
 
   PlanRequest Req;
-  if (!PlanRequest::decode(F.Body.data(), F.Body.size(), Req, F.Version)) {
-    sendError(*C, F.RequestId, Status::BadRequest,
-              "malformed plan request body", F.Version);
+  const bool Decoded = [&] {
+    telemetry::StageTimer D("spld.decode", &DecodeNs);
+    return PlanRequest::decode(F.Body.data(), F.Body.size(), Req);
+  }();
+  C.giveSpare(C.SpareReq, std::move(F.Body));
+  if (!Decoded) {
+    sendError(C, F.RequestId, Status::BadRequest,
+              "malformed plan request body");
     return;
   }
-  auto P = acquirePlan(*C, F.RequestId, Req.Spec, DL, F.Version);
+  auto P = acquirePlan(C, F.RequestId, Req.Spec, DL);
   if (!P)
     return;
-  {
-    std::lock_guard<std::mutex> Lock(StatsM);
-    ++S.Plans;
-  }
+  count(&Stats::Plans);
+  telemetry::StageTimer R("spld.reply", &ReplyNs);
   PlanResponse Resp;
   Resp.Key = P->spec().key();
   Resp.Backend = runtime::backendName(P->backend());
@@ -415,83 +363,83 @@ void Server::handlePlan(std::shared_ptr<Conn> C, Frame F,
   Resp.Fallback = P->usedFallback();
   Resp.FallbackReason = P->fallbackReason();
   Resp.FormulaText = P->formulaText();
-  sendFrame(*C, MsgType::PlanResp, F.RequestId, Resp.encode(), F.Version);
+  sendFrame(C, MsgType::PlanResp, F.RequestId, Resp.encode());
 }
 
-void Server::handleExecute(std::shared_ptr<Conn> C, Frame F,
-                           support::Deadline DL) {
-  static telemetry::Gauge &Inflight = telemetry::gauge("spld.inflight");
+void Server::handleExecute(Conn &C, Frame &F, const support::Deadline &DL) {
   static telemetry::Histogram &ExecNs =
       telemetry::histogram("spld.execute_ns");
-  AdmissionGuard Guard{GlobalInflight, C->Inflight, Inflight};
-
-  // Aged out in the pool queue: reject before the stage timer so expired
-  // requests never show up as execute time (the overload bench asserts
-  // the spld.execute_ns sample count stays flat during a deadline storm).
-  if (DL.expired()) {
-    sendError(*C, F.RequestId, Status::DeadlineExceeded,
-              "deadline expired while queued for a worker", F.Version);
-    return;
-  }
+  static telemetry::Histogram &DecodeNs =
+      telemetry::histogram("spld.decode_ns");
+  static telemetry::Histogram &ReplyNs = telemetry::histogram("spld.reply_ns");
   telemetry::StageTimer T("spld.execute", &ExecNs);
 
-  ExecuteRequest Req;
-  if (!ExecuteRequest::decode(F.Body.data(), F.Body.size(), Req, F.Version)) {
-    sendError(*C, F.RequestId, Status::BadRequest,
-              "malformed execute request body", F.Version);
+  // X is a view into the received body, never a copy. FrameBuffer bodies
+  // and payload offsets are both kPayloadAlign-aligned; the check guards
+  // that invariant.
+  ExecuteRequestPrefix Req;
+  const std::size_t Off = [&] {
+    telemetry::StageTimer D("spld.decode", &DecodeNs);
+    return Req.decodePrefix(F.Body.data(), F.Body.size(), F.Body.size());
+  }();
+  const auto *X = reinterpret_cast<const double *>(F.Body.data() + Off);
+  const std::uint64_t N = (F.Body.size() - Off) / 8;
+  if (!Off || reinterpret_cast<std::uintptr_t>(X) % alignof(double)) {
+    sendError(C, F.RequestId, Status::BadRequest,
+              "malformed execute request body");
     return;
   }
   if (Req.Count < 1) {
-    sendError(*C, F.RequestId, Status::BadRequest,
-              "execute count must be >= 1", F.Version);
+    sendError(C, F.RequestId, Status::BadRequest,
+              "execute count must be >= 1");
     return;
   }
-  auto P = acquirePlan(*C, F.RequestId, Req.Spec, DL, F.Version);
+  auto P = acquirePlan(C, F.RequestId, Req.Spec, DL);
   if (!P)
     return;
   // Count is untrusted wire input: `Count * Len` can overflow int64 and
   // wrap to match a short payload, so derive the batch count from the
   // actual payload size instead and require the client's Count to agree.
   const std::int64_t Len = P->vectorLen();
-  if (Len <= 0 || Req.Data.size() % static_cast<std::size_t>(Len) != 0 ||
-      Req.Count !=
-          static_cast<std::int64_t>(Req.Data.size() /
-                                    static_cast<std::size_t>(Len))) {
-    sendError(*C, F.RequestId, Status::BadRequest,
-              "execute payload holds " + std::to_string(Req.Data.size()) +
+  if (Len <= 0 || N % Len != 0 ||
+      Req.Count != static_cast<std::int64_t>(N / Len)) {
+    sendError(C, F.RequestId, Status::BadRequest,
+              "execute payload holds " + std::to_string(N) +
                   " doubles; " + std::to_string(Req.Count) + " x " +
-                  std::to_string(Len) + " expected",
-              F.Version);
+                  std::to_string(Len) + " expected");
     return;
   }
   int Threads = Req.Threads < 1 ? 1
                 : Req.Threads > Opts.MaxExecThreads ? Opts.MaxExecThreads
                                                     : Req.Threads;
-  ExecuteResponse Resp;
-  Resp.Count = Req.Count;
-  Resp.VectorLen = Len;
-  Resp.Data.resize(Req.Data.size());
+  // The response body is the prefix, then Y written in place by the batch.
+  FrameBuffer Out = C.takeSpare(C.SpareResp);
+  Out.clear();
+  Out.resize(kExecuteRespPrefixBytes + N * 8);
   runtime::BatchLayout BL;
   BL.HowMany = Req.Count;
-  if (P->executeBatch(Resp.Data.data(), Req.Data.data(), BL, DL, Threads) ==
-      runtime::ExecStatus::DeadlineExceeded) {
+  runtime::ExecStatus St = P->executeBatch(
+      reinterpret_cast<double *>(Out.data() + kExecuteRespPrefixBytes), X, BL,
+      DL, Threads);
+  C.giveSpare(C.SpareReq, std::move(F.Body));
+  if (St == runtime::ExecStatus::DeadlineExceeded) {
     // Partial batches are never shipped: the client asked for Count
     // results and gets a typed error instead of silently truncated data.
-    sendError(*C, F.RequestId, Status::DeadlineExceeded,
+    sendError(C, F.RequestId, Status::DeadlineExceeded,
               "deadline expired mid-batch after planning '" +
-                  P->spec().key() + "'",
-              F.Version);
-    return;
+                  P->spec().key() + "'");
+  } else {
+    count(&Stats::Executes);
+    telemetry::StageTimer R("spld.reply", &ReplyNs);
+    const std::vector<std::uint8_t> Prefix =
+        ExecuteResponsePrefix{Req.Count, Len}.encodePrefix(N);
+    std::memcpy(Out.data(), Prefix.data(), kExecuteRespPrefixBytes);
+    sendFrame(C, MsgType::ExecuteResp, F.RequestId, {Out.data(), Out.size()});
   }
-  {
-    std::lock_guard<std::mutex> Lock(StatsM);
-    ++S.Executes;
-  }
-  sendFrame(*C, MsgType::ExecuteResp, F.RequestId, Resp.encode(), F.Version);
+  C.giveSpare(C.SpareResp, std::move(Out));
 }
 
-void Server::handleStats(Conn &C, std::uint32_t RequestId,
-                         std::uint16_t Version) {
+void Server::handleStats(Conn &C, std::uint32_t RequestId) {
   static telemetry::Counter &StatsReqs =
       telemetry::counter("spld.stats_requests");
   StatsReqs.add();
@@ -516,29 +464,41 @@ void Server::handleStats(Conn &C, std::uint32_t RequestId,
      << "},\"metrics\":" << telemetry::metricsJson() << "}";
   StatsResponse Resp;
   Resp.Json = SS.str();
-  sendFrame(C, MsgType::StatsResp, RequestId, Resp.encode(), Version);
+  sendFrame(C, MsgType::StatsResp, RequestId, Resp.encode());
 }
 
 void Server::connLoop(std::shared_ptr<Conn> C) {
   static telemetry::Counter &Requests = telemetry::counter("spld.requests");
+  static telemetry::Counter &PlanReqs =
+      telemetry::counter("spld.plan_requests");
+  static telemetry::Counter &ExecReqs =
+      telemetry::counter("spld.execute_requests");
   static telemetry::Gauge &Active =
       telemetry::gauge("spld.active_connections");
+  static telemetry::Histogram &ReadNs = telemetry::histogram("spld.read_ns");
   while (true) {
     Frame F;
-    IoStatus St = readFrame(C->Fd, Opts.MaxFrameBytes, F);
+    FrameHeader H;
+    IoStatus St = readHeader(C->Fd, H);
+    if (St == IoStatus::Ok) {
+      telemetry::StageTimer T("spld.read", &ReadNs);
+      F.Type = H.Type;
+      F.RequestId = H.RequestId;
+      F.Body = C->takeSpare(C->SpareReq);
+      St = readBody(C->Fd, H, Opts.MaxFrameBytes, F.Body);
+    }
     if (St == IoStatus::Closed || St == IoStatus::Error)
       break;
     if (St == IoStatus::BadFrame) {
       // Unsynchronizable stream: answer (best effort) and hang up.
       sendError(*C, 0, Status::Protocol,
-                "bad frame header (magic/version mismatch)");
+                "bad frame header (magic/version mismatch; this daemon "
+                "speaks protocol v" +
+                    std::to_string(kProtocolVersion) + " only)");
       break;
     }
     Requests.add();
-    {
-      std::lock_guard<std::mutex> Lock(StatsM);
-      ++S.Requests;
-    }
+    count(&Stats::Requests);
     if (St == IoStatus::TooBig) {
       sendError(*C, F.RequestId, Status::TooLarge,
                 "frame body exceeds the server cap of " +
@@ -547,56 +507,54 @@ void Server::connLoop(std::shared_ptr<Conn> C) {
     }
     switch (F.Type) {
     case MsgType::PingReq:
-      sendFrame(*C, MsgType::PingResp, F.RequestId, {}, F.Version);
+      sendFrame(*C, MsgType::PingResp, F.RequestId);
       break;
     case MsgType::StatsReq:
       // Answered inline on the reader thread: a scrape must succeed even
       // when every pool worker is busy planning.
-      handleStats(*C, F.RequestId, F.Version);
+      handleStats(*C, F.RequestId);
       break;
     case MsgType::ShutdownReq:
-      sendFrame(*C, MsgType::ShutdownResp, F.RequestId, {}, F.Version);
+      // Drain first, so a client holding the reply knows the daemon is
+      // already refusing new work.
       requestShutdown();
+      sendFrame(*C, MsgType::ShutdownResp, F.RequestId);
       break;
     case MsgType::PlanReq:
-      if (admit(*C, F.RequestId, F.Version)) {
-        static telemetry::Counter &PlanReqs =
-            telemetry::counter("spld.plan_requests");
-        PlanReqs.add();
-        // The deadline clock starts here, on the reader thread, so time
-        // spent queued for a pool worker counts against the budget.
-        support::Deadline DL = support::Deadline::afterMs(
-            peekDeadlineMs(F) ? peekDeadlineMs(F) : Opts.DefaultDeadlineMs);
-        Pool->run([this, C, F = std::move(F), DL]() mutable {
-          handlePlan(C, std::move(F), DL);
-        });
-      }
+    case MsgType::ExecuteReq: {
+      if (!admit(*C, F.RequestId))
+        break;
+      (F.Type == MsgType::PlanReq ? PlanReqs : ExecReqs).add();
+      // The deadline clock starts here, on the reader thread, so time
+      // spent queued for a pool worker counts against the budget. That is
+      // why DeadlineMs leads the body: it is read without a full decode (a
+      // body too short for it reads 0 here and fails the decode later).
+      const std::uint32_t Ms = WireReader(F.Body.data(), F.Body.size()).u32();
+      support::Deadline DL =
+          support::Deadline::afterMs(Ms ? Ms : Opts.DefaultDeadlineMs);
+      std::uint64_t AdmitNs =
+          telemetry::metricsEnabled() ? telemetry::traceNowNs() : 0;
+      Pool->run([this, C, F = std::move(F), DL, AdmitNs]() mutable {
+        serve(*C, F, DL, AdmitNs);
+      });
       break;
-    case MsgType::ExecuteReq:
-      if (admit(*C, F.RequestId, F.Version)) {
-        static telemetry::Counter &ExecReqs =
-            telemetry::counter("spld.execute_requests");
-        ExecReqs.add();
-        support::Deadline DL = support::Deadline::afterMs(
-            peekDeadlineMs(F) ? peekDeadlineMs(F) : Opts.DefaultDeadlineMs);
-        Pool->run([this, C, F = std::move(F), DL]() mutable {
-          handleExecute(C, std::move(F), DL);
-        });
-      }
-      break;
+    }
     default:
       sendError(*C, F.RequestId, Status::BadRequest,
                 "unexpected frame type " +
-                    std::to_string(static_cast<unsigned>(F.Type)),
-                F.Version);
+                    std::to_string(static_cast<unsigned>(F.Type)));
       break;
     }
+    if (F.Body.capacity())
+      C->giveSpare(C->SpareReq, std::move(F.Body));
   }
   // Let admitted jobs finish writing before the fd can be closed by the
   // reaper; they hold the Conn alive via shared_ptr but not the fd's
-  // usability past Done.
-  while (C->Inflight.load(std::memory_order_relaxed) != 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // usability past Done. The last one notifies Idle.
+  {
+    std::unique_lock<std::mutex> Lock(C->M);
+    C->Idle.wait(Lock, [&] { return C->Inflight.load() == 0; });
+  }
   // Signal EOF to the peer now; the reaper may not run until the next
   // accept, and close() must stay with whoever joins this thread (fd-reuse
   // safety). shutdown() keeps the fd number allocated.

@@ -74,11 +74,11 @@ struct ServerOptions {
   /// own mode; Scalar/Vector override every incoming spec.
   runtime::CodegenMode Codegen = runtime::CodegenMode::Auto;
 
-  /// Deadline applied to requests that carry none of their own (v2 clients
-  /// and v3 requests with DeadlineMs = 0). 0 keeps them unbounded. The
-  /// clock starts when the request frame is read, so queue time counts:
-  /// a request that ages out waiting for a worker is answered
-  /// DEADLINE_EXCEEDED without consuming pool time.
+  /// Deadline applied to requests that carry none of their own
+  /// (DeadlineMs = 0). 0 keeps them unbounded. The clock starts when the
+  /// request frame is read, so queue time counts: a request that ages out
+  /// waiting for a worker is answered DEADLINE_EXCEEDED without consuming
+  /// pool time.
   std::int64_t DefaultDeadlineMs = 0;
 
   /// Consecutive native-compile failures before the process-wide compile
@@ -145,43 +145,60 @@ public:
 private:
   struct Conn {
     int Fd = -1;
-    std::uint64_t Id = 0;
     std::thread Reader;
     std::mutex WriteM;           ///< Serializes response frames.
     std::atomic<int> Inflight{0}; ///< Admitted jobs not yet answered.
     std::atomic<bool> Done{false};
+    /// Guards the spares and the Idle wait. Idle is notified when the last
+    /// in-flight job finishes, so a closing reader tears down at once.
+    std::mutex M;
+    std::condition_variable Idle;
+    /// At most one idle body per direction: a closed-loop client reuses
+    /// them, so steady-state execute traffic allocates no frame bodies.
+    FrameBuffer SpareReq, SpareResp;
+
+    FrameBuffer takeSpare(FrameBuffer &Slot) {
+      std::lock_guard<std::mutex> Lock(M);
+      return std::move(Slot);
+    }
+    void giveSpare(FrameBuffer &Slot, FrameBuffer &&B) {
+      std::lock_guard<std::mutex> Lock(M);
+      if (B.capacity() > Slot.capacity())
+        Slot = std::move(B);
+    }
   };
 
   void acceptLoop();
   void connLoop(std::shared_ptr<Conn> C);
-  void reapFinishedConns();
+  void count(std::uint64_t Stats::*Field); ///< ++S.*Field under StatsM.
+  /// Joins and closes finished connections, or with \p All every one.
+  void reapConns(bool All);
 
   /// True when the request was admitted (quota + global bounds); on false
-  /// the typed rejection was already sent (stamped with \p Version).
-  bool admit(Conn &C, std::uint32_t RequestId, std::uint16_t Version);
+  /// the typed rejection was already sent.
+  bool admit(Conn &C, std::uint32_t RequestId);
 
-  /// \p DL is the request's end-to-end deadline, started when the frame
-  /// was read off the socket (so pool queue time counts against it).
-  void handlePlan(std::shared_ptr<Conn> C, Frame F, support::Deadline DL);
-  void handleExecute(std::shared_ptr<Conn> C, Frame F, support::Deadline DL);
-  void handleStats(Conn &C, std::uint32_t RequestId, std::uint16_t Version);
+  /// Runs one admitted plan/execute frame on a pool worker. \p DL is the
+  /// request's end-to-end deadline, started when the frame was read off the
+  /// socket (so pool queue time counts against it); \p AdmitNs is the
+  /// admission timestamp behind spld.queue_ns (0 when metrics are off).
+  void serve(Conn &C, Frame &F, const support::Deadline &DL,
+             std::uint64_t AdmitNs);
+  void handlePlan(Conn &C, Frame &F, const support::Deadline &DL);
+  void handleExecute(Conn &C, Frame &F, const support::Deadline &DL);
+  void handleStats(Conn &C, std::uint32_t RequestId);
 
-  /// \p Version stamps the response header — always the request frame's
-  /// version, so a v2 client can validate what comes back.
   bool sendFrame(Conn &C, MsgType Type, std::uint32_t RequestId,
-                 const std::vector<std::uint8_t> &Body,
-                 std::uint16_t Version = kProtocolVersion);
+                 std::span<const std::uint8_t> Body = {});
   void sendError(Conn &C, std::uint32_t RequestId, Status Code,
-                 const std::string &Message,
-                 std::uint16_t Version = kProtocolVersion);
+                 const std::string &Message);
 
   /// Validates and acquires the plan for a wire spec; on failure sends the
   /// typed error itself and returns null. \p DL bounds both the wait on
   /// another thread's in-flight pass and this caller's own planning.
   std::shared_ptr<runtime::Plan> acquirePlan(Conn &C, std::uint32_t RequestId,
                                              const WireSpec &WS,
-                                             const support::Deadline &DL,
-                                             std::uint16_t Version);
+                                             const support::Deadline &DL);
 
   ServerOptions Opts;
   Diagnostics Diags;
@@ -197,7 +214,6 @@ private:
 
   mutable std::mutex ConnsM;
   std::vector<std::shared_ptr<Conn>> Conns;
-  std::uint64_t NextConnId = 1;
 
   std::mutex ShutdownM;
   std::condition_variable ShutdownCv;

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -19,17 +20,46 @@ using namespace spl::service;
 
 namespace {
 
-/// Fills a sockaddr_un for \p Path; false when the path does not fit (the
-/// classic 108-byte sun_path limit).
-bool makeAddr(const std::string &Path, sockaddr_un &Addr, std::string &Err) {
+/// A fresh Unix stream socket plus the address for \p Path; -1 (with \p Err)
+/// when the path does not fit the classic 108-byte sun_path or socket()
+/// fails.
+int unixSocket(const std::string &Path, sockaddr_un &Addr, std::string &Err) {
   std::memset(&Addr, 0, sizeof(Addr));
   Addr.sun_family = AF_UNIX;
   if (Path.empty() || Path.size() >= sizeof(Addr.sun_path)) {
     Err = "socket path '" + Path + "' is empty or longer than " +
           std::to_string(sizeof(Addr.sun_path) - 1) + " bytes";
-    return false;
+    return -1;
   }
   std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0)
+    Err = std::string("socket: ") + std::strerror(errno);
+  return Fd;
+}
+
+/// Writes every byte the \p N iovecs describe, resuming after partial
+/// writes (EINTR-safe, MSG_NOSIGNAL). Consumes \p Iov.
+bool sendAllv(int Fd, iovec *Iov, int N) {
+  while (N) {
+    msghdr M{};
+    M.msg_iov = Iov;
+    M.msg_iovlen = static_cast<std::size_t>(N);
+    ssize_t Sent = ::sendmsg(Fd, &M, MSG_NOSIGNAL);
+    if (Sent < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    for (auto Left = static_cast<std::size_t>(Sent); N; ++Iov, --N) {
+      if (Left < Iov->iov_len) {
+        Iov->iov_base = static_cast<std::uint8_t *>(Iov->iov_base) + Left;
+        Iov->iov_len -= Left;
+        break;
+      }
+      Left -= Iov->iov_len;
+    }
+  }
   return true;
 }
 
@@ -38,13 +68,9 @@ bool makeAddr(const std::string &Path, sockaddr_un &Addr, std::string &Err) {
 int spl::service::listenUnix(const std::string &Path, int Backlog,
                              std::string &Err) {
   sockaddr_un Addr;
-  if (!makeAddr(Path, Addr, Err))
+  int Fd = unixSocket(Path, Addr, Err);
+  if (Fd < 0)
     return -1;
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    Err = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
   // A dead daemon's leftover socket file would make bind fail with
   // EADDRINUSE, but unlinking unconditionally would silently hijack the
   // path from a *live* daemon. Probe first: a successful connect() means
@@ -82,34 +108,15 @@ int spl::service::listenUnix(const std::string &Path, int Backlog,
 
 int spl::service::connectUnix(const std::string &Path, std::string &Err) {
   sockaddr_un Addr;
-  if (!makeAddr(Path, Addr, Err))
+  int Fd = unixSocket(Path, Addr, Err);
+  if (Fd < 0)
     return -1;
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    Err = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
   if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
     Err = "connect '" + Path + "': " + std::strerror(errno);
     ::close(Fd);
     return -1;
   }
   return Fd;
-}
-
-bool spl::service::sendAll(int Fd, const void *Data, std::size_t Len) {
-  const std::uint8_t *P = static_cast<const std::uint8_t *>(Data);
-  while (Len) {
-    ssize_t N = ::send(Fd, P, Len, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    P += N;
-    Len -= static_cast<std::size_t>(N);
-  }
-  return true;
 }
 
 IoStatus spl::service::recvAll(int Fd, void *Data, std::size_t Len) {
@@ -130,52 +137,61 @@ IoStatus spl::service::recvAll(int Fd, void *Data, std::size_t Len) {
 }
 
 bool spl::service::writeFrame(int Fd, MsgType Type, std::uint32_t RequestId,
-                              const std::vector<std::uint8_t> &Body,
-                              std::uint16_t Version) {
+                              std::span<const std::uint8_t> Prefix,
+                              const void *Payload, std::size_t PayloadLen) {
   FrameHeader H;
-  H.Version = Version;
   H.Type = Type;
   H.RequestId = RequestId;
-  H.BodyLen = static_cast<std::uint32_t>(Body.size());
+  H.BodyLen = static_cast<std::uint32_t>(Prefix.size() + PayloadLen);
   std::uint8_t Hdr[kHeaderBytes];
   H.encode(Hdr);
-  // One send per part is fine: Unix sockets are streams and the frames are
-  // small next to the kernel buffer; coalescing would only copy.
-  if (!sendAll(Fd, Hdr, kHeaderBytes))
-    return false;
-  return Body.empty() || sendAll(Fd, Body.data(), Body.size());
+  iovec Iov[3] = {{Hdr, kHeaderBytes},
+                  {const_cast<std::uint8_t *>(Prefix.data()), Prefix.size()},
+                  {const_cast<void *>(Payload), PayloadLen}};
+  return sendAllv(Fd, Iov, 3);
 }
 
-IoStatus spl::service::readFrame(int Fd, std::uint32_t MaxBodyBytes,
-                                 Frame &Out) {
+IoStatus spl::service::readHeader(int Fd, FrameHeader &H) {
   std::uint8_t Hdr[kHeaderBytes];
   IoStatus St = recvAll(Fd, Hdr, kHeaderBytes);
   if (St != IoStatus::Ok)
     return St;
-  FrameHeader H;
-  if (!FrameHeader::decode(Hdr, H))
-    return IoStatus::BadFrame;
-  Out.Type = H.Type;
-  Out.RequestId = H.RequestId;
-  Out.Version = H.Version;
+  return FrameHeader::decode(Hdr, H) ? IoStatus::Ok : IoStatus::BadFrame;
+}
+
+IoStatus spl::service::readBody(int Fd, const FrameHeader &H,
+                                std::uint32_t MaxBodyBytes,
+                                FrameBuffer &Body) {
   if (H.BodyLen > MaxBodyBytes) {
     // Drain and discard so the connection stays usable for the TOO_LARGE
     // reply and whatever the client sends next.
     std::vector<std::uint8_t> Sink(64 << 10);
-    std::uint64_t Left = H.BodyLen;
+    std::size_t Left = H.BodyLen;
     while (Left) {
-      std::size_t Chunk =
-          static_cast<std::size_t>(std::min<std::uint64_t>(Left, Sink.size()));
+      const std::size_t Chunk = std::min(Left, Sink.size());
       if (recvAll(Fd, Sink.data(), Chunk) != IoStatus::Ok)
         return IoStatus::Error;
       Left -= Chunk;
     }
-    Out.Body.clear();
+    Body.clear();
     return IoStatus::TooBig;
   }
-  Out.Body.resize(H.BodyLen);
+  Body.clear(); // Growing an empty vector copies nothing.
+  Body.resize(H.BodyLen);
   if (H.BodyLen == 0)
     return IoStatus::Ok;
-  St = recvAll(Fd, Out.Body.data(), Out.Body.size());
-  return St == IoStatus::Ok ? IoStatus::Ok : IoStatus::Error;
+  return recvAll(Fd, Body.data(), Body.size()) == IoStatus::Ok
+             ? IoStatus::Ok
+             : IoStatus::Error;
+}
+
+IoStatus spl::service::readFrame(int Fd, std::uint32_t MaxBodyBytes,
+                                 Frame &Out) {
+  FrameHeader H;
+  IoStatus St = readHeader(Fd, H);
+  if (St != IoStatus::Ok)
+    return St;
+  Out.Type = H.Type;
+  Out.RequestId = H.RequestId;
+  return readBody(Fd, H, MaxBodyBytes, Out.Body);
 }

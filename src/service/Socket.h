@@ -20,6 +20,8 @@
 #include "service/Protocol.h"
 
 #include <cstdint>
+#include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,15 +37,32 @@ enum class IoStatus {
   TooBig,   ///< Body length exceeds the caller's cap; body was not read.
 };
 
+/// Allocates kPayloadAlign-aligned storage and default-initializes on
+/// resize(), so a FrameBuffer is never zero-filled.
+template <class T> struct BodyAllocator {
+  using value_type = T;
+  BodyAllocator() = default;
+  template <class U> BodyAllocator(const BodyAllocator<U> &) {}
+  T *allocate(std::size_t N) {
+    return static_cast<T *>(
+        ::operator new(N * sizeof(T), std::align_val_t(kPayloadAlign)));
+  }
+  void deallocate(T *P, std::size_t) {
+    ::operator delete(P, std::align_val_t(kPayloadAlign));
+  }
+  template <class U> void construct(U *P) { ::new (static_cast<void *>(P)) U; }
+  bool operator==(const BodyAllocator &) const = default;
+};
+
+/// A frame body. Payload offsets are kPayloadAlign multiples, so an
+/// execute payload in a FrameBuffer is an aligned array of doubles.
+using FrameBuffer = std::vector<std::uint8_t, BodyAllocator<std::uint8_t>>;
+
 /// One received frame.
 struct Frame {
   MsgType Type = MsgType::PingReq;
   std::uint32_t RequestId = 0;
-  /// The protocol revision the peer stamped on the header. The server
-  /// decodes the body per this version and echoes it on the response so a
-  /// v2 client never sees a version it cannot validate.
-  std::uint16_t Version = kProtocolVersion;
-  std::vector<std::uint8_t> Body;
+  FrameBuffer Body;
 };
 
 /// Creates, binds and listens on a Unix-domain stream socket at \p Path,
@@ -55,23 +74,28 @@ int listenUnix(const std::string &Path, int Backlog, std::string &Err);
 /// \p Err set.
 int connectUnix(const std::string &Path, std::string &Err);
 
-/// Writes all \p Len bytes (EINTR-safe, MSG_NOSIGNAL). False on any error.
-bool sendAll(int Fd, const void *Data, std::size_t Len);
-
 /// Reads exactly \p Len bytes. Returns Ok, Closed (clean EOF at offset 0),
 /// or Error (mid-buffer EOF or syscall failure).
 IoStatus recvAll(int Fd, void *Data, std::size_t Len);
 
-/// Sends one frame: header + body. \p Version stamps the header — servers
-/// pass the request frame's version so old clients can decode the reply.
+/// Sends one frame whose body is \p Prefix followed by \p Payload, with a
+/// single gathering sendmsg when the socket takes it all at once (EINTR-
+/// safe, MSG_NOSIGNAL); neither part is copied. False on any error.
 bool writeFrame(int Fd, MsgType Type, std::uint32_t RequestId,
-                const std::vector<std::uint8_t> &Body,
-                std::uint16_t Version = kProtocolVersion);
+                std::span<const std::uint8_t> Prefix,
+                const void *Payload = nullptr, std::size_t PayloadLen = 0);
 
-/// Reads one frame, validating the header and capping the body at
-/// \p MaxBodyBytes. On TooBig the offending body is consumed (so the
-/// caller can answer with a typed error and keep the connection); on
-/// BadFrame the stream cannot be resynchronized and must be closed.
+/// Reads and validates one header: Ok, Closed, Error, or BadFrame (wrong
+/// magic or version; the stream cannot be resynchronized).
+IoStatus readHeader(int Fd, FrameHeader &H);
+
+/// Reads the body \p H announces into \p Body, reusing its allocation. A
+/// body over \p MaxBodyBytes is consumed and dropped (TooBig), so the
+/// caller can answer with a typed error and keep the connection.
+IoStatus readBody(int Fd, const FrameHeader &H, std::uint32_t MaxBodyBytes,
+                  FrameBuffer &Body);
+
+/// readHeader + readBody.
 IoStatus readFrame(int Fd, std::uint32_t MaxBodyBytes, Frame &Out);
 
 } // namespace service

@@ -233,10 +233,6 @@ void MetricsRegistry::resetAll() {
     H->reset();
 }
 
-namespace {
-
-/// Minimal JSON string escape; metric names are identifier-like but a dump
-/// path or future label must not break the document.
 std::string jsonEscape(const std::string &S) {
   std::string Out;
   Out.reserve(S.size());
@@ -266,6 +262,8 @@ std::string jsonEscape(const std::string &S) {
   }
   return Out;
 }
+
+namespace {
 
 void appendHistogramJson(std::ostringstream &OS, const HistogramSnapshot &S) {
   OS << "{\"count\":" << S.Count << ",\"sum\":" << S.Sum

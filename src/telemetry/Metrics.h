@@ -222,6 +222,10 @@ Counter &counter(const std::string &Name);
 Gauge &gauge(const std::string &Name);
 Histogram &histogram(const std::string &Name);
 
+/// Minimal JSON string escape for names, paths and diagnostics embedded in
+/// JSON documents.
+std::string jsonEscape(const std::string &S);
+
 /// instance().toJson() / profileTable() / resetAll() shorthands.
 std::string metricsJson();
 std::string profileTable();

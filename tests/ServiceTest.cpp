@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -34,6 +35,7 @@
 #include <set>
 #include <thread>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace spl;
@@ -65,24 +67,20 @@ TEST(Protocol, HeaderRejectsBadMagicAndVersion) {
   std::uint8_t Buf[kHeaderBytes];
   H.encode(Buf);
   FrameHeader Out;
+  ASSERT_TRUE(FrameHeader::decode(Buf, Out));
 
   std::uint8_t Bad[kHeaderBytes];
   std::memcpy(Bad, Buf, kHeaderBytes);
   Bad[0] ^= 0xFF; // Corrupt the magic.
   EXPECT_FALSE(FrameHeader::decode(Bad, Out));
 
-  std::memcpy(Bad, Buf, kHeaderBytes);
-  Bad[4] += 1; // Unsupported version.
-  EXPECT_FALSE(FrameHeader::decode(Bad, Out));
-
-  // The floor of the compatibility window still decodes: a v2 client's
-  // frames are valid, and the decoded header remembers their revision.
-  std::memcpy(Bad, Buf, kHeaderBytes);
-  Bad[4] = 2;
-  ASSERT_TRUE(FrameHeader::decode(Bad, Out));
-  EXPECT_EQ(Out.Version, 2u);
-  Bad[4] = 1; // Below the floor.
-  EXPECT_FALSE(FrameHeader::decode(Bad, Out));
+  // One version only: every other value in the u16 at offset 4 is refused.
+  for (unsigned V : {0u, 1u, 2u, 3u, 4u, 6u, 0xFFFFu}) {
+    std::memcpy(Bad, Buf, kHeaderBytes);
+    Bad[4] = static_cast<std::uint8_t>(V);
+    Bad[5] = static_cast<std::uint8_t>(V >> 8);
+    EXPECT_FALSE(FrameHeader::decode(Bad, Out)) << "version " << V;
+  }
 }
 
 TEST(Protocol, PlanMessagesRoundTrip) {
@@ -177,50 +175,6 @@ TEST(Protocol, TruncatedBodiesAreRejected) {
   EBytes.push_back(0);
   EXPECT_FALSE(
       ExecuteRequest::decode(EBytes.data(), EBytes.size(), EOut));
-}
-
-TEST(Protocol, DeadlineFieldIsVersionGated) {
-  // v3 request bodies lead with DeadlineMs; v2 bodies never carried it and
-  // must keep decoding as "unbounded". This is the compatibility contract
-  // that lets old clients talk to a new daemon unchanged.
-  PlanRequest Req;
-  Req.Spec.Transform = "fft";
-  Req.Spec.Size = 32;
-  Req.DeadlineMs = 1500;
-
-  auto V3 = Req.encode(3);
-  PlanRequest Out;
-  ASSERT_TRUE(PlanRequest::decode(V3.data(), V3.size(), Out, 3));
-  EXPECT_EQ(Out.DeadlineMs, 1500u);
-
-  auto V2 = Req.encode(2);
-  ASSERT_EQ(V2.size(), V3.size() - 4); // Exactly the DeadlineMs prefix.
-  PlanRequest Out2;
-  ASSERT_TRUE(PlanRequest::decode(V2.data(), V2.size(), Out2, 2));
-  EXPECT_EQ(Out2.DeadlineMs, 0u);
-  EXPECT_EQ(Out2.Spec.Size, 32);
-
-  // Truncation inside the deadline prefix fails cleanly, never reads past
-  // the buffer, and never half-populates the spec.
-  for (std::size_t Cut = 0; Cut < 4; ++Cut)
-    EXPECT_FALSE(PlanRequest::decode(V3.data(), Cut, Out))
-        << "accepted a v3 body truncated to " << Cut << " bytes";
-
-  ExecuteRequest EReq;
-  EReq.Spec.Transform = "wht";
-  EReq.Spec.Size = 8;
-  EReq.DeadlineMs = 250;
-  EReq.Count = 1;
-  EReq.Data.assign(8, 1.0);
-  auto E3 = EReq.encode(3);
-  ExecuteRequest EOut;
-  ASSERT_TRUE(ExecuteRequest::decode(E3.data(), E3.size(), EOut, 3));
-  EXPECT_EQ(EOut.DeadlineMs, 250u);
-  auto E2 = EReq.encode(2);
-  ASSERT_EQ(E2.size(), E3.size() - 4);
-  ASSERT_TRUE(ExecuteRequest::decode(E2.data(), E2.size(), EOut, 2));
-  EXPECT_EQ(EOut.DeadlineMs, 0u);
-  ASSERT_EQ(EOut.Data.size(), 8u);
 }
 
 TEST(Protocol, StatusMapsOntoCliExitCodes) {
@@ -518,7 +472,8 @@ TEST_F(ServiceTest, MalformedFrameDropsConnection) {
   int Fd = connectUnix(Path, Err);
   ASSERT_GE(Fd, 0) << Err;
   const char Garbage[] = "GET / HTTP/1.1\r\n\r\n";
-  ASSERT_TRUE(sendAll(Fd, Garbage, sizeof(Garbage) - 1));
+  ASSERT_EQ(::send(Fd, Garbage, sizeof(Garbage) - 1, MSG_NOSIGNAL),
+            ssize_t(sizeof(Garbage) - 1));
 
   // The server answers with a protocol error, then hangs up.
   Frame F;
@@ -582,47 +537,8 @@ TEST_F(ServiceTest, WisdomSurvivesShutdown) {
   ::unlink(Wisdom.c_str());
 }
 
-TEST_F(ServiceTest, V2FramesAreServedAndVersionEchoed) {
-  // A v2 client (no DeadlineMs field, version 2 stamped on every header)
-  // must get full service, and every response must echo version 2 so the
-  // old client's own header validation accepts it.
-  startServer();
-  std::string Err;
-  int Fd = connectUnix(Path, Err);
-  ASSERT_GE(Fd, 0) << Err;
-
-  PlanRequest Req;
-  Req.Spec = WireSpec::fromSpec(vmSpec("fft", 16));
-  ASSERT_TRUE(writeFrame(Fd, MsgType::PlanReq, 21, Req.encode(2), 2));
-  Frame F;
-  ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
-  ASSERT_EQ(F.Type, MsgType::PlanResp) << statusName(Status::Ok);
-  EXPECT_EQ(F.RequestId, 21u);
-  EXPECT_EQ(F.Version, 2u);
-  PlanResponse PR;
-  ASSERT_TRUE(PlanResponse::decode(F.Body.data(), F.Body.size(), PR));
-  EXPECT_EQ(PR.VectorLen, 32); // Complex interleaved fft 16.
-
-  // Execution over the v2 framing matches a v3 client bit for bit.
-  ExecuteRequest EReq;
-  EReq.Spec = WireSpec::fromSpec(vmSpec("fft", 16));
-  EReq.Count = 1;
-  EReq.Data.assign(32, 0.0);
-  EReq.Data[0] = 1.0; // Impulse: the FFT is all-ones.
-  ASSERT_TRUE(writeFrame(Fd, MsgType::ExecuteReq, 22, EReq.encode(2), 2));
-  ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
-  ASSERT_EQ(F.Type, MsgType::ExecuteResp);
-  EXPECT_EQ(F.Version, 2u);
-  ExecuteResponse ER;
-  ASSERT_TRUE(ExecuteResponse::decode(F.Body.data(), F.Body.size(), ER));
-  ASSERT_EQ(ER.Data.size(), 32u);
-  for (std::size_t I = 0; I < ER.Data.size(); ++I)
-    EXPECT_EQ(ER.Data[I], (I % 2) == 0 ? 1.0 : 0.0) << "element " << I;
-  ::close(Fd);
-}
-
 TEST_F(ServiceTest, TruncatedDeadlineFieldGetsTypedError) {
-  // A v3 frame whose body ends inside the DeadlineMs prefix is malformed,
+  // A frame whose body ends inside the DeadlineMs prefix is malformed,
   // not fatal: the daemon answers a typed BAD_REQUEST and keeps serving
   // the connection.
   startServer();
@@ -687,54 +603,8 @@ TEST_F(ServiceTest, ExpiredInQueueIsRejectedWithTypedStatus) {
   EXPECT_GE(Srv->stats().RejectedDeadline, 1u);
 }
 
-TEST(Protocol, ShapeFieldIsVersionGated) {
-  // v4 appends the shape block after the v2 spec fields; v2/v3 bodies
-  // never carry it and must keep decoding with an empty (1-D) shape. The
-  // deadline stays the first u32 so peekDeadlineMs works on every v>=3
-  // frame regardless of the spec's rank.
-  PlanRequest Req;
-  Req.Spec.Transform = "fft";
-  Req.Spec.Size = 0;
-  Req.Spec.Shape = {8, 4};
-  Req.DeadlineMs = 10;
-
-  auto V4 = Req.encode(); // Default version is 4.
-  PlanRequest Out;
-  ASSERT_TRUE(PlanRequest::decode(V4.data(), V4.size(), Out));
-  ASSERT_EQ(Out.Spec.Shape.size(), 2u);
-  EXPECT_EQ(Out.Spec.Shape[0], 8);
-  EXPECT_EQ(Out.Spec.Shape[1], 4);
-  EXPECT_EQ(Out.DeadlineMs, 10u);
-
-  // Exactly the rank word plus two i64 dims shorter at v3.
-  auto V3 = Req.encode(3);
-  ASSERT_EQ(V3.size(), V4.size() - 4 - 2 * 8);
-  PlanRequest Out3;
-  ASSERT_TRUE(PlanRequest::decode(V3.data(), V3.size(), Out3, 3));
-  EXPECT_TRUE(Out3.Spec.Shape.empty());
-  EXPECT_EQ(Out3.DeadlineMs, 10u);
-
-  // A hostile rank is rejected up front, never trusted as a loop bound.
-  std::vector<std::uint8_t> Evil(V4.begin(), V4.end() - (4 + 2 * 8));
-  WireWriter W(Evil);
-  W.u32(kMaxShapeRank + 1);
-  EXPECT_FALSE(PlanRequest::decode(Evil.data(), Evil.size(), Out));
-
-  // Execute requests carry the same spec encoding.
-  ExecuteRequest EReq;
-  EReq.Spec = Req.Spec;
-  EReq.Count = 1;
-  EReq.Data.assign(64, 0.5);
-  auto E4 = EReq.encode();
-  ExecuteRequest EOut;
-  ASSERT_TRUE(ExecuteRequest::decode(E4.data(), E4.size(), EOut));
-  ASSERT_EQ(EOut.Spec.Shape.size(), 2u);
-  EXPECT_EQ(EOut.Spec.Shape[1], 4);
-  ASSERT_EQ(EOut.Data.size(), 64u);
-}
-
-TEST_F(ServiceTest, V4ShapedPlanExecuteRoundTrip) {
-  // A 2-D row-column spec over the default (v4) client: the daemon plans
+TEST_F(ServiceTest, ShapedPlanExecuteRoundTrip) {
+  // A 2-D row-column spec over the client: the daemon plans
   // the kron formula, keys it distinctly, and transforms an impulse into
   // the all-ones spectrum.
   startServer();
@@ -767,43 +637,6 @@ TEST_F(ServiceTest, OversizedShapeProductIsRejected) {
   EXPECT_EQ(C.lastStatus(), Status::TooLarge) << C.lastError();
 }
 
-TEST_F(ServiceTest, V3FramesAreServedAndVersionEchoed) {
-  // A v3 client (deadline field, no shape block) must get full service
-  // from the v4 daemon, with version 3 echoed on every response.
-  startServer();
-  std::string Err;
-  int Fd = connectUnix(Path, Err);
-  ASSERT_GE(Fd, 0) << Err;
-
-  PlanRequest Req;
-  Req.Spec = WireSpec::fromSpec(vmSpec("fft", 16));
-  Req.DeadlineMs = 0;
-  ASSERT_TRUE(writeFrame(Fd, MsgType::PlanReq, 31, Req.encode(3), 3));
-  Frame F;
-  ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
-  ASSERT_EQ(F.Type, MsgType::PlanResp);
-  EXPECT_EQ(F.Version, 3u);
-  PlanResponse PR;
-  ASSERT_TRUE(PlanResponse::decode(F.Body.data(), F.Body.size(), PR));
-  EXPECT_EQ(PR.VectorLen, 32);
-
-  ExecuteRequest EReq;
-  EReq.Spec = WireSpec::fromSpec(vmSpec("fft", 16));
-  EReq.Count = 1;
-  EReq.Data.assign(32, 0.0);
-  EReq.Data[0] = 1.0;
-  ASSERT_TRUE(writeFrame(Fd, MsgType::ExecuteReq, 32, EReq.encode(3), 3));
-  ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
-  ASSERT_EQ(F.Type, MsgType::ExecuteResp);
-  EXPECT_EQ(F.Version, 3u);
-  ExecuteResponse ER;
-  ASSERT_TRUE(ExecuteResponse::decode(F.Body.data(), F.Body.size(), ER));
-  ASSERT_EQ(ER.Data.size(), 32u);
-  for (std::size_t I = 0; I < ER.Data.size(); ++I)
-    EXPECT_EQ(ER.Data[I], (I % 2) == 0 ? 1.0 : 0.0) << "element " << I;
-  ::close(Fd);
-}
-
 TEST_F(ServiceTest, RegistryTransformsServedWithOracleParity) {
   // rdft and dct2 over the daemon: halfcomplex and real layouts ride the
   // same wire as the complex fft, and the served numbers match the dense
@@ -833,6 +666,228 @@ TEST_F(ServiceTest, RegistryTransformsServedWithOracleParity) {
     for (int I = 0; I != 16; ++I)
       EXPECT_NEAR(Y[I], Ref[I].real(), 1e-10) << Name << " element " << I;
   }
+}
+
+/// \p Count vectors of an in-process VM plan for \p Spec, the reference
+/// every daemon execute must match bit for bit.
+std::vector<double> localBatch(const runtime::PlanSpec &Spec,
+                               const std::vector<double> &X,
+                               std::int64_t Count) {
+  Diagnostics Diags;
+  runtime::PlannerOptions PO;
+  PO.UseWisdom = false;
+  PO.Evaluator = "opcount";
+  runtime::Planner Local(Diags, PO);
+  auto Ref = Local.plan(Spec);
+  EXPECT_TRUE(Ref) << Diags.dump();
+  std::vector<double> Y(X.size());
+  if (Ref)
+    Ref->executeBatch(Y.data(), X.data(), Count, 1);
+  return Y;
+}
+
+std::vector<double> rampInput(std::size_t N, double Phase) {
+  std::vector<double> X(N);
+  for (std::size_t I = 0; I != N; ++I)
+    X[I] = std::sin(Phase + 0.29 * static_cast<double>(I));
+  return X;
+}
+
+TEST_F(ServiceTest, ExecuteFromUnalignedCallerMemoryIsBitExact) {
+  // The client sends X and receives Y in place, so caller buffers at any
+  // double-aligned offset from a 64-byte boundary must work unchanged.
+  startServer();
+  const runtime::PlanSpec Spec = vmSpec("fft", 64);
+  const std::int64_t Count = 5, Len = 128;
+  const std::vector<double> X = rampInput(Count * Len, 0.5);
+  const std::vector<double> Want = localBatch(Spec, X, Count);
+  const std::size_t Bytes = X.size() * sizeof(double);
+  std::vector<std::uint8_t> XMem(Bytes + 128), YMem(Bytes + 128);
+  auto At = [](std::vector<std::uint8_t> &M, std::size_t Off) {
+    auto P = reinterpret_cast<std::uintptr_t>(M.data());
+    return reinterpret_cast<double *>((P + 63) / 64 * 64 + Off);
+  };
+  Client C;
+  ASSERT_TRUE(C.connect(Path)) << C.lastError();
+  for (std::size_t Off : {0u, 8u, 24u}) {
+    double *XP = At(XMem, Off), *YP = At(YMem, Off);
+    std::memcpy(XP, X.data(), Bytes);
+    std::memset(YP, 0, Bytes);
+    ASSERT_TRUE(C.execute(Spec, YP, XP, Count, Len, 2)) << C.lastError();
+    EXPECT_EQ(std::memcmp(YP, Want.data(), Bytes), 0) << "offset " << Off;
+  }
+}
+
+TEST_F(ServiceTest, PipelinedExecuteFramesAreAllAnswered) {
+  // Three execute frames written before any read run concurrently on the
+  // pool, each in its own request and response bodies.
+  startServer();
+  const runtime::PlanSpec Spec = vmSpec("fft", 32);
+  std::string Err;
+  int Fd = connectUnix(Path, Err);
+  ASSERT_GE(Fd, 0) << Err;
+  std::vector<std::vector<double>> Want;
+  for (std::uint32_t Id = 0; Id != 3; ++Id) {
+    ExecuteRequest Req;
+    Req.Spec = WireSpec::fromSpec(Spec);
+    Req.Count = 2 + Id;
+    Req.Data = rampInput(Req.Count * 64, Id);
+    Want.push_back(localBatch(Spec, Req.Data, Req.Count));
+    ASSERT_TRUE(writeFrame(Fd, MsgType::ExecuteReq, 100 + Id, Req.encode()));
+  }
+  std::set<std::uint32_t> Answered;
+  for (int I = 0; I != 3; ++I) {
+    Frame F;
+    ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
+    ASSERT_EQ(F.Type, MsgType::ExecuteResp);
+    const std::uint32_t K = F.RequestId - 100;
+    ASSERT_LT(K, 3u);
+    Answered.insert(K);
+    ExecuteResponse R;
+    ASSERT_TRUE(ExecuteResponse::decode(F.Body.data(), F.Body.size(), R));
+    EXPECT_EQ(R.Count, static_cast<std::int64_t>(2 + K));
+    EXPECT_EQ(R.VectorLen, 64);
+    ASSERT_EQ(R.Data.size(), Want[K].size());
+    EXPECT_EQ(std::memcmp(R.Data.data(), Want[K].data(),
+                          R.Data.size() * sizeof(double)),
+              0)
+        << "request " << K;
+  }
+  EXPECT_EQ(Answered.size(), 3u);
+  ::close(Fd);
+}
+
+TEST_F(ServiceTest, OtherHeaderVersionsAreRefused) {
+  // The daemon speaks exactly one protocol version. Every other value gets
+  // a typed PROTOCOL error and a hang-up, older revisions included.
+  startServer();
+  for (unsigned V : {0u, 1u, 2u, 3u, 4u, 6u, 0xFFFFu}) {
+    std::string Err;
+    int Fd = connectUnix(Path, Err);
+    ASSERT_GE(Fd, 0) << Err;
+    FrameHeader H;
+    std::uint8_t Hdr[kHeaderBytes];
+    H.encode(Hdr);
+    Hdr[4] = static_cast<std::uint8_t>(V);
+    Hdr[5] = static_cast<std::uint8_t>(V >> 8);
+    ASSERT_EQ(::send(Fd, Hdr, kHeaderBytes, MSG_NOSIGNAL),
+              ssize_t(kHeaderBytes));
+    Frame F;
+    ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok)
+        << "version " << V;
+    ASSERT_EQ(F.Type, MsgType::ErrorResp) << "version " << V;
+    ErrorBody E;
+    ASSERT_TRUE(ErrorBody::decode(F.Body.data(), F.Body.size(), E));
+    EXPECT_EQ(E.Code, Status::Protocol) << "version " << V;
+    EXPECT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Closed)
+        << "version " << V;
+    ::close(Fd);
+  }
+  Client C;
+  ASSERT_TRUE(C.connect(Path)) << C.lastError();
+  EXPECT_TRUE(C.ping()) << C.lastError();
+}
+
+TEST_F(ServiceTest, ResponseShapeMismatchLeavesCallerMemoryUntouched) {
+  // A peer that answers with the wrong shape must not get a single byte
+  // into Y: the client checks the response prefix first, then reports
+  // PROTOCOL and disconnects. A fake daemon serves one bad response per
+  // connection.
+  int L = -1;
+  {
+    std::string Err;
+    L = listenUnix(Path, 4, Err);
+    ASSERT_GE(L, 0) << Err;
+  }
+  const std::int64_t Count = 2, Len = 8;
+  struct Case {
+    const char *What;
+    std::int64_t Count, VectorLen;
+    std::uint64_t N;
+    bool DirtyPad;
+  };
+  const std::vector<Case> Cases = {
+      {"count", Count + 1, Len, Count * Len, false},
+      {"vector length", Count, Len * 2, Count * Len, false},
+      {"payload length", Count, Len, Count * Len + 1, false},
+      {"non-zero pad", Count, Len, Count * Len, true},
+  };
+  std::thread Fake([&] {
+    for (const Case &K : Cases) {
+      int Fd = ::accept(L, nullptr, nullptr);
+      if (Fd < 0)
+        return;
+      Frame F;
+      if (readFrame(Fd, kDefaultMaxFrameBytes, F) == IoStatus::Ok) {
+        std::vector<std::uint8_t> Body =
+            ExecuteResponsePrefix{K.Count, K.VectorLen}.encodePrefix(K.N);
+        if (K.DirtyPad)
+          Body[kExecuteRespPrefixBytes - 1] = 1;
+        Body.resize(Body.size() + K.N * 8, 0xAB);
+        writeFrame(Fd, MsgType::ExecuteResp, F.RequestId, Body);
+      }
+      // Wait for the client to hang up before closing our end.
+      while (readFrame(Fd, kDefaultMaxFrameBytes, F) == IoStatus::Ok) {
+      }
+      ::close(Fd);
+    }
+  });
+  const std::vector<double> X(Count * Len, 1.0);
+  for (const Case &K : Cases) {
+    // Y sits between two canary blocks; all of it must survive.
+    std::vector<double> Mem(3 * Count * Len, -3.25);
+    const std::vector<double> Before = Mem;
+    Client C;
+    ASSERT_TRUE(C.connect(Path)) << C.lastError();
+    EXPECT_FALSE(C.execute(vmSpec("fft", 4), Mem.data() + Count * Len,
+                           X.data(), Count, Len))
+        << K.What;
+    EXPECT_EQ(C.lastStatus(), Status::Protocol) << K.What;
+    EXPECT_FALSE(C.connected()) << K.What;
+    EXPECT_EQ(Mem, Before) << K.What << ": bytes landed around or in Y";
+  }
+  Fake.join();
+  ::close(L);
+}
+
+TEST_F(ServiceTest, DisconnectWithRequestInFlightTearsDownPromptly) {
+  // A client that half-closes with an execute in flight gets its reply,
+  // then the hang-up. The reader waits for the job with a condition
+  // variable the job signals, not with a sleep tick, so the gap between
+  // reply and hang-up is a thread wake-up, far below a millisecond.
+  startServer([](ServerOptions &O) { O.Workers = 1; });
+  const runtime::PlanSpec Spec = vmSpec("fft", 256);
+  ExecuteRequest Req;
+  Req.Spec = WireSpec::fromSpec(Spec);
+  Req.Count = 64;
+  Req.Data = rampInput(Req.Count * 512, 0.0);
+  const std::vector<std::uint8_t> Body = Req.encode();
+  {
+    Client Warm; // Plan once so every trial measures execute only.
+    ASSERT_TRUE(Warm.connect(Path) && Warm.planRetryBusy(Spec))
+        << Warm.lastError();
+  }
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> GapUs;
+  for (int Trial = 0; Trial != 11; ++Trial) {
+    std::string Err;
+    int Fd = connectUnix(Path, Err);
+    ASSERT_GE(Fd, 0) << Err;
+    ASSERT_TRUE(writeFrame(Fd, MsgType::ExecuteReq, 1, Body));
+    ::shutdown(Fd, SHUT_WR); // Disconnect with the request in flight.
+    Frame F;
+    ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
+    const Clock::time_point Reply = Clock::now();
+    ASSERT_EQ(F.Type, MsgType::ExecuteResp);
+    ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Closed);
+    GapUs.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - Reply)
+            .count());
+    ::close(Fd);
+  }
+  std::sort(GapUs.begin(), GapUs.end());
+  EXPECT_LT(GapUs[GapUs.size() / 2], 250.0)
+      << "median reply-to-hang-up gap; max " << GapUs.back() << " us";
 }
 
 TEST_F(ServiceTest, DegradesUnderInjectedFaultInsteadOfFailing) {

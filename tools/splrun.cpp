@@ -29,7 +29,7 @@
 ///                           timed batch (0 = unbounded, the default);
 ///                           exit code 6 when it expires first. With
 ///                           --connect the remaining budget rides each
-///                           request as the protocol v3 deadline field
+///                           request as the wire DeadlineMs field
 ///     --connect <socket>    serve the request through a running spld
 ///                           daemon instead of planning in-process
 ///     --shutdown            (with --connect) ask the daemon to drain and
