@@ -36,9 +36,7 @@ Compiler::compileFormula(const FormulaRef &F, const DirectiveState &Dirs,
   EOpts.UnrollThreshold = Opts.UnrollThreshold;
   std::optional<icode::Program> Expanded;
   {
-    static telemetry::Histogram &ExpandNs =
-        telemetry::histogram("compile.expand_ns");
-    telemetry::StageTimer T("expand", &ExpandNs);
+    telemetry::StageTimer T(telemetry::CompileExpandNs);
     Expanded = Exp.expand(F, EOpts);
   }
   if (!Expanded)
@@ -58,9 +56,7 @@ Compiler::compileFormula(const FormulaRef &F, const DirectiveState &Dirs,
   POpts.LowerToReal = EOpts.Datatype == icode::DataType::Complex &&
                       !WantComplexCode;
   {
-    static telemetry::Histogram &OptNs =
-        telemetry::histogram("compile.optimize_ns");
-    telemetry::StageTimer T("optimize", &OptNs);
+    telemetry::StageTimer T(telemetry::CompileOptimizeNs);
     Unit.Final = opt::runPipeline(*Expanded, POpts, Intrinsics);
   }
 
@@ -86,9 +82,7 @@ Compiler::compileFormula(const FormulaRef &F, const DirectiveState &Dirs,
   }
 
   if (Opts.EmitCode) {
-    static telemetry::Histogram &CodegenNs =
-        telemetry::histogram("compile.codegen_ns");
-    telemetry::StageTimer T("codegen", &CodegenNs);
+    telemetry::StageTimer T(telemetry::CompileCodegenNs);
     if (Unit.Language == "fortran") {
       codegen::FortranEmitOptions FOpts;
       FOpts.AutomaticTemps = Opts.SparcPeephole;
@@ -107,9 +101,7 @@ Compiler::compileSource(const std::string &Source,
                         const CompilerOptions &Opts) {
   std::optional<SplProgram> Prog;
   {
-    static telemetry::Histogram &ParseNs =
-        telemetry::histogram("compile.parse_ns");
-    telemetry::StageTimer T("parse", &ParseNs);
+    telemetry::StageTimer T(telemetry::CompileParseNs);
     Parser P(Source, Diags);
     Prog = P.parseProgram();
   }

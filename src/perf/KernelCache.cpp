@@ -235,14 +235,7 @@ std::optional<std::string> KernelCache::probe(const std::string &Key) {
   Config C = config();
   if (!C.Enabled)
     return std::nullopt;
-  static telemetry::Counter &Hits = telemetry::counter("kernelcache.hits");
-  static telemetry::Counter &Misses =
-      telemetry::counter("kernelcache.misses");
-  static telemetry::Counter &Corrupt =
-      telemetry::counter("kernelcache.corrupt_entries");
-  static telemetry::Histogram &ProbeNs =
-      telemetry::histogram("kernelcache.probe_ns");
-  telemetry::StageTimer T("kernelcache-probe", &ProbeNs);
+  telemetry::StageTimer T(telemetry::KernelcacheProbeNs);
 
   std::string Artifact = soPath(C.Dir, Key);
   bool CorruptArtifact = false;
@@ -253,7 +246,7 @@ std::optional<std::string> KernelCache::probe(const std::string &Key) {
     loadIndex(C.Dir, Index, nullptr);
     auto It = Index.find(Key);
     if (It == Index.end()) {
-      Misses.add();
+      telemetry::KernelcacheMisses.add();
       return std::nullopt;
     }
     std::string Bytes;
@@ -265,12 +258,12 @@ std::optional<std::string> KernelCache::probe(const std::string &Key) {
   if (CorruptArtifact) {
     // A flipped or truncated artifact degrades to a recompile: drop the
     // entry so the caller's (lock-serialized) rebuild repopulates it.
-    Corrupt.add();
-    Misses.add();
+    telemetry::KernelcacheCorruptEntries.add();
+    telemetry::KernelcacheMisses.add();
     remove(Key);
     return std::nullopt;
   }
-  Hits.add();
+  telemetry::KernelcacheHits.add();
   touchArtifact(Artifact);
   return Artifact;
 }
@@ -280,12 +273,6 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
   Config C = config();
   if (!C.Enabled)
     return std::nullopt;
-  static telemetry::Counter &Inserts =
-      telemetry::counter("kernelcache.inserts");
-  static telemetry::Counter &Evictions =
-      telemetry::counter("kernelcache.evictions");
-  static telemetry::Counter &Corrupt =
-      telemetry::counter("kernelcache.corrupt_entries");
 
   std::error_code EC;
   fs::create_directories(C.Dir, EC);
@@ -301,7 +288,7 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
   std::size_t CorruptLines = 0;
   loadIndex(C.Dir, Index, &CorruptLines);
   if (CorruptLines)
-    Corrupt.add(CorruptLines);
+    telemetry::KernelcacheCorruptEntries.add(CorruptLines);
 
   // Artifact first (temp + rename, same filesystem), then the index that
   // vouches for it: a crash between the two leaves an orphan, never an
@@ -363,7 +350,7 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
       std::remove((C.Dir + "/" + V.Key + ".lock").c_str());
       Index.erase(V.Key);
       Total -= V.Bytes;
-      Evictions.add();
+      telemetry::KernelcacheEvictions.add();
     }
   }
 
@@ -384,7 +371,7 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
 
   if (!writeIndex(C.Dir, Index))
     return std::nullopt;
-  Inserts.add();
+  telemetry::KernelcacheInserts.add();
   return Dest;
 }
 

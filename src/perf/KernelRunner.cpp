@@ -83,15 +83,11 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
   auto Start = std::chrono::steady_clock::now();
   const std::string Code = codegen::emitC(Final, CO);
   if (Vector) {
-    static telemetry::Counter &VectorKernels =
-        telemetry::counter("codegen.vector_kernels");
-    static telemetry::Histogram &VectorNs =
-        telemetry::histogram("codegen.vector_ns");
-    VectorNs.record(static_cast<std::uint64_t>(
+    telemetry::CodegenVectorNs.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - Start)
             .count()));
-    VectorKernels.add();
+    telemetry::CodegenVectorKernels.add();
   }
 
   std::string CompileError;

@@ -254,22 +254,13 @@ NativeModule::compileFresh(const std::string &CSource,
   const double Remaining = Deadline.remainingSeconds();
   if (std::isfinite(Remaining))
     Timeout = Timeout > 0 ? std::min(Timeout, Remaining) : Remaining;
-  static telemetry::Counter &Compiles = telemetry::counter("native.compiles");
-  static telemetry::Counter &Retries =
-      telemetry::counter("native.compile_retries");
-  static telemetry::Counter &Failures =
-      telemetry::counter("native.compile_failures");
-  static telemetry::Counter &Timeouts =
-      telemetry::counter("native.compile_timeouts");
-  static telemetry::Histogram &CompileNs =
-      telemetry::histogram("native.compile_ns");
-  Compiles.add();
+  telemetry::NativeCompiles.add();
   // One bounded retry, and only for transient failures (a crashed or
   // timed-out compiler); a deterministic nonzero exit is a real diagnostic
   // and retrying it would just double the latency of every bad kernel.
   SubprocessResult R;
   {
-    telemetry::StageTimer T("native-compile", &CompileNs);
+    telemetry::StageTimer T(telemetry::NativeCompileNs);
     for (int Attempt = 0;; ++Attempt) {
       R = invokeCompiler(Argv, Timeout);
       if (R.ok() || !R.transient() || Attempt >= 1)
@@ -277,14 +268,14 @@ NativeModule::compileFresh(const std::string &CSource,
       // The retry must fit the remaining budget too.
       if (Deadline.expired())
         break;
-      Retries.add();
+      telemetry::NativeCompileRetries.add();
     }
   }
   Outcome.Success = R.ok();
   if (!R.ok()) {
-    Failures.add();
+    telemetry::NativeCompileFailures.add();
     if (R.TimedOut)
-      Timeouts.add();
+      telemetry::NativeCompileTimeouts.add();
     if (TimedOut)
       *TimedOut = R.TimedOut;
     if (Error) {

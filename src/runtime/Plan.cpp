@@ -298,29 +298,19 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
   if (Mask != 0) {
     const std::uint64_t Dur = telemetry::traceNowNs() - Start;
     if ((Mask & telemetry::kMetrics) && Single) {
-      static telemetry::Counter &Executes =
-          telemetry::counter("runtime.executes");
-      static telemetry::Histogram &GlobalNs =
-          telemetry::histogram("runtime.execute_ns");
       NumExecutes.fetch_add(1, std::memory_order_relaxed);
       ExecuteNs.recordAlways(Dur);
-      Executes.add();
-      GlobalNs.recordAlways(Dur);
+      telemetry::RuntimeExecutes.add();
+      telemetry::RuntimeExecuteNs.recordAlways(Dur);
     } else if (Mask & telemetry::kMetrics) {
       // Every executeBatch form lands here: dense, strided, deadline-bearing.
-      static telemetry::Counter &Batches =
-          telemetry::counter("runtime.batches");
-      static telemetry::Counter &Vectors =
-          telemetry::counter("runtime.batch_vectors");
-      static telemetry::Histogram &GlobalNs =
-          telemetry::histogram("runtime.batch_ns");
       NumBatches.fetch_add(1, std::memory_order_relaxed);
       NumVectors.fetch_add(static_cast<std::uint64_t>(Count),
                            std::memory_order_relaxed);
       BatchNs.recordAlways(Dur);
-      Batches.add();
-      Vectors.add(static_cast<std::uint64_t>(Count));
-      GlobalNs.recordAlways(Dur);
+      telemetry::RuntimeBatches.add();
+      telemetry::RuntimeBatchVectors.add(static_cast<std::uint64_t>(Count));
+      telemetry::RuntimeBatchNs.recordAlways(Dur);
     }
     if (Mask & telemetry::kTrace)
       telemetry::Tracer::instance().record(Single ? "execute" : "executeBatch",
@@ -328,9 +318,7 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
   }
   if (!Stop.load(std::memory_order_relaxed))
     return ExecStatus::Ok; // Expiry after the last group still counts as Ok.
-  static telemetry::Counter &Exceeded =
-      telemetry::counter("runtime.deadline_exceeded");
-  Exceeded.add();
+  telemetry::RuntimeDeadlineExceeded.add();
   return ExecStatus::DeadlineExceeded;
 }
 

@@ -22,10 +22,6 @@ std::shared_ptr<Plan> PlanRegistry::acquire(const PlanSpec &Spec) {
 std::shared_ptr<Plan> PlanRegistry::acquire(const PlanSpec &Spec,
                                             const support::Deadline &Deadline,
                                             PlanError *Err) {
-  static telemetry::Counter &Hits = telemetry::counter("registry.hits");
-  static telemetry::Counter &Misses = telemetry::counter("registry.misses");
-  static telemetry::Counter &Waits = telemetry::counter("registry.waits");
-  static telemetry::Gauge &Plans = telemetry::gauge("registry.plans");
   auto Report = [&](PlanError E) {
     if (Err)
       *Err = E;
@@ -40,7 +36,7 @@ std::shared_ptr<Plan> PlanRegistry::acquire(const PlanSpec &Spec,
       std::shared_ptr<Slot> Theirs = It->second;
       if (Theirs->Ready) {
         ++S.Hits;
-        Hits.add();
+        telemetry::RegistryHits.add();
         if (!Theirs->P)
           Report(PlanError::Failed);
         return Theirs->P;
@@ -50,7 +46,7 @@ std::shared_ptr<Plan> PlanRegistry::acquire(const PlanSpec &Spec,
       // abandons only the wait: the planning thread keeps going and its
       // result still lands in the memo for future callers.
       ++S.Waits;
-      Waits.add();
+      telemetry::RegistryWaits.add();
       const double Remaining = Deadline.remainingSeconds();
       if (std::isfinite(Remaining)) {
         if (!Ready.wait_for(Lock,
@@ -71,8 +67,8 @@ std::shared_ptr<Plan> PlanRegistry::acquire(const PlanSpec &Spec,
     Mine = std::make_shared<Slot>();
     Slots.emplace(Key, Mine);
     ++S.Misses;
-    Misses.add();
-    Plans.set(static_cast<std::int64_t>(Slots.size()));
+    telemetry::RegistryMisses.add();
+    telemetry::RegistryPlans.set(static_cast<std::int64_t>(Slots.size()));
   }
 
   // Plan outside the lock: planning can take seconds (search + compile) and
@@ -92,7 +88,7 @@ std::shared_ptr<Plan> PlanRegistry::acquire(const PlanSpec &Spec,
       if (It != Slots.end() && It->second == Mine)
         Slots.erase(It);
     }
-    Plans.set(static_cast<std::int64_t>(Slots.size()));
+    telemetry::RegistryPlans.set(static_cast<std::int64_t>(Slots.size()));
   }
   Ready.notify_all();
   return P;
@@ -113,5 +109,5 @@ void PlanRegistry::clear() {
   // In-flight slots stay: their owners still hold the shared_ptr<Slot> and
   // will publish into it; dropping the map entry just forgets the memo.
   Slots.clear();
-  telemetry::gauge("registry.plans").set(0);
+  telemetry::RegistryPlans.set(0);
 }

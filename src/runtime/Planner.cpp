@@ -86,30 +86,6 @@ std::string subNameFor(const PlanSpec &S) {
 
 Planner::Planner(Diagnostics &Diags, PlannerOptions Opts)
     : Diags(Diags), Opts(std::move(Opts)), Wisdom(Diags) {
-  // Pre-register the degradation-chain and kernel-cache counters so a
-  // healthy run's metrics dump still shows them (as zeros) — absence would
-  // be ambiguous. A warm run's whole point is native.compiles == 0, so
-  // that zero in particular must be explicit. The vector-codegen metrics
-  // are listed for the same reason: a scalar-only host must report them as
-  // explicit zeros, not omit them.
-  telemetry::counter("runtime.demote.vector");
-  telemetry::counter("runtime.demote.native");
-  telemetry::counter("runtime.demote.vm");
-  telemetry::counter("runtime.deadline_exceeded");
-  telemetry::counter("search.deadline_exceeded");
-  telemetry::counter("runtime.breaker.trips");
-  telemetry::counter("runtime.breaker.open");
-  telemetry::counter("runtime.breaker.half_open");
-  telemetry::counter("native.compiles");
-  telemetry::counter("codegen.vector_kernels");
-  telemetry::counter("search.vector_wins");
-  telemetry::counter("search.scalar_wins");
-  telemetry::histogram("codegen.vector_ns");
-  telemetry::counter("kernelcache.hits");
-  telemetry::counter("kernelcache.misses");
-  telemetry::counter("kernelcache.inserts");
-  telemetry::counter("kernelcache.evictions");
-  telemetry::counter("kernelcache.corrupt_entries");
   // Kernel-cache overrides are applied here (process-wide: one compiler,
   // one cache) so spld's ServerOptions.Planner reaches it too.
   if (this->Opts.DisableKernelCache)
@@ -277,9 +253,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec) {
 std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
                                     const support::Deadline &Deadline,
                                     PlanError *Err) {
-  static telemetry::Histogram &PlanNs = telemetry::histogram("plan.total_ns");
-  static telemetry::Histogram &TrialNs = telemetry::histogram("plan.trial_ns");
-  telemetry::StageTimer PlanTimer("plan", &PlanNs);
+  telemetry::StageTimer PlanTimer(telemetry::PlanTotalNs);
   auto Report = [&](PlanError E) {
     if (Err)
       *Err = E;
@@ -320,9 +294,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   double Cost = 0;
   codegen::CodegenVariant WonVariant = codegen::CodegenVariant::Scalar;
   {
-    static telemetry::Histogram &SearchNs =
-        telemetry::histogram("plan.search_ns");
-    telemetry::StageTimer SearchTimer("search", &SearchNs);
+    telemetry::StageTimer SearchTimer(telemetry::PlanSearchNs);
     // Multi-dimensional specs plan the row-column algorithm: each
     // dimension is planned independently (reusing per-dimension wisdom)
     // and the winners join as a Kronecker product.
@@ -425,7 +397,10 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
     if (!Demotions.empty())
       Demotions += "; ";
     Demotions += Tier + ": " + Why;
-    telemetry::counter("runtime.demote." + Tier).add();
+    (Tier == "vector" ? telemetry::RuntimeDemoteVector
+     : Tier == "native" ? telemetry::RuntimeDemoteNative
+                        : telemetry::RuntimeDemoteVm)
+        .add();
     Diags.note(SourceLoc(), Tier + " backend unavailable for " +
                                 Dirs.SubName + " (" + Why + ")");
   };
@@ -471,7 +446,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
           TrialBudget = std::min(TrialBudget, Remaining);
         perf::CompiledKernel::TrialResult Trial;
         {
-          telemetry::StageTimer TrialTimer("trial", &TrialNs);
+          telemetry::StageTimer TrialTimer(telemetry::PlanTrialNs);
           Trial = K->trial(TrialBudget);
         }
         if (!Trial.Ok) {

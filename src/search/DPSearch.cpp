@@ -36,9 +36,7 @@ void DPSearch::noteDeadlineOnce() {
   if (DeadlineNoted)
     return;
   DeadlineNoted = true;
-  static telemetry::Counter &Exceeded =
-      telemetry::counter("search.deadline_exceeded");
-  Exceeded.add();
+  telemetry::SearchDeadlineExceeded.add();
   Diags.warning(SourceLoc(), "search deadline exceeded; remaining candidates "
                              "are scored as infinite cost and the best "
                              "formula found so far wins");
@@ -133,8 +131,7 @@ void DPSearch::recordWisdom(std::int64_t N,
 std::optional<Candidate> DPSearch::searchSmallOne(std::int64_t N) {
   auto Hit = SmallBest.find(N);
   if (Hit != SmallBest.end()) {
-    static telemetry::Counter &DpHits = telemetry::counter("search.dp_hits");
-    DpHits.add();
+    telemetry::SearchDpHits.add();
     return Hit->second;
   }
 
@@ -221,8 +218,7 @@ std::map<std::int64_t, Candidate> DPSearch::searchSmall(std::int64_t MaxN) {
 const std::vector<Candidate> &DPSearch::largeEntries(std::int64_t N) {
   auto Hit = LargeBest.find(N);
   if (Hit != LargeBest.end()) {
-    static telemetry::Counter &DpHits = telemetry::counter("search.dp_hits");
-    DpHits.add();
+    telemetry::SearchDpHits.add();
     return Hit->second;
   }
 

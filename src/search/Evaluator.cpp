@@ -50,9 +50,7 @@ std::optional<double> Evaluator::cost(const FormulaRef &F) {
   if (DL.expired())
     return std::numeric_limits<double>::infinity();
   NumEvals.fetch_add(1, std::memory_order_relaxed);
-  static telemetry::Counter &Evals =
-      telemetry::counter("search.candidates_evaluated");
-  Evals.add();
+  telemetry::SearchCandidatesEvaluated.add();
   auto C = compile(F);
   if (!C)
     return std::nullopt;
@@ -70,9 +68,7 @@ std::optional<VariantCost> Evaluator::costWithVariant(const FormulaRef &F) {
     return VariantCost{std::numeric_limits<double>::infinity(),
                        codegen::CodegenVariant::Scalar};
   NumEvals.fetch_add(1, std::memory_order_relaxed);
-  static telemetry::Counter &Evals =
-      telemetry::counter("search.candidates_evaluated");
-  Evals.add();
+  telemetry::SearchCandidatesEvaluated.add();
   auto C = compile(F);
   if (!C)
     return std::nullopt;
@@ -253,19 +249,15 @@ NativeTimeEvaluator::costVariantsCompiled(const Compiled &C) {
   if (!variantSearch() || !codegen::vectorBackendAvailable())
     return VariantCost{*Scalar, codegen::CodegenVariant::Scalar};
 
-  static telemetry::Counter &ScalarWins =
-      telemetry::counter("search.scalar_wins");
-  static telemetry::Counter &VectorWins =
-      telemetry::counter("search.vector_wins");
   auto Vector = timeVariant(C, codegen::CodegenVariant::Vector);
   if (!Vector) {
-    ScalarWins.add();
+    telemetry::SearchScalarWins.add();
     return VariantCost{*Scalar, codegen::CodegenVariant::Scalar};
   }
   if (*Vector < *Scalar) {
-    VectorWins.add();
+    telemetry::SearchVectorWins.add();
     return VariantCost{*Vector, codegen::CodegenVariant::Vector};
   }
-  ScalarWins.add();
+  telemetry::SearchScalarWins.add();
   return VariantCost{*Scalar, codegen::CodegenVariant::Scalar};
 }

@@ -87,9 +87,7 @@ bool PlanCache::loadLocked(
     auto Reject = [&](const char *Why) {
       if (CountStats) {
         ++S.Skipped;
-        static telemetry::Counter &Corrupt =
-            telemetry::counter("wisdom.corrupt_lines");
-        Corrupt.add();
+        telemetry::WisdomCorruptLines.add();
       }
       Diags.warning(SourceLoc(), "wisdom file '" + Path + "' line " +
                                      std::to_string(LineNo) + ": " + Why +
@@ -156,8 +154,7 @@ bool PlanCache::loadLocked(
     Entries[static_cast<size_t>(Index)] = {Formula, Cost, Variant};
     if (CountStats) {
       ++S.Loaded;
-      static telemetry::Counter &Loaded = telemetry::counter("wisdom.loaded");
-      Loaded.add();
+      telemetry::WisdomLoaded.add();
     }
   }
   return true;
@@ -237,24 +234,21 @@ bool PlanCache::save(const std::string &Path) const {
 
 std::optional<std::vector<PlanEntry>> PlanCache::lookup(const PlanKey &K) const {
   std::lock_guard<std::mutex> Lock(M);
-  static telemetry::Counter &Hits = telemetry::counter("wisdom.hits");
-  static telemetry::Counter &Misses = telemetry::counter("wisdom.misses");
   auto Hit = Plans.find(K.str());
   if (Hit == Plans.end() || Hit->second.empty()) {
     ++S.Misses;
-    Misses.add();
+    telemetry::WisdomMisses.add();
     return std::nullopt;
   }
   ++S.Hits;
-  Hits.add();
+  telemetry::WisdomHits.add();
   return Hit->second;
 }
 
 void PlanCache::insert(const PlanKey &K, std::vector<PlanEntry> Entries) {
   std::lock_guard<std::mutex> Lock(M);
   ++S.Inserts;
-  static telemetry::Counter &Inserts = telemetry::counter("wisdom.inserts");
-  Inserts.add();
+  telemetry::WisdomInserts.add();
   Plans[K.str()] = std::move(Entries);
 }
 

@@ -64,7 +64,7 @@ constexpr std::size_t kPayloadAlign = 64;
 enum class MsgType : std::uint16_t {
   PlanReq = 1,     ///< PlanRequest: materialize (or memo-hit) a plan.
   ExecuteReq = 2,  ///< ExecuteRequest: run a batch through a plan.
-  StatsReq = 3,    ///< Scrape the telemetry registry as JSON.
+  StatsReq = 3,    ///< Scrape the telemetry catalogue as JSON.
   PingReq = 4,     ///< Liveness/latency probe, no body.
   ShutdownReq = 5, ///< Ask the daemon to drain and exit.
 
@@ -322,7 +322,7 @@ template <class Prefix> struct WholeBody : Prefix {
 using ExecuteRequest = WholeBody<ExecuteRequestPrefix>;
 using ExecuteResponse = WholeBody<ExecuteResponsePrefix>;
 
-/// StatsResp body: the telemetry registry rendered by metricsJson(), plus
+/// StatsResp body: the metric catalogue rendered by metricsJson(), plus
 /// the daemon's own identity line.
 struct StatsResponse {
   std::string Json;

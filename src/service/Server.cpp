@@ -28,18 +28,6 @@ using telemetry::jsonEscape;
 Server::Server(ServerOptions OptsIn)
     : Opts(std::move(OptsIn)), ThePlanner(Diags, Opts.Planner),
       Registry(ThePlanner) {
-  // Pre-register the spld instrument set so a stats scrape of an idle
-  // daemon still shows the full catalogue as zeros.
-  for (const char *Name :
-       {"spld.connections", "spld.requests", "spld.plan_requests",
-        "spld.execute_requests", "spld.stats_requests", "spld.rejected.busy",
-        "spld.rejected.too_large", "spld.deadline_exceeded", "spld.errors"})
-    telemetry::counter(Name);
-  telemetry::gauge("spld.inflight");
-  telemetry::gauge("spld.active_connections");
-  for (const char *Name : {"spld.plan_ns", "spld.execute_ns", "spld.read_ns",
-                           "spld.queue_ns", "spld.decode_ns", "spld.reply_ns"})
-    telemetry::histogram(Name);
   // The compile breaker is process-wide (one compiler, one breaker); the
   // daemon is the one deployment where overload protection should be on by
   // default, so spld's CLI passes a non-zero threshold here.
@@ -133,10 +121,6 @@ void Server::reapConns(bool All) {
 }
 
 void Server::acceptLoop() {
-  static telemetry::Counter &ConnsTotal =
-      telemetry::counter("spld.connections");
-  static telemetry::Gauge &Active =
-      telemetry::gauge("spld.active_connections");
   bool AcceptErrorLogged = false;
   while (Running.load()) {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
@@ -165,8 +149,8 @@ void Server::acceptLoop() {
       std::lock_guard<std::mutex> Lock(ConnsM);
       Conns.push_back(C);
     }
-    ConnsTotal.add();
-    Active.add(1);
+    telemetry::SpldConnections.add();
+    telemetry::SpldActiveConnections.set(++LiveConns);
     count(&Stats::Connections);
     C->Reader = std::thread([this, C] { connLoop(C); });
   }
@@ -180,27 +164,21 @@ bool Server::sendFrame(Conn &C, MsgType Type, std::uint32_t RequestId,
 
 void Server::sendError(Conn &C, std::uint32_t RequestId, Status Code,
                        const std::string &Message) {
-  static telemetry::Counter &Errors = telemetry::counter("spld.errors");
-  static telemetry::Counter &Busy = telemetry::counter("spld.rejected.busy");
-  static telemetry::Counter &TooLarge =
-      telemetry::counter("spld.rejected.too_large");
-  static telemetry::Counter &DeadlineHit =
-      telemetry::counter("spld.deadline_exceeded");
   switch (Code) {
   case Status::Busy:
-    Busy.add();
+    telemetry::SpldRejectedBusy.add();
     count(&Stats::RejectedBusy);
     break;
   case Status::TooLarge:
-    TooLarge.add();
+    telemetry::SpldRejectedTooLarge.add();
     count(&Stats::RejectedTooLarge);
     break;
   case Status::DeadlineExceeded:
-    DeadlineHit.add();
+    telemetry::SpldDeadlineExceeded.add();
     count(&Stats::RejectedDeadline);
     break;
   default:
-    Errors.add();
+    telemetry::SpldErrors.add();
     count(&Stats::Errors);
     break;
   }
@@ -211,7 +189,6 @@ void Server::sendError(Conn &C, std::uint32_t RequestId, Status Code,
 }
 
 bool Server::admit(Conn &C, std::uint32_t RequestId) {
-  static telemetry::Gauge &Inflight = telemetry::gauge("spld.inflight");
   if (ShutdownFlag.load()) {
     sendError(C, RequestId, Status::ShuttingDown,
               "daemon is draining; no new work accepted");
@@ -234,7 +211,7 @@ bool Server::admit(Conn &C, std::uint32_t RequestId) {
                   std::to_string(Opts.PerClientInflight) + " in flight)");
     return false;
   }
-  Inflight.add(1);
+  telemetry::SpldInflight.set(GlobalInflight.load(std::memory_order_relaxed));
   return true;
 }
 
@@ -300,23 +277,21 @@ Server::acquirePlan(Conn &C, std::uint32_t RequestId, const WireSpec &WS,
 
 void Server::serve(Conn &C, Frame &F, const support::Deadline &DL,
                    std::uint64_t AdmitNs) {
-  static telemetry::Gauge &Inflight = telemetry::gauge("spld.inflight");
-  static telemetry::Histogram &QueueNs = telemetry::histogram("spld.queue_ns");
   // Releases the admission however the handler exits. The last job of a
   // connection wakes its reader if it is waiting to tear down.
   struct Release {
     std::atomic<int> &Global;
     Conn &C;
     ~Release() {
-      Global.fetch_sub(1, std::memory_order_relaxed);
-      Inflight.add(-1);
+      telemetry::SpldInflight.set(
+          Global.fetch_sub(1, std::memory_order_relaxed) - 1);
       std::lock_guard<std::mutex> Lock(C.M);
       if (C.Inflight.fetch_sub(1, std::memory_order_relaxed) == 1)
         C.Idle.notify_all();
     }
   } Guard{GlobalInflight, C};
   if (AdmitNs)
-    QueueNs.record(telemetry::traceNowNs() - AdmitNs);
+    telemetry::SpldQueueNs.record(telemetry::traceNowNs() - AdmitNs);
   // Aged out in the pool queue: answer typed before any stage timer, so an
   // expired request never consumes (or shows up as) plan or execute time
   // (the overload bench asserts the spld.execute_ns sample count stays
@@ -333,15 +308,11 @@ void Server::serve(Conn &C, Frame &F, const support::Deadline &DL,
 }
 
 void Server::handlePlan(Conn &C, Frame &F, const support::Deadline &DL) {
-  static telemetry::Histogram &PlanNs = telemetry::histogram("spld.plan_ns");
-  static telemetry::Histogram &DecodeNs =
-      telemetry::histogram("spld.decode_ns");
-  static telemetry::Histogram &ReplyNs = telemetry::histogram("spld.reply_ns");
-  telemetry::StageTimer T("spld.plan", &PlanNs);
+  telemetry::StageTimer T(telemetry::SpldPlanNs);
 
   PlanRequest Req;
   const bool Decoded = [&] {
-    telemetry::StageTimer D("spld.decode", &DecodeNs);
+    telemetry::StageTimer D(telemetry::SpldDecodeNs);
     return PlanRequest::decode(F.Body.data(), F.Body.size(), Req);
   }();
   C.giveSpare(C.SpareReq, std::move(F.Body));
@@ -354,7 +325,7 @@ void Server::handlePlan(Conn &C, Frame &F, const support::Deadline &DL) {
   if (!P)
     return;
   count(&Stats::Plans);
-  telemetry::StageTimer R("spld.reply", &ReplyNs);
+  telemetry::StageTimer R(telemetry::SpldReplyNs);
   PlanResponse Resp;
   Resp.Key = P->spec().key();
   Resp.Backend = runtime::backendName(P->backend());
@@ -367,19 +338,14 @@ void Server::handlePlan(Conn &C, Frame &F, const support::Deadline &DL) {
 }
 
 void Server::handleExecute(Conn &C, Frame &F, const support::Deadline &DL) {
-  static telemetry::Histogram &ExecNs =
-      telemetry::histogram("spld.execute_ns");
-  static telemetry::Histogram &DecodeNs =
-      telemetry::histogram("spld.decode_ns");
-  static telemetry::Histogram &ReplyNs = telemetry::histogram("spld.reply_ns");
-  telemetry::StageTimer T("spld.execute", &ExecNs);
+  telemetry::StageTimer T(telemetry::SpldExecuteNs);
 
   // X is a view into the received body, never a copy. FrameBuffer bodies
   // and payload offsets are both kPayloadAlign-aligned; the check guards
   // that invariant.
   ExecuteRequestPrefix Req;
   const std::size_t Off = [&] {
-    telemetry::StageTimer D("spld.decode", &DecodeNs);
+    telemetry::StageTimer D(telemetry::SpldDecodeNs);
     return Req.decodePrefix(F.Body.data(), F.Body.size(), F.Body.size());
   }();
   const auto *X = reinterpret_cast<const double *>(F.Body.data() + Off);
@@ -430,7 +396,7 @@ void Server::handleExecute(Conn &C, Frame &F, const support::Deadline &DL) {
                   P->spec().key() + "'");
   } else {
     count(&Stats::Executes);
-    telemetry::StageTimer R("spld.reply", &ReplyNs);
+    telemetry::StageTimer R(telemetry::SpldReplyNs);
     const std::vector<std::uint8_t> Prefix =
         ExecuteResponsePrefix{Req.Count, Len}.encodePrefix(N);
     std::memcpy(Out.data(), Prefix.data(), kExecuteRespPrefixBytes);
@@ -440,9 +406,7 @@ void Server::handleExecute(Conn &C, Frame &F, const support::Deadline &DL) {
 }
 
 void Server::handleStats(Conn &C, std::uint32_t RequestId) {
-  static telemetry::Counter &StatsReqs =
-      telemetry::counter("spld.stats_requests");
-  StatsReqs.add();
+  telemetry::SpldStatsRequests.add();
   Stats Snap = stats();
   auto RS = Registry.stats();
   std::ostringstream SS;
@@ -468,20 +432,12 @@ void Server::handleStats(Conn &C, std::uint32_t RequestId) {
 }
 
 void Server::connLoop(std::shared_ptr<Conn> C) {
-  static telemetry::Counter &Requests = telemetry::counter("spld.requests");
-  static telemetry::Counter &PlanReqs =
-      telemetry::counter("spld.plan_requests");
-  static telemetry::Counter &ExecReqs =
-      telemetry::counter("spld.execute_requests");
-  static telemetry::Gauge &Active =
-      telemetry::gauge("spld.active_connections");
-  static telemetry::Histogram &ReadNs = telemetry::histogram("spld.read_ns");
   while (true) {
     Frame F;
     FrameHeader H;
     IoStatus St = readHeader(C->Fd, H);
     if (St == IoStatus::Ok) {
-      telemetry::StageTimer T("spld.read", &ReadNs);
+      telemetry::StageTimer T(telemetry::SpldReadNs);
       F.Type = H.Type;
       F.RequestId = H.RequestId;
       F.Body = C->takeSpare(C->SpareReq);
@@ -497,7 +453,7 @@ void Server::connLoop(std::shared_ptr<Conn> C) {
                     std::to_string(kProtocolVersion) + " only)");
       break;
     }
-    Requests.add();
+    telemetry::SpldRequests.add();
     count(&Stats::Requests);
     if (St == IoStatus::TooBig) {
       sendError(*C, F.RequestId, Status::TooLarge,
@@ -524,7 +480,9 @@ void Server::connLoop(std::shared_ptr<Conn> C) {
     case MsgType::ExecuteReq: {
       if (!admit(*C, F.RequestId))
         break;
-      (F.Type == MsgType::PlanReq ? PlanReqs : ExecReqs).add();
+      (F.Type == MsgType::PlanReq ? telemetry::SpldPlanRequests
+                                  : telemetry::SpldExecuteRequests)
+          .add();
       // The deadline clock starts here, on the reader thread, so time
       // spent queued for a pool worker counts against the budget. That is
       // why DeadlineMs leads the body: it is read without a full decode (a
@@ -559,6 +517,6 @@ void Server::connLoop(std::shared_ptr<Conn> C) {
   // accept, and close() must stay with whoever joins this thread (fd-reuse
   // safety). shutdown() keeps the fd number allocated.
   ::shutdown(C->Fd, SHUT_RDWR);
-  Active.add(-1);
+  telemetry::SpldActiveConnections.set(--LiveConns);
   C->Done.store(true);
 }

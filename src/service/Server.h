@@ -17,7 +17,7 @@
 /// bounds — a server-wide in-flight cap and a per-client quota — and
 /// rejected with typed BUSY instead of queueing without bound. Oversized
 /// frames and transforms come back TOO_LARGE. Stats requests are answered
-/// inline (never queued) so the telemetry registry stays scrapeable even
+/// inline (never queued) so the metric catalogue stays scrapeable even
 /// when the pool is saturated.
 ///
 /// Degradation: the planner's native -> VM -> oracle chain (SPL_FAULT
@@ -210,7 +210,11 @@ private:
   std::thread Acceptor;
   std::atomic<bool> Running{false};
   std::atomic<bool> ShutdownFlag{false};
+  /// Admitted requests and open connections: the levels the SpldInflight
+  /// and SpldActiveConnections gauges are set from, so arming or disarming
+  /// metrics while they change cannot leave the gauges drifted.
   std::atomic<int> GlobalInflight{0};
+  std::atomic<int> LiveConns{0};
 
   mutable std::mutex ConnsM;
   std::vector<std::shared_ptr<Conn>> Conns;

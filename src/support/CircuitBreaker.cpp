@@ -14,29 +14,7 @@
 using namespace spl;
 using namespace spl::support;
 
-namespace {
-
-telemetry::Counter &tripsCounter() {
-  static telemetry::Counter &C = telemetry::counter("runtime.breaker.trips");
-  return C;
-}
-telemetry::Counter &openCounter() {
-  static telemetry::Counter &C = telemetry::counter("runtime.breaker.open");
-  return C;
-}
-telemetry::Counter &halfOpenCounter() {
-  static telemetry::Counter &C =
-      telemetry::counter("runtime.breaker.half_open");
-  return C;
-}
-
-} // namespace
-
 void CircuitBreaker::configure(int Threshold, std::int64_t CooldownMs) {
-  // Touch the counters so enabled processes report explicit zeros.
-  tripsCounter();
-  openCounter();
-  halfOpenCounter();
   std::lock_guard<std::mutex> Lock(M);
   ThresholdV = Threshold > 0 ? Threshold : 0;
   if (CooldownMs > 0)
@@ -74,7 +52,7 @@ bool CircuitBreaker::allow() {
                        Clock::now() - OpenedAt)
                        .count();
     if (Elapsed < CooldownMsV) {
-      openCounter().add();
+      telemetry::RuntimeBreakerOpen.add();
       return false;
     }
     St = State::HalfOpen;
@@ -85,11 +63,11 @@ bool CircuitBreaker::allow() {
     if (ProbeInFlight) {
       // One probe at a time: concurrent attempts fail fast until the
       // in-flight probe reports back.
-      openCounter().add();
+      telemetry::RuntimeBreakerOpen.add();
       return false;
     }
     ProbeInFlight = true;
-    halfOpenCounter().add();
+    telemetry::RuntimeBreakerHalfOpen.add();
     return true;
   }
   return true;
@@ -125,7 +103,7 @@ void CircuitBreaker::tripLocked() {
   St = State::Open;
   OpenedAt = Clock::now();
   ProbeInFlight = false;
-  tripsCounter().add();
+  telemetry::RuntimeBreakerTrips.add();
 }
 
 void CircuitBreaker::reset() {

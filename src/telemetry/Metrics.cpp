@@ -1,4 +1,4 @@
-//===- telemetry/Metrics.cpp - Process-wide metrics registry ------------------==//
+//===- telemetry/Metrics.cpp - Process-wide metric catalogue ------------------==//
 //
 // Part of the SPL reproduction project. MIT license.
 //
@@ -10,11 +10,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <sstream>
 
@@ -160,8 +159,8 @@ std::uint64_t HistogramSnapshot::quantile(double Q) const {
     return 0;
   Q = std::clamp(Q, 0.0, 1.0);
   // Rank of the requested sample, 1-based.
-  std::uint64_t Rank =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(Q * Count + 0.5));
+  std::uint64_t Rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(Q * static_cast<double>(Count))));
   Rank = std::min(Rank, Count);
   std::uint64_t Seen = 0;
   for (int I = 0; I != NumBuckets; ++I) {
@@ -173,63 +172,58 @@ std::uint64_t HistogramSnapshot::quantile(double Q) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Registry
+// The catalogue
 //===----------------------------------------------------------------------===//
 
-struct MetricsRegistry::Impl {
-  mutable std::mutex M;
-  // unique_ptr values give instruments stable addresses across rehash-free
-  // map growth; std::map keeps JSON/table output deterministically sorted.
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
+#define SPL_COUNTER(Id, Name) constinit Counter Id{Name};
+#define SPL_GAUGE(Id, Name) constinit Gauge Id{Name};
+#define SPL_HISTOGRAM(Id, Name) constinit Histogram Id{Name};
+#define SPL_STAGE(Id, Name, Span) constinit Histogram Id{Name, Span};
+#include "telemetry/Metrics.def"
+
+namespace {
+
+Counter *const Counters[] = {
+#define SPL_COUNTER(Id, Name) &Id,
+#include "telemetry/Metrics.def"
+};
+Gauge *const Gauges[] = {
+#define SPL_GAUGE(Id, Name) &Id,
+#include "telemetry/Metrics.def"
+};
+Histogram *const Histograms[] = {
+#define SPL_HISTOGRAM(Id, Name) &Id,
+#include "telemetry/Metrics.def"
 };
 
-MetricsRegistry &MetricsRegistry::instance() {
-  static MetricsRegistry R;
-  return R;
+template <typename T, std::size_t N>
+T &lookup(T *const (&All)[N], std::string_view Name, const char *Kind) {
+  for (T *I : All)
+    if (Name == I->name())
+      return *I;
+  std::fprintf(stderr, "telemetry: no %s named '%.*s' in Metrics.def\n", Kind,
+               static_cast<int>(Name.size()), Name.data());
+  std::abort();
 }
 
-MetricsRegistry::Impl &MetricsRegistry::impl() const {
-  static Impl I;
-  return I;
+} // namespace
+
+Counter &counter(std::string_view Name) {
+  return lookup(Counters, Name, "counter");
 }
 
-Counter &MetricsRegistry::counter(const std::string &Name) {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.M);
-  auto &Slot = I.Counters[Name];
-  if (!Slot)
-    Slot = std::make_unique<Counter>();
-  return *Slot;
+Gauge &gauge(std::string_view Name) { return lookup(Gauges, Name, "gauge"); }
+
+Histogram &histogram(std::string_view Name) {
+  return lookup(Histograms, Name, "histogram");
 }
 
-Gauge &MetricsRegistry::gauge(const std::string &Name) {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.M);
-  auto &Slot = I.Gauges[Name];
-  if (!Slot)
-    Slot = std::make_unique<Gauge>();
-  return *Slot;
-}
-
-Histogram &MetricsRegistry::histogram(const std::string &Name) {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.M);
-  auto &Slot = I.Histograms[Name];
-  if (!Slot)
-    Slot = std::make_unique<Histogram>();
-  return *Slot;
-}
-
-void MetricsRegistry::resetAll() {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.M);
-  for (auto &[_, C] : I.Counters)
+void resetAllMetrics() {
+  for (Counter *C : Counters)
     C->reset();
-  for (auto &[_, G] : I.Gauges)
+  for (Gauge *G : Gauges)
     G->reset();
-  for (auto &[_, H] : I.Histograms)
+  for (Histogram *H : Histograms)
     H->reset();
 }
 
@@ -298,109 +292,71 @@ std::string humanNs(double Ns) {
 
 } // namespace
 
-std::string MetricsRegistry::toJson() const {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.M);
+std::string metricsJson() {
   std::ostringstream OS;
   OS << "{\"counters\":{";
-  bool First = true;
-  for (const auto &[Name, C] : I.Counters) {
-    if (!First)
-      OS << ",";
-    First = false;
-    OS << "\"" << jsonEscape(Name) << "\":" << C->value();
+  const char *Sep = "";
+  for (const Counter *C : Counters) {
+    OS << Sep << "\"" << C->name() << "\":" << C->value();
+    Sep = ",";
   }
   OS << "},\"gauges\":{";
-  First = true;
-  for (const auto &[Name, G] : I.Gauges) {
-    if (!First)
-      OS << ",";
-    First = false;
-    OS << "\"" << jsonEscape(Name) << "\":" << G->value();
+  Sep = "";
+  for (const Gauge *G : Gauges) {
+    OS << Sep << "\"" << G->name() << "\":" << G->value();
+    Sep = ",";
   }
   OS << "},\"histograms\":{";
-  First = true;
-  for (const auto &[Name, H] : I.Histograms) {
-    if (!First)
-      OS << ",";
-    First = false;
-    OS << "\"" << jsonEscape(Name) << "\":";
+  Sep = "";
+  for (const Histogram *H : Histograms) {
+    OS << Sep << "\"" << H->name() << "\":";
     appendHistogramJson(OS, H->snapshot());
+    Sep = ",";
   }
   OS << "}}";
   return OS.str();
 }
 
-std::string MetricsRegistry::profileTable() const {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.M);
+std::string profileTable() {
   std::ostringstream OS;
   char Line[256];
   std::snprintf(Line, sizeof(Line), "%-26s %8s %10s %10s %10s %10s\n", "stage",
                 "count", "total", "p50", "p95", "p99");
   OS << Line;
-  for (const auto &[Name, H] : I.Histograms) {
+  for (const Histogram *H : Histograms) {
     HistogramSnapshot S = H->snapshot();
     if (S.Count == 0)
       continue;
     std::snprintf(Line, sizeof(Line), "%-26s %8llu %10s %10s %10s %10s\n",
-                  Name.c_str(), static_cast<unsigned long long>(S.Count),
+                  H->name(), static_cast<unsigned long long>(S.Count),
                   humanNs(static_cast<double>(S.Sum)).c_str(),
                   humanNs(static_cast<double>(S.p50())).c_str(),
                   humanNs(static_cast<double>(S.p95())).c_str(),
                   humanNs(static_cast<double>(S.p99())).c_str());
     OS << Line;
   }
-  bool Header = false;
-  for (const auto &[Name, C] : I.Counters) {
+  const char *Header = "\ncounters\n";
+  for (const Counter *C : Counters) {
     if (C->value() == 0)
       continue;
-    if (!Header) {
-      OS << "\ncounters\n";
-      Header = true;
-    }
-    std::snprintf(Line, sizeof(Line), "  %-28s %llu\n", Name.c_str(),
+    OS << Header;
+    Header = "";
+    std::snprintf(Line, sizeof(Line), "  %-28s %llu\n", C->name(),
                   static_cast<unsigned long long>(C->value()));
     OS << Line;
   }
-  Header = false;
-  for (const auto &[Name, G] : I.Gauges) {
+  Header = "\ngauges\n";
+  for (const Gauge *G : Gauges) {
     if (G->value() == 0)
       continue;
-    if (!Header) {
-      OS << "\ngauges\n";
-      Header = true;
-    }
-    std::snprintf(Line, sizeof(Line), "  %-28s %lld\n", Name.c_str(),
+    OS << Header;
+    Header = "";
+    std::snprintf(Line, sizeof(Line), "  %-28s %lld\n", G->name(),
                   static_cast<long long>(G->value()));
     OS << Line;
   }
   return OS.str();
 }
-
-//===----------------------------------------------------------------------===//
-// Free-function shorthands
-//===----------------------------------------------------------------------===//
-
-Counter &counter(const std::string &Name) {
-  return MetricsRegistry::instance().counter(Name);
-}
-
-Gauge &gauge(const std::string &Name) {
-  return MetricsRegistry::instance().gauge(Name);
-}
-
-Histogram &histogram(const std::string &Name) {
-  return MetricsRegistry::instance().histogram(Name);
-}
-
-std::string metricsJson() { return MetricsRegistry::instance().toJson(); }
-
-std::string profileTable() {
-  return MetricsRegistry::instance().profileTable();
-}
-
-void resetAllMetrics() { MetricsRegistry::instance().resetAll(); }
 
 bool dumpMetricsIfConfigured() {
   EnvConfig &C = envConfig();

@@ -1,4 +1,4 @@
-//===- telemetry/Metrics.h - Process-wide metrics registry ------*- C++ -*-==//
+//===- telemetry/Metrics.h - Process-wide metric catalogue ------*- C++ -*-==//
 //
 // Part of the SPL reproduction project. MIT license.
 //
@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Cross-layer metrics for the compile/search/execute pipeline: counters,
-/// gauges, and fixed-bucket latency histograms, collected in a process-wide
-/// registry and exportable as JSON (`splrun --stats-json`) or a per-stage
-/// profile table (`splc --profile`).
+/// gauges, and fixed-bucket latency histograms, declared once in the closed
+/// catalogue telemetry/Metrics.def and exportable as JSON
+/// (`splrun --stats-json`) or a per-stage profile table (`splc --profile`).
 ///
 /// The discipline mirrors support::FaultInjection: when telemetry is
 /// disarmed (the default), every instrumentation site costs exactly one
@@ -17,18 +17,15 @@
 /// (the tools arm on `--profile`/`--stats-json`) or through the environment:
 ///
 ///   SPL_METRICS=1        collect metrics (query via API / tool flags)
-///   SPL_METRICS=path     collect and dump registry JSON to `path` at exit
+///   SPL_METRICS=path     collect and dump the catalogue JSON to `path` at exit
 ///   SPL_TRACE=1 / path   same for spans (see telemetry/Trace.h)
 ///
-/// Instrumentation sites bind their instrument once and reuse it:
+/// Every catalogue line is a namespace-scope instrument, constant-
+/// initialized, so sites record into it directly from any thread:
 ///
 /// \code
-///   static telemetry::Counter &Hits = telemetry::counter("wisdom.hits");
-///   Hits.add();                       // one relaxed load when disarmed
+///   telemetry::WisdomHits.add();      // one relaxed load when disarmed
 /// \endcode
-///
-/// Registered instruments live for the life of the process (stable
-/// addresses), so the `static` reference is safe from any thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace spl::telemetry {
 
@@ -93,6 +90,9 @@ void setTracingEnabled(bool On);
 /// Monotonic event counter.
 class Counter {
 public:
+  constexpr Counter() = default;
+  constexpr explicit Counter(const char *Name) : Name(Name) {}
+
   /// Adds \p N when metrics are armed; a single relaxed load otherwise.
   void add(std::uint64_t N = 1) {
     if (metricsEnabled())
@@ -101,14 +101,19 @@ public:
 
   std::uint64_t value() const { return Value.load(std::memory_order_relaxed); }
   void reset() { Value.store(0, std::memory_order_relaxed); }
+  const char *name() const { return Name; }
 
 private:
+  const char *Name = nullptr; ///< Catalogue name; null for local instruments.
   std::atomic<std::uint64_t> Value{0};
 };
 
 /// Last-value gauge (e.g. live plan count).
 class Gauge {
 public:
+  constexpr Gauge() = default;
+  constexpr explicit Gauge(const char *Name) : Name(Name) {}
+
   void set(std::int64_t V) {
     if (metricsEnabled())
       Value.store(V, std::memory_order_relaxed);
@@ -120,8 +125,10 @@ public:
 
   std::int64_t value() const { return Value.load(std::memory_order_relaxed); }
   void reset() { Value.store(0, std::memory_order_relaxed); }
+  const char *name() const { return Name; }
 
 private:
+  const char *Name = nullptr;
   std::atomic<std::int64_t> Value{0};
 };
 
@@ -160,6 +167,12 @@ class Histogram {
 public:
   static constexpr int NumBuckets = HistogramSnapshot::NumBuckets;
 
+  constexpr Histogram() = default;
+  /// \p Span, when set, is the trace span a StageTimer on this histogram
+  /// records (a string literal; SPL_STAGE lines in Metrics.def).
+  constexpr explicit Histogram(const char *Name, const char *Span = nullptr)
+      : Name(Name), Span(Span) {}
+
   /// Records \p Sample when metrics are armed; one relaxed load otherwise.
   void record(std::uint64_t Sample) {
     if (metricsEnabled())
@@ -171,12 +184,16 @@ public:
 
   HistogramSnapshot snapshot() const;
   void reset();
+  const char *name() const { return Name; }
+  const char *span() const { return Span; }
 
   /// Bucket index for \p Sample: 0 for 0, else bit_width(Sample) clamped to
   /// the last bucket.
   static int bucketIndex(std::uint64_t Sample);
 
 private:
+  const char *Name = nullptr;
+  const char *Span = nullptr;
   std::atomic<std::uint64_t> Count{0};
   std::atomic<std::uint64_t> Sum{0};
   std::atomic<std::uint64_t> Min{UINT64_MAX};
@@ -185,50 +202,35 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Registry
+// The catalogue
 //===----------------------------------------------------------------------===//
 
-/// Named-instrument registry. Lookup is mutex-guarded (sites bind once into
-/// a static reference, so the lock is off every hot path); instruments are
-/// never deleted, so returned references stay valid for the process life.
-class MetricsRegistry {
-public:
-  static MetricsRegistry &instance();
+#define SPL_COUNTER(Id, Name) extern Counter Id;
+#define SPL_GAUGE(Id, Name) extern Gauge Id;
+#define SPL_HISTOGRAM(Id, Name) extern Histogram Id;
+#include "telemetry/Metrics.def"
 
-  Counter &counter(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
-  Histogram &histogram(const std::string &Name);
-
-  /// Zeroes every registered instrument (tests; tool reruns).
-  void resetAll();
-
-  /// Full registry as a JSON object: {"counters":{...},"gauges":{...},
-  /// "histograms":{name:{count,sum,min,max,p50,p95,p99,buckets:[[lo,n]..]}}}.
-  /// Zero-valued counters are included — absence means "never registered".
-  std::string toJson() const;
-
-  /// Human-readable per-stage table for `splc --profile`: histograms first
-  /// (count/total/p50/p95/p99), then nonzero counters and gauges.
-  std::string profileTable() const;
-
-private:
-  MetricsRegistry() = default;
-  struct Impl;
-  Impl &impl() const;
-};
-
-/// Convenience lookups against the process registry.
-Counter &counter(const std::string &Name);
-Gauge &gauge(const std::string &Name);
-Histogram &histogram(const std::string &Name);
+/// The catalogue instrument named \p Name, for readers that only know the
+/// name (benches, tests). An unknown name is a programming error: it prints
+/// the name and aborts.
+Counter &counter(std::string_view Name);
+Gauge &gauge(std::string_view Name);
+Histogram &histogram(std::string_view Name);
 
 /// Minimal JSON string escape for names, paths and diagnostics embedded in
 /// JSON documents.
 std::string jsonEscape(const std::string &S);
 
-/// instance().toJson() / profileTable() / resetAll() shorthands.
+/// The whole catalogue as one JSON object, every entry included (zeros too):
+/// {"counters":{...},"gauges":{...},
+///  "histograms":{name:{count,sum,min,max,p50,p95,p99,buckets:[[lo,n]..]}}}.
 std::string metricsJson();
+
+/// Human-readable per-stage table for `splc --profile`: histograms with
+/// samples (count/total/p50/p95/p99), then nonzero counters and gauges.
 std::string profileTable();
+
+/// Zeroes every catalogue instrument (tests; tool reruns).
 void resetAllMetrics();
 
 /// If SPL_METRICS was set to a path, writes metricsJson() there now (also

@@ -99,16 +99,17 @@ private:
 /// when fully disarmed.
 class StageTimer {
 public:
-  /// \p Name is the span name; \p Hist (nullable) receives the duration in
-  /// nanoseconds when metrics are armed.
-  StageTimer(const char *Name, Histogram *Hist) {
+  /// \p Stage (an SPL_STAGE entry of Metrics.def) receives the duration in
+  /// nanoseconds when metrics are armed; its span name is traced when
+  /// tracing is armed.
+  explicit StageTimer(Histogram &Stage) {
     unsigned M = armedMask();
     if (M == 0)
       return;
     if (M & kTrace)
-      this->Name = Name;
+      Name = Stage.span();
     if (M & kMetrics)
-      this->Hist = Hist;
+      Hist = &Stage;
     StartNs = traceNowNs();
   }
   ~StageTimer() {

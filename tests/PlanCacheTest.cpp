@@ -201,7 +201,7 @@ TEST(PlanCache, CorruptLinesAreSkippedWithDiagnostics) {
         << search::PlanCache::hostFingerprint() << " 0 1.5 |\n";
   }
 
-  // The skips must also surface in the telemetry registry (corrupt lines
+  // The skips must also surface in the metric catalogue (corrupt lines
   // used to be invisible to metrics).
   telemetry::setMetricsEnabled(true);
   telemetry::resetAllMetrics();

@@ -254,7 +254,7 @@ TEST_F(ServiceTest, PingAndStats) {
 
   auto Json = C.stats();
   ASSERT_TRUE(Json) << C.lastError();
-  // The daemon's own identity plus the process telemetry registry.
+  // The daemon's own identity plus the process metric catalogue.
   EXPECT_NE(Json->find("\"server\""), std::string::npos);
   EXPECT_NE(Json->find("\"socket\""), std::string::npos);
   EXPECT_NE(Json->find("\"metrics\""), std::string::npos);
@@ -888,6 +888,41 @@ TEST_F(ServiceTest, DisconnectWithRequestInFlightTearsDownPromptly) {
   std::sort(GapUs.begin(), GapUs.end());
   EXPECT_LT(GapUs[GapUs.size() / 2], 250.0)
       << "median reply-to-hang-up gap; max " << GapUs.back() << " us";
+}
+
+TEST_F(ServiceTest, ConnectionGaugeSurvivesArmingToggles) {
+  // spld.active_connections is set from the server's live-connection count,
+  // so a connection opened and closed on different sides of an arming toggle
+  // leaves no +1 or -1 behind: the next change reports the true level.
+  startServer();
+  auto OpenAndClose = [&](bool ArmedAtOpen, bool ArmedAtClose) {
+    telemetry::setMetricsEnabled(ArmedAtOpen);
+    std::string Err;
+    int Fd = connectUnix(Path, Err);
+    ASSERT_GE(Fd, 0) << Err;
+    Frame F;
+    // A ping answer proves the acceptor has counted the connection.
+    ASSERT_TRUE(writeFrame(Fd, MsgType::PingReq, 1, {}));
+    ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
+    telemetry::setMetricsEnabled(ArmedAtClose);
+    ::shutdown(Fd, SHUT_WR);
+    // The hang-up arrives as the reader tears down; give its last step
+    // time to run before arming changes again.
+    ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Closed);
+    ::close(Fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  auto Active = [] {
+    return telemetry::gauge("spld.active_connections").value();
+  };
+  for (bool ArmedAtOpen : {true, false}) {
+    telemetry::resetAllMetrics(); // Each order starts from a true zero.
+    OpenAndClose(ArmedAtOpen, !ArmedAtOpen);
+    OpenAndClose(true, true); // The next change, fully armed.
+    for (int I = 0; I != 200 && Active() != 0; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(Active(), 0) << "armed at open: " << ArmedAtOpen;
+  }
 }
 
 TEST_F(ServiceTest, DegradesUnderInjectedFaultInsteadOfFailing) {

@@ -7,8 +7,9 @@
 /// \file
 /// Tests for the telemetry subsystem: the armed mask, counter/gauge
 /// disarmed no-ops, histogram edge cases (empty, single sample, saturating
-/// overflow bucket, 8-thread concurrent recording), registry JSON shape,
-/// the span tracer ring, and the StageTimer stage instrument.
+/// overflow bucket, 8-thread concurrent recording, quantile rank), the
+/// metric catalogue (names, JSON shape, reset, profile table, lookups), the
+/// span tracer ring, and the StageTimer stage instrument.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -163,6 +167,19 @@ TEST(Histogram, SaturatingOverflowBucket) {
       UINT64_MAX);
 }
 
+TEST(Histogram, QuantileRankIsTheCeilingOfQTimesCount) {
+  ArmedScope Armed;
+  telemetry::Histogram H;
+  // One sample in each of buckets 1..31: sample k lands in bucket k.
+  for (int I = 0; I != 31; ++I)
+    H.record(std::uint64_t(1) << I);
+  telemetry::HistogramSnapshot S = H.snapshot();
+  // p95 of 31 samples is the ceil(0.95 * 31) = 30th sample, not the 29th.
+  EXPECT_EQ(S.p95(), telemetry::HistogramSnapshot::bucketUpperBound(30));
+  EXPECT_EQ(S.p50(), telemetry::HistogramSnapshot::bucketUpperBound(16));
+  EXPECT_EQ(S.quantile(1.0), S.Max);
+}
+
 TEST(Histogram, ConcurrentRecordingFromEightThreads) {
   ArmedScope Armed;
   telemetry::Histogram H;
@@ -190,50 +207,108 @@ TEST(Histogram, ConcurrentRecordingFromEightThreads) {
   EXPECT_EQ(BucketTotal, S.Count);
 }
 
-TEST(Registry, InstrumentsHaveStableIdentity) {
-  telemetry::Counter &A = telemetry::counter("test.registry.stable");
-  telemetry::Counter &B = telemetry::counter("test.registry.stable");
-  EXPECT_EQ(&A, &B);
-  EXPECT_NE(&A, &telemetry::counter("test.registry.other"));
+/// Every catalogue line as (kind, metric name), in file order.
+struct CatalogueEntry {
+  const char *Kind;
+  const char *Name;
+};
+const CatalogueEntry Catalogue[] = {
+#define SPL_COUNTER(Id, Name) {"counters", Name},
+#define SPL_GAUGE(Id, Name) {"gauges", Name},
+#define SPL_HISTOGRAM(Id, Name) {"histograms", Name},
+#include "telemetry/Metrics.def"
+};
+
+TEST(Catalogue, NamesAreUniqueSortedAndDottedLowercase) {
+  std::set<std::string> Seen;
+  std::string Prev;
+  for (const CatalogueEntry &E : Catalogue) {
+    const std::string Name = E.Name;
+    EXPECT_TRUE(Seen.insert(Name).second) << "duplicate " << Name;
+    EXPECT_LT(Prev, Name) << "Metrics.def is not sorted at " << Name;
+    Prev = Name;
+    // Lowercase words of [a-z0-9_] joined by single dots, at least two.
+    bool WordStart = true, Dotted = false;
+    for (char C : Name) {
+      if (C == '.') {
+        EXPECT_FALSE(WordStart) << "empty word in " << Name;
+        WordStart = Dotted = true;
+        continue;
+      }
+      EXPECT_TRUE(std::islower(static_cast<unsigned char>(C)) ||
+                  std::isdigit(static_cast<unsigned char>(C)) || C == '_')
+          << "bad character in " << Name;
+      WordStart = false;
+    }
+    EXPECT_TRUE(Dotted && !WordStart) << "not dotted: " << Name;
+  }
 }
 
-TEST(Registry, JsonShape) {
+TEST(Catalogue, FreshJsonListsEveryEntryAsZero) {
+  telemetry::resetAllMetrics();
+  const std::string J = telemetry::metricsJson();
+  for (const CatalogueEntry &E : Catalogue) {
+    const std::string Key = "\"" + std::string(E.Name) + "\":";
+    const std::string Zero =
+        std::string(E.Kind) == "histograms" ? "{\"count\":0," : "0";
+    auto Pos = J.find(Key);
+    ASSERT_NE(Pos, std::string::npos) << E.Name << " missing from " << J;
+    EXPECT_EQ(J.compare(Pos + Key.size(), Zero.size(), Zero), 0) << E.Name;
+    // Each entry sits in its kind's object.
+    EXPECT_LT(J.find("\"" + std::string(E.Kind) + "\":{"), Pos) << E.Name;
+  }
+}
+
+TEST(Catalogue, LookupByNameReturnsTheCatalogueObject) {
+  EXPECT_EQ(&telemetry::counter("wisdom.hits"), &telemetry::WisdomHits);
+  EXPECT_EQ(&telemetry::gauge("registry.plans"), &telemetry::RegistryPlans);
+  EXPECT_EQ(&telemetry::histogram("plan.total_ns"), &telemetry::PlanTotalNs);
+  EXPECT_STREQ(telemetry::PlanTotalNs.span(), "plan");
+  EXPECT_EQ(telemetry::RuntimeExecuteNs.span(), nullptr);
+}
+
+TEST(CatalogueDeathTest, UnknownNameIsFatal) {
+  EXPECT_DEATH(telemetry::counter("no.such.counter"), "no.such.counter");
+  EXPECT_DEATH(telemetry::gauge("wisdom.hits"), "no gauge named 'wisdom.hits'");
+  EXPECT_DEATH(telemetry::histogram("no.such_ns"), "no.such_ns");
+}
+
+TEST(Catalogue, JsonShape) {
   ArmedScope Armed;
-  telemetry::counter("test.json.counter").add(3);
-  telemetry::gauge("test.json.gauge").set(-5);
-  telemetry::histogram("test.json.hist").record(100);
+  telemetry::WisdomHits.add(3);
+  telemetry::RegistryPlans.set(-5);
+  telemetry::RuntimeExecuteNs.record(100);
 
   std::string J = telemetry::metricsJson();
   EXPECT_NE(J.find("\"counters\":{"), std::string::npos);
-  EXPECT_NE(J.find("\"test.json.counter\":3"), std::string::npos);
-  EXPECT_NE(J.find("\"test.json.gauge\":-5"), std::string::npos);
-  EXPECT_NE(J.find("\"test.json.hist\":{\"count\":1"), std::string::npos);
+  EXPECT_NE(J.find("\"wisdom.hits\":3"), std::string::npos);
+  EXPECT_NE(J.find("\"registry.plans\":-5"), std::string::npos);
+  EXPECT_NE(J.find("\"runtime.execute_ns\":{\"count\":1"), std::string::npos);
   // Histogram buckets serialize as [lower_bound, count] pairs.
   EXPECT_NE(J.find("\"buckets\":[[64,1]]"), std::string::npos);
 }
 
-TEST(Registry, ResetAllZeroesEverything) {
+TEST(Catalogue, ResetAllZeroesEverything) {
   ArmedScope Armed;
-  telemetry::Counter &C = telemetry::counter("test.reset.counter");
-  telemetry::Histogram &H = telemetry::histogram("test.reset.hist");
-  C.add(9);
-  H.record(9);
+  telemetry::SearchDpHits.add(9);
+  telemetry::SpldInflight.set(9);
+  telemetry::PlanSearchNs.record(9);
   telemetry::resetAllMetrics();
-  EXPECT_EQ(C.value(), 0u);
-  EXPECT_EQ(H.snapshot().Count, 0u);
+  EXPECT_EQ(telemetry::SearchDpHits.value(), 0u);
+  EXPECT_EQ(telemetry::SpldInflight.value(), 0);
+  EXPECT_EQ(telemetry::PlanSearchNs.snapshot().Count, 0u);
 }
 
-TEST(Registry, ProfileTableListsActiveHistograms) {
+TEST(Catalogue, ProfileTableListsActiveHistograms) {
   ArmedScope Armed;
-  telemetry::histogram("test.profile.stage_ns").record(2048);
-  telemetry::counter("test.profile.events").add(4);
+  telemetry::CompileParseNs.record(2048);
+  telemetry::SearchDpHits.add(4);
   std::string Table = telemetry::profileTable();
-  EXPECT_NE(Table.find("test.profile.stage_ns"), std::string::npos);
-  EXPECT_NE(Table.find("test.profile.events"), std::string::npos);
-  // Zero-count histograms stay out of the table.
-  telemetry::histogram("test.profile.silent_ns");
-  EXPECT_EQ(telemetry::profileTable().find("test.profile.silent_ns"),
-            std::string::npos);
+  EXPECT_NE(Table.find("compile.parse_ns"), std::string::npos);
+  EXPECT_NE(Table.find("search.dp_hits"), std::string::npos);
+  // Zero-count histograms and zero counters stay out of the table.
+  EXPECT_EQ(Table.find("compile.expand_ns"), std::string::npos);
+  EXPECT_EQ(Table.find("wisdom.hits"), std::string::npos);
 }
 
 TEST(Tracer, DisarmedSpanRecordsNothing) {
@@ -278,19 +353,27 @@ TEST(Tracer, RingKeepsOnlyTheNewestCapacityEvents) {
 
 TEST(StageTimer, RecordsBothHistogramAndSpan) {
   ArmedScope Armed(/*Metrics=*/true, /*Trace=*/true);
-  telemetry::Histogram H;
-  { telemetry::StageTimer T("stage-under-test", &H); }
-  EXPECT_EQ(H.snapshot().Count, 1u);
-  EXPECT_NE(telemetry::traceJson().find("stage-under-test"),
+  { telemetry::StageTimer T(telemetry::CompileOptimizeNs); }
+  EXPECT_EQ(telemetry::CompileOptimizeNs.snapshot().Count, 1u);
+  EXPECT_NE(telemetry::traceJson().find("\"name\":\"optimize\""),
             std::string::npos);
+}
+
+TEST(StageTimer, MetricsOnlyRecordsNoSpan) {
+  ArmedScope Armed(/*Metrics=*/true, /*Trace=*/false);
+  telemetry::resetTrace();
+  telemetry::Histogram H("test.stage_ns", "stage-under-test");
+  { telemetry::StageTimer T(H); }
+  EXPECT_EQ(H.snapshot().Count, 1u);
+  EXPECT_EQ(telemetry::Tracer::instance().recorded(), 0u);
 }
 
 TEST(StageTimer, FullyDisarmedIsSilent) {
   telemetry::setMetricsEnabled(false);
   telemetry::setTracingEnabled(false);
   telemetry::resetTrace();
-  telemetry::Histogram H;
-  { telemetry::StageTimer T("silent-stage", &H); }
+  telemetry::Histogram H("test.silent_ns", "silent-stage");
+  { telemetry::StageTimer T(H); }
   EXPECT_EQ(H.snapshot().Count, 0u);
   EXPECT_EQ(telemetry::Tracer::instance().recorded(), 0u);
 }

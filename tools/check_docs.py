@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sanity-check the project's Markdown docs.
 
-Two checks over README.md and docs/*.md:
+Three checks over README.md and docs/*.md:
 
 1. Every fenced code block must have balanced (), [] and {} after
    comment text is stripped. This catches the usual documentation rot:
@@ -14,6 +14,11 @@ Two checks over README.md and docs/*.md:
    catches the other kind of rot: a renamed doc or section leaving
    dangling cross-references. Absolute URLs (http/https/mailto) and
    links inside fenced blocks are skipped.
+
+3. The metric catalogue and its reference agree: every instrument in
+   src/telemetry/Metrics.def has a row in the matching Counters, Gauges
+   or Histograms table of docs/OBSERVABILITY.md, and every row there
+   names an instrument of that kind.
 
 Comment syntax is chosen per fence info string:
   lisp/spl   ';' to end of line
@@ -49,6 +54,17 @@ COMMENT_MARKERS = {
 # both should resolve. Targets with spaces or nested parens don't occur in
 # these docs, so the simple non-greedy form is enough.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# Metrics.def lines: SPL_COUNTER(Id, "name"), SPL_STAGE(Id, "name", "span").
+METRIC_RE = re.compile(r'^SPL_(COUNTER|GAUGE|HISTOGRAM|STAGE)\(\w+, "([^"]+)"')
+METRIC_KINDS = {
+    "COUNTER": "Counters",
+    "GAUGE": "Gauges",
+    "HISTOGRAM": "Histograms",
+    "STAGE": "Histograms",
+}
+# A reference row: | `name` | ...
+ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
 def strip_comments(line, markers):
@@ -174,6 +190,39 @@ def check_file(path):
     return blocks, links, errors
 
 
+def check_metrics(def_path, doc_path):
+    """Compare Metrics.def with the ### Counters/Gauges/Histograms tables."""
+    declared = set()
+    with open(def_path, encoding="utf-8") as f:
+        for line in f:
+            m = METRIC_RE.match(line)
+            if m:
+                declared.add((METRIC_KINDS[m.group(1)], m.group(2)))
+    documented = {}
+    table = None
+    with open(doc_path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.startswith("#"):
+                title = line.lstrip("#").strip()
+                table = title if title in METRIC_KINDS.values() else None
+                continue
+            m = ROW_RE.match(line)
+            if table and m:
+                documented[(table, m.group(1))] = lineno
+    errors = []
+    for kind, name in sorted(declared - set(documented)):
+        errors.append(
+            "%s: %s has no row in the %s table of %s"
+            % (def_path, name, kind, doc_path)
+        )
+    for kind, name in sorted(set(documented) - declared):
+        errors.append(
+            "%s:%d: %s is not one of the %s in %s"
+            % (doc_path, documented[(kind, name)], name, kind.lower(), def_path)
+        )
+    return errors
+
+
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = [os.path.join(root, "README.md")] + sorted(
@@ -191,6 +240,10 @@ def main():
         total_links += len(links)
         all_errors += errors
         all_errors += check_links(path, links, anchor_cache)
+    all_errors += check_metrics(
+        os.path.join(root, "src", "telemetry", "Metrics.def"),
+        os.path.join(root, "docs", "OBSERVABILITY.md"),
+    )
     for e in all_errors:
         print(e, file=sys.stderr)
     print(

@@ -9,7 +9,7 @@
 /// Unix-domain socket (see docs/SERVICE.md). One process owns the plan
 /// registry, compiled kernels, and wisdom store for every connected client;
 /// requests run on a worker pool behind admission control, and the
-/// telemetry registry is scrapeable through the protocol's stats request.
+/// metric catalogue is scrapeable through the protocol's stats request.
 ///
 ///   spld --socket /tmp/spld.sock [--workers 8] [--max-inflight 64]
 ///     --socket <path>        Unix socket to listen on (required)

@@ -49,7 +49,7 @@
 ///     --verify              cross-check backends, a dense oracle, and
 ///                           thread counts
 ///     --stats               plan, wisdom and registry details on stderr
-///     --stats-json <file>   dump the telemetry metrics registry as JSON
+///     --stats-json <file>   dump the telemetry metric catalogue as JSON
 ///     --trace-json <file>   dump pipeline spans as chrome://tracing JSON
 ///     --version             print version, build date and compiler
 ///
