@@ -6,6 +6,7 @@
 
 #include "runtime/Plan.h"
 
+#include "ir/Transforms.h"
 #include "telemetry/Trace.h"
 #include "transforms/Registry.h"
 
@@ -101,8 +102,8 @@ std::unique_ptr<Plan::ExecCtx> Plan::acquireCtx() {
   auto Ctx = std::make_unique<ExecCtx>();
   if (Resolved == Backend::VM)
     Ctx->VM = std::make_unique<vm::Executor>(Final);
-  Ctx->StageX.resize(static_cast<std::size_t>(KernelLen) * Lanes);
-  Ctx->StageY.resize(static_cast<std::size_t>(KernelLen) * Lanes);
+  Ctx->StageX.resize(static_cast<std::size_t>(IOLen) * Lanes);
+  Ctx->StageY.resize(static_cast<std::size_t>(IOLen) * Lanes);
   return Ctx;
 }
 
@@ -146,6 +147,44 @@ void Plan::runKernel(ExecCtx &Ctx, double *KY, const double *KX) {
     applyOracle(KY, KX);
 }
 
+std::vector<double> spl::runtime::splitTwiddles(std::int64_t N) {
+  std::vector<double> Tw;
+  for (std::int64_t K = 0; K <= N / 4; ++K) {
+    const Cplx W = wRoot(N, K);
+    Tw.push_back(W.real());
+    Tw.push_back(W.imag());
+  }
+  return Tw;
+}
+
+void spl::runtime::splitHalfComplex(double *Y, std::int64_t SY,
+                                    const double *Z, std::int64_t M,
+                                    std::int64_t N, const double *Tw) {
+  const std::int64_t H = N / 2;
+  auto Re = [&](std::int64_t K) { return Z[2 * K * M]; };
+  auto Im = [&](std::int64_t K) { return Z[(2 * K + 1) * M]; };
+  Y[0] = Re(0) + Im(0);
+  Y[H * SY] = Re(0) - Im(0);
+  // Bins k and N/2-k from one pair Z_k, Z_{N/2-k}: E = (Er, Ei) and
+  // O = (Or, Oi) as in the file comment of Plan.h, T = w_N^k O.
+  for (std::int64_t K = 1; 2 * K < H; ++K) {
+    const double A = Re(K), B = Im(K), C = Re(H - K), D = Im(H - K);
+    const double Er = 0.5 * (A + C), Ei = 0.5 * (B - D);
+    const double Or = 0.5 * (B + D), Oi = 0.5 * (C - A);
+    const double Wr = Tw[2 * K], Wi = Tw[2 * K + 1];
+    const double Tr = Wr * Or - Wi * Oi, Ti = Wr * Oi + Wi * Or;
+    Y[K * SY] = Er + Tr;
+    Y[(N - K) * SY] = Ei + Ti;
+    Y[(H - K) * SY] = Er - Tr;
+    Y[(H + K) * SY] = Ti - Ei;
+  }
+  // k = N/4 pairs with itself: w_N^k = -i, so X_k = conj Z_k.
+  if (H % 2 == 0) {
+    Y[(H / 2) * SY] = Re(H / 2);
+    Y[(N - H / 2) * SY] = -Im(H / 2);
+  }
+}
+
 namespace {
 /// The deadline-free entry points share one unbounded deadline: a fresh
 /// Deadline allocates its cancel token.
@@ -186,24 +225,25 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
   const std::int64_t SX = L.StrideX, SY = L.StrideY;
   const std::int64_t DX = L.DistX ? L.DistX : (N - 1) * SX + 1;
   const std::int64_t DY = L.DistY ? L.DistY : (N - 1) * SY + 1;
-  // The rdft adapter: a halfcomplex plan runs a complex kernel of 2N
-  // doubles. Load embeds N reals as interleaved points; store folds the
-  // conjugate-symmetric spectrum into FFTW's r2hc order.
-  const bool HalfComplex = KernelLen != N;
-  // Zero-copy: a scalar kernel whose vector sits densely in user memory
-  // runs on it directly. The generated kernels are out-of-place (y and x
-  // are restrict-qualified), so in-place calls stage.
-  const bool Direct = M == 1 && !HalfComplex && SX == 1 && SY == 1 && Y != X;
+  // Halfcomplex plans end in the split pass on every tier but the oracle,
+  // whose matrix already speaks the user-facing layout.
+  const bool Split =
+      IOLayout == Layout::HalfComplex && Resolved != Backend::Oracle;
+  // Direct access per side. A scalar kernel reads a dense user X in place:
+  // it writes staging or a distinct Y, so in-place calls stay safe. It
+  // writes user Y only when no split follows and Y is dense and distinct
+  // from X (the generated kernels are out-of-place: y and x are
+  // restrict-qualified).
+  const bool DirectX = M == 1 && SX == 1;
+  const bool DirectY = M == 1 && !Split && SY == 1 && Y != X;
+  const bool Timed = (Mask & telemetry::kMetrics) != 0;
 
   // One lane group: load -> kernel -> store for vectors V .. V+K-1.
   auto RunGroup = [&](ExecCtx &Ctx, std::int64_t V) {
+    const std::uint64_t T0 = Timed ? telemetry::traceNowNs() : 0;
+    const std::int64_t K = std::min(M, Count - V);
     const double *XV = X + V * DX;
     double *YV = Y + V * DY;
-    if (Direct) {
-      runKernel(Ctx, YV, XV);
-      return;
-    }
-    const std::int64_t K = std::min(M, Count - V);
     double *PX = Ctx.StageX.data();
     double *PY = Ctx.StageY.data();
     // The staging feeds vector kernels' aligned SIMD loads directly, so
@@ -213,43 +253,46 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
            reinterpret_cast<std::uintptr_t>(PY) % AlignedBuffer::Alignment ==
                0 &&
            "lane staging buffers must be AlignedBuffer-aligned");
-    // Load into slot-major staging: double s of lane j lives at s*M + j,
-    // so the M lanes of one slot are the contiguous group the kernel's SIMD
-    // loads expect. Tail lanes are zero-filled; lanes never mix, so the
-    // padding is inert. Every input is read before the kernel writes PY,
-    // which makes Y == X safe.
-    for (std::int64_t J = 0; J != M; ++J) {
-      double *P = PX + J;
-      if (J >= K) {
-        for (std::int64_t S = 0; S != KernelLen; ++S)
-          P[S * M] = 0.0;
-      } else if (HalfComplex) {
-        const double *XJ = XV + J * DX;
-        for (std::int64_t I = 0; I != N; ++I) {
-          P[2 * I * M] = XJ[I * SX];
-          P[(2 * I + 1) * M] = 0.0;
+    const double *KX = DirectX ? XV : PX;
+    double *KY = DirectY ? YV : PY;
+    if (!DirectX) {
+      // Load into slot-major staging: double s of lane j lives at s*M + j,
+      // so the M lanes of one slot are the contiguous group the kernel's
+      // SIMD loads expect. Tail lanes are zero-filled; lanes never mix, so
+      // the padding is inert. Every input is read before the kernel writes,
+      // which makes Y == X safe.
+      for (std::int64_t J = 0; J != M; ++J) {
+        double *P = PX + J;
+        if (J >= K) {
+          for (std::int64_t S = 0; S != N; ++S)
+            P[S * M] = 0.0;
+        } else {
+          const double *XJ = XV + J * DX;
+          for (std::int64_t S = 0; S != N; ++S)
+            P[S * M] = XJ[S * SX];
         }
-      } else {
-        const double *XJ = XV + J * DX;
-        for (std::int64_t S = 0; S != N; ++S)
-          P[S * M] = XJ[S * SX];
       }
     }
-    runKernel(Ctx, PY, PX);
-    // Store: unpack each live lane, folding halfcomplex spectra.
-    for (std::int64_t J = 0; J != K; ++J) {
-      const double *P = PY + J;
-      double *YJ = YV + J * DY;
-      if (HalfComplex) {
-        YJ[0] = P[0];
-        for (std::int64_t F = 1; F <= N / 2; ++F)
-          YJ[F * SY] = P[2 * F * M];
-        for (std::int64_t F = 1; F < N / 2; ++F)
-          YJ[(N - F) * SY] = P[(2 * F + 1) * M];
-      } else {
-        for (std::int64_t S = 0; S != N; ++S)
-          YJ[S * SY] = P[S * M];
+    const std::uint64_t T1 = Timed ? telemetry::traceNowNs() : 0;
+    runKernel(Ctx, KY, KX);
+    const std::uint64_t T2 = Timed ? telemetry::traceNowNs() : 0;
+    // Store: split or unpack each live lane.
+    if (!DirectY) {
+      for (std::int64_t J = 0; J != K; ++J) {
+        const double *P = PY + J;
+        double *YJ = YV + J * DY;
+        if (Split) {
+          splitHalfComplex(YJ, SY, P, M, N, SplitTw.data());
+        } else {
+          for (std::int64_t S = 0; S != N; ++S)
+            YJ[S * SY] = P[S * M];
+        }
       }
+    }
+    if (Timed) {
+      telemetry::RuntimeKernelNs.recordAlways(T2 - T1);
+      telemetry::RuntimeStageNs.recordAlways(telemetry::traceNowNs() - T2 +
+                                             (T1 - T0));
     }
   };
 

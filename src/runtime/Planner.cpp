@@ -273,12 +273,15 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   });
 
   const transforms::TransformInfo &TI = *transforms::lookup(S.Transform);
-  // Halfcomplex transforms ride a complex kernel behind a layout adapter;
-  // everything else compiles in the spec's own datatype.
+  // Halfcomplex transforms (rdft N, always 1-D) run the complex F_{N/2} on
+  // x read as N/2 points, then the plan's split pass; everything else
+  // compiles in the spec's own datatype over its own dimensions.
+  const bool HalfComplex = TI.IOLayout == transforms::Layout::HalfComplex;
   const std::string KernelType =
-      TI.IOLayout == transforms::Layout::HalfComplex ? TI.KernelDatatype
-                                                     : S.Datatype;
+      HalfComplex ? TI.KernelDatatype : S.Datatype;
   const std::vector<std::int64_t> Dims = planDims(S);
+  const std::vector<std::int64_t> KernelDims =
+      HalfComplex ? std::vector<std::int64_t>{S.Size / 2} : Dims;
 
   auto Eval = makeEvaluator(KernelType, S.UnrollThreshold);
   // In auto mode a timed evaluator races both codegen variants per
@@ -307,12 +310,17 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       SO.Deadline = SearchSlice;
       // Wisdom for rdft is keyed under "rdft" even though the inner search
       // is over complex F_n factorizations — keys must distinguish the
-      // transforms they were recorded for.
+      // transforms they were recorded for. An entry holds the best F_n for
+      // its n, the kernel of rdft 2n.
       SO.Transform = S.Transform;
       search::DPSearch Search(*Eval, Diags, SO,
                               Opts.UseWisdom ? &Wisdom : nullptr);
       std::int64_t BigDim = 0;
-      for (std::int64_t Ni : Dims) {
+      for (std::int64_t Ni : KernelDims) {
+        if (Ni == 1) { // rdft 2: F_1 is a copy; nothing to search.
+          Parts.push_back(makeDFT(1));
+          continue;
+        }
         auto Best = Search.best(Ni);
         if (!Best) {
           Report(Deadline.expired() ? PlanError::DeadlineExceeded
@@ -380,14 +388,13 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   P->Winner = Winner;
   P->FormulaText = Winner->print();
   P->Cost = Cost;
-  P->KernelLen =
-      P->Final.LoweredToReal ? P->Final.InSize * 2 : P->Final.InSize;
-  P->IOLayout = TI.IOLayout == transforms::Layout::HalfComplex
-                    ? Plan::Layout::HalfComplex
-                    : (P->Final.LoweredToReal ? Plan::Layout::Interleaved
-                                              : Plan::Layout::Real);
-  P->IOLen =
-      P->IOLayout == Plan::Layout::HalfComplex ? S.Size : P->KernelLen;
+  P->IOLen = P->Final.LoweredToReal ? P->Final.InSize * 2 : P->Final.InSize;
+  P->IOLayout = HalfComplex ? Plan::Layout::HalfComplex
+                            : (P->Final.LoweredToReal
+                                   ? Plan::Layout::Interleaved
+                                   : Plan::Layout::Real);
+  if (HalfComplex)
+    P->SplitTw = splitTwiddles(S.Size);
 
   // Walk the degradation chain vector -> native -> vm -> oracle, recording
   // why each tier was skipped. A tier only joins the plan after proving
@@ -510,14 +517,12 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
 
   if (!Placed) {
     // Last tier: the registered dense oracle of the transform (for
-    // halfcomplex plans, whose winner formula denotes the complex FFT, not
+    // halfcomplex plans, whose winner formula is the kernel F_{N/2}, not
     // the user-facing matrix) or the dense matrix the formula denotes.
     // O(N^2) per transform and O(N^2) doubles of storage, so capped.
     constexpr std::int64_t OracleSizeCap = 4096;
-    const bool UseRegistryOracle =
-        P->IOLayout == Plan::Layout::HalfComplex;
     if (S.Size > OracleSizeCap ||
-        (!UseRegistryOracle && !Winner->hasDenseSemantics())) {
+        (!HalfComplex && !Winner->hasDenseSemantics())) {
       Diags.error(SourceLoc(),
                   "no usable backend for " + Dirs.SubName +
                       (Demotions.empty() ? std::string()
@@ -531,10 +536,9 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       Report(PlanError::Failed);
       return nullptr;
     }
-    P->OracleMat = UseRegistryOracle ? transforms::oracleMatrix(TI, Dims)
-                                     : Winner->toMatrix();
+    P->OracleMat = HalfComplex ? transforms::oracleMatrix(TI, Dims)
+                               : Winner->toMatrix();
     P->Resolved = Backend::Oracle;
-    P->KernelLen = P->IOLen; // The oracle speaks the user-facing layout.
   }
 
   if (!Demotions.empty()) {

@@ -718,6 +718,26 @@ TEST_F(ServiceTest, ExecuteFromUnalignedCallerMemoryIsBitExact) {
   }
 }
 
+TEST_F(ServiceTest, RdftServedBitIdenticalToInProcess) {
+  // rdft's kernel reads the received body and its split pass writes the
+  // response body; the bytes match an in-process plan's, F_1 included.
+  startServer();
+  Client C;
+  ASSERT_TRUE(C.connect(Path)) << C.lastError();
+  for (std::int64_t N : {2, 64, 1024}) {
+    const runtime::PlanSpec Spec = vmSpec("rdft", N);
+    const std::int64_t Count = 3;
+    const std::vector<double> X = rampInput(Count * N, 0.25);
+    const std::vector<double> Want = localBatch(Spec, X, Count);
+    std::vector<double> Y(X.size(), 0.0);
+    ASSERT_TRUE(C.executeRetryBusy(Spec, Y.data(), X.data(), Count, N, 2))
+        << "rdft " << N << ": " << C.lastError();
+    EXPECT_EQ(std::memcmp(Y.data(), Want.data(), Y.size() * sizeof(double)),
+              0)
+        << "rdft " << N;
+  }
+}
+
 TEST_F(ServiceTest, PipelinedExecuteFramesAreAllAnswered) {
   // Three execute frames written before any read run concurrently on the
   // pool, each in its own request and response bodies.

@@ -9,10 +9,12 @@
 /// disarmed no-ops, histogram edge cases (empty, single sample, saturating
 /// overflow bucket, 8-thread concurrent recording, quantile rank), the
 /// metric catalogue (names, JSON shape, reset, profile table, lookups), the
-/// span tracer ring, and the StageTimer stage instrument.
+/// span tracer ring, the StageTimer stage instrument, and the per-lane-group
+/// staging/kernel split of Plan execution.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "runtime/Planner.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
 
@@ -376,6 +378,39 @@ TEST(StageTimer, FullyDisarmedIsSilent) {
   { telemetry::StageTimer T(H); }
   EXPECT_EQ(H.snapshot().Count, 0u);
   EXPECT_EQ(telemetry::Tracer::instance().recorded(), 0u);
+}
+
+TEST(RuntimeTelemetry, ArmedBatchTimesStagingAndKernelPerLaneGroup) {
+  // One runtime.stage_ns and one runtime.kernel_ns sample per lane group
+  // of an armed batch (a forced-vector plan packs several vectors per
+  // group where the host has SIMD), and none while disarmed.
+  Diagnostics Diags;
+  runtime::PlannerOptions Opts;
+  Opts.Evaluator = "opcount";
+  Opts.UseWisdom = false;
+  runtime::Planner Planner(Diags, Opts);
+  runtime::PlanSpec Spec;
+  Spec.Transform = "rdft";
+  Spec.Size = 64;
+  Spec.Codegen = runtime::CodegenMode::Vector;
+  auto P = Planner.plan(Spec);
+  ASSERT_TRUE(P) << Diags.dump();
+  const std::int64_t Count = 9;
+  std::vector<double> X(static_cast<size_t>(Count * P->vectorLen()), 0.25);
+  std::vector<double> Y(X.size());
+
+  telemetry::setMetricsEnabled(false);
+  telemetry::resetAllMetrics();
+  P->executeBatch(Y.data(), X.data(), Count);
+  EXPECT_EQ(telemetry::RuntimeStageNs.snapshot().Count, 0u);
+  EXPECT_EQ(telemetry::RuntimeKernelNs.snapshot().Count, 0u);
+
+  ArmedScope Armed;
+  telemetry::resetAllMetrics();
+  P->executeBatch(Y.data(), X.data(), Count, /*Threads=*/2);
+  const std::uint64_t Groups = (Count + P->lanes() - 1) / P->lanes();
+  EXPECT_EQ(telemetry::RuntimeStageNs.snapshot().Count, Groups);
+  EXPECT_EQ(telemetry::RuntimeKernelNs.snapshot().Count, Groups);
 }
 
 } // namespace

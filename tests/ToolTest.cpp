@@ -437,6 +437,18 @@ TEST(Splrun, StridedOddBatchVerifies) {
   EXPECT_EQ(exitStatus(C), 2) << C.Output;
 }
 
+TEST(Splrun, VerifySkipNamesTheRequestedBackend) {
+  // A plan that never tried the native tier says which backend was asked
+  // for, not a fixed "vm".
+  auto R = runCommand(splrunPath() + " --transform rdft --size 8 "
+                                     "--backend oracle --verify --no-wisdom");
+  EXPECT_EQ(exitStatus(R), 0) << R.Output;
+  EXPECT_NE(R.Output.find("native backend not in use (oracle requested)"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("FAIL"), std::string::npos) << R.Output;
+}
+
 TEST(Splrun, RegistryTransformsDegradeUnderInjectedFaults) {
   // SPL_FAULT=native-compile must demote every registry transform to the
   // VM tier and still verify against its dense oracle.

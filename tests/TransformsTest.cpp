@@ -8,8 +8,11 @@
 /// Tests for the transform registry (src/transforms) and the transform
 /// definitions behind it: catalog lookups and datatype policies, the dense
 /// oracle matrices (dct3 as the dct2 transpose, rdft's halfcomplex rows),
-/// rule-vs-matrix parity for every recursive generator rule, and the
-/// Kronecker composition of N-D oracles.
+/// rule-vs-matrix parity for every recursive generator rule, the
+/// Kronecker composition of N-D oracles, and the factorization the runtime
+/// plans rdft N with: the real split matrix S_N after F_{N/2}, proved both
+/// densely and through the runtime's split pass, with rdft wisdom recorded
+/// by earlier versions still planning correctly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +20,16 @@
 
 #include "gen/Rules.h"
 #include "ir/Transforms.h"
+#include "runtime/Planner.h"
+#include "search/DPSearch.h"
+#include "search/Evaluator.h"
 #include "transforms/Registry.h"
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <cstdio>
 
 using namespace spl;
 
@@ -138,6 +148,153 @@ TEST(Transforms, RdftRuleEntrywiseReal) {
     for (size_t C = 0; C != M.cols(); ++C)
       MaxImag = std::max(MaxImag, std::abs(M.at(R, C).imag()));
   EXPECT_LT(MaxImag, 1e-12);
+}
+
+/// realify(A): the 2n x 2n real matrix acting on n complex points stored
+/// as interleaved (re, im) doubles the way A acts on the points.
+Matrix realify(const Matrix &A) {
+  Matrix R(2 * A.rows(), 2 * A.cols());
+  for (size_t I = 0; I != A.rows(); ++I)
+    for (size_t J = 0; J != A.cols(); ++J) {
+      const Cplx V = A.at(I, J);
+      R.at(2 * I, 2 * J) = V.real();
+      R.at(2 * I, 2 * J + 1) = -V.imag();
+      R.at(2 * I + 1, 2 * J) = V.imag();
+      R.at(2 * I + 1, 2 * J + 1) = V.real();
+    }
+  return R;
+}
+
+/// The textbook split, one bin at a time in complex arithmetic: Z is the
+/// F_{N/2} output as interleaved doubles; returns the halfcomplex X.
+std::vector<double> referenceSplit(const std::vector<double> &Z,
+                                   std::int64_t N) {
+  const std::int64_t H = N / 2;
+  auto Pt = [&](std::int64_t K) {
+    K %= H;
+    return Cplx(Z[2 * K], Z[2 * K + 1]);
+  };
+  std::vector<double> Y(static_cast<size_t>(N));
+  for (std::int64_t K = 0; K <= H; ++K) {
+    const Cplx E = (Pt(K) + std::conj(Pt(H - K))) / 2.0;
+    const Cplx O = (Pt(K) - std::conj(Pt(H - K))) / Cplx(0, 2);
+    const Cplx X =
+        E + std::polar(1.0, -2 * M_PI * double(K) / double(N)) * O;
+    Y[K] = X.real();
+    if (K != 0 && K != H)
+      Y[N - K] = X.imag();
+  }
+  return Y;
+}
+
+/// S_N, the dense real split matrix: column j is the split of unit vector j.
+Matrix splitMatrix(std::int64_t N) {
+  Matrix S(N, N);
+  for (std::int64_t J = 0; J != N; ++J) {
+    std::vector<double> E(static_cast<size_t>(N), 0.0);
+    E[J] = 1;
+    const std::vector<double> Col = referenceSplit(E, N);
+    for (std::int64_t K = 0; K != N; ++K)
+      S.at(K, J) = Col[K];
+  }
+  return S;
+}
+
+TEST(Transforms, RdftIsTheRealSplitAfterHalfSizeDft) {
+  // rdft_N = S_N * realify(F_{N/2}): F_{N/2} runs on x read as N/2
+  // interleaved points, and S_N is one real, sparse factor.
+  for (std::int64_t N = 2; N <= 256; N *= 2) {
+    const Matrix Product = splitMatrix(N).mul(realify(dftMatrix(N / 2)));
+    EXPECT_LT(Product.maxAbsDiff(rdftMatrix(N)), 1e-12) << "N=" << N;
+  }
+}
+
+TEST(Transforms, RuntimeSplitPassMatchesTheSplitMatrix) {
+  // The runtime's split pass, fed the columns of realify(F_{N/2}), writes
+  // the columns of rdftMatrix(N) — at unit strides and at a lane stride
+  // and output stride like a vector lane group's.
+  for (std::int64_t N = 2; N <= 256; N *= 2) {
+    const Matrix F = realify(dftMatrix(N / 2));
+    const Matrix Want = rdftMatrix(N);
+    const std::vector<double> Tw = runtime::splitTwiddles(N);
+    for (std::int64_t M : {1, 3}) {
+      const std::int64_t SY = M == 1 ? 1 : 2;
+      double MaxDiff = 0;
+      for (std::int64_t J = 0; J != N; ++J) {
+        std::vector<double> Z(static_cast<size_t>(N * M), 0.0);
+        for (std::int64_t S = 0; S != N; ++S)
+          Z[S * M] = F.at(S, J).real();
+        std::vector<double> Y(static_cast<size_t>(N * SY), 0.0);
+        runtime::splitHalfComplex(Y.data(), SY, Z.data(), M, N, Tw.data());
+        for (std::int64_t K = 0; K != N; ++K)
+          MaxDiff =
+              std::max(MaxDiff, std::abs(Y[K * SY] - Want.at(K, J).real()));
+      }
+      EXPECT_LT(MaxDiff, 1e-12) << "N=" << N << " lane stride " << M;
+    }
+  }
+}
+
+TEST(Transforms, RdftWisdomOfFullSizeDftsStillPlans) {
+  // Wisdom files from before the split record, under the rdft tag, the
+  // best F_n for each n that rdft n searched. Those entries keep their
+  // meaning: rdft 2n now plans on the F_n entry. Seed a file with chosen
+  // (non-default) F_32 and F_64 winners and check rdft 64 and 128 pick
+  // them up and stay correct.
+  const std::string Path = "/tmp/spl-rdft-wisdom-compat-" +
+                           std::to_string(getpid()) + ".tmp";
+  std::remove(Path.c_str());
+  const std::string F16 =
+      "(compose (tensor (F 2) (I 8)) (T 16 8) (tensor (I 2) (F 8)) (L 16 2))";
+  const std::string F32 = "(compose (tensor (F 2) (I 16)) (T 32 16) "
+                          "(tensor (I 2) " + F16 + ") (L 32 2))";
+  const std::string F64 = "(compose (tensor (F 4) (I 16)) (T 64 16) "
+                          "(tensor (I 4) (F 16)) (L 64 4))";
+  runtime::PlannerOptions Opts;
+  Opts.Evaluator = "opcount";
+  Opts.WisdomPath = Path;
+  runtime::PlanSpec Spec;
+  Spec.Transform = "rdft";
+  Spec.Want = runtime::Backend::VM;
+  {
+    // The key the planner's search uses for its halved size: the same
+    // tag, leaf and keep-best shape an rdft plan of that full size wrote.
+    Diagnostics Diags;
+    driver::CompilerOptions CO;
+    CO.UnrollThreshold = Spec.UnrollThreshold;
+    search::OpCountEvaluator Eval(Diags, CO);
+    Eval.setDatatype("complex");
+    search::SearchOptions SO;
+    SO.MaxLeaf = Spec.MaxLeaf;
+    SO.Transform = "rdft";
+    search::DPSearch Search(Eval, Diags, SO);
+    search::PlanCache Wisdom(Diags);
+    Wisdom.insert(Search.wisdomKey(32), {search::PlanEntry{F32, 1.0}});
+    Wisdom.insert(Search.wisdomKey(64), {search::PlanEntry{F64, 1.0}});
+    ASSERT_TRUE(Wisdom.save(Path)) << Diags.dump();
+  }
+  Diagnostics Diags;
+  runtime::Planner Planner(Diags, Opts);
+  for (const auto &[N, Want] : {std::pair<std::int64_t, std::string>{64, F32},
+                                {128, F64}}) {
+    Spec.Size = N;
+    auto P = Planner.plan(Spec);
+    ASSERT_TRUE(P) << Diags.dump();
+    EXPECT_EQ(P->formulaText(), Want) << "rdft " << N;
+    const std::vector<double> X = test::randomRealVector(N, 7);
+    std::vector<double> Y(static_cast<size_t>(N));
+    P->execute(Y.data(), X.data());
+    const Matrix M = rdftMatrix(N);
+    double MaxDiff = 0;
+    for (std::int64_t K = 0; K != N; ++K) {
+      double Ref = 0;
+      for (std::int64_t J = 0; J != N; ++J)
+        Ref += M.at(K, J).real() * X[J];
+      MaxDiff = std::max(MaxDiff, std::abs(Y[K] - Ref));
+    }
+    EXPECT_LT(MaxDiff, 1e-12) << "rdft " << N;
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(Registry, OracleMatrixKronsPerDimension) {

@@ -573,10 +573,13 @@ int main(int Argc, char **Argv) {
                   OK ? "OK" : "FAIL");
       Failures += !OK;
     } else {
+      const std::string Why =
+          Plan->usedFallback()
+              ? Plan->fallbackReason()
+              : std::string(runtime::backendName(Spec.Want)) + " requested";
       std::printf("verify: native backend not in use (%s); skipping the "
                   "native-vs-vm check\n",
-                  Plan->usedFallback() ? Plan->fallbackReason().c_str()
-                                       : "vm requested");
+                  Why.c_str());
     }
 
     // Vector kernels get a second native-vs-native check: the same spec
