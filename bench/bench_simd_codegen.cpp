@@ -79,7 +79,6 @@ int main() {
     }
     perf::KernelBuildOptions Vector;
     Vector.Variant = codegen::CodegenVariant::Vector;
-    Vector.ISA = ISA;
     auto VK = perf::CompiledKernel::create(Compiled->Final, &Err, Vector);
     if (!VK) {
       std::fprintf(stderr, "vector build failed: %s\n", Err.str().c_str());

@@ -47,18 +47,6 @@ const char *variantName(CodegenVariant V) {
   return V == CodegenVariant::Vector ? "vector" : "scalar";
 }
 
-bool parseVariant(const std::string &Name, CodegenVariant &Out) {
-  if (Name == "scalar") {
-    Out = CodegenVariant::Scalar;
-    return true;
-  }
-  if (Name == "vector") {
-    Out = CodegenVariant::Vector;
-    return true;
-  }
-  return false;
-}
-
 VectorISA hardwareISA() {
 #if defined(__aarch64__)
   // Advanced SIMD (2-lane double vectors) is AArch64 baseline.

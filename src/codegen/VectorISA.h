@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Runtime detection of the host's SIMD instruction set, mirroring
-/// support::HostInfo's probe-once style, plus the CodegenVariant dimension
-/// the search engine and runtime thread through kernel builds. The paper's
+/// support::HostInfo's probe-once style, plus the CodegenVariant the
+/// runtime planner picks for each plan's kernel. The paper's
 /// Section-5 vectorization wrapper (A -> A (x) I_m) turns m independent
 /// transform columns into one SIMD lane group; the detected ISA decides m
 /// (the lane count), the width of the one GNU vector typedef codegen::emitC
@@ -40,9 +40,9 @@ enum class VectorISA {
   NEON,   ///< AArch64 Advanced SIMD, 2 doubles per group (vector_size(16)).
 };
 
-/// Which ISA a kernel was (or should be) emitted for. This is the
-/// searchable codegen dimension: the DP evaluator times both variants per
-/// node size and records the winner in wisdom.
+/// Which ISA a kernel was (or should be) emitted for. The runtime planner
+/// decides it once per plan (docs/VECTORIZATION.md); the search and wisdom
+/// never see it.
 enum class CodegenVariant {
   Scalar, ///< codegen::emitC at VectorISA::Scalar — one transform per call.
   Vector, ///< codegen::emitC at a SIMD ISA — laneCount() per call.
@@ -57,9 +57,6 @@ bool parseISA(const std::string &Name, VectorISA &Out);
 
 /// Stable lowercase token ("scalar" | "vector").
 const char *variantName(CodegenVariant V);
-
-/// Parses a variant token; returns false on an unknown name.
-bool parseVariant(const std::string &Name, CodegenVariant &Out);
 
 /// The ISA codegen targets on this host: the hardware probe, unless
 /// SPL_VECTOR_ISA overrides it. Probed once and cached (first call wins;

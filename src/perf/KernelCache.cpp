@@ -23,13 +23,9 @@
 #include <sstream>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define SPL_KC_POSIX 1
-#endif
 
 using namespace spl;
 using namespace spl::perf;
@@ -164,11 +160,7 @@ bool writeIndex(const std::string &Dir,
 /// Refreshes the artifact's mtime so LRU eviction sees the hit (best
 /// effort; a failed touch only ages the entry).
 void touchArtifact(const std::string &Path) {
-#if defined(SPL_KC_POSIX)
   ::utimensat(AT_FDCWD, Path.c_str(), nullptr, 0);
-#else
-  (void)Path;
-#endif
 }
 
 } // namespace
@@ -387,29 +379,11 @@ void KernelCache::remove(const std::string &Key) {
   std::remove(soPath(C.Dir, Key).c_str());
 }
 
-KernelCache::PopulationLock::PopulationLock(const std::string &Key) {
-#if defined(SPL_KC_POSIX)
+std::string KernelCache::populationLockPath(const std::string &Key) {
   Config C = config();
   if (!C.Enabled)
-    return;
+    return "";
   std::error_code EC;
   fs::create_directories(C.Dir, EC);
-  Fd = ::open((C.Dir + "/" + Key + ".lock").c_str(),
-              O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-  if (Fd >= 0 && ::flock(Fd, LOCK_EX) != 0) {
-    ::close(Fd);
-    Fd = -1;
-  }
-#else
-  (void)Key;
-#endif
-}
-
-KernelCache::PopulationLock::~PopulationLock() {
-#if defined(SPL_KC_POSIX)
-  if (Fd >= 0) {
-    ::flock(Fd, LOCK_UN);
-    ::close(Fd);
-  }
-#endif
+  return C.Dir + "/" + Key + ".lock";
 }

@@ -110,22 +110,14 @@ public:
   /// artifact still fails to dlopen — e.g. an alien or truncated file).
   static void remove(const std::string &Key);
 
-  /// Blocking inter-process (and inter-thread) population lock for one
-  /// key: `<dir>/<key>.lock`, exclusive flock. Holding it across the
-  /// re-probe + compile + insert window guarantees concurrent planners
-  /// compile each kernel at most once. Best-effort: if the lock file
-  /// cannot be created the caller proceeds unlocked (worst case a
-  /// duplicate compile, exactly the uncached behavior).
-  class PopulationLock {
-  public:
-    explicit PopulationLock(const std::string &Key);
-    ~PopulationLock();
-    PopulationLock(const PopulationLock &) = delete;
-    PopulationLock &operator=(const PopulationLock &) = delete;
-
-  private:
-    int Fd = -1;
-  };
+  /// The population lock file of one key, `<dir>/<key>.lock`, after
+  /// creating the cache directory ("" when the cache is disabled). An
+  /// exclusive FileLock on it across the re-probe + compile + insert
+  /// window makes concurrent planners (threads or processes) compile each
+  /// kernel at most once. Best-effort: if the lock file cannot be created
+  /// the caller proceeds unlocked (worst case a duplicate compile, exactly
+  /// the uncached behavior).
+  static std::string populationLockPath(const std::string &Key);
 };
 
 } // namespace perf

@@ -74,8 +74,8 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
     if (fault::at("vector-compile"))
       return Fail(KernelErrorKind::CompileFailed,
                   fault::describe("vector-compile"));
-    CO.ISA = BuildOpts.ISA;
-    std::string ISAFlags = codegen::isaCompilerFlags(BuildOpts.ISA);
+    CO.ISA = codegen::detectISA();
+    std::string ISAFlags = codegen::isaCompilerFlags(CO.ISA);
     if (!ISAFlags.empty())
       Flags += " " + ISAFlags;
   }

@@ -66,15 +66,12 @@ struct KernelBuildOptions {
   std::string ExtraFlags = "-O2";
 
   /// What codegen::emitC renders: Scalar is plain C (one transform per
-  /// call); Vector is GNU vector C for ISA (lanes() transform columns
-  /// per call in the slot-major layout). The two variants differ in their
-  /// source, so they get distinct kernel-cache keys.
+  /// call); Vector is GNU vector C for codegen::detectISA() (lanes()
+  /// transform columns per call in the slot-major layout; SPL_VECTOR_ISA
+  /// forces the ISA, and one the hardware lacks fails the trial). The two
+  /// variants differ in their source, so they get distinct kernel-cache
+  /// keys.
   codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;
-
-  /// Instruction set for the Vector variant (ignored for Scalar).
-  /// Defaults to the host probe; forcing an ISA the hardware lacks is the
-  /// trial execution's problem (SIGILL in the forked guard).
-  codegen::VectorISA ISA = codegen::detectISA();
 
   /// Remaining caller budget for the build: the compiler subprocess runs
   /// under min(SPL_CC_TIMEOUT_MS, remaining), and an expired deadline
@@ -122,8 +119,7 @@ public:
   /// Proves the kernel once in a forked guard process bounded by
   /// \p TimeoutSeconds: runs it on deterministic random data and checks
   /// every output is finite. A kernel that crashes, hangs, or emits
-  /// NaN/Inf fails the trial without harming this process. On platforms
-  /// without fork the kernel runs inline (unguarded).
+  /// NaN/Inf fails the trial without harming this process.
   TrialResult trial(double TimeoutSeconds) const;
 
 private:

@@ -9,6 +9,7 @@
 #include "perf/KernelCache.h"
 #include "support/CircuitBreaker.h"
 #include "support/FaultInjection.h"
+#include "support/FileLock.h"
 #include "support/Subprocess.h"
 #include "telemetry/Trace.h"
 
@@ -21,11 +22,8 @@
 #include <fstream>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <dlfcn.h>
 #include <unistd.h>
-#define SPL_HAVE_DLOPEN 1
-#endif
 
 using namespace spl;
 using namespace spl::perf;
@@ -114,11 +112,7 @@ double NativeModule::compileTimeoutSeconds() {
 }
 
 bool NativeModule::available() {
-#if !defined(SPL_HAVE_DLOPEN)
-  return false;
-#else
   return ccProbe().Available;
-#endif
 }
 
 const std::string &NativeModule::compilerIdentity() {
@@ -128,14 +122,6 @@ const std::string &NativeModule::compilerIdentity() {
 std::unique_ptr<NativeModule>
 NativeModule::loadModule(const std::string &SoPath, const std::string &FnName,
                          bool OwnsSo, std::string *Error) {
-#if !defined(SPL_HAVE_DLOPEN)
-  (void)SoPath;
-  (void)FnName;
-  (void)OwnsSo;
-  if (Error)
-    *Error = "dlopen is not available on this platform";
-  return nullptr;
-#else
   void *Handle = nullptr;
   if (!fault::at("dlopen"))
     Handle = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -165,7 +151,6 @@ NativeModule::loadModule(const std::string &SoPath, const std::string &FnName,
   M->SoPath = SoPath;
   M->OwnsSo = OwnsSo;
   return M;
-#endif
 }
 
 std::unique_ptr<NativeModule>
@@ -173,16 +158,6 @@ NativeModule::compileFresh(const std::string &CSource,
                            const std::string &FnName, std::string *Error,
                            const std::string &ExtraFlags, bool *TimedOut,
                            const support::Deadline &Deadline) {
-#if !defined(SPL_HAVE_DLOPEN)
-  (void)CSource;
-  (void)FnName;
-  (void)ExtraFlags;
-  (void)TimedOut;
-  (void)Deadline;
-  if (Error)
-    *Error = "dlopen is not available on this platform";
-  return nullptr;
-#else
   // An exhausted caller budget fails fast before the source is even
   // written; this is the caller's deadline, not compiler sickness, so the
   // breaker does not hear about it.
@@ -294,7 +269,6 @@ NativeModule::compileFresh(const std::string &CSource,
   }
 
   return loadModule(SoPath, FnName, /*OwnsSo=*/true, Error);
-#endif
 }
 
 std::unique_ptr<NativeModule>
@@ -303,15 +277,6 @@ NativeModule::compile(const std::string &CSource, const std::string &FnName,
                       bool *TimedOut, const support::Deadline &Deadline) {
   if (TimedOut)
     *TimedOut = false;
-#if !defined(SPL_HAVE_DLOPEN)
-  (void)CSource;
-  (void)FnName;
-  (void)ExtraFlags;
-  (void)Deadline;
-  if (Error)
-    *Error = "dlopen is not available on this platform";
-  return nullptr;
-#else
   if (!KernelCache::enabled())
     return compileFresh(CSource, FnName, Error, ExtraFlags, TimedOut,
                         Deadline);
@@ -328,7 +293,7 @@ NativeModule::compile(const std::string &CSource, const std::string &FnName,
   // Per-key population lock across re-probe + compile + insert: concurrent
   // planners (threads or processes) racing on a cold key block here and
   // all but one load the winner's artifact instead of recompiling.
-  KernelCache::PopulationLock PL(Key);
+  FileLock PL(KernelCache::populationLockPath(Key), LOCK_EX);
   if (auto Hit = KernelCache::probe(Key))
     if (auto M = loadModule(*Hit, FnName, /*OwnsSo=*/false, Error))
       return M;
@@ -340,23 +305,15 @@ NativeModule::compile(const std::string &CSource, const std::string &FnName,
   if (M)
     KernelCache::insert(Key, M->SoPath);
   return M;
-#endif
 }
 
 void *NativeModule::symbol(const char *Name) const {
-#if defined(SPL_HAVE_DLOPEN)
   return Handle ? dlsym(Handle, Name) : nullptr;
-#else
-  (void)Name;
-  return nullptr;
-#endif
 }
 
 NativeModule::~NativeModule() {
-#if defined(SPL_HAVE_DLOPEN)
   if (Handle)
     dlclose(Handle);
   if (OwnsSo && !SoPath.empty())
     std::remove(SoPath.c_str());
-#endif
 }

@@ -77,7 +77,8 @@ bool parseBackend(const std::string &Name, Backend &Out);
 /// substrate, CodegenMode picks what the native substrate's kernel looks
 /// like.
 enum class CodegenMode {
-  Auto,   ///< Follow the searched winner (wisdom v3 records the variant).
+  Auto,   ///< Scalar; under the nativetime evaluator the planner times
+          ///< the winner's scalar and vector kernels and keeps the faster.
   Scalar, ///< Force plain C (one transform per kernel call).
   Vector, ///< Force the SIMD backend; demotes to scalar if it cannot run.
 };

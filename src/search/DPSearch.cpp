@@ -20,10 +20,10 @@ using namespace spl::search;
 
 PlanKey DPSearch::wisdomKey(std::int64_t N) const {
   PlanKey K;
-  // The search-space shape (leaf bound, keep-k, variant rules) changes what
-  // the winner can be, so it is folded into the transform token.
+  // The search-space shape (leaf bound, keep-k) changes what the winner can
+  // be, so it is folded into the transform token.
   K.Transform = Opts.Transform + "-L" + std::to_string(Opts.MaxLeaf) + "-k" +
-                std::to_string(Opts.KeepBest) + (Opts.UseVariants ? "-v" : "");
+                std::to_string(Opts.KeepBest);
   K.Size = N;
   K.Datatype = Eval.datatype();
   K.UnrollThreshold = Eval.options().UnrollThreshold;
@@ -42,17 +42,16 @@ void DPSearch::noteDeadlineOnce() {
                              "formula found so far wins");
 }
 
-std::vector<std::optional<VariantCost>>
+std::vector<std::optional<double>>
 DPSearch::costAll(const std::vector<FormulaRef> &Cands) {
-  std::vector<std::optional<VariantCost>> Costs(Cands.size());
-  constexpr double Inf = std::numeric_limits<double>::infinity();
+  std::vector<std::optional<double>> Costs(Cands.size());
   if (Opts.Threads > 1 && Cands.size() > 1) {
     if (!Pool)
       Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(Opts.Threads));
     // Workers observe the deadline through the evaluator, which scores
     // expired candidates as infinite cost without compiling them.
     parallelFor(*Pool, Cands.size(),
-                [&](size_t I) { Costs[I] = Eval.costWithVariant(Cands[I]); });
+                [&](size_t I) { Costs[I] = Eval.cost(Cands[I]); });
     if (Opts.Deadline.expired())
       noteDeadlineOnce();
   } else {
@@ -61,10 +60,10 @@ DPSearch::costAll(const std::vector<FormulaRef> &Cands) {
         // Budget spent: skip even candidate compilation, score the rest as
         // losers, and let the first-minimum scan return best-so-far.
         noteDeadlineOnce();
-        Costs[I] = VariantCost{Inf, codegen::CodegenVariant::Scalar};
+        Costs[I] = std::numeric_limits<double>::infinity();
         continue;
       }
-      Costs[I] = Eval.costWithVariant(Cands[I]);
+      Costs[I] = Eval.cost(Cands[I]);
     }
   }
   return Costs;
@@ -84,14 +83,7 @@ std::optional<Candidate> DPSearch::parseWisdomEntry(const PlanEntry &E,
                       " formula; ignoring it");
     return std::nullopt;
   }
-  // A vector-winner entry on a host whose ISA probe reports scalar-only
-  // (or a wisdom file that roamed from a SIMD machine) degrades to the
-  // scalar variant of the same formula instead of invalidating the entry.
-  codegen::CodegenVariant V = E.Variant;
-  if (V == codegen::CodegenVariant::Vector &&
-      !codegen::vectorBackendAvailable())
-    V = codegen::CodegenVariant::Scalar;
-  return Candidate{F, E.Cost, V};
+  return Candidate{F, E.Cost};
 }
 
 std::optional<std::vector<Candidate>>
@@ -124,7 +116,7 @@ void DPSearch::recordWisdom(std::int64_t N,
   std::vector<PlanEntry> Out;
   Out.reserve(Entries.size());
   for (const Candidate &C : Entries)
-    Out.push_back({C.Formula->print(), C.Cost, C.Variant});
+    Out.push_back({C.Formula->print(), C.Cost});
   Wisdom->insert(wisdomKey(N), std::move(Out));
 }
 
@@ -161,20 +153,6 @@ std::optional<Candidate> DPSearch::searchSmallOne(std::int64_t N) {
       if (Ok)
         Cands.push_back(gen::ruleEq10(Factors));
     }
-    if (Opts.UseVariants) {
-      for (std::int64_t R = 2; R * 2 <= N; R *= 2) {
-        std::int64_t S = N / R;
-        auto FR = searchSmallOne(R), FS = searchSmallOne(S);
-        if (!FR || !FS)
-          continue;
-        Cands.push_back(
-            gen::ruleCooleyTukeyDIF(R, S, FR->Formula, FS->Formula));
-        Cands.push_back(
-            gen::ruleCooleyTukeyVector(R, S, FR->Formula, FS->Formula));
-        Cands.push_back(
-            gen::ruleCooleyTukeyParallel(R, S, FR->Formula, FS->Formula));
-      }
-    }
     // The DFT by definition is also a legal (slow) candidate for tiny
     // sizes, and the only one for primes (this makes mixed-radix sizes like
     // 12 = 3*4 searchable: factorCompositions handles any composite).
@@ -190,8 +168,8 @@ std::optional<Candidate> DPSearch::searchSmallOne(std::int64_t N) {
   for (size_t I = 0; I != Cands.size(); ++I) {
     if (!Costs[I])
       continue;
-    if (!Best || Costs[I]->Cost < Best->Cost)
-      Best = Candidate{Cands[I], Costs[I]->Cost, Costs[I]->Variant};
+    if (!Best || *Costs[I] < Best->Cost)
+      Best = Candidate{Cands[I], *Costs[I]};
   }
   if (!Best) {
     Diags.error(SourceLoc(), "search found no viable formula for size " +
@@ -254,7 +232,7 @@ const std::vector<Candidate> &DPSearch::largeEntries(std::int64_t N) {
     std::vector<Candidate> Costed;
     for (size_t I = 0; I != Cands.size(); ++I)
       if (Costs[I])
-        Costed.push_back({Cands[I], Costs[I]->Cost, Costs[I]->Variant});
+        Costed.push_back({Cands[I], *Costs[I]});
     // stable_sort: candidates with equal costs keep construction order, so
     // the kept set is identical for every thread count.
     std::stable_sort(Costed.begin(), Costed.end(),

@@ -45,10 +45,6 @@ struct SearchOptions {
   /// How many best formulas to keep per large size (paper: 3).
   int KeepBest = 3;
 
-  /// Include rule variants (DIF / parallel / vector splits) among the
-  /// small-size candidates in addition to Equation 10.
-  bool UseVariants = false;
-
   /// Worker threads for candidate evaluation (1: serial). Timed evaluators
   /// still serialize the measurement itself; with them, extra threads
   /// overlap candidate compilation with timing.
@@ -70,11 +66,6 @@ struct SearchOptions {
 struct Candidate {
   FormulaRef Formula;
   double Cost = 0;
-
-  /// The codegen variant the cost was measured with (Scalar unless the
-  /// evaluator ran a variant search and the vector kernel won). Recorded
-  /// in wisdom (v3) and honored by the runtime planner's backend choice.
-  codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;
 };
 
 /// The dynamic-programming search engine.
@@ -127,7 +118,7 @@ private:
 
   /// Costs every candidate, fanning out over the pool when configured.
   /// Result i corresponds to Cands[i]; nullopt where evaluation failed.
-  std::vector<std::optional<VariantCost>>
+  std::vector<std::optional<double>>
   costAll(const std::vector<FormulaRef> &Cands);
 
   /// Parses a wisdom entry back into a candidate; warns and returns nullopt

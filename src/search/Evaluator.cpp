@@ -63,28 +63,6 @@ std::optional<double> Evaluator::cost(const FormulaRef &F) {
   return costCompiled(*C);
 }
 
-std::optional<VariantCost> Evaluator::costWithVariant(const FormulaRef &F) {
-  if (DL.expired())
-    return VariantCost{std::numeric_limits<double>::infinity(),
-                       codegen::CodegenVariant::Scalar};
-  NumEvals.fetch_add(1, std::memory_order_relaxed);
-  telemetry::SearchCandidatesEvaluated.add();
-  auto C = compile(F);
-  if (!C)
-    return std::nullopt;
-  if (!isTimed())
-    return costVariantsCompiled(*C);
-  std::lock_guard<std::mutex> Lock(TimingMutex);
-  return costVariantsCompiled(*C);
-}
-
-std::optional<VariantCost> Evaluator::costVariantsCompiled(const Compiled &C) {
-  auto V = costCompiled(C);
-  if (!V)
-    return std::nullopt;
-  return VariantCost{*V, codegen::CodegenVariant::Scalar};
-}
-
 namespace {
 
 /// Runs \p Fn on a watchdog thread with a wall-clock deadline. On timeout
@@ -203,61 +181,21 @@ bool NativeTimeEvaluator::available() {
   return perf::NativeModule::available();
 }
 
-std::optional<double>
-NativeTimeEvaluator::timeVariant(const Compiled &C,
-                                 codegen::CodegenVariant Variant) {
+std::optional<double> NativeTimeEvaluator::costCompiled(const Compiled &C) {
   perf::KernelError Err;
   perf::KernelBuildOptions BO;
-  BO.Variant = Variant;
   // The compiler subprocess is bounded by the remaining search budget, not
   // just the fixed SPL_CC_TIMEOUT_MS.
   BO.Deadline = DL;
   auto Built = perf::CompiledKernel::create(C.Final, &Err, BO);
   if (!Built) {
-    if (Variant == codegen::CodegenVariant::Vector) {
-      // A vector build that fails is a lost race, not a search failure:
-      // the scalar variant still stands.
-      Diags.warning(SourceLoc(),
-                    "vector native compilation failed (" + Err.str() +
-                        "); candidate scored scalar-only");
-      return std::nullopt;
-    }
     Diags.error(SourceLoc(), "native compilation failed: " + Err.str());
     return std::nullopt;
   }
   // Shared ownership keeps the module loaded for a timing thread abandoned
-  // by the watchdog. A vector call computes lanes() transforms, so its
-  // per-call time is divided down to per-transform cost — the unit the DP
-  // compares across variants.
+  // by the watchdog.
   std::shared_ptr<perf::CompiledKernel> K(std::move(Built));
   const int Reps = Repeats;
-  const double Lanes = K->lanes();
-  return timedCost(
-      [K, Reps, Lanes]() -> double { return K->time(Reps) / Lanes; },
-      "native timing");
-}
-
-std::optional<double> NativeTimeEvaluator::costCompiled(const Compiled &C) {
-  return timeVariant(C, codegen::CodegenVariant::Scalar);
-}
-
-std::optional<VariantCost>
-NativeTimeEvaluator::costVariantsCompiled(const Compiled &C) {
-  auto Scalar = timeVariant(C, codegen::CodegenVariant::Scalar);
-  if (!Scalar)
-    return std::nullopt;
-  if (!variantSearch() || !codegen::vectorBackendAvailable())
-    return VariantCost{*Scalar, codegen::CodegenVariant::Scalar};
-
-  auto Vector = timeVariant(C, codegen::CodegenVariant::Vector);
-  if (!Vector) {
-    telemetry::SearchScalarWins.add();
-    return VariantCost{*Scalar, codegen::CodegenVariant::Scalar};
-  }
-  if (*Vector < *Scalar) {
-    telemetry::SearchVectorWins.add();
-    return VariantCost{*Vector, codegen::CodegenVariant::Vector};
-  }
-  telemetry::SearchScalarWins.add();
-  return VariantCost{*Scalar, codegen::CodegenVariant::Scalar};
+  return timedCost([K, Reps]() -> double { return K->time(Reps); },
+                   "native timing");
 }

@@ -17,7 +17,6 @@
 #ifndef SPL_SEARCH_EVALUATOR_H
 #define SPL_SEARCH_EVALUATOR_H
 
-#include "codegen/VectorISA.h"
 #include "driver/Compiler.h"
 #include "support/Deadline.h"
 
@@ -35,13 +34,6 @@ namespace search {
 struct Compiled {
   icode::Program Final;
   std::string CCode;
-};
-
-/// A cost together with the codegen variant that achieved it (the
-/// searchable scalar-vs-vector dimension of ROADMAP item 2).
-struct VariantCost {
-  double Cost = 0;
-  codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;
 };
 
 /// Base class: compiles candidates and assigns costs (lower is better).
@@ -62,22 +54,6 @@ public:
 
   /// Cost of \p F; nullopt after reporting diagnostics on failure.
   std::optional<double> cost(const FormulaRef &F);
-
-  /// Like cost(), but additionally reports which codegen variant won.
-  /// With variant search enabled (setVariantSearch) a timed native
-  /// evaluator builds and times both the scalar and the vector kernel of
-  /// \p F and returns the cheaper one (vector cost is per transform, i.e.
-  /// the per-call time divided by the lane count); otherwise the scalar
-  /// cost is returned unchanged. search.scalar_wins / search.vector_wins
-  /// count the outcomes of genuinely two-sided comparisons.
-  std::optional<VariantCost> costWithVariant(const FormulaRef &F);
-
-  /// Enables timing the vector variant next to the scalar one. Off by
-  /// default: it adds a native compile per candidate, and only the timed
-  /// native evaluator can honor it. A host whose ISA probe reports
-  /// scalar-only ignores it (every comparison degenerates to scalar).
-  void setVariantSearch(bool On) { VariantSearch = On; }
-  bool variantSearch() const { return VariantSearch; }
 
   /// Compiles \p F through the shared pipeline. Defaults to complex data /
   /// real code (the FFT experiments); override via setDatatype for real
@@ -122,11 +98,6 @@ protected:
   /// Costs an already-compiled candidate.
   virtual std::optional<double> costCompiled(const Compiled &C) = 0;
 
-  /// Costs an already-compiled candidate across codegen variants. The
-  /// default is the scalar cost; the native evaluator overrides this to
-  /// race the two variants when variant search is on.
-  virtual std::optional<VariantCost> costVariantsCompiled(const Compiled &C);
-
   /// Runs one measurement closure under the watchdog with the retry
   /// budget; \p Fn must own everything it touches (shared_ptr captures),
   /// because on timeout its thread is abandoned and may still be running.
@@ -142,7 +113,6 @@ protected:
 private:
   double TimingTimeoutSeconds;
   int TimingRetries = 1;
-  bool VariantSearch = false;
   std::mutex TimingMutex;
   std::atomic<std::uint64_t> NumEvals{0};
 };
@@ -191,13 +161,8 @@ public:
 
 protected:
   std::optional<double> costCompiled(const Compiled &C) override;
-  std::optional<VariantCost> costVariantsCompiled(const Compiled &C) override;
 
 private:
-  /// Builds one variant of \p C and returns its per-transform time.
-  std::optional<double> timeVariant(const Compiled &C,
-                                    codegen::CodegenVariant Variant);
-
   int Repeats;
 };
 

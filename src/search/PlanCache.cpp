@@ -23,12 +23,11 @@ using namespace spl::search;
 namespace {
 
 // v2 added a per-line FNV-1a checksum between the "plan" tag and the
-// payload; v1 files (no checksums) are ignored with a warning — wisdom is
-// a cache, so dropping an old file only costs a re-search. v3 added the
-// codegen-variant token between the cost and the '|' separator; v2 files
-// (no variant token) still load, reading back as scalar.
-constexpr const char *VersionHeader = "spl-wisdom v3";
-constexpr const char *V2VersionHeader = "spl-wisdom v2";
+// payload; v3 added a codegen-variant token before the '|' separator, and
+// v4 dropped it again (the runtime planner picks the variant at plan
+// time). Files under any other header are ignored with a warning: wisdom
+// is a cache, so dropping an old file only costs a re-search.
+constexpr const char *VersionHeader = "spl-wisdom v4";
 
 std::string formatCost(double Cost) {
   char Buf[64];
@@ -70,8 +69,7 @@ bool PlanCache::loadLocked(
     return true; // Missing wisdom is a cold start, not an error.
 
   std::string Line;
-  if (!std::getline(In, Line) ||
-      (Line != VersionHeader && Line != V2VersionHeader)) {
+  if (!std::getline(In, Line) || Line != VersionHeader) {
     Diags.warning(SourceLoc(), "wisdom file '" + Path +
                                    "' has an unrecognized version header; "
                                    "ignoring it");
@@ -120,17 +118,10 @@ bool PlanCache::loadLocked(
     SS.clear();
     SS.str(Payload);
     if (!(SS >> Transform >> Size >> Datatype >> Unroll >> Evaluator >> Host >>
-          Index >> Cost >> Sep)) {
+          Index >> Cost >> Sep) ||
+        Sep != "|") {
       Reject("malformed plan fields");
       continue;
-    }
-    // v3 carries a variant token before the '|'; v2 goes straight to it.
-    codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;
-    if (Sep != "|") {
-      if (!codegen::parseVariant(Sep, Variant) || !(SS >> Sep) || Sep != "|") {
-        Reject("malformed plan fields");
-        continue;
-      }
     }
     if (Size < 2 || Unroll.size() < 2 || Unroll[0] != 'B' || Index < 0 ||
         Index >= 64 || !(Cost >= 0)) {
@@ -151,7 +142,7 @@ bool PlanCache::loadLocked(
     auto &Entries = Into[Key];
     if (Entries.size() <= static_cast<size_t>(Index))
       Entries.resize(Index + 1);
-    Entries[static_cast<size_t>(Index)] = {Formula, Cost, Variant};
+    Entries[static_cast<size_t>(Index)] = {Formula, Cost};
     if (CountStats) {
       ++S.Loaded;
       telemetry::WisdomLoaded.add();
@@ -214,9 +205,8 @@ bool PlanCache::save(const std::string &Path) const {
         if (Entries[I].FormulaText.empty())
           continue; // A gap left by a sparse/duplicated index on load.
         std::string Payload = Key + ' ' + std::to_string(I) + ' ' +
-                              formatCost(Entries[I].Cost) + ' ' +
-                              codegen::variantName(Entries[I].Variant) +
-                              " | " + Entries[I].FormulaText;
+                              formatCost(Entries[I].Cost) + " | " +
+                              Entries[I].FormulaText;
         Out << "plan " << fnv1aHex(Payload) << ' ' << Payload << '\n';
       }
     if (!Out.good()) {

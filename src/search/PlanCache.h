@@ -16,11 +16,8 @@
 /// (~/.spl_wisdom by default). Each plan line carries an FNV-1a checksum of
 /// its payload right after the tag:
 ///
-///   spl-wisdom v3
-///   plan 0011223344556677 fft 16 complex B16 vmtime a1b2c3d4 0 1.2e-06 scalar | F
-///
-/// (v3 added the codegen-variant token — scalar|vector — before the '|';
-/// v2 files still load, reading back as scalar.)
+///   spl-wisdom v4
+///   plan 0011223344556677 fft 16 complex B16 vmtime a1b2c3d4 0 1.2e-06 | F
 ///
 /// Robustness rules: an unknown version header invalidates the whole file;
 /// malformed or checksum-failing plan lines (bit flips, truncation) are
@@ -35,7 +32,6 @@
 #ifndef SPL_SEARCH_PLANCACHE_H
 #define SPL_SEARCH_PLANCACHE_H
 
-#include "codegen/VectorISA.h"
 #include "support/Diagnostics.h"
 
 #include <cstdint>
@@ -63,14 +59,10 @@ struct PlanKey {
 };
 
 /// One recorded plan: the winning formula (Cambridge Polish text, parse it
-/// back with parseFormulaString), its measured cost, and the codegen
-/// variant that achieved it (v3; v2 files read back as Scalar). A Vector
-/// entry loaded on a host whose ISA probe reports scalar-only is still
-/// valid — consumers demote it to Scalar instead of re-searching.
+/// back with parseFormulaString) and its measured cost.
 struct PlanEntry {
   std::string FormulaText;
   double Cost = 0;
-  codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;
 };
 
 /// The persistent plan store. Thread-safe: the parallel search queries and

@@ -22,12 +22,9 @@
 
 #include <string>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
-#define SPL_HAVE_FLOCK 1
-#endif
 
 namespace spl {
 
@@ -37,25 +34,18 @@ namespace spl {
 class FileLock {
 public:
   FileLock(const std::string &LockPath, int Operation) {
-#if defined(SPL_HAVE_FLOCK)
     Fd = ::open(LockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
     if (Fd >= 0 && ::flock(Fd, Operation) != 0) {
       ::close(Fd);
       Fd = -1;
     }
-#else
-    (void)LockPath;
-    (void)Operation;
-#endif
   }
 
   ~FileLock() {
-#if defined(SPL_HAVE_FLOCK)
     if (Fd >= 0) {
       ::flock(Fd, LOCK_UN);
       ::close(Fd);
     }
-#endif
   }
 
   FileLock(const FileLock &) = delete;

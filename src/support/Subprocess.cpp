@@ -11,15 +11,12 @@
 #include <cstdlib>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
 #include <cerrno>
+#include <csignal>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#define SPL_HAVE_FORK 1
-#endif
 
 using namespace spl;
 
@@ -62,8 +59,6 @@ double spl::envTimeoutSeconds(const char *Name, double DefSeconds) {
     return DefSeconds;
   return Ms / 1000.0;
 }
-
-#if defined(SPL_HAVE_FORK)
 
 namespace {
 
@@ -283,23 +278,3 @@ GuardedResult spl::runGuarded(const std::function<int()> &Fn,
   decodeStatus(Status, TimedOut, Res);
   return Res;
 }
-
-#else // !SPL_HAVE_FORK
-
-SubprocessResult spl::runSubprocess(const std::vector<std::string> &,
-                                    const SubprocessOptions &) {
-  SubprocessResult Res;
-  Res.SpawnFailed = true;
-  Res.Output = "subprocess execution is not supported on this platform";
-  return Res;
-}
-
-GuardedResult spl::runGuarded(const std::function<int()> &Fn, double) {
-  // No isolation available: run inline so the feature degrades to the old
-  // in-process behavior instead of refusing to work.
-  GuardedResult Res;
-  Res.ExitCode = Fn();
-  return Res;
-}
-
-#endif // SPL_HAVE_FORK

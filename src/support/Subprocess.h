@@ -91,7 +91,6 @@ struct GuardedResult {
 
 /// Runs \p Fn in a forked child bounded by \p TimeoutSeconds (0: none) and
 /// reports how the child died. The child's exit status is Fn's return value.
-/// On platforms without fork, Fn runs inline (unguarded) in this process.
 GuardedResult runGuarded(const std::function<int()> &Fn,
                          double TimeoutSeconds);
 

@@ -230,20 +230,33 @@ TEST(PlanCache, CorruptLinesAreSkippedWithDiagnostics) {
 }
 
 TEST(PlanCache, VersionMismatchInvalidatesWholeFile) {
-  std::string Path = tempPath("spl_wisdom_version");
-  {
-    std::ofstream Out(Path);
-    Out << "spl-wisdom v999\n";
-    Out << "plan fft 8 complex B16 opcount "
-        << search::PlanCache::hostFingerprint() << " 0 1.0 | (F 8)\n";
+  // Well-formed, correctly checksummed lines under any header but the
+  // current one: the retired v2 (no variant token) and v3 (a variant token
+  // before the '|') formats, and an unknown future version.
+  const std::string Prefix =
+      "fft 8 complex B16 opcount " + search::PlanCache::hostFingerprint() +
+      " 0 1.0";
+  const std::pair<const char *, std::string> Files[] = {
+      {"spl-wisdom v999", Prefix + " | (F 8)"},
+      {"spl-wisdom v2", Prefix + " | (F 8)"},
+      {"spl-wisdom v3", Prefix + " scalar | (F 8)"},
+  };
+  for (const auto &[Header, Payload] : Files) {
+    SCOPED_TRACE(Header);
+    std::string Path = tempPath("spl_wisdom_version");
+    {
+      std::ofstream Out(Path);
+      Out << Header << '\n';
+      Out << "plan " << fnv1aHex(Payload) << ' ' << Payload << '\n';
+    }
+    Diagnostics D;
+    search::PlanCache C(D);
+    EXPECT_FALSE(C.load(Path));
+    EXPECT_EQ(C.size(), 0u);
+    EXPECT_FALSE(D.hasErrors()); // Invalidation is a warning, not an error.
+    EXPECT_GE(D.all().size(), 1u);
+    std::remove(Path.c_str());
   }
-  Diagnostics D;
-  search::PlanCache C(D);
-  EXPECT_FALSE(C.load(Path));
-  EXPECT_EQ(C.size(), 0u);
-  EXPECT_FALSE(D.hasErrors());    // Invalidation is a warning, not an error.
-  EXPECT_GE(D.all().size(), 1u);
-  std::remove(Path.c_str());
 }
 
 TEST(PlanCache, HostMismatchNeverHits) {
@@ -266,12 +279,13 @@ TEST(PlanCache, WisdomFileIsVersionedText) {
   C.insert(testKey(8), {{makeDFT(8)->print(), 1.0}});
   ASSERT_TRUE(C.save(Path));
   std::string Text = slurp(Path);
-  EXPECT_EQ(Text.rfind("spl-wisdom v3\n", 0), 0u) << Text;
-  // Each plan line is "plan <16-hex-checksum> <payload>"; v3 payloads carry
-  // the codegen variant token between the cost and the "|".
+  EXPECT_EQ(Text.rfind("spl-wisdom v4\n", 0), 0u) << Text;
+  // Each plan line is "plan <16-hex-checksum> <payload>"; a v4 payload is
+  // the key, the keep-best index and the cost, then "| <formula>".
   EXPECT_NE(Text.find(" fft 8 complex B16 opcount "), std::string::npos)
       << Text;
-  EXPECT_NE(Text.find(" scalar | "), std::string::npos) << Text;
+  EXPECT_NE(Text.find(" 0 1 | (F 8)"), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("scalar"), std::string::npos) << Text;
   size_t PlanAt = Text.find("plan ");
   ASSERT_NE(PlanAt, std::string::npos);
   std::string Checksum = Text.substr(PlanAt + 5, 16);
@@ -279,53 +293,6 @@ TEST(PlanCache, WisdomFileIsVersionedText) {
             std::string::npos)
       << Checksum;
   std::remove(Path.c_str());
-}
-
-TEST(PlanCache, VariantTokenRoundTripsAndV2FilesStillLoad) {
-  // v3 round-trip: a vector-winner entry keeps its variant across
-  // save/load; entries without an explicit variant default to scalar.
-  std::string Path = tempPath("spl_wisdom_variant");
-  Diagnostics D1;
-  search::PlanCache C1(D1);
-  C1.insert(testKey(8), {{makeDFT(8)->print(), 1.5,
-                          codegen::CodegenVariant::Vector},
-                         {makeDFT(8)->print(), 2.5}});
-  ASSERT_TRUE(C1.save(Path));
-  std::string Text = slurp(Path);
-  EXPECT_NE(Text.find(" vector | "), std::string::npos) << Text;
-
-  Diagnostics D2;
-  search::PlanCache C2(D2);
-  ASSERT_TRUE(C2.load(Path));
-  auto E8 = C2.lookup(testKey(8));
-  ASSERT_TRUE(E8);
-  ASSERT_EQ(E8->size(), 2u);
-  EXPECT_EQ((*E8)[0].Variant, codegen::CodegenVariant::Vector);
-  EXPECT_EQ((*E8)[1].Variant, codegen::CodegenVariant::Scalar);
-  std::remove(Path.c_str());
-
-  // Backward compatibility: a v2 file (no variant token in the payload)
-  // still loads, with every entry read as scalar.
-  std::string V2Path = tempPath("spl_wisdom_v2compat");
-  {
-    std::string Payload = "fft 8 complex B16 opcount " +
-                          search::PlanCache::hostFingerprint() + " 0 1.5 | " +
-                          makeDFT(8)->print();
-    std::ofstream Out(V2Path);
-    Out << "spl-wisdom v2\n";
-    Out << "plan " << fnv1aHex(Payload) << ' ' << Payload << '\n';
-  }
-  Diagnostics DV;
-  search::PlanCache CV(DV);
-  ASSERT_TRUE(CV.load(V2Path));
-  EXPECT_EQ(CV.stats().Skipped, 0u);
-  EXPECT_EQ(CV.stats().Loaded, 1u);
-  auto V2E = CV.lookup(testKey(8));
-  ASSERT_TRUE(V2E);
-  EXPECT_DOUBLE_EQ((*V2E)[0].Cost, 1.5);
-  EXPECT_EQ((*V2E)[0].Variant, codegen::CodegenVariant::Scalar);
-  EXPECT_FALSE(DV.hasErrors());
-  std::remove(V2Path.c_str());
 }
 
 TEST(PlanCache, BitFlippedLinesFailChecksumAndAreRewritten) {

@@ -19,8 +19,8 @@
 #include "perf/NativeCompile.h"
 #include "runtime/AlignedBuffer.h"
 #include "runtime/PlanRegistry.h"
+#include "search/DPSearch.h"
 #include "support/Diagnostics.h"
-#include "support/StrUtil.h"
 #include "telemetry/Metrics.h"
 #include "transforms/Registry.h"
 
@@ -587,72 +587,106 @@ TEST(Plan, VectorCompileFaultDemotesToScalarNative) {
   EXPECT_LT(maxAbsDiff(deinterleave(YR), dftMatrix(16).apply(X)), 1e-10);
 }
 
-TEST(Planner, VectorWinnerWisdomDegradesWithHostISA) {
-  SPL_SKIP_IF_FAULTS_ARMED();
-  std::string Path = "/tmp/spl-runtime-vwisdom-" + std::to_string(getpid());
-  std::remove(Path.c_str());
+/// Number of codegen races the planner has decided so far.
+std::uint64_t racesDecided() {
+  return telemetry::counter("plan.scalar_wins").value() +
+         telemetry::counter("plan.vector_wins").value();
+}
 
-  // Seed a wisdom file, then rewrite its entries as vector winners (with
-  // recomputed checksums) — simulating a file that roamed from a SIMD host.
-  {
+TEST(Planner, NativeEvaluatorRacesOnlyTheWinnersKernels) {
+  if (!perf::NativeModule::available())
+    GTEST_SKIP() << "no working C compiler on this host";
+  SPL_SKIP_IF_FAULTS_ARMED();
+
+  telemetry::setMetricsEnabled(true);
+  auto Opts = testOptions();
+  Opts.Evaluator = "native";
+  const Matrix Dense = dftMatrix(8);
+  for (auto Mode : {runtime::CodegenMode::Auto, runtime::CodegenMode::Scalar,
+                    runtime::CodegenMode::Vector}) {
+    SCOPED_TRACE(runtime::codegenModeName(Mode));
     Diagnostics Diags;
-    auto Opts = testOptions();
-    Opts.UseWisdom = true;
-    Opts.WisdomPath = Path;
     runtime::Planner Planner(Diags, Opts);
     runtime::PlanSpec Spec;
     Spec.Size = 8;
-    Spec.Want = runtime::Backend::VM;
-    ASSERT_TRUE(Planner.plan(Spec)) << Diags.dump();
-    ASSERT_TRUE(Planner.saveWisdom());
-  }
-  {
-    std::ifstream In(Path);
-    ASSERT_TRUE(In.good());
-    std::ostringstream Rewritten;
-    std::string Line;
-    bool SawVector = false;
-    while (std::getline(In, Line)) {
-      auto Pos = Line.find(" scalar | ");
-      if (Line.rfind("plan ", 0) == 0 && Pos != std::string::npos) {
-        // Line = "plan <sum> <payload>"; swap the variant token in the
-        // payload and restamp the checksum so the loader accepts it.
-        std::string Payload = Line.substr(Line.find(' ', 5) + 1);
-        auto P2 = Payload.find(" scalar | ");
-        ASSERT_NE(P2, std::string::npos);
-        Payload.replace(P2, 10, " vector | ");
-        Rewritten << "plan " << fnv1aHex(Payload) << ' ' << Payload << '\n';
-        SawVector = true;
-      } else {
-        Rewritten << Line << '\n';
-      }
-    }
-    In.close();
-    ASSERT_TRUE(SawVector) << "no wisdom entry to rewrite";
-    std::ofstream Out(Path, std::ios::trunc);
-    Out << Rewritten.str();
-  }
-  {
-    Diagnostics Diags;
-    auto Opts = testOptions();
-    Opts.UseWisdom = true;
-    Opts.WisdomPath = Path;
-    runtime::Planner Planner(Diags, Opts);
-    runtime::PlanSpec Spec;
-    Spec.Size = 8;
-    Spec.Want = runtime::Backend::VM; // Backend tier is irrelevant here.
+    Spec.Want = runtime::Backend::Native;
+    Spec.Codegen = Mode;
+    const std::uint64_t Before = racesDecided();
     auto P = Planner.plan(Spec);
     ASSERT_TRUE(P) << Diags.dump();
-    EXPECT_GT(Planner.wisdom().stats().Hits, 0u)
-        << "vector-winner wisdom must load, not invalidate";
+    EXPECT_EQ(P->backend(), runtime::Backend::Native) << P->fallbackReason();
 
-    // Whatever the host's ISA probe says, the remembered formula still
-    // computes the transform (on scalar-only hosts the entry silently
-    // degrades to the scalar variant instead of being rejected).
+    // Only auto codegen races, once per plan, and only where a SIMD ISA
+    // can run; a forced mode takes its own kernel without timing it.
+    const bool Raced = Mode == runtime::CodegenMode::Auto &&
+                       codegen::vectorBackendAvailable();
+    EXPECT_EQ(racesDecided() - Before, Raced ? 1u : 0u);
+    if (Mode == runtime::CodegenMode::Scalar) {
+      EXPECT_EQ(P->codegenVariant(), codegen::CodegenVariant::Scalar);
+    }
+
     auto X = randomVector(8);
     std::vector<double> XR = interleave(X), YR(16);
     P->execute(YR.data(), XR.data());
-    EXPECT_LT(maxAbsDiff(deinterleave(YR), dftMatrix(8).apply(X)), 1e-10);
+    EXPECT_LT(maxAbsDiff(deinterleave(YR), Dense.apply(X)), 1e-10);
+  }
+
+  // The opcount cost model never races, whatever the codegen mode.
+  {
+    Diagnostics Diags;
+    runtime::Planner Planner(Diags, testOptions());
+    runtime::PlanSpec Spec;
+    Spec.Size = 8;
+    Spec.Want = runtime::Backend::Native;
+    const std::uint64_t Before = racesDecided();
+    auto P = Planner.plan(Spec);
+    ASSERT_TRUE(P) << Diags.dump();
+    EXPECT_EQ(racesDecided(), Before);
+    EXPECT_EQ(P->codegenVariant(), codegen::CodegenVariant::Scalar);
+  }
+  telemetry::setMetricsEnabled(false);
+  telemetry::resetAllMetrics();
+}
+
+TEST(Planner, NativeTimeSearchWinnerRoundTripsThroughWisdom) {
+  if (!perf::NativeModule::available())
+    GTEST_SKIP() << "no working C compiler on this host";
+  SPL_SKIP_IF_FAULTS_ARMED();
+
+  std::string Path =
+      "/tmp/spl-runtime-native-wisdom-" + std::to_string(getpid());
+  std::remove(Path.c_str());
+  driver::CompilerOptions CO;
+  CO.UnrollThreshold = 16;
+  search::SearchOptions SO;
+  SO.MaxLeaf = 8;
+  std::string Cold;
+  {
+    Diagnostics Diags;
+    search::NativeTimeEvaluator Eval(Diags, CO, /*Repeats=*/1);
+    search::PlanCache Wisdom(Diags);
+    search::DPSearch Search(Eval, Diags, SO, &Wisdom);
+    auto Best = Search.best(8);
+    ASSERT_TRUE(Best) << Diags.dump();
+    EXPECT_GT(Best->Cost, 0);
+    EXPECT_GT(Eval.evaluations(), 0u);
+    Cold = Best->Formula->print();
+    auto X = randomVector(8);
+    EXPECT_LT(maxAbsDiff(Best->Formula->toMatrix().apply(X),
+                         dftMatrix(8).apply(X)),
+              1e-10);
+    ASSERT_TRUE(Wisdom.save(Path));
+  }
+  {
+    Diagnostics Diags;
+    search::NativeTimeEvaluator Eval(Diags, CO, /*Repeats=*/1);
+    search::PlanCache Wisdom(Diags);
+    ASSERT_TRUE(Wisdom.load(Path));
+    search::DPSearch Search(Eval, Diags, SO, &Wisdom);
+    auto Best = Search.best(8);
+    ASSERT_TRUE(Best) << Diags.dump();
+    EXPECT_EQ(Best->Formula->print(), Cold);
+    EXPECT_EQ(Eval.evaluations(), 0u) << "warm search re-timed candidates";
   }
   std::remove(Path.c_str());
 }

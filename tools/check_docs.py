@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sanity-check the project's Markdown docs.
 
-Three checks over README.md and docs/*.md:
+Four checks over README.md and docs/*.md:
 
 1. Every fenced code block must have balanced (), [] and {} after
    comment text is stripped. This catches the usual documentation rot:
@@ -19,6 +19,10 @@ Three checks over README.md and docs/*.md:
    src/telemetry/Metrics.def has a row in the matching Counters, Gauges
    or Histograms table of docs/OBSERVABILITY.md, and every row there
    names an instrument of that kind.
+
+4. Every wisdom dump is current: each `spl-wisdom vN` header line in a
+   fenced block equals VersionHeader in src/search/PlanCache.cpp, so a
+   format bump cannot leave stale example files behind.
 
 Comment syntax is chosen per fence info string:
   lisp/spl   ';' to end of line
@@ -65,6 +69,10 @@ METRIC_KINDS = {
 }
 # A reference row: | `name` | ...
 ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
+
+# A wisdom file header, in a doc's fenced block or in PlanCache.cpp.
+WISDOM_HEADER_RE = re.compile(r"^spl-wisdom v\d+$")
+VERSION_HEADER_RE = re.compile(r'VersionHeader = "([^"]+)"')
 
 
 def strip_comments(line, markers):
@@ -158,7 +166,7 @@ def check_links(path, link_sites, anchor_cache):
     return errors
 
 
-def check_file(path):
+def check_file(path, wisdom_header):
     errors = []
     blocks = 0
     links = []
@@ -182,6 +190,15 @@ def check_file(path):
                 continue
             if in_block:
                 block_lines.append(line)
+                if (
+                    WISDOM_HEADER_RE.match(line.strip())
+                    and line.strip() != wisdom_header
+                ):
+                    errors.append(
+                        "%s:%d: stale wisdom header '%s' (PlanCache.cpp "
+                        "writes '%s')" % (path, lineno, line.strip(),
+                                          wisdom_header)
+                    )
             else:
                 for m in LINK_RE.finditer(line):
                     links.append((lineno, m.group(1)))
@@ -223,8 +240,18 @@ def check_metrics(def_path, doc_path):
     return errors
 
 
+def wisdom_version_header(plancache_path):
+    """The header string PlanCache.cpp writes, e.g. 'spl-wisdom v4'."""
+    with open(plancache_path, encoding="utf-8") as f:
+        m = VERSION_HEADER_RE.search(f.read())
+    return m.group(1) if m else None
+
+
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    wisdom_header = wisdom_version_header(
+        os.path.join(root, "src", "search", "PlanCache.cpp")
+    )
     paths = [os.path.join(root, "README.md")] + sorted(
         glob.glob(os.path.join(root, "docs", "*.md"))
     )
@@ -235,11 +262,13 @@ def main():
     for path in paths:
         if not os.path.exists(path):
             continue
-        blocks, links, errors = check_file(path)
+        blocks, links, errors = check_file(path, wisdom_header)
         total_blocks += blocks
         total_links += len(links)
         all_errors += errors
         all_errors += check_links(path, links, anchor_cache)
+    if not wisdom_header:
+        all_errors.append("src/search/PlanCache.cpp: no VersionHeader found")
     all_errors += check_metrics(
         os.path.join(root, "src", "telemetry", "Metrics.def"),
         os.path.join(root, "docs", "OBSERVABILITY.md"),

@@ -32,7 +32,9 @@
 ///                            5000)
 ///     --codegen auto|scalar|vector   server-wide codegen policy: auto
 ///                            honors each request's mode, scalar/vector
-///                            override every spec (docs/VECTORIZATION.md)
+///                            override every spec. A request's auto plans
+///                            scalar, unless --eval native times the
+///                            winner's two kernels (docs/VECTORIZATION.md)
 ///     --eval opcount|vmtime|native   search cost model (default opcount)
 ///     --search-threads <t>   candidate-evaluation worker threads
 ///     --wisdom <file>        plan cache location ($SPL_WISDOM/~/.spl_wisdom)

@@ -36,7 +36,9 @@
 ///                           exit after the other requests
 ///     --backend auto|native|vm|oracle   execution substrate (default auto)
 ///     --codegen auto|scalar|vector      native kernel variant (default auto:
-///                           the search decides; docs/VECTORIZATION.md)
+///                           scalar, except that --eval native times the
+///                           winner's scalar and vector kernels and keeps
+///                           the faster; docs/VECTORIZATION.md)
 ///     --unroll <n>          -B unroll threshold (default 16)
 ///     --leaf <n>            largest straight-line sub-transform (default 16)
 ///     --eval opcount|vmtime|native   search cost model (default opcount)
