@@ -7,6 +7,7 @@
 #include "runtime/Plan.h"
 
 #include "ir/Transforms.h"
+#include "support/ThreadPool.h"
 #include "telemetry/Trace.h"
 #include "transforms/Registry.h"
 
@@ -296,13 +297,25 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
     }
   };
 
+  // One contiguous chunk of lane groups per runner: coarse-grained enough
+  // that dispatch never becomes the bottleneck, and each runner touches a
+  // disjoint slice of the batch. Lane independence keeps every vector's bits
+  // the same whatever its group-mates (or padding) are.
+  const std::int64_t Groups = (Count + M - 1) / M;
+  const std::int64_t T = std::clamp<std::int64_t>(Threads, 1, Groups);
+  const std::int64_t Chunk = (Groups + T - 1) / T;
+
   // Cooperative cancellation: the deadline is checked before each lane
   // group, never inside one, so every vector that runs at all produces
   // exactly the bits an unpressured run would, and skipped groups leave
-  // their output untouched. One worker noticing expiry stops the others at
+  // their output untouched. One runner noticing expiry stops the others at
   // their next group through the shared flag.
   std::atomic<bool> Stop{false};
-  auto Work = [&](std::int64_t Lo, std::int64_t Hi) {
+  parallelFor(static_cast<size_t>(T), static_cast<int>(T), [&](size_t J) {
+    const std::int64_t Lo = static_cast<std::int64_t>(J) * Chunk;
+    const std::int64_t Hi = std::min(Groups, Lo + Chunk);
+    if (Lo >= Hi)
+      return;
     auto Ctx = acquireCtx();
     for (std::int64_t G = Lo; G != Hi; ++G) {
       if (Stop.load(std::memory_order_relaxed) || DL.expired()) {
@@ -312,31 +325,7 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
       RunGroup(*Ctx, G * M);
     }
     releaseCtx(std::move(Ctx));
-  };
-
-  const std::int64_t Groups = (Count + M - 1) / M;
-  const std::int64_t T = std::clamp<std::int64_t>(Threads, 1, Groups);
-  if (T == 1) {
-    Work(0, Groups);
-  } else {
-    // One contiguous chunk of lane groups per worker: coarse-grained enough
-    // that the pool's queue never becomes the bottleneck, and each worker
-    // touches a disjoint slice of the batch. Lane independence keeps every
-    // vector's bits the same whatever its group-mates (or padding) are.
-    std::lock_guard<std::mutex> Lock(BatchM);
-    if (!Pool || PoolThreads != static_cast<int>(T)) {
-      Pool.reset(); // Join the old workers before spawning the new set.
-      Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(T));
-      PoolThreads = static_cast<int>(T);
-    }
-    const std::int64_t Chunk = (Groups + T - 1) / T;
-    parallelFor(*Pool, static_cast<size_t>(T), [&](size_t J) {
-      const std::int64_t Lo = static_cast<std::int64_t>(J) * Chunk;
-      const std::int64_t Hi = std::min(Groups, Lo + Chunk);
-      if (Lo < Hi)
-        Work(Lo, Hi);
-    });
-  }
+  });
 
   if (Mask != 0) {
     const std::uint64_t Dur = telemetry::traceNowNs() - Start;

@@ -43,7 +43,6 @@
 #include "perf/KernelRunner.h"
 #include "runtime/AlignedBuffer.h"
 #include "support/Deadline.h"
-#include "support/ThreadPool.h"
 #include "telemetry/Metrics.h"
 #include "transforms/Registry.h"
 #include "vm/Executor.h"
@@ -243,9 +242,9 @@ public:
 
   /// FFTW-advanced-style strided/batched execute (see BatchLayout). With
   /// Threads > 1 the batch's lane groups are cut into one contiguous chunk
-  /// per worker on an internal ThreadPool; results are bit-identical for
-  /// every thread count and layout, since each vector is computed by
-  /// exactly the same code whichever worker and lane group it lands in.
+  /// per parallelFor runner; results are bit-identical for every thread
+  /// count and layout, since each vector is computed by exactly the same
+  /// code whichever runner and lane group it lands in.
   ///
   /// \p DL is checked cooperatively before each lane group (each worker
   /// also watches a shared stop flag); once it expires no new group
@@ -254,8 +253,8 @@ public:
   /// bumps runtime.deadline_exceeded) when any vector was skipped; an
   /// unbounded deadline costs one relaxed atomic load per group.
   ///
-  /// Thread-safe; concurrent multi-threaded batches serialize on the pool
-  /// (single-threaded calls and execute() never block each other).
+  /// Thread-safe; concurrent batches, multi-threaded or not, never block
+  /// each other. A single-threaded call never touches the pool.
   ExecStatus executeBatch(double *Y, const double *X, const BatchLayout &L,
                           const support::Deadline &DL = support::Deadline(),
                           int Threads = 1);
@@ -311,10 +310,6 @@ private:
 
   std::mutex CtxM;
   std::vector<std::unique_ptr<ExecCtx>> FreeCtxs;
-
-  std::mutex BatchM;
-  std::unique_ptr<ThreadPool> Pool; ///< Rebuilt when the thread count moves.
-  int PoolThreads = 0;
 
   // Per-plan telemetry, written only on the armed execute paths.
   std::atomic<std::uint64_t> NumExecutes{0};

@@ -10,9 +10,11 @@
 #include "gen/Enumerate.h"
 #include "gen/Rules.h"
 #include "ir/Builder.h"
+#include "support/ThreadPool.h"
 #include "telemetry/Metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 using namespace spl;
@@ -45,27 +47,19 @@ void DPSearch::noteDeadlineOnce() {
 std::vector<std::optional<double>>
 DPSearch::costAll(const std::vector<FormulaRef> &Cands) {
   std::vector<std::optional<double>> Costs(Cands.size());
-  if (Opts.Threads > 1 && Cands.size() > 1) {
-    if (!Pool)
-      Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(Opts.Threads));
-    // Workers observe the deadline through the evaluator, which scores
-    // expired candidates as infinite cost without compiling them.
-    parallelFor(*Pool, Cands.size(),
-                [&](size_t I) { Costs[I] = Eval.cost(Cands[I]); });
-    if (Opts.Deadline.expired())
-      noteDeadlineOnce();
-  } else {
-    for (size_t I = 0; I != Cands.size(); ++I) {
-      if (Opts.Deadline.expired()) {
-        // Budget spent: skip even candidate compilation, score the rest as
-        // losers, and let the first-minimum scan return best-so-far.
-        noteDeadlineOnce();
-        Costs[I] = std::numeric_limits<double>::infinity();
-        continue;
-      }
-      Costs[I] = Eval.cost(Cands[I]);
+  std::atomic<bool> Skipped{false}; // noteDeadlineOnce is not thread-safe.
+  parallelFor(Cands.size(), Opts.Threads, [&](size_t I) {
+    if (Opts.Deadline.expired()) {
+      // Budget spent: skip even candidate compilation, score the rest as
+      // losers, and let the first-minimum scan return best-so-far.
+      Skipped.store(true, std::memory_order_relaxed);
+      Costs[I] = std::numeric_limits<double>::infinity();
+      return;
     }
-  }
+    Costs[I] = Eval.cost(Cands[I]);
+  });
+  if (Skipped.load(std::memory_order_relaxed))
+    noteDeadlineOnce();
   return Costs;
 }
 
@@ -211,7 +205,7 @@ const std::vector<Candidate> &DPSearch::largeEntries(std::int64_t N) {
     // L with r <= MaxLeaf a straight-line module and s factored further.
     // Building the candidate set first (recursing into sub-sizes) and
     // costing it as one batch keeps the recursion serial while the
-    // expensive evaluations fan out over the pool.
+    // expensive evaluations fan out through parallelFor.
     std::vector<FormulaRef> Cands;
     for (std::int64_t R = 2; R <= Opts.MaxLeaf && R * 2 <= N; R *= 2) {
       // Out of budget: stop widening the candidate set, but only once at

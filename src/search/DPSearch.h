@@ -14,10 +14,10 @@
 /// for a larger one.
 ///
 /// Two scalability additions over the paper's engine:
-///  * candidate evaluation fans out over a worker pool (SearchOptions::
-///    Threads) — candidates of one size are independent, and the winner is
-///    picked by a deterministic first-minimum scan, so any thread count
-///    returns exactly the serial result for deterministic evaluators;
+///  * candidate evaluation fans out through parallelFor (SearchOptions::
+///    Threads wide) — candidates of one size are independent, and the
+///    winner is picked by a deterministic first-minimum scan, so any thread
+///    count returns exactly the serial result for deterministic evaluators;
 ///  * results can be recorded in / served from a persistent PlanCache
 ///    ("wisdom"), letting warm runs skip enumeration and timing entirely.
 ///
@@ -28,10 +28,8 @@
 
 #include "search/Evaluator.h"
 #include "search/PlanCache.h"
-#include "support/ThreadPool.h"
 
 #include <map>
-#include <memory>
 #include <vector>
 
 namespace spl {
@@ -104,7 +102,6 @@ private:
   Diagnostics &Diags;
   SearchOptions Opts;
   PlanCache *Wisdom = nullptr;
-  std::unique_ptr<ThreadPool> Pool; ///< Created on first parallel batch.
 
   std::map<std::int64_t, Candidate> SmallBest;
   std::map<std::int64_t, std::vector<Candidate>> LargeBest;
@@ -116,7 +113,7 @@ private:
   void noteDeadlineOnce();
   bool DeadlineNoted = false;
 
-  /// Costs every candidate, fanning out over the pool when configured.
+  /// Costs every candidate, Opts.Threads at a time.
   /// Result i corresponds to Cands[i]; nullopt where evaluation failed.
   std::vector<std::optional<double>>
   costAll(const std::vector<FormulaRef> &Cands);

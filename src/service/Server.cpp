@@ -84,8 +84,7 @@ void Server::stop() {
   ListenFd = -1;
 
   reapConns(/*All=*/true);
-  if (Pool)
-    Pool->wait();
+  Pool.reset(); // Runs every admitted request, then joins the workers.
   ThePlanner.saveWisdom();
   ::unlink(Opts.SocketPath.c_str());
 }

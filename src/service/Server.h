@@ -50,7 +50,7 @@ namespace service {
 struct ServerOptions {
   std::string SocketPath; ///< Required: where to listen.
 
-  /// Worker threads for planning/execution (0: ThreadPool default).
+  /// Request worker threads that plan and execute (0: one per core).
   int Workers = 0;
 
   /// Server-wide cap on admitted-but-unfinished plan/execute requests.
@@ -67,7 +67,7 @@ struct ServerOptions {
   /// point plan request from one tenant must not OOM the daemon).
   std::int64_t MaxTransformSize = 1 << 16;
 
-  /// Cap on the per-request batch worker count a client may ask for.
+  /// Cap on the batch width (parallelFor runners) a request may ask for.
   int MaxExecThreads = 4;
 
   /// Server-wide codegen policy (--codegen): Auto honors each request's

@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size worker pool (std::thread + queue) used by the search
-/// engine to evaluate independent candidate formulas concurrently. Jobs are
-/// plain closures; wait() blocks until the queue drains so a caller can use
-/// the pool as a scoped parallel-for. Deliberately minimal: no futures, no
-/// work stealing — candidate evaluation is coarse-grained enough that a
-/// single locked deque never shows up in a profile.
+/// A small fixed-size worker pool (std::thread + queue) and parallelFor, the
+/// one way compute work fans out. Every parallelFor draws its helpers from
+/// one process-wide pool; the caller runs indices too and waits only for
+/// indices, never for queued jobs, so a call cannot deadlock: not from a
+/// pool job, a spld request worker, or inside another parallelFor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,20 +32,14 @@ public:
   /// Spawns \p Threads workers (minimum 1).
   explicit ThreadPool(unsigned Threads);
 
-  /// Waits for queued jobs, then joins the workers.
+  /// Runs every queued job, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Enqueues one job. Jobs must not enqueue further jobs and then wait()
-  /// on the same pool (classic self-deadlock).
+  /// Enqueues one job.
   void run(std::function<void()> Job);
-
-  /// Blocks until every job enqueued so far has finished executing.
-  void wait();
-
-  unsigned threadCount() const { return static_cast<unsigned>(Workers.size()); }
 
   /// A sensible default worker count: hardware_concurrency, at least 1.
   static unsigned defaultThreads();
@@ -56,17 +49,27 @@ private:
 
   std::mutex M;
   std::condition_variable JobReady; ///< Signals workers: job or shutdown.
-  std::condition_variable AllDone;  ///< Signals wait(): queue drained.
   std::deque<std::function<void()>> Jobs;
   std::vector<std::thread> Workers;
-  size_t InFlight = 0; ///< Queued + currently executing jobs.
   bool Stopping = false;
 };
 
-/// Runs Fn(0..N-1) across the pool and returns when all calls finished.
-/// Exceptions must not escape Fn (the project builds without exceptions).
-void parallelFor(ThreadPool &Pool, size_t N,
-                 const std::function<void(size_t)> &Fn);
+namespace detail {
+void parallelFor(size_t N, int Width, const std::function<void(size_t)> &Fn);
+} // namespace detail
+
+/// Runs Fn(0..N-1), N < 2^32, with at most \p Width runners at once, the
+/// caller among them; helpers come from the process pool of defaultThreads()
+/// - 1 workers, made by the first call with Width > 1. Width <= 1 runs
+/// inline, in order, with no allocation, lock or pool. Fn must not throw.
+template <typename FnT> void parallelFor(size_t N, int Width, FnT &&Fn) {
+  if (Width <= 1 || N <= 1) {
+    for (size_t I = 0; I != N; ++I)
+      Fn(I);
+    return;
+  }
+  detail::parallelFor(N, Width, std::ref(Fn));
+}
 
 } // namespace spl
 

@@ -21,6 +21,7 @@
 #include "runtime/PlanRegistry.h"
 #include "search/DPSearch.h"
 #include "support/Diagnostics.h"
+#include "support/ThreadPool.h"
 #include "telemetry/Metrics.h"
 #include "transforms/Registry.h"
 
@@ -30,6 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -1197,6 +1199,95 @@ TEST(PlanRegistry, PressuredPlansAreNotMemoized) {
   EXPECT_FALSE(P2->deadlinePressured());
   EXPECT_NE(P1.get(), P2.get());
   EXPECT_EQ(P2.get(), Registry.acquire(Spec).get());
+}
+
+/// Live threads in this process, or -1 where /proc/self/task is missing.
+int liveThreads() {
+  std::error_code EC;
+  std::filesystem::directory_iterator It("/proc/self/task", EC), End;
+  return EC ? -1 : static_cast<int>(std::distance(It, End));
+}
+
+TEST(Plan, BatchesOnManyPlansShareOneProcessPool) {
+  const int Before = liveThreads();
+  if (Before < 0)
+    GTEST_SKIP() << "/proc/self/task is not available";
+  std::vector<runtime::PlanSpec> Specs;
+  auto Add = [&](const char *Transform, std::int64_t N) {
+    runtime::PlanSpec Spec;
+    Spec.Transform = Transform;
+    Spec.Size = N;
+    Spec.Want = runtime::Backend::VM; // Works on compiler-less hosts too.
+    Specs.push_back(Spec);
+  };
+  for (std::int64_t N = 2; N <= 16; ++N) // Any size within the leaf.
+    Add("fft", N);
+  for (std::int64_t N = 32; N <= 256; N *= 2)
+    Add("fft", N);
+  for (std::int64_t N = 2; N <= 128; N *= 2)
+    Add("wht", N);
+  for (const char *Dct : {"dct2", "dct3", "dct4"})
+    for (std::int64_t N = 2; N <= 256; N *= 2)
+      Add(Dct, N);
+  ASSERT_EQ(Specs.size(), 50u);
+
+  Diagnostics Diags;
+  runtime::Planner Planner(Diags, testOptions());
+  std::vector<std::shared_ptr<runtime::Plan>> Plans; // All alive at the end.
+  for (const runtime::PlanSpec &Spec : Specs) {
+    auto P = Planner.plan(Spec);
+    ASSERT_TRUE(P) << Spec.key() << ": " << Diags.dump();
+    const std::int64_t Len = P->vectorLen();
+    std::vector<double> X = randomRealVector(static_cast<size_t>(4 * Len));
+    std::vector<double> Y(X.size());
+    for (int T = 1; T <= 4; ++T)
+      P->executeBatch(Y.data(), X.data(), 4, T);
+    Plans.push_back(std::move(P));
+  }
+  const std::int64_t Len = Plans.back()->vectorLen();
+  std::vector<double> X = randomRealVector(static_cast<size_t>(16 * Len));
+  std::vector<double> Y(X.size());
+  Plans.back()->executeBatch(Y.data(), X.data(), 16, 16);
+
+  // Whatever the plan count and thread counts, at most the process pool's
+  // workers can have appeared (none, if an earlier test made the pool).
+  const int PoolSize =
+      static_cast<int>(std::max(1u, ThreadPool::defaultThreads() - 1));
+  EXPECT_LE(liveThreads(), Before + PoolSize);
+}
+
+TEST(Plan, ConcurrentMultiThreadedBatchesAreBitIdentical) {
+  Diagnostics Diags;
+  runtime::Planner Planner(Diags, testOptions());
+  runtime::PlanSpec Spec;
+  Spec.Size = 64;
+  Spec.Want = runtime::Backend::VM;
+  auto P = Planner.plan(Spec);
+  ASSERT_TRUE(P) << Diags.dump();
+
+  constexpr std::int64_t Batch = 37; // Not a multiple of the thread count.
+  const std::int64_t Len = P->vectorLen();
+  const std::vector<double> X =
+      randomRealVector(static_cast<size_t>(Batch * Len), 77);
+  std::vector<double> Y1(X.size());
+  P->executeBatch(Y1.data(), X.data(), Batch, 1);
+
+  // Two callers run three-thread batches on the one plan at the same time;
+  // neither may wait for the other, and both must match the serial bits.
+  std::atomic<int> Mismatches{0};
+  auto Caller = [&] {
+    std::vector<double> Y(X.size());
+    for (int Round = 0; Round != 20; ++Round) {
+      std::fill(Y.begin(), Y.end(), -1.0);
+      P->executeBatch(Y.data(), X.data(), Batch, 3);
+      if (std::memcmp(Y.data(), Y1.data(), Y.size() * sizeof(double)) != 0)
+        Mismatches.fetch_add(1);
+    }
+  };
+  std::thread A(Caller), B(Caller);
+  A.join();
+  B.join();
+  EXPECT_EQ(Mismatches.load(), 0);
 }
 
 } // namespace

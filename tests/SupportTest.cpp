@@ -11,6 +11,7 @@
 #include "support/FaultInjection.h"
 #include "support/StrUtil.h"
 #include "support/Subprocess.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -18,12 +19,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <random>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SPL_SANITIZED_BUILD 1
@@ -196,6 +202,107 @@ TEST(CircuitBreaker, TripAndResetAreImmediate) {
   EXPECT_EQ(B.state(), support::CircuitBreaker::State::Closed);
   EXPECT_TRUE(B.allow());
   B.recordSuccess();
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (size_t N : {0, 1, 7, 1000}) {
+    for (int Width : {1, 2, 3, 64}) {
+      std::vector<std::atomic<int>> Hits(N);
+      parallelFor(N, Width, [&](size_t I) { Hits[I].fetch_add(1); });
+      for (size_t I = 0; I != N; ++I)
+        ASSERT_EQ(Hits[I].load(), 1)
+            << "N=" << N << " Width=" << Width << " index " << I;
+    }
+  }
+}
+
+TEST(ParallelFor, WidthOneRunsInOrderOnTheCaller) {
+  std::vector<size_t> Order;
+  const std::thread::id Caller = std::this_thread::get_id();
+  bool OnCaller = true;
+  parallelFor(5, 1, [&](size_t I) {
+    Order.push_back(I);
+    OnCaller = OnCaller && std::this_thread::get_id() == Caller;
+  });
+  EXPECT_EQ(Order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(OnCaller);
+}
+
+/// Runs \p Body on the calling thread and returns its result, under a
+/// watchdog thread that aborts the test binary if Body has not returned
+/// within \p Seconds: a deadlock fails the suite instead of hanging it.
+bool underWatchdog(double Seconds, const std::function<bool()> &Body) {
+  std::mutex M;
+  std::condition_variable Cv;
+  bool Returned = false;
+  std::thread Dog([&] {
+    std::unique_lock<std::mutex> Lock(M);
+    if (!Cv.wait_for(Lock, std::chrono::duration<double>(Seconds),
+                     [&] { return Returned; })) {
+      std::fprintf(stderr, "watchdog: no return after %.0f s\n", Seconds);
+      std::abort();
+    }
+  });
+  const bool Ok = Body();
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Returned = true;
+  }
+  Cv.notify_one();
+  Dog.join();
+  return Ok;
+}
+
+TEST(ParallelFor, NestedCallsComplete) {
+  // From inside Fn, three levels deep and wider than the process pool, so
+  // every pool worker can be busy in an outer call when an inner one starts.
+  EXPECT_TRUE(underWatchdog(60, [] {
+    std::vector<std::atomic<int>> Hits(16 * 16 * 4);
+    parallelFor(16, 16, [&](size_t I) {
+      parallelFor(16, 16, [&](size_t J) {
+        parallelFor(4, 4, [&](size_t K) { Hits[(I * 16 + J) * 4 + K]++; });
+      });
+    });
+    return std::all_of(Hits.begin(), Hits.end(),
+                       [](const std::atomic<int> &H) { return H == 1; });
+  })) << "nested parallelFor dropped or repeated an index";
+
+  // From a job on a one-worker ThreadPool: the job's own pool can never
+  // help it, and the caller must not wait for queued helper jobs.
+  EXPECT_TRUE(underWatchdog(60, [] {
+    std::atomic<int> Sum{0};
+    {
+      ThreadPool One(1);
+      for (int Job = 0; Job != 4; ++Job)
+        One.run([&] {
+          parallelFor(1000, 64, [&](size_t) { Sum.fetch_add(1); });
+        });
+    } // Runs every queued job, then joins.
+    return Sum == 4000;
+  })) << "parallelFor from a pool job dropped or repeated an index";
+}
+
+TEST(ParallelFor, ConcurrentTinyCallsEachSeeTheirOwnIndices) {
+  // Tiny calls finish before most of their helper jobs start, so helpers
+  // routinely arrive late, after their call returned and its Fn is gone.
+  std::atomic<int> Bad{0};
+  std::vector<std::thread> Callers;
+  for (int T = 0; T != 8; ++T)
+    Callers.emplace_back([&Bad, T] {
+      for (int Call = 0; Call != 1000; ++Call) {
+        const size_t N = 1 + static_cast<size_t>(Call + T) % 8;
+        std::atomic<unsigned> Seen{0};
+        parallelFor(N, 2 + (Call % 3), [&](size_t I) {
+          if (Seen.fetch_or(1u << I) & (1u << I))
+            Bad.fetch_add(1); // An index ran twice.
+        });
+        if (Seen.load() != (1u << N) - 1)
+          Bad.fetch_add(1);
+      }
+    });
+  for (std::thread &C : Callers)
+    C.join();
+  EXPECT_EQ(Bad.load(), 0);
 }
 
 #if defined(__unix__) || defined(__APPLE__)

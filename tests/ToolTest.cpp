@@ -231,6 +231,17 @@ TEST(Spld, CodegenFlagDiagnostics) {
       << Bad.Output;
 }
 
+TEST(Spld, NegativeWorkersIsAUsageError) {
+  // 0 means one request worker per core; below 0 used to mean the same
+  // silently, and is now rejected before the socket is bound.
+  auto R = runCommand(spldPath() + " --socket /tmp/never-bound.sock "
+                                   "--workers -3");
+  EXPECT_EQ(exitStatus(R), 2) << R.Output;
+  EXPECT_NE(R.Output.find("spld: error: --workers must be >= 0"),
+            std::string::npos)
+      << R.Output;
+}
+
 TEST(Splrun, VectorCodegenPlansAndVerifies) {
   if (faultsArmed())
     GTEST_SKIP() << "SPL_FAULT armed";

@@ -13,12 +13,17 @@
 ///
 ///   spld --socket /tmp/spld.sock [--workers 8] [--max-inflight 64]
 ///     --socket <path>        Unix socket to listen on (required)
-///     --workers <n>          plan/execute worker threads (default: cores)
+///     --workers <n>          request worker threads that plan and execute
+///                            (0 = one per core, the default; n < 0 is a
+///                            usage error); a batch fans out from its
+///                            worker to the process compute pool
 ///     --max-inflight <n>     server-wide admitted-request cap (default 64)
 ///     --per-client <n>       per-connection in-flight quota (default 4)
 ///     --max-frame-mb <n>     largest request/response frame (default 64)
 ///     --max-size <n>         largest accepted transform size (default 65536)
-///     --exec-threads <n>     cap on per-request batch workers (default 4)
+///     --exec-threads <n>     cap on a request's batch width: parallelFor
+///                            runners, the request worker included
+///                            (default 4)
 ///     --default-deadline-ms <n>  deadline applied to requests that carry
 ///                            none of their own (0 = unbounded, default);
 ///                            queue time counts, so aged-out requests are
@@ -97,7 +102,8 @@ void printUsage() {
       "            [--breaker-cooldown-ms n]\n"
       "            [--eval opcount|vmtime|native]\n"
       "            [--search-threads t] [--wisdom file] [--no-wisdom]\n"
-      "            [--kernel-cache dir] [--no-kernel-cache] [--version]\n");
+      "            [--kernel-cache dir] [--no-kernel-cache] [--version]\n"
+      "--workers takes n >= 0; 0 (the default) is one per core\n");
 }
 
 } // namespace
@@ -123,6 +129,10 @@ int main(int Argc, char **Argv) {
       Opts.SocketPath = Next("--socket");
     } else if (Arg == "--workers") {
       Opts.Workers = std::atoi(Next("--workers"));
+      if (Opts.Workers < 0) {
+        std::fprintf(stderr, "spld: error: --workers must be >= 0\n");
+        return tools::ExitUsage;
+      }
     } else if (Arg == "--max-inflight") {
       Opts.MaxInflight = std::atoi(Next("--max-inflight"));
     } else if (Arg == "--per-client") {
