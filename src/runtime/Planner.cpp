@@ -352,12 +352,6 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
     }
     }
     Winner = tensorOfDims(std::move(Parts));
-    if (TI.PlanFamily == transforms::Family::Recursive) {
-      // A deterministic rule has no search, but its evaluator cost is
-      // still the comparable figure callers see in searchCost().
-      if (auto C = Eval->cost(Winner))
-        Cost = *C;
-    }
   }
 
   driver::Compiler Compiler(Diags);
@@ -372,6 +366,13 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   if (!Unit) {
     Report(PlanError::Failed);
     return nullptr;
+  }
+  if (TI.PlanFamily == transforms::Family::Recursive) {
+    // A deterministic rule has no search, but its evaluator cost is still
+    // the comparable figure callers see in searchCost(); it is read off the
+    // program just lowered rather than lowering the rule a second time.
+    if (auto C = Eval->cost(Unit->Final))
+      Cost = *C;
   }
 
   auto P = std::shared_ptr<Plan>(new Plan());

@@ -45,7 +45,8 @@ void DPSearch::noteDeadlineOnce() {
 }
 
 std::vector<std::optional<double>>
-DPSearch::costAll(const std::vector<FormulaRef> &Cands) {
+DPSearch::costAll(const std::vector<FormulaRef> &Cands,
+                  const std::vector<CooleyTukeyParts> &Parts) {
   std::vector<std::optional<double>> Costs(Cands.size());
   std::atomic<bool> Skipped{false}; // noteDeadlineOnce is not thread-safe.
   parallelFor(Cands.size(), Opts.Threads, [&](size_t I) {
@@ -56,6 +57,11 @@ DPSearch::costAll(const std::vector<FormulaRef> &Cands) {
       Costs[I] = std::numeric_limits<double>::infinity();
       return;
     }
+    if (I < Parts.size())
+      if (auto C = Eval.composedCost(Parts[I])) {
+        Costs[I] = C;
+        return;
+      }
     Costs[I] = Eval.cost(Cands[I]);
   });
   if (Skipped.load(std::memory_order_relaxed))
@@ -205,8 +211,11 @@ const std::vector<Candidate> &DPSearch::largeEntries(std::int64_t N) {
     // L with r <= MaxLeaf a straight-line module and s factored further.
     // Building the candidate set first (recursing into sub-sizes) and
     // costing it as one batch keeps the recursion serial while the
-    // expensive evaluations fan out through parallelFor.
+    // expensive evaluations fan out through parallelFor. A cost model that
+    // composes costs each candidate from its children's costs instead, so
+    // only leaves and the caller's winner are ever lowered.
     std::vector<FormulaRef> Cands;
+    std::vector<CooleyTukeyParts> Parts;
     for (std::int64_t R = 2; R <= Opts.MaxLeaf && R * 2 <= N; R *= 2) {
       // Out of budget: stop widening the candidate set, but only once at
       // least one factorization exists — the search must still return a
@@ -219,10 +228,12 @@ const std::vector<Candidate> &DPSearch::largeEntries(std::int64_t N) {
       auto FR = searchSmallOne(R);
       if (!FR)
         continue;
-      for (const Candidate &FS : largeEntries(S))
+      for (const Candidate &FS : largeEntries(S)) {
         Cands.push_back(gen::ruleCooleyTukeyDIT(R, S, FR->Formula, FS.Formula));
+        Parts.push_back({R, S, FR->Cost, FS.Cost});
+      }
     }
-    auto Costs = costAll(Cands);
+    auto Costs = costAll(Cands, Parts);
     std::vector<Candidate> Costed;
     for (size_t I = 0; I != Cands.size(); ++I)
       if (Costs[I])

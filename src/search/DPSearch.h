@@ -113,10 +113,13 @@ private:
   void noteDeadlineOnce();
   bool DeadlineNoted = false;
 
-  /// Costs every candidate, Opts.Threads at a time.
-  /// Result i corresponds to Cands[i]; nullopt where evaluation failed.
+  /// Costs every candidate, Opts.Threads at a time. Candidate i with
+  /// Parts[i] is a Cooley-Tukey step, costed from its children's costs
+  /// when the evaluator composes and lowered otherwise. Result i
+  /// corresponds to Cands[i]; nullopt where evaluation failed.
   std::vector<std::optional<double>>
-  costAll(const std::vector<FormulaRef> &Cands);
+  costAll(const std::vector<FormulaRef> &Cands,
+          const std::vector<CooleyTukeyParts> &Parts = {});
 
   /// Parses a wisdom entry back into a candidate; warns and returns nullopt
   /// when the recorded text does not round-trip to a size-N formula.

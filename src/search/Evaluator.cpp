@@ -43,24 +43,49 @@ std::optional<Compiled> Evaluator::compile(const FormulaRef &F) {
   auto Unit = Comp.compileFormula(F, Dirs, Opts);
   if (!Unit)
     return std::nullopt;
-  return Compiled{std::move(Unit->Final), std::move(Unit->Code)};
+  return Compiled{std::move(Unit->Final)};
+}
+
+void Evaluator::countEvaluation() {
+  NumEvals.fetch_add(1, std::memory_order_relaxed);
+  telemetry::SearchCandidatesEvaluated.add();
 }
 
 std::optional<double> Evaluator::cost(const FormulaRef &F) {
   if (DL.expired())
     return std::numeric_limits<double>::infinity();
-  NumEvals.fetch_add(1, std::memory_order_relaxed);
-  telemetry::SearchCandidatesEvaluated.add();
+  countEvaluation();
   auto C = compile(F);
   if (!C)
     return std::nullopt;
+  return measure(C->Final);
+}
+
+std::optional<double> Evaluator::cost(const icode::Program &P) {
+  if (DL.expired())
+    return std::numeric_limits<double>::infinity();
+  countEvaluation();
+  return measure(P);
+}
+
+std::optional<double> Evaluator::composedCost(const CooleyTukeyParts &P) {
+  auto C = compose(P);
+  if (!C)
+    return std::nullopt;
+  if (DL.expired())
+    return std::numeric_limits<double>::infinity();
+  countEvaluation();
+  return C;
+}
+
+std::optional<double> Evaluator::measure(const icode::Program &P) {
   if (!isTimed())
-    return costCompiled(*C);
+    return costCompiled(P);
   // Native compilation inside NativeTimeEvaluator::costCompiled is also
   // serialized here; that is deliberate — cc processes competing for cores
   // would perturb the measurement of whoever is currently timing.
   std::lock_guard<std::mutex> Lock(TimingMutex);
-  return costCompiled(*C);
+  return costCompiled(P);
 }
 
 namespace {
@@ -144,8 +169,16 @@ std::optional<double> Evaluator::timedCost(std::function<double()> Fn,
   return std::numeric_limits<double>::infinity();
 }
 
-std::optional<double> OpCountEvaluator::costCompiled(const Compiled &C) {
-  return static_cast<double>(C.Final.dynamicOpCount());
+std::optional<double> OpCountEvaluator::costCompiled(const icode::Program &P) {
+  return static_cast<double>(P.dynamicOpCount());
+}
+
+std::optional<double> OpCountEvaluator::compose(const CooleyTukeyParts &P) {
+  const std::int64_t N = P.R * P.S;
+  if (Datatype != "complex" || N <= CompOpts.UnrollThreshold)
+    return std::nullopt;
+  return static_cast<double>(P.S) * P.CostR +
+         static_cast<double>(P.R) * P.CostS + 6.0 * static_cast<double>(N);
 }
 
 namespace {
@@ -161,10 +194,10 @@ std::vector<double> randomRealBuffer(size_t N) {
 
 } // namespace
 
-std::optional<double> VMTimeEvaluator::costCompiled(const Compiled &C) {
+std::optional<double> VMTimeEvaluator::costCompiled(const icode::Program &P) {
   // The closure owns a copy of the program: if it is abandoned on timeout,
   // it must not reference this call's stack.
-  auto Prog = std::make_shared<icode::Program>(C.Final);
+  auto Prog = std::make_shared<icode::Program>(P);
   const int Reps = Repeats;
   return timedCost(
       [Prog, Reps]() -> double {
@@ -181,13 +214,13 @@ bool NativeTimeEvaluator::available() {
   return perf::NativeModule::available();
 }
 
-std::optional<double> NativeTimeEvaluator::costCompiled(const Compiled &C) {
+std::optional<double> NativeTimeEvaluator::costCompiled(const icode::Program &P) {
   perf::KernelError Err;
   perf::KernelBuildOptions BO;
   // The compiler subprocess is bounded by the remaining search budget, not
   // just the fixed SPL_CC_TIMEOUT_MS.
   BO.Deadline = DL;
-  auto Built = perf::CompiledKernel::create(C.Final, &Err, BO);
+  auto Built = perf::CompiledKernel::create(P, &Err, BO);
   if (!Built) {
     Diags.error(SourceLoc(), "native compilation failed: " + Err.str());
     return std::nullopt;

@@ -10,7 +10,9 @@
 /// through the full pipeline and costed by operation count, by timing the
 /// VM, or by timing natively compiled C — the paper's "run times and other
 /// performance metrics obtained by executing the code in the target machine
-/// or estimated using models".
+/// or estimated using models". The operation-count model also costs
+/// loop-code Cooley-Tukey candidates from their children's counts, without
+/// compiling them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +35,15 @@ namespace search {
 /// A compiled candidate ready for costing.
 struct Compiled {
   icode::Program Final;
-  std::string CCode;
+};
+
+/// The factors of a gen::ruleCooleyTukeyDIT(R, S, F_R, F_S) candidate and
+/// the costs of its children F_R and F_S.
+struct CooleyTukeyParts {
+  std::int64_t R = 0;
+  std::int64_t S = 0;
+  double CostR = 0;
+  double CostS = 0;
 };
 
 /// Base class: compiles candidates and assigns costs (lower is better).
@@ -54,6 +64,16 @@ public:
 
   /// Cost of \p F; nullopt after reporting diagnostics on failure.
   std::optional<double> cost(const FormulaRef &F);
+
+  /// Cost of an already-lowered program (what cost(F) measures after
+  /// compiling F).
+  std::optional<double> cost(const icode::Program &P);
+
+  /// Cost of the Cooley-Tukey candidate \p P from its children's costs,
+  /// without lowering it; nullopt when this cost model does not compose
+  /// (call cost() on the formula instead). An answer counts as one
+  /// evaluation.
+  std::optional<double> composedCost(const CooleyTukeyParts &P);
 
   /// Compiles \p F through the shared pipeline. Defaults to complex data /
   /// real code (the FFT experiments); override via setDatatype for real
@@ -96,7 +116,12 @@ public:
 
 protected:
   /// Costs an already-compiled candidate.
-  virtual std::optional<double> costCompiled(const Compiled &C) = 0;
+  virtual std::optional<double> costCompiled(const icode::Program &P) = 0;
+
+  /// The composed cost behind composedCost(); the default declines.
+  virtual std::optional<double> compose(const CooleyTukeyParts &) {
+    return std::nullopt;
+  }
 
   /// Runs one measurement closure under the watchdog with the retry
   /// budget; \p Fn must own everything it touches (shared_ptr captures),
@@ -111,6 +136,10 @@ protected:
   support::Deadline DL;
 
 private:
+  void countEvaluation();
+  /// Costs \p P, serialized for timed models.
+  std::optional<double> measure(const icode::Program &P);
+
   double TimingTimeoutSeconds;
   int TimingRetries = 1;
   std::mutex TimingMutex;
@@ -118,6 +147,13 @@ private:
 };
 
 /// Cost = dynamic floating-point operation count (a machine model).
+///
+/// Loop-code Cooley-Tukey candidates compose: for N = R*S above the unroll
+/// threshold on complex data, (F_R (x) I_S) T (I_R (x) F_S) L costs
+/// S*C(F_R) + R*C(F_S) + 6N — the twiddle diagonal is a table read in loop
+/// code, never constant-folded, so it costs one 6-flop complex multiply
+/// per point, and the permutation costs nothing. Straight-line candidates
+/// (N <= threshold) fold constants and are lowered.
 class OpCountEvaluator : public Evaluator {
 public:
   using Evaluator::Evaluator;
@@ -125,7 +161,8 @@ public:
   const char *kindName() const override { return "opcount"; }
 
 protected:
-  std::optional<double> costCompiled(const Compiled &C) override;
+  std::optional<double> costCompiled(const icode::Program &P) override;
+  std::optional<double> compose(const CooleyTukeyParts &P) override;
 };
 
 /// Cost = best-of-k VM execution time (portable measurement).
@@ -139,7 +176,7 @@ public:
   bool isTimed() const override { return true; }
 
 protected:
-  std::optional<double> costCompiled(const Compiled &C) override;
+  std::optional<double> costCompiled(const icode::Program &P) override;
 
 private:
   int Repeats;
@@ -160,7 +197,7 @@ public:
   bool isTimed() const override { return true; }
 
 protected:
-  std::optional<double> costCompiled(const Compiled &C) override;
+  std::optional<double> costCompiled(const icode::Program &P) override;
 
 private:
   int Repeats;

@@ -14,14 +14,17 @@ using namespace spl;
 using namespace spl::tpl;
 
 TemplateRegistry TemplateRegistry::withBuiltins() {
-  Diagnostics Diags;
-  std::vector<TemplateDef> Builtin =
-      parseTemplateString(builtinTemplatesText(), Diags);
-  assert(!Diags.hasErrors() && "built-in templates failed to parse");
-  (void)Diags;
-  TemplateRegistry R;
-  R.addAll(std::move(Builtin));
-  return R;
+  // Parsed once per process (thread-safe static init); every registry gets
+  // its own copy, so templates a caller adds never leak into the next one.
+  // The definitions share immutable nodes, so the copy is cheap.
+  static const TemplateRegistry Builtins = [] {
+    Diagnostics Diags;
+    TemplateRegistry R;
+    R.addAll(parseTemplateString(builtinTemplatesText(), Diags));
+    assert(!Diags.hasErrors() && "built-in templates failed to parse");
+    return R;
+  }();
+  return Builtins;
 }
 
 void TemplateRegistry::addAll(std::vector<TemplateDef> NewDefs) {

@@ -34,8 +34,9 @@ public:
   /// An empty registry (no semantics at all; for tests).
   TemplateRegistry() = default;
 
-  /// A registry pre-loaded with the built-in templates. Parsing the built-in
-  /// text must succeed; this asserts on failure.
+  /// A registry pre-loaded with the built-in templates: a fresh copy of
+  /// the definitions parsed once per process. Parsing the built-in text
+  /// must succeed; this asserts on failure.
   static TemplateRegistry withBuiltins();
 
   /// Appends a template; later templates take precedence.

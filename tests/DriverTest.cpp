@@ -69,6 +69,45 @@ TEST(Driver, TemplatesInSourceApplyToLaterFormulas) {
     EXPECT_EQ(Y[I], 2.0 * (I + 1));
 }
 
+TEST(Driver, UserTemplatesStayWithTheirCompiler) {
+  // The built-in templates are parsed once per process and copied into
+  // every compiler: what one compiler registers never reaches the next.
+  const size_t Builtins = tpl::TemplateRegistry::withBuiltins().defs().size();
+  driver::CompilerOptions Opts;
+  {
+    Diagnostics Diags;
+    driver::Compiler C(Diags);
+    ASSERT_TRUE(C.compileSource(R"(
+(template (DBL n_) [n_ >= 1]
+  (do $i0 = 0, n_-1
+     $out($i0) = 2 * $in($i0)
+   end))
+#datatype real
+(DBL 5)
+)",
+                                Opts))
+        << Diags.dump();
+    C.templates().addAll(parseTemplateString(R"(
+(template (TPL n_) [n_ >= 1]
+  (do $i0 = 0, n_-1
+     $out($i0) = 3 * $in($i0)
+   end))
+)",
+                                             Diags));
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+    EXPECT_EQ(C.templates().defs().size(), Builtins + 2);
+  }
+  Diagnostics Diags;
+  driver::Compiler Next(Diags);
+  EXPECT_EQ(Next.templates().defs().size(), Builtins);
+  EXPECT_EQ(tpl::TemplateRegistry::withBuiltins().defs().size(), Builtins);
+  EXPECT_FALSE(Next.compileSource("#datatype real\n(DBL 5)", Opts));
+  EXPECT_FALSE(Next.compileSource("#datatype real\n(TPL 5)", Opts));
+  EXPECT_NE(Diags.dump().find("no template matches user-defined matrix (DBL"),
+            std::string::npos)
+      << Diags.dump();
+}
+
 TEST(Driver, LanguageOverrideWins) {
   Diagnostics Diags;
   driver::Compiler C(Diags);

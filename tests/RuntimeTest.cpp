@@ -33,6 +33,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -1288,6 +1289,40 @@ TEST(Plan, ConcurrentMultiThreadedBatchesAreBitIdentical) {
   A.join();
   B.join();
   EXPECT_EQ(Mismatches.load(), 0);
+}
+
+TEST(Planner, RulePlannedCostComesFromTheLoweredPlan) {
+  // A rule-planned transform is costed from the program the plan keeps:
+  // the same op count as costing the rule separately, one lowering.
+  Diagnostics Diags;
+  runtime::Planner Planner(Diags, testOptions());
+  const std::map<std::string, std::array<double, 3>> Expected = {
+      {"dct2", {41, 289, 705}}, {"dct3", {41, 289, 705}},
+      {"dct4", {56, 352, 832}}};
+  for (const auto &[Transform, Costs] : Expected) {
+    const std::int64_t Sizes[] = {8, 32, 64};
+    for (int I = 0; I != 3; ++I) {
+      runtime::PlanSpec Spec;
+      Spec.Transform = Transform;
+      Spec.Size = Sizes[I];
+      Spec.Want = runtime::Backend::VM;
+      auto P = Planner.plan(Spec);
+      ASSERT_TRUE(P) << Diags.dump();
+      EXPECT_EQ(P->searchCost(), Costs[I]) << Transform << " " << Sizes[I];
+    }
+  }
+
+  telemetry::setMetricsEnabled(true);
+  telemetry::Histogram &Optimize = telemetry::histogram("compile.optimize_ns");
+  const std::uint64_t O0 = Optimize.snapshot().Count;
+  runtime::PlanSpec Spec;
+  Spec.Transform = "dct2";
+  Spec.Size = 64;
+  Spec.Want = runtime::Backend::VM;
+  ASSERT_TRUE(Planner.plan(Spec)) << Diags.dump();
+  EXPECT_EQ(Optimize.snapshot().Count - O0, 1u);
+  telemetry::setMetricsEnabled(false);
+  telemetry::resetAllMetrics();
 }
 
 } // namespace

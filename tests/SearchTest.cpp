@@ -13,6 +13,7 @@
 
 #include "TestUtil.h"
 
+#include "gen/Rules.h"
 #include "ir/Builder.h"
 #include "ir/Transforms.h"
 #include "search/DPSearch.h"
@@ -24,6 +25,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 using namespace spl;
@@ -210,6 +214,137 @@ TEST(Search, TruncatedSearchNeverRecordsWisdom) {
   search::DPSearch Search(Eval, Diags, SOpts, &Wisdom);
   ASSERT_TRUE(Search.best(64));
   EXPECT_GT(Wisdom.size(), 0u);
+}
+
+/// The opcount model with composition switched off: every Cooley-Tukey
+/// candidate is lowered through the full pipeline.
+class LoweringOpCountEvaluator : public search::OpCountEvaluator {
+public:
+  using OpCountEvaluator::OpCountEvaluator;
+
+protected:
+  std::optional<double> compose(const search::CooleyTukeyParts &) override {
+    return std::nullopt;
+  }
+};
+
+TEST(Search, ComposedOpCountEqualsTheFullPipeline) {
+  // Every Cooley-Tukey candidate the search builds, with every kept child
+  // F_s: its composed cost must be exactly the lowered program's op count
+  // whenever it is loop code (N > B), and the model must decline (so the
+  // search lowers it) when it is straight-line code.
+  struct Config {
+    std::int64_t Leaf, B, MaxN;
+  };
+  const Config Configs[] = {{16, 0, 1 << 14},  {16, 16, 1 << 16},
+                            {16, 64, 1 << 14}, {64, 0, 1 << 14},
+                            {64, 16, 1 << 14}, {64, 64, 1 << 14}};
+  for (const Config &Cfg : Configs) {
+    Diagnostics Diags;
+    driver::CompilerOptions CO;
+    CO.UnrollThreshold = Cfg.B;
+    search::OpCountEvaluator Eval(Diags, CO);
+    search::SearchOptions SOpts;
+    SOpts.MaxLeaf = Cfg.Leaf;
+    search::DPSearch Search(Eval, Diags, SOpts);
+    int Composed = 0;
+    for (std::int64_t N = 32; N <= Cfg.MaxN; N *= 2)
+      for (std::int64_t R = 2; R <= Cfg.Leaf && R * 2 <= N; R *= 2) {
+        const std::int64_t S = N / R;
+        auto FR = Search.best(R);
+        ASSERT_TRUE(FR) << Diags.dump();
+        for (const search::Candidate &FS : Search.searchLarge(S)) {
+          auto C = Eval.composedCost({R, S, FR->Cost, FS.Cost});
+          if (N <= Cfg.B) {
+            EXPECT_FALSE(C) << "straight-line N=" << N << " composed";
+            continue;
+          }
+          ASSERT_TRUE(C);
+          FormulaRef F =
+              gen::ruleCooleyTukeyDIT(R, S, FR->Formula, FS.Formula);
+          auto Lowered = Eval.compile(F);
+          ASSERT_TRUE(Lowered) << Diags.dump();
+          EXPECT_EQ(*C, static_cast<double>(Lowered->Final.dynamicOpCount()))
+              << "L" << Cfg.Leaf << " B" << Cfg.B << ": " << F->print();
+          ++Composed;
+        }
+      }
+    EXPECT_GT(Composed, 0);
+  }
+}
+
+TEST(Search, OnlyOpCountOnComplexDataComposes) {
+  Diagnostics Diags;
+  const search::CooleyTukeyParts P{4, 64, 100, 2000};
+  search::OpCountEvaluator Op(Diags, searchOptions());
+  EXPECT_EQ(Op.composedCost(P), 64.0 * 100 + 4.0 * 2000 + 6.0 * 256);
+  Op.setDatatype("real");
+  EXPECT_FALSE(Op.composedCost(P));
+  search::VMTimeEvaluator VM(Diags, searchOptions(), /*Repeats=*/1);
+  EXPECT_FALSE(VM.composedCost(P));
+  search::NativeTimeEvaluator Native(Diags, searchOptions(), /*Repeats=*/1);
+  EXPECT_FALSE(Native.composedCost(P));
+}
+
+/// Searches fft sizes 2..MaxN and the rdft kernels F_{N/2} of rdft 4..MaxN
+/// with \p Eval into a fresh wisdom file and returns the file's bytes.
+std::string searchedWisdom(search::Evaluator &Eval, std::int64_t Leaf,
+                           std::int64_t MaxN, const std::string &Name) {
+  Diagnostics Diags;
+  search::PlanCache Wisdom(Diags);
+  for (const char *Transform : {"fft", "rdft"}) {
+    search::SearchOptions SOpts;
+    SOpts.MaxLeaf = Leaf;
+    SOpts.Transform = Transform;
+    search::DPSearch Search(Eval, Diags, SOpts, &Wisdom);
+    const std::int64_t Top = std::string(Transform) == "rdft" ? MaxN / 2 : MaxN;
+    for (std::int64_t N = 2; N <= Top; N *= 2)
+      EXPECT_TRUE(Search.best(N)) << Diags.dump();
+  }
+  const std::string Path = testing::TempDir() + Name;
+  std::remove(Path.c_str());
+  EXPECT_TRUE(Wisdom.save(Path));
+  std::ifstream In(Path);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  std::remove(Path.c_str());
+  return SS.str();
+}
+
+TEST(Search, ComposingSearchWritesByteIdenticalWisdom) {
+  // Composition only changes how a cost is obtained, never its value: the
+  // winners, kept lists and recorded costs are those of lowering every
+  // candidate.
+  const std::pair<std::int64_t, std::int64_t> LeafB[] = {
+      {16, 0}, {16, 16}, {16, 64}, {64, 0}, {64, 16}};
+  for (auto [Leaf, B] : LeafB) {
+    driver::CompilerOptions CO;
+    CO.UnrollThreshold = B;
+    Diagnostics Diags;
+    search::OpCountEvaluator Composing(Diags, CO);
+    LoweringOpCountEvaluator Lowering(Diags, CO);
+    const std::string Tag =
+        "_L" + std::to_string(Leaf) + "_B" + std::to_string(B);
+    telemetry::setMetricsEnabled(true);
+    telemetry::Histogram &Lowered = telemetry::histogram("compile.optimize_ns");
+    telemetry::Counter &Evaluated =
+        telemetry::counter("search.candidates_evaluated");
+    const std::uint64_t L0 = Lowered.snapshot().Count, E0 = Evaluated.value();
+    const std::string Fast =
+        searchedWisdom(Composing, Leaf, 1 << 14, "spl_composed_wisdom" + Tag);
+    const std::uint64_t L1 = Lowered.snapshot().Count, E1 = Evaluated.value();
+    const std::string Slow =
+        searchedWisdom(Lowering, Leaf, 1 << 14, "spl_lowered_wisdom" + Tag);
+    const std::uint64_t L2 = Lowered.snapshot().Count, E2 = Evaluated.value();
+    telemetry::setMetricsEnabled(false);
+    telemetry::resetAllMetrics();
+    EXPECT_FALSE(Fast.empty());
+    EXPECT_EQ(Fast, Slow);
+    // Composed candidates still count as evaluations, but are not lowered.
+    EXPECT_EQ(Composing.evaluations(), Lowering.evaluations());
+    EXPECT_EQ(E1 - E0, E2 - E1);
+    EXPECT_LT(L1 - L0, L2 - L1);
+  }
 }
 
 } // namespace
