@@ -115,7 +115,12 @@ void gateShedBeforeWork(JsonReport &Report) {
     Len = PR->VectorLen;
   }
 
-  const std::uint64_t RequestsBefore = Srv.stats().Requests;
+  // Jobs a pool worker has dequeued: serve() records spld.queue_ns as it
+  // starts each one.
+  auto Dequeued = [] {
+    return telemetry::histogram("spld.queue_ns").snapshot().Count;
+  };
+  const std::uint64_t DequeuedBefore = Dequeued();
   const std::uint64_t ExecBefore =
       telemetry::histogram("spld.execute_ns").snapshot().Count;
   const std::uint64_t TypedBefore =
@@ -133,18 +138,19 @@ void gateShedBeforeWork(JsonReport &Report) {
                                 Len));
   });
 
-  // Wait until the server has read the whole saturating frame (it is then
-  // handed to the only worker), then unleash the storm: each request
-  // carries a 1 ms budget that is long dead by the time the worker frees
-  // up. No fixed head start is safe: on a loaded host the 20 MB upload
-  // can take longer than any short sleep.
+  // Wait until the only worker has dequeued the saturating job, then
+  // unleash the storm: each request carries a 1 ms budget that is long
+  // dead by the time the worker frees up. The server's request counter is
+  // no such signal: the reader thread bumps it before admission, while
+  // the worker may still be free. No fixed head start is safe: on a
+  // loaded host the 20 MB upload can take longer than any short sleep.
   const auto ReadBy =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (Srv.stats().Requests == RequestsBefore &&
+  while (Dequeued() == DequeuedBefore &&
          std::chrono::steady_clock::now() < ReadBy)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  if (Srv.stats().Requests == RequestsBefore) {
-    gate(false, "(a) server read the saturating frame within 30 s");
+  if (Dequeued() == DequeuedBefore) {
+    gate(false, "(a) the worker started the saturating batch within 30 s");
     Srv.stop();
     Saturator.join();
     return;

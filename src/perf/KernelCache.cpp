@@ -7,8 +7,8 @@
 #include "perf/KernelCache.h"
 
 #include "perf/NativeCompile.h"
-#include "support/FileLock.h"
 #include "support/HostInfo.h"
+#include "support/RecordFile.h"
 #include "support/StrUtil.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -25,7 +24,6 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 using namespace spl;
 using namespace spl::perf;
@@ -70,91 +68,39 @@ struct IndexEntry {
 };
 
 std::string indexPath(const std::string &Dir) { return Dir + "/index"; }
-std::string lockPath(const std::string &Dir) { return Dir + "/index.lock"; }
 std::string soPath(const std::string &Dir, const std::string &Key) {
   return Dir + "/" + Key + ".so";
 }
 
-/// Reads \p Path fully into \p Out (binary). False when unreadable.
-bool readFileBytes(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  if (In.bad())
-    return false;
-  Out = SS.str();
-  return true;
-}
-
-/// Parses the index into \p Into. Corrupt or checksum-failing lines are
-/// skipped and counted into \p CorruptLines (when non-null); a missing
-/// index is an empty cache; a wrong version header invalidates everything.
-void loadIndex(const std::string &Dir,
-               std::map<std::string, IndexEntry> &Into,
-               std::size_t *CorruptLines) {
-  std::ifstream In(indexPath(Dir));
-  if (!In)
-    return;
-  std::string Line;
-  if (!std::getline(In, Line) || Line != IndexVersionHeader)
-    return;
-  while (std::getline(In, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    auto Reject = [&] {
-      if (CorruptLines)
-        ++*CorruptLines;
-    };
-    std::istringstream SS(Line);
-    std::string Tag, Checksum;
-    if (!(SS >> Tag >> Checksum) || Tag != "kernel") {
-      Reject();
-      continue;
-    }
-    std::string Payload;
-    std::getline(SS, Payload);
-    if (!Payload.empty() && Payload.front() == ' ')
-      Payload.erase(0, 1);
-    if (fnv1aHex(Payload) != Checksum) {
-      Reject();
-      continue;
-    }
-    std::istringstream PS(Payload);
+/// Parses the index into \p Into and returns the number of corrupt or
+/// checksum-failing lines skipped. A missing index is an empty cache; a
+/// wrong version header invalidates everything.
+std::size_t loadIndex(const support::RecordFile &File,
+                      std::map<std::string, IndexEntry> &Into) {
+  support::RecordFile::Contents C = File.read(IndexVersionHeader, "kernel");
+  std::size_t Corrupt = C.Rejected.size();
+  for (const support::RecordFile::Record &R : C.Records) {
+    std::istringstream PS(R.Payload);
     std::string Key, SoCksum;
     long long Bytes = 0;
     if (!(PS >> Key >> SoCksum >> Bytes) || Key.empty() ||
         SoCksum.size() != 16 || Bytes <= 0) {
-      Reject();
+      ++Corrupt;
       continue;
     }
     Into[Key] = IndexEntry{SoCksum, static_cast<std::uint64_t>(Bytes)};
   }
+  return Corrupt;
 }
 
-/// Rewrites the index (temp file + rename). False on write failure.
-bool writeIndex(const std::string &Dir,
+/// Rewrites the index. False on write failure.
+bool writeIndex(const support::RecordFile &File,
                 const std::map<std::string, IndexEntry> &Index) {
-  std::string Tmp = indexPath(Dir) + ".tmp";
-  {
-    std::ofstream Out(Tmp, std::ios::trunc);
-    if (!Out)
-      return false;
-    Out << IndexVersionHeader << '\n';
-    for (const auto &[Key, E] : Index) {
-      std::string Payload =
-          Key + ' ' + E.SoCksum + ' ' + std::to_string(E.SoBytes);
-      Out << "kernel " << fnv1aHex(Payload) << ' ' << Payload << '\n';
-    }
-    if (!Out.good())
-      return false;
-  }
-  if (std::rename(Tmp.c_str(), indexPath(Dir).c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
+  std::vector<std::string> Payloads;
+  for (const auto &[Key, E] : Index)
+    Payloads.push_back(Key + ' ' + E.SoCksum + ' ' +
+                       std::to_string(E.SoBytes));
+  return File.write(IndexVersionHeader, "kernel", Payloads);
 }
 
 /// Refreshes the artifact's mtime so LRU eviction sees the hit (best
@@ -200,11 +146,6 @@ std::string KernelCache::defaultDir() {
   return ".spl_kernel_cache";
 }
 
-std::string KernelCache::directory() {
-  Config C = config();
-  return C.Enabled ? C.Dir : std::string();
-}
-
 std::string KernelCache::key(const std::string &CSource,
                              const std::string &FnName,
                              const std::string &ExtraFlags) {
@@ -233,18 +174,17 @@ std::optional<std::string> KernelCache::probe(const std::string &Key) {
   bool CorruptArtifact = false;
   {
     // Shared lock: never read the index or an artifact mid-replacement.
-    FileLock FL(lockPath(C.Dir), LOCK_SH);
+    support::RecordFile File(indexPath(C.Dir), LOCK_SH);
     std::map<std::string, IndexEntry> Index;
-    loadIndex(C.Dir, Index, nullptr);
+    loadIndex(File, Index);
     auto It = Index.find(Key);
     if (It == Index.end()) {
       telemetry::KernelcacheMisses.add();
       return std::nullopt;
     }
-    std::string Bytes;
-    if (!readFileBytes(Artifact, Bytes) ||
-        Bytes.size() != It->second.SoBytes ||
-        fnv1aHex(Bytes) != It->second.SoCksum)
+    std::optional<std::string> Bytes = support::readFile(Artifact);
+    if (!Bytes || Bytes->size() != It->second.SoBytes ||
+        fnv1aHex(*Bytes) != It->second.SoCksum)
       CorruptArtifact = true;
   }
   if (CorruptArtifact) {
@@ -268,39 +208,24 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
 
   std::error_code EC;
   fs::create_directories(C.Dir, EC);
-  std::string Bytes;
-  if (!readFileBytes(SoPath, Bytes) || Bytes.empty())
+  std::optional<std::string> Bytes = support::readFile(SoPath);
+  if (!Bytes || Bytes->empty())
     return std::nullopt;
 
   // Exclusive lock across read-rewrite-rename: inserts, evictions, and the
   // orphan sweep all serialize here.
-  FileLock FL(lockPath(C.Dir), LOCK_EX);
+  support::RecordFile File(indexPath(C.Dir), LOCK_EX);
 
   std::map<std::string, IndexEntry> Index;
-  std::size_t CorruptLines = 0;
-  loadIndex(C.Dir, Index, &CorruptLines);
-  if (CorruptLines)
+  if (std::size_t CorruptLines = loadIndex(File, Index))
     telemetry::KernelcacheCorruptEntries.add(CorruptLines);
 
-  // Artifact first (temp + rename, same filesystem), then the index that
-  // vouches for it: a crash between the two leaves an orphan, never an
-  // index entry pointing at garbage.
+  // Artifact first, then the index that vouches for it: a crash between
+  // the two leaves an orphan, never an index entry pointing at garbage.
   std::string Dest = soPath(C.Dir, Key);
-  std::string Tmp = Dest + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (Out)
-      Out << Bytes;
-    if (!Out) {
-      std::remove(Tmp.c_str());
-      return std::nullopt;
-    }
-  }
-  if (std::rename(Tmp.c_str(), Dest.c_str()) != 0) {
-    std::remove(Tmp.c_str());
+  if (!support::replaceFile(Dest, *Bytes))
     return std::nullopt;
-  }
-  Index[Key] = IndexEntry{fnv1aHex(Bytes), Bytes.size()};
+  Index[Key] = IndexEntry{fnv1aHex(*Bytes), Bytes->size()};
 
   // Drop entries whose artifact has vanished underneath the index.
   for (auto It = Index.begin(); It != Index.end();) {
@@ -361,7 +286,7 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
     }
   }
 
-  if (!writeIndex(C.Dir, Index))
+  if (!writeIndex(File, Index))
     return std::nullopt;
   telemetry::KernelcacheInserts.add();
   return Dest;
@@ -371,11 +296,11 @@ void KernelCache::remove(const std::string &Key) {
   Config C = config();
   if (!C.Enabled)
     return;
-  FileLock FL(lockPath(C.Dir), LOCK_EX);
+  support::RecordFile File(indexPath(C.Dir), LOCK_EX);
   std::map<std::string, IndexEntry> Index;
-  loadIndex(C.Dir, Index, nullptr);
+  loadIndex(File, Index);
   if (Index.erase(Key))
-    writeIndex(C.Dir, Index);
+    writeIndex(File, Index);
   std::remove(soPath(C.Dir, Key).c_str());
 }
 

@@ -16,15 +16,15 @@
 /// produced machine code: a host fingerprint, the compiler identity
 /// (SPL_CC command plus its --version line), the extra compiler flags, the
 /// kernel entry-point name, and the hash of the emitted C source. The
-/// on-disk layout is one directory holding `<key>.so` artifacts plus a
-/// versioned, per-line-checksummed `index` (wisdom-v2 style: corrupt lines
+/// on-disk layout is one directory holding `<key>.so` artifacts plus an
+/// `index`, a record file (docs/ARCHITECTURE.md § Record files) whose
+/// `kernel` records carry each artifact's checksum and size: corrupt lines
 /// are skipped, counted, and rewritten clean; artifacts that fail their
 /// recorded checksum are dropped and recompiled — corruption degrades to a
-/// recompile, never to a wrong kernel). Population is serialized per key
-/// through a `<key>.lock` flock (mirroring the `<wisdom>.lock` protocol),
-/// so concurrent planners — or a busy spld — never double-compile the same
-/// kernel. Eviction is LRU by artifact mtime (refreshed on every hit),
-/// bounded by a configurable byte budget.
+/// recompile, never to a wrong kernel. Population is serialized per key
+/// through a `<key>.lock` flock, so concurrent planners — or a busy spld —
+/// never double-compile the same kernel. Eviction is LRU by artifact mtime
+/// (refreshed on every hit), bounded by a configurable byte budget.
 ///
 /// The full contract — key derivation, layout, invalidation, locking, the
 /// flag/env reference, and a worked cold-vs-warm example — is documented in
@@ -78,9 +78,6 @@ public:
   /// $HOME/.spl_kernel_cache, else ".spl_kernel_cache" (mirrors the wisdom
   /// default-path rule).
   static std::string defaultDir();
-
-  /// The resolved cache directory ("" when disabled).
-  static std::string directory();
 
   /// Derives the content-addressed key (16 hex digits) for one compile
   /// request. Deterministic across processes on the same host+compiler.

@@ -7,14 +7,13 @@
 #include "search/PlanCache.h"
 
 #include "support/FaultInjection.h"
-#include "support/FileLock.h"
 #include "support/HostInfo.h"
-#include "support/StrUtil.h"
+#include "support/RecordFile.h"
 #include "telemetry/Metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace spl;
@@ -60,72 +59,46 @@ std::string PlanCache::defaultPath() {
   return ".spl_wisdom";
 }
 
-bool PlanCache::loadLocked(
-    const std::string &Path,
+bool PlanCache::readRecords(
+    const support::RecordFile &File, const std::string &Path,
     std::map<std::string, std::vector<PlanEntry>> &Into,
     bool CountStats) const {
-  std::ifstream In(Path);
-  if (!In)
-    return true; // Missing wisdom is a cold start, not an error.
-
-  std::string Line;
-  if (!std::getline(In, Line) || Line != VersionHeader) {
+  support::RecordFile::Contents C = File.read(VersionHeader, "plan");
+  if (!C.HeaderOk) {
     Diags.warning(SourceLoc(), "wisdom file '" + Path +
                                    "' has an unrecognized version header; "
                                    "ignoring it");
     return false;
   }
 
-  unsigned LineNo = 1;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty() || Line[0] == '#')
-      continue;
+  auto Reject = [&](unsigned LineNo, const char *Why) {
+    if (CountStats) {
+      ++S.Skipped;
+      telemetry::WisdomCorruptLines.add();
+    }
+    Diags.warning(SourceLoc(), "wisdom file '" + Path + "' line " +
+                                   std::to_string(LineNo) + ": " + Why +
+                                   "; skipping entry");
+  };
+  for (unsigned LineNo : C.Rejected)
+    Reject(LineNo, "not a 'plan' record with a matching checksum (corrupt "
+                   "or truncated entry)");
 
-    auto Reject = [&](const char *Why) {
-      if (CountStats) {
-        ++S.Skipped;
-        telemetry::WisdomCorruptLines.add();
-      }
-      Diags.warning(SourceLoc(), "wisdom file '" + Path + "' line " +
-                                     std::to_string(LineNo) + ": " + Why +
-                                     "; skipping entry");
-    };
-
-    std::istringstream SS(Line);
-    std::string Tag, Checksum, Transform, Datatype, Unroll, Evaluator, Host,
-        Sep;
+  for (const support::RecordFile::Record &R : C.Records) {
+    std::istringstream SS(R.Payload);
+    std::string Transform, Datatype, Unroll, Evaluator, Host, Sep;
     std::int64_t Size = 0;
     int Index = 0;
     double Cost = 0;
-    if (!(SS >> Tag) || Tag != "plan") {
-      Reject("expected a 'plan' record");
-      continue;
-    }
-    if (!(SS >> Checksum)) {
-      Reject("missing line checksum");
-      continue;
-    }
-    // Everything after "plan <checksum> " is the checksummed payload.
-    std::string Payload;
-    std::getline(SS, Payload);
-    if (!Payload.empty() && Payload.front() == ' ')
-      Payload.erase(0, 1);
-    if (fnv1aHex(Payload) != Checksum) {
-      Reject("line checksum mismatch (corrupt or truncated entry)");
-      continue;
-    }
-    SS.clear();
-    SS.str(Payload);
     if (!(SS >> Transform >> Size >> Datatype >> Unroll >> Evaluator >> Host >>
           Index >> Cost >> Sep) ||
         Sep != "|") {
-      Reject("malformed plan fields");
+      Reject(R.Line, "malformed plan fields");
       continue;
     }
     if (Size < 2 || Unroll.size() < 2 || Unroll[0] != 'B' || Index < 0 ||
         Index >= 64 || !(Cost >= 0)) {
-      Reject("plan fields out of range");
+      Reject(R.Line, "plan fields out of range");
       continue;
     }
     std::string Formula;
@@ -133,7 +106,7 @@ bool PlanCache::loadLocked(
     if (!Formula.empty() && Formula.front() == ' ')
       Formula.erase(0, 1);
     if (Formula.empty()) {
-      Reject("empty formula text");
+      Reject(R.Line, "empty formula text");
       continue;
     }
 
@@ -159,9 +132,8 @@ bool PlanCache::load(const std::string &Path) {
     return false;
   }
   std::map<std::string, std::vector<PlanEntry>> Incoming;
-  // Shared lock: don't read a file mid-merge-rename from another process.
-  FileLock FL(Path + ".lock", LOCK_SH);
-  if (!loadLocked(Path, Incoming, /*CountStats=*/true))
+  support::RecordFile File(Path, LOCK_SH);
+  if (!readRecords(File, Path, Incoming, /*CountStats=*/true))
     return false;
   // Incoming entries fill gaps; entries already in memory win.
   for (auto &[Key, Entries] : Incoming)
@@ -177,46 +149,29 @@ bool PlanCache::save(const std::string &Path) const {
     return false;
   }
 
-  // Exclusive lock on <wisdom>.lock across the whole read-merge-write-rename
-  // window: without it two processes saving concurrently can both merge
-  // against the same on-disk state and the second rename silently drops the
-  // first writer's new entries (spld, splrun, and tests all cooperate
-  // through the same lock file).
-  FileLock FL(Path + ".lock", LOCK_EX);
+  // The exclusive lock spans the read-merge-write, so concurrent savers
+  // (spld, splrun, tests) never drop each other's new entries.
+  support::RecordFile File(Path, LOCK_EX);
 
   // Merge-on-save: what is on disk survives unless we hold the same key.
   std::map<std::string, std::vector<PlanEntry>> Merged;
   // Corrupt/alien files simply contribute nothing; their lines were already
   // counted (if at all) by an explicit load(), so keep stats untouched here.
-  loadLocked(Path, Merged, /*CountStats=*/false);
+  readRecords(File, Path, Merged, /*CountStats=*/false);
   for (const auto &[Key, Entries] : Plans)
     Merged[Key] = Entries;
 
-  std::string TmpPath = Path + ".tmp";
-  {
-    std::ofstream Out(TmpPath, std::ios::trunc);
-    if (!Out) {
-      Diags.warning(SourceLoc(), "cannot write wisdom file '" + Path + "'");
-      return false;
+  std::vector<std::string> Payloads;
+  for (const auto &[Key, Entries] : Merged)
+    for (size_t I = 0; I != Entries.size(); ++I) {
+      if (Entries[I].FormulaText.empty())
+        continue; // A gap left by a sparse/duplicated index on load.
+      Payloads.push_back(Key + ' ' + std::to_string(I) + ' ' +
+                         formatCost(Entries[I].Cost) + " | " +
+                         Entries[I].FormulaText);
     }
-    Out << VersionHeader << '\n';
-    for (const auto &[Key, Entries] : Merged)
-      for (size_t I = 0; I != Entries.size(); ++I) {
-        if (Entries[I].FormulaText.empty())
-          continue; // A gap left by a sparse/duplicated index on load.
-        std::string Payload = Key + ' ' + std::to_string(I) + ' ' +
-                              formatCost(Entries[I].Cost) + " | " +
-                              Entries[I].FormulaText;
-        Out << "plan " << fnv1aHex(Payload) << ' ' << Payload << '\n';
-      }
-    if (!Out.good()) {
-      Diags.warning(SourceLoc(), "error writing wisdom file '" + Path + "'");
-      return false;
-    }
-  }
-  if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    Diags.warning(SourceLoc(), "cannot replace wisdom file '" + Path + "'");
-    std::remove(TmpPath.c_str());
+  if (!File.write(VersionHeader, "plan", Payloads)) {
+    Diags.warning(SourceLoc(), "cannot write wisdom file '" + Path + "'");
     return false;
   }
   return true;
@@ -225,7 +180,11 @@ bool PlanCache::save(const std::string &Path) const {
 std::optional<std::vector<PlanEntry>> PlanCache::lookup(const PlanKey &K) const {
   std::lock_guard<std::mutex> Lock(M);
   auto Hit = Plans.find(K.str());
-  if (Hit == Plans.end() || Hit->second.empty()) {
+  // A list with a hole (a corrupt line dropped one of its entries) is not
+  // the search's answer: serve it as a miss so the caller searches again.
+  if (Hit == Plans.end() || Hit->second.empty() ||
+      std::any_of(Hit->second.begin(), Hit->second.end(),
+                  [](const PlanEntry &E) { return E.FormulaText.empty(); })) {
     ++S.Misses;
     telemetry::WisdomMisses.add();
     return std::nullopt;

@@ -12,20 +12,21 @@
 /// transform, size, datatype, unroll threshold, cost evaluator, and a host
 /// fingerprint — lets later runs skip both enumeration and timing entirely.
 ///
-/// The on-disk format is a line-oriented versioned text file
-/// (~/.spl_wisdom by default). Each plan line carries an FNV-1a checksum of
-/// its payload right after the tag:
+/// The file (~/.spl_wisdom by default) is a record file under the header
+/// `spl-wisdom v4` with `plan` records; the format, checksums and lock
+/// protocol are docs/ARCHITECTURE.md § Record files. A plan payload is the
+/// key, the keep-best index and the cost, then `| <formula>`:
 ///
-///   spl-wisdom v4
-///   plan 0011223344556677 fft 16 complex B16 vmtime a1b2c3d4 0 1.2e-06 | F
+///   fft 16 complex B16 vmtime a1b2c3d4 0 1.2e-06 | F
 ///
-/// Robustness rules: an unknown version header invalidates the whole file;
-/// malformed or checksum-failing plan lines (bit flips, truncation) are
-/// skipped with a warning and dropped for good by the next save(); entries
-/// whose host fingerprint differs from the running machine are carried
-/// along (so a wisdom file can roam between machines) but never served as
-/// hits. save() merges with the file already on disk, in-memory entries
-/// winning, so concurrent tools lose nothing but a race's duplicates.
+/// Policy on top of the format: an unknown header invalidates the whole
+/// file; corrupt or malformed lines are skipped with a warning and dropped
+/// for good by the next save(), and a keep-best list they leave with a hole
+/// is a miss; entries whose host fingerprint differs from the running
+/// machine are carried along (so a wisdom file can roam between machines)
+/// but never served as hits. save() merges with the file already on disk,
+/// in-memory entries winning, so concurrent tools lose nothing but a race's
+/// duplicates.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +43,10 @@
 #include <vector>
 
 namespace spl {
+namespace support {
+class RecordFile;
+} // namespace support
+
 namespace search {
 
 /// Everything that determines whether a recorded plan is reusable.
@@ -88,8 +93,9 @@ public:
   /// Returns false (with a warning) when the file cannot be written.
   bool save(const std::string &Path) const;
 
-  /// The recorded keep-best list for \p K, best first; nullopt on miss.
-  /// Hits and misses are counted for the summary.
+  /// The recorded keep-best list for \p K, best first; nullopt on miss
+  /// (also when a corrupt line left a hole in the list). Hits and misses
+  /// are counted for the summary.
   std::optional<std::vector<PlanEntry>> lookup(const PlanKey &K) const;
 
   /// Records (replaces) the keep-best list for \p K.
@@ -115,9 +121,9 @@ public:
   void reportSummary() const;
 
 private:
-  bool loadLocked(const std::string &Path,
-                  std::map<std::string, std::vector<PlanEntry>> &Into,
-                  bool CountStats) const;
+  bool readRecords(const support::RecordFile &File, const std::string &Path,
+                   std::map<std::string, std::vector<PlanEntry>> &Into,
+                   bool CountStats) const;
 
   Diagnostics &Diags;
   mutable std::mutex M;

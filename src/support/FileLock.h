@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// RAII advisory flock() on a dedicated lock file. The persistent caches
-/// (wisdom and the kernel cache) coordinate concurrent processes through
-/// this: writers take LOCK_EX across their read-merge-write-rename window,
-/// readers take LOCK_SH so they never observe a file mid-replacement.
-/// Best-effort by design: when the lock file cannot be created the caller
-/// proceeds unlocked, which is exactly the pre-lock behavior. flock locks
+/// RAII advisory flock() on a dedicated lock file. support::RecordFile
+/// (wisdom, the kernel-cache index) holds one on `<path>.lock` per file,
+/// and the kernel cache one per key while it populates; the protocol is
+/// docs/ARCHITECTURE.md § Record files. Best-effort by design: when the
+/// lock file cannot be created the caller proceeds unlocked. flock locks
 /// attach to the open file description, so two threads of one process
 /// contending on the same path serialize just like two processes, and a
 /// dying process releases its locks automatically.

@@ -6,6 +6,7 @@
 
 #include "support/HostInfo.h"
 
+#include "support/RecordFile.h"
 #include "support/StrUtil.h"
 
 #include <cstdio>
@@ -24,12 +25,7 @@ namespace {
 
 /// Reads a whole small file; returns "" when unreadable.
 std::string slurp(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    return "";
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
+  return support::readFile(Path).value_or("");
 }
 
 /// Parses cache-size strings like "32K" / "512K" / "8192K" / "1M".

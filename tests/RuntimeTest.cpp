@@ -430,6 +430,7 @@ TEST(Plan, DescribeMentionsBackendAndFormula) {
 }
 
 TEST(Planner, WisdomRoundTripSkipsResearch) {
+  SPL_SKIP_IF_FAULTS_ARMED();
   std::string Path = "/tmp/spl-runtime-wisdom-" + std::to_string(getpid());
   {
     Diagnostics Diags;
@@ -1139,6 +1140,7 @@ TEST(Plan, SpecKeysDistinguishTransformsAndShapes) {
 }
 
 TEST(Planner, WisdomKeysDistinguishRdftFromFft) {
+  SPL_SKIP_IF_FAULTS_ARMED();
   // rdft searches the same complex-FFT space as fft but records wisdom
   // under its own transform token — a host whose fft wisdom says
   // "radix-8 everywhere" must not silently impose it on rdft and vice

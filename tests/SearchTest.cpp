@@ -312,6 +312,7 @@ std::string searchedWisdom(search::Evaluator &Eval, std::int64_t Leaf,
 }
 
 TEST(Search, ComposingSearchWritesByteIdenticalWisdom) {
+  SPL_SKIP_IF_FAULTS_ARMED();
   // Composition only changes how a cost is obtained, never its value: the
   // winners, kept lists and recorded costs are those of lowering every
   // candidate.

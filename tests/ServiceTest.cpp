@@ -14,6 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "search/PlanCache.h"
 #include "service/Client.h"
 #include "service/Server.h"
@@ -516,6 +518,7 @@ TEST_F(ServiceTest, ShutdownRequestDrainsAndStops) {
 }
 
 TEST_F(ServiceTest, WisdomSurvivesShutdown) {
+  SPL_SKIP_IF_FAULTS_ARMED();
   std::string Wisdom = Path + ".wisdom";
   startServer([&](ServerOptions &O) {
     O.Planner.UseWisdom = true;

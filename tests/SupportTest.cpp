@@ -9,6 +9,7 @@
 #include "support/Deadline.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
+#include "support/RecordFile.h"
 #include "support/StrUtil.h"
 #include "support/Subprocess.h"
 #include "support/ThreadPool.h"
@@ -202,6 +203,109 @@ TEST(CircuitBreaker, TripAndResetAreImmediate) {
   EXPECT_EQ(B.state(), support::CircuitBreaker::State::Closed);
   EXPECT_TRUE(B.allow());
   B.recordSuccess();
+}
+
+/// A fresh scratch path under the test temp dir (any old file and its
+/// lock removed).
+std::string recordPath(const std::string &Name) {
+  std::string Path = testing::TempDir() + Name;
+  std::remove(Path.c_str());
+  std::remove((Path + ".lock").c_str());
+  return Path;
+}
+
+TEST(RecordFile, WriteThenReadRoundTrips) {
+  std::string Path = recordPath("spl_records_roundtrip");
+  {
+    // A missing file reads as empty, with a good header.
+    support::RecordFile F(Path, LOCK_EX);
+    support::RecordFile::Contents C = F.read("spl-test v1", "rec");
+    EXPECT_TRUE(C.HeaderOk);
+    EXPECT_TRUE(C.Records.empty());
+    EXPECT_TRUE(C.Rejected.empty());
+    ASSERT_TRUE(F.write("spl-test v1", "rec", {"a b c", "", "x | y"}));
+  }
+  EXPECT_EQ(support::readFile(Path).value_or(""),
+            "spl-test v1\nrec " + fnv1aHex("a b c") + " a b c\nrec " +
+                fnv1aHex("") + " \nrec " + fnv1aHex("x | y") + " x | y\n");
+  EXPECT_FALSE(support::readFile(Path + ".tmp")) << "temp file left behind";
+
+  support::RecordFile F(Path, LOCK_SH);
+  support::RecordFile::Contents C = F.read("spl-test v1", "rec");
+  EXPECT_TRUE(C.HeaderOk);
+  EXPECT_TRUE(C.Rejected.empty());
+  ASSERT_EQ(C.Records.size(), 3u);
+  EXPECT_EQ(C.Records[0].Line, 2u);
+  EXPECT_EQ(C.Records[0].Payload, "a b c");
+  EXPECT_EQ(C.Records[1].Payload, "");
+  EXPECT_EQ(C.Records[2].Line, 4u);
+  EXPECT_EQ(C.Records[2].Payload, "x | y");
+  std::remove(Path.c_str());
+  std::remove((Path + ".lock").c_str());
+}
+
+TEST(RecordFile, BadLinesAreRejectedByLineNumber) {
+  std::string Path = recordPath("spl_records_bad");
+  std::string Good = "rec " + fnv1aHex("ok") + " ok\n";
+  ASSERT_TRUE(support::replaceFile(
+      Path, "spl-test v1\n" + Good + "# a comment\n\n" + // lines 2-4
+                "other " + fnv1aHex("ok") + " ok\n" +    // 5: wrong tag
+                "rec 0123456789abcdef ok\n" +            // 6: bad checksum
+                "rec\n" +                                // 7: no checksum
+                Good));                                  // 8
+  support::RecordFile F(Path, LOCK_SH);
+  support::RecordFile::Contents C = F.read("spl-test v1", "rec");
+  EXPECT_TRUE(C.HeaderOk);
+  EXPECT_EQ(C.Rejected, (std::vector<unsigned>{5, 6, 7}));
+  ASSERT_EQ(C.Records.size(), 2u);
+  EXPECT_EQ(C.Records[0].Line, 2u);
+  EXPECT_EQ(C.Records[1].Line, 8u);
+
+  // Any other header (or an empty file) yields nothing at all.
+  C = F.read("spl-test v2", "rec");
+  EXPECT_FALSE(C.HeaderOk);
+  EXPECT_TRUE(C.Records.empty());
+  EXPECT_TRUE(C.Rejected.empty());
+  ASSERT_TRUE(support::replaceFile(Path, ""));
+  EXPECT_FALSE(F.read("spl-test v1", "rec").HeaderOk);
+  std::remove(Path.c_str());
+  std::remove((Path + ".lock").c_str());
+}
+
+TEST(RecordFile, GoldenFilesRewriteByteForByte) {
+  // Files written by the wisdom and kernel-cache writers before both moved
+  // onto RecordFile: reading them and writing their payloads back must
+  // reproduce every byte, so old caches stay valid.
+  struct Golden {
+    const char *File, *Header, *Tag;
+    std::size_t Records;
+  };
+  for (const Golden &G :
+       {Golden{"wisdom-v4.txt", "spl-wisdom v4", "plan", 10},
+        Golden{"kernelcache-index-v1.txt", "spl-kernelcache v1", "kernel",
+               2}}) {
+    SCOPED_TRACE(G.File);
+    std::optional<std::string> Bytes =
+        support::readFile(std::string(SPL_GOLDEN_DIR) + "/" + G.File);
+    ASSERT_TRUE(Bytes);
+    // Work on a copy: reading takes `<path>.lock` next to the file.
+    std::string Path = recordPath(std::string("spl_golden_") + G.File);
+    ASSERT_TRUE(support::replaceFile(Path, *Bytes));
+
+    support::RecordFile F(Path, LOCK_EX);
+    support::RecordFile::Contents C = F.read(G.Header, G.Tag);
+    EXPECT_TRUE(C.HeaderOk);
+    EXPECT_TRUE(C.Rejected.empty());
+    ASSERT_EQ(C.Records.size(), G.Records);
+    std::vector<std::string> Payloads;
+    for (const auto &R : C.Records)
+      Payloads.push_back(R.Payload);
+    std::remove(Path.c_str());
+    ASSERT_TRUE(F.write(G.Header, G.Tag, Payloads));
+    EXPECT_EQ(support::readFile(Path).value_or(""), *Bytes);
+    std::remove(Path.c_str());
+    std::remove((Path + ".lock").c_str());
+  }
 }
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce) {

@@ -236,6 +236,7 @@ TEST(Transforms, RuntimeSplitPassMatchesTheSplitMatrix) {
 }
 
 TEST(Transforms, RdftWisdomOfFullSizeDftsStillPlans) {
+  SPL_SKIP_IF_FAULTS_ARMED();
   // Wisdom files from before the split record, under the rdft tag, the
   // best F_n for each n that rdft n searched. Those entries keep their
   // meaning: rdft 2n now plans on the F_n entry. Seed a file with chosen

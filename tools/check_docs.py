@@ -20,9 +20,11 @@ Four checks over README.md and docs/*.md:
    or Histograms table of docs/OBSERVABILITY.md, and every row there
    names an instrument of that kind.
 
-4. Every wisdom dump is current: each `spl-wisdom vN` header line in a
-   fenced block equals VersionHeader in src/search/PlanCache.cpp, so a
-   format bump cannot leave stale example files behind.
+4. Every record-file dump is current: each `spl-wisdom vN` header line
+   in a fenced block equals VersionHeader in src/search/PlanCache.cpp,
+   and each `spl-kernelcache vN` line equals IndexVersionHeader in
+   src/perf/KernelCache.cpp, so a format bump cannot leave stale example
+   files behind.
 
 Comment syntax is chosen per fence info string:
   lisp/spl   ';' to end of line
@@ -70,8 +72,14 @@ METRIC_KINDS = {
 # A reference row: | `name` | ...
 ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
-# A wisdom file header, in a doc's fenced block or in PlanCache.cpp.
-WISDOM_HEADER_RE = re.compile(r"^spl-wisdom v\d+$")
+# Record-file headers: the format name of each, the source file whose
+# `...VersionHeader = "<name> vN"` constant it must equal, and the shape of
+# the header line in a doc's fenced block.
+RECORD_FORMATS = {
+    "spl-wisdom": os.path.join("src", "search", "PlanCache.cpp"),
+    "spl-kernelcache": os.path.join("src", "perf", "KernelCache.cpp"),
+}
+RECORD_HEADER_RE = re.compile(r"^(spl-wisdom|spl-kernelcache) v\d+$")
 VERSION_HEADER_RE = re.compile(r'VersionHeader = "([^"]+)"')
 
 
@@ -166,7 +174,7 @@ def check_links(path, link_sites, anchor_cache):
     return errors
 
 
-def check_file(path, wisdom_header):
+def check_file(path, headers):
     errors = []
     blocks = 0
     links = []
@@ -190,14 +198,13 @@ def check_file(path, wisdom_header):
                 continue
             if in_block:
                 block_lines.append(line)
-                if (
-                    WISDOM_HEADER_RE.match(line.strip())
-                    and line.strip() != wisdom_header
-                ):
+                m = RECORD_HEADER_RE.match(line.strip())
+                if m and line.strip() != headers.get(m.group(1)):
                     errors.append(
-                        "%s:%d: stale wisdom header '%s' (PlanCache.cpp "
-                        "writes '%s')" % (path, lineno, line.strip(),
-                                          wisdom_header)
+                        "%s:%d: stale %s header '%s' (%s writes '%s')"
+                        % (path, lineno, m.group(1), line.strip(),
+                           os.path.basename(RECORD_FORMATS[m.group(1)]),
+                           headers.get(m.group(1)))
                     )
             else:
                 for m in LINK_RE.finditer(line):
@@ -240,18 +247,19 @@ def check_metrics(def_path, doc_path):
     return errors
 
 
-def wisdom_version_header(plancache_path):
-    """The header string PlanCache.cpp writes, e.g. 'spl-wisdom v4'."""
-    with open(plancache_path, encoding="utf-8") as f:
+def version_header(source_path):
+    """The header a source file writes, e.g. 'spl-wisdom v4'."""
+    with open(source_path, encoding="utf-8") as f:
         m = VERSION_HEADER_RE.search(f.read())
     return m.group(1) if m else None
 
 
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    wisdom_header = wisdom_version_header(
-        os.path.join(root, "src", "search", "PlanCache.cpp")
-    )
+    headers = {
+        name: version_header(os.path.join(root, source))
+        for name, source in RECORD_FORMATS.items()
+    }
     paths = [os.path.join(root, "README.md")] + sorted(
         glob.glob(os.path.join(root, "docs", "*.md"))
     )
@@ -262,13 +270,14 @@ def main():
     for path in paths:
         if not os.path.exists(path):
             continue
-        blocks, links, errors = check_file(path, wisdom_header)
+        blocks, links, errors = check_file(path, headers)
         total_blocks += blocks
         total_links += len(links)
         all_errors += errors
         all_errors += check_links(path, links, anchor_cache)
-    if not wisdom_header:
-        all_errors.append("src/search/PlanCache.cpp: no VersionHeader found")
+    for name, source in RECORD_FORMATS.items():
+        if not (headers[name] or "").startswith(name + " v"):
+            all_errors.append("%s: no %s VersionHeader found" % (source, name))
     all_errors += check_metrics(
         os.path.join(root, "src", "telemetry", "Metrics.def"),
         os.path.join(root, "docs", "OBSERVABILITY.md"),
