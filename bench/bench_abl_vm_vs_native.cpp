@@ -47,13 +47,13 @@ int main() {
     if (!Compiled)
       return 1;
 
-    vm::Executor VM(Compiled->Final);
+    vm::Executor VM(*Compiled);
     std::vector<double> X(VM.inputLen(), 0.25), Y(VM.outputLen(), 0.0);
     double VMSec =
         timeBestOf([&] { VM.runReal(X.data(), Y.data()); }, 3);
 
     perf::KernelError Err;
-    auto Kernel = perf::CompiledKernel::create(Compiled->Final, &Err);
+    auto Kernel = perf::CompiledKernel::create(*Compiled, &Err);
     if (!Kernel) {
       std::fprintf(stderr, "%s\n", Err.str().c_str());
       return 1;

@@ -48,7 +48,7 @@ int main() {
       std::fputs(Diags.dump().c_str(), stderr);
       return 1;
     }
-    KernelTime SPL = timeFinal(Compiled->Final);
+    KernelTime SPL = timeFinal(*Compiled);
 
     // Time the baseline codelet on matching data.
     std::mt19937 Gen(17);

@@ -68,7 +68,7 @@ int main() {
     auto Compiled = Eval->compile(Best->Formula);
     if (!Compiled)
       return 1;
-    KernelTime SPL = timeFinal(Compiled->Final, /*Repeats=*/2);
+    KernelTime SPL = timeFinal(*Compiled, /*Repeats=*/2);
 
     auto Measured = baseline::plan(N, baseline::PlanMode::Measure);
     auto Estimated = baseline::plan(N, baseline::PlanMode::Estimate);

@@ -54,7 +54,7 @@ int main() {
     auto Compiled = Eval->compile(Best->Formula);
     if (!Compiled)
       return 1;
-    perf::MemoryUsage SPL = perf::accountProgram(Compiled->Final);
+    perf::MemoryUsage SPL = perf::accountProgram(*Compiled);
 
     auto Measured = baseline::plan(N, baseline::PlanMode::Measure);
     auto Estimated = baseline::plan(N, baseline::PlanMode::Estimate);

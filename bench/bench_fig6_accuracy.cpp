@@ -48,7 +48,7 @@ int main() {
 
     // Run the generated code through the VM: bit-identical arithmetic to
     // the emitted C (same operation order), no compiler reassociation.
-    auto VM = std::make_shared<vm::Executor>(Compiled->Final);
+    auto VM = std::make_shared<vm::Executor>(*Compiled);
     auto Fn = [VM](const std::vector<Cplx> &In, std::vector<Cplx> &Out) {
       std::vector<double> XR(In.size() * 2), YR;
       for (size_t I = 0; I != In.size(); ++I) {

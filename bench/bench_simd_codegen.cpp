@@ -72,14 +72,14 @@ int main() {
 
     perf::KernelError Err;
     perf::KernelBuildOptions Scalar;
-    auto SK = perf::CompiledKernel::create(Compiled->Final, &Err, Scalar);
+    auto SK = perf::CompiledKernel::create(*Compiled, &Err, Scalar);
     if (!SK) {
       std::fprintf(stderr, "scalar build failed: %s\n", Err.str().c_str());
       return 1;
     }
     perf::KernelBuildOptions Vector;
     Vector.Variant = codegen::CodegenVariant::Vector;
-    auto VK = perf::CompiledKernel::create(Compiled->Final, &Err, Vector);
+    auto VK = perf::CompiledKernel::create(*Compiled, &Err, Vector);
     if (!VK) {
       std::fprintf(stderr, "vector build failed: %s\n", Err.str().c_str());
       return 1;

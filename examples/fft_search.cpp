@@ -107,10 +107,10 @@ int main(int Argc, char **Argv) {
               Best->Formula->print().c_str());
   std::printf("generated program: %zu instructions, %llu flops, "
               "%zu twiddle tables\n",
-              Compiled->Final.staticSize(),
+              Compiled->staticSize(),
               static_cast<unsigned long long>(
-                  Compiled->Final.dynamicOpCount()),
-              Compiled->Final.Tables.size());
+                  Compiled->dynamicOpCount()),
+              Compiled->Tables.size());
 
   // Cache hit/miss/timing summary. A warm run reports zero candidate
   // evaluations: every size came straight out of the wisdom file.

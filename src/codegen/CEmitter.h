@@ -61,9 +61,6 @@ struct CEmitOptions {
   /// only (a wider ISA is itself the wrapper, one lane per column).
   int VectorizeCount = 0;
 
-  /// Mark pointer arguments restrict (helps back-end compilers).
-  bool UseRestrict = true;
-
   /// Emit constant tables as pointers bound at run time through an extra
   /// function <name>_set_tables(const double *const *), instead of inline
   /// static initializers. Keeps generated files small for large transforms

@@ -92,9 +92,6 @@ public:
   /// The template registry; callers may append user templates.
   tpl::TemplateRegistry &templates() { return Registry; }
 
-  /// The intrinsic registry used at expansion/evaluation time.
-  icode::IntrinsicRegistry &intrinsics() { return Intrinsics; }
-
   /// Compiles a whole SPL source program: every top-level formula becomes a
   /// CompiledUnit; templates in the program are registered first.
   std::optional<std::vector<CompiledUnit>>

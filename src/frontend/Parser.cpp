@@ -9,8 +9,10 @@
 #include "frontend/ScalarExpr.h"
 #include "ir/Builder.h"
 #include "support/StrUtil.h"
+#include "templates/Condition.h"
 
 #include <cctype>
+#include <climits>
 #include <sstream>
 
 using namespace spl;
@@ -255,20 +257,33 @@ FormulaRef Parser::parseFormula(bool PatternMode) {
 }
 
 std::optional<IntArg> Parser::parseIntArg(bool PatternMode) {
-  if (cur().is(Tok::Number) && cur().IsInt) {
-    Token T = take();
-    return IntArg(T.Int);
-  }
   if (cur().is(Tok::Symbol) && isIntVarName(cur().Text)) {
     if (!PatternMode) {
       error("pattern variables are only allowed inside template patterns");
       return std::nullopt;
     }
-    Token T = take();
-    return IntArg(T.Text);
+    return IntArg(take().Text);
   }
-  error("expected an integer parameter");
-  return std::nullopt;
+  // Otherwise a literal or a parenthesized integer expression. Parameters
+  // are whitespace-separated, so a bare '-' is no parameter: "(J 3 -1)"
+  // must not read as (J 2). A formula in its place, "(foo (F 2))", is
+  // reported at its '('.
+  SourceLoc Loc = cur().Loc;
+  if (cur().is(Tok::LParen) && peek(1).is(Tok::Symbol)) {
+    error("expected an integer parameter");
+    return std::nullopt;
+  }
+  tpl::TExprRef E = parsePrimary(ExprContext::IntParam);
+  if (!E)
+    return std::nullopt;
+  auto V = cond::eval(E, [](const std::string &) {
+    return std::optional<std::int64_t>();
+  });
+  if (!V) {
+    Diags.error(Loc, "division by zero in constant expression");
+    return std::nullopt;
+  }
+  return IntArg(*V);
 }
 
 bool Parser::parseFormulaList(bool PatternMode, std::vector<FormulaRef> &Out) {
@@ -485,137 +500,6 @@ FormulaRef Parser::parsePermutationForm(SourceLoc Loc) {
 }
 
 //===----------------------------------------------------------------------===//
-// Constant scalar expressions
-//===----------------------------------------------------------------------===//
-
-std::optional<Cplx> Parser::parseElement() {
-  // Elements in lists are atomic: a number, a named constant, a function
-  // call, a unary minus applied to an element, or a parenthesized
-  // expression / complex pair. Infix arithmetic requires parentheses so
-  // that whitespace keeps separating elements unambiguously.
-  if (cur().is(Tok::Minus)) {
-    take();
-    auto V = parseElement();
-    if (!V)
-      return std::nullopt;
-    return -*V;
-  }
-  if (cur().is(Tok::Number)) {
-    Token T = take();
-    return Cplx(T.Num, 0);
-  }
-  if (cur().is(Tok::Symbol)) {
-    return parseScalarPrimary();
-  }
-  if (cur().is(Tok::LParen))
-    return parseScalarPrimary();
-  error("expected a scalar constant");
-  return std::nullopt;
-}
-
-std::optional<Cplx> Parser::parseScalarExpr() {
-  auto L = parseScalarTerm();
-  if (!L)
-    return std::nullopt;
-  while (cur().is(Tok::Plus) || cur().is(Tok::Minus)) {
-    bool IsAdd = take().is(Tok::Plus);
-    auto R = parseScalarTerm();
-    if (!R)
-      return std::nullopt;
-    L = IsAdd ? *L + *R : *L - *R;
-  }
-  return L;
-}
-
-std::optional<Cplx> Parser::parseScalarTerm() {
-  auto L = parseScalarUnary();
-  if (!L)
-    return std::nullopt;
-  while (cur().is(Tok::Star) || cur().is(Tok::Slash)) {
-    bool IsMul = take().is(Tok::Star);
-    auto R = parseScalarUnary();
-    if (!R)
-      return std::nullopt;
-    if (!IsMul && *R == Cplx(0, 0)) {
-      error("division by zero in constant expression");
-      return std::nullopt;
-    }
-    L = IsMul ? *L * *R : *L / *R;
-  }
-  return L;
-}
-
-std::optional<Cplx> Parser::parseScalarUnary() {
-  if (cur().is(Tok::Minus)) {
-    take();
-    auto V = parseScalarUnary();
-    if (!V)
-      return std::nullopt;
-    return -*V;
-  }
-  return parseScalarPrimary();
-}
-
-std::optional<Cplx> Parser::parseScalarPrimary() {
-  if (cur().is(Tok::Number)) {
-    Token T = take();
-    return Cplx(T.Num, 0);
-  }
-  if (cur().is(Tok::Symbol)) {
-    Token T = take();
-    if (cur().is(Tok::LParen) && cur().Adjacent) {
-      take(); // (
-      std::vector<Cplx> Args;
-      while (!cur().is(Tok::RParen) && !cur().is(Tok::Eof)) {
-        auto A = parseScalarExpr();
-        if (!A)
-          return std::nullopt;
-        Args.push_back(*A);
-        consumeIf(Tok::Comma);
-      }
-      if (!expect(Tok::RParen, "')' closing the argument list"))
-        return std::nullopt;
-      auto V = applyScalarFn(T.Text, Args);
-      if (!V) {
-        Diags.error(T.Loc, "unknown scalar function '" + T.Text +
-                               "' or wrong number of arguments");
-        return std::nullopt;
-      }
-      return V;
-    }
-    auto V = scalarConstant(T.Text);
-    if (!V) {
-      Diags.error(T.Loc, "unknown scalar constant '" + T.Text + "'");
-      return std::nullopt;
-    }
-    return V;
-  }
-  if (cur().is(Tok::LParen)) {
-    take();
-    auto A = parseScalarExpr();
-    if (!A)
-      return std::nullopt;
-    if (consumeIf(Tok::Comma)) {
-      auto B = parseScalarExpr();
-      if (!B)
-        return std::nullopt;
-      if (!expect(Tok::RParen, "')' closing a complex constant"))
-        return std::nullopt;
-      if (A->imag() != 0 || B->imag() != 0) {
-        error("components of a complex constant must be real");
-        return std::nullopt;
-      }
-      return Cplx(A->real(), B->real());
-    }
-    if (!expect(Tok::RParen, "')' closing a parenthesized constant"))
-      return std::nullopt;
-    return A;
-  }
-  error("expected a scalar constant");
-  return std::nullopt;
-}
-
-//===----------------------------------------------------------------------===//
 // Templates
 //===----------------------------------------------------------------------===//
 
@@ -628,7 +512,7 @@ std::optional<tpl::TemplateDef> Parser::parseTemplate(SourceLoc Loc) {
 
   if (cur().is(Tok::LBracket)) {
     take();
-    Def.Condition = parseCondition();
+    Def.Condition = parseExpr(ExprContext::Condition);
     if (!Def.Condition)
       return std::nullopt;
     if (!expect(Tok::RBracket, "']' closing the template condition"))
@@ -661,139 +545,6 @@ std::optional<tpl::TemplateDef> Parser::parseTemplate(SourceLoc Loc) {
 }
 
 //===----------------------------------------------------------------------===//
-// Conditions
-//===----------------------------------------------------------------------===//
-
-cond::ExprRef Parser::parseCondition() { return parseCondOr(); }
-
-cond::ExprRef Parser::parseCondOr() {
-  auto L = parseCondAnd();
-  while (L && cur().is(Tok::PipePipe)) {
-    take();
-    auto R = parseCondAnd();
-    if (!R)
-      return nullptr;
-    L = cond::Expr::bin(cond::Expr::Or, L, R);
-  }
-  return L;
-}
-
-cond::ExprRef Parser::parseCondAnd() {
-  auto L = parseCondCmp();
-  while (L && cur().is(Tok::AmpAmp)) {
-    take();
-    auto R = parseCondCmp();
-    if (!R)
-      return nullptr;
-    L = cond::Expr::bin(cond::Expr::And, L, R);
-  }
-  return L;
-}
-
-cond::ExprRef Parser::parseCondCmp() {
-  auto L = parseCondAdd();
-  if (!L)
-    return nullptr;
-  cond::Expr::Kind K;
-  switch (cur().Kind) {
-  case Tok::EqEq:
-    K = cond::Expr::EQ;
-    break;
-  case Tok::NotEq:
-    K = cond::Expr::NE;
-    break;
-  case Tok::Lt:
-    K = cond::Expr::LT;
-    break;
-  case Tok::Le:
-    K = cond::Expr::LE;
-    break;
-  case Tok::Gt:
-    K = cond::Expr::GT;
-    break;
-  case Tok::Ge:
-    K = cond::Expr::GE;
-    break;
-  default:
-    return L;
-  }
-  take();
-  auto R = parseCondAdd();
-  if (!R)
-    return nullptr;
-  return cond::Expr::bin(K, L, R);
-}
-
-cond::ExprRef Parser::parseCondAdd() {
-  auto L = parseCondMul();
-  while (L && (cur().is(Tok::Plus) || cur().is(Tok::Minus))) {
-    bool IsAdd = take().is(Tok::Plus);
-    auto R = parseCondMul();
-    if (!R)
-      return nullptr;
-    L = cond::Expr::bin(IsAdd ? cond::Expr::Add : cond::Expr::Sub, L, R);
-  }
-  return L;
-}
-
-cond::ExprRef Parser::parseCondMul() {
-  auto L = parseCondUnary();
-  while (L && (cur().is(Tok::Star) || cur().is(Tok::Slash) ||
-               cur().is(Tok::Percent))) {
-    Tok Op = take().Kind;
-    auto R = parseCondUnary();
-    if (!R)
-      return nullptr;
-    cond::Expr::Kind K = Op == Tok::Star    ? cond::Expr::Mul
-                         : Op == Tok::Slash ? cond::Expr::Div
-                                            : cond::Expr::Mod;
-    L = cond::Expr::bin(K, L, R);
-  }
-  return L;
-}
-
-cond::ExprRef Parser::parseCondUnary() {
-  if (cur().is(Tok::Minus)) {
-    take();
-    auto E = parseCondUnary();
-    return E ? cond::Expr::unary(cond::Expr::Neg, E) : nullptr;
-  }
-  if (cur().is(Tok::Bang)) {
-    take();
-    auto E = parseCondUnary();
-    return E ? cond::Expr::unary(cond::Expr::Not, E) : nullptr;
-  }
-  return parseCondPrimary();
-}
-
-std::string Parser::parsePropertyName(std::string Base) {
-  if (cur().is(Tok::Dot) && cur().Adjacent && peek(1).is(Tok::Symbol) &&
-      peek(1).Adjacent) {
-    take();
-    Base += "." + take().Text;
-  }
-  return Base;
-}
-
-cond::ExprRef Parser::parseCondPrimary() {
-  if (cur().is(Tok::Number) && cur().IsInt)
-    return cond::Expr::num(take().Int);
-  if (cur().is(Tok::Symbol)) {
-    Token T = take();
-    return cond::Expr::sym(parsePropertyName(T.Text));
-  }
-  if (cur().is(Tok::LParen)) {
-    take();
-    auto E = parseCondOr();
-    if (!E || !expect(Tok::RParen, "')' in condition"))
-      return nullptr;
-    return E;
-  }
-  error("expected an integer, a pattern variable, or '(' in condition");
-  return nullptr;
-}
-
-//===----------------------------------------------------------------------===//
 // Template i-code bodies
 //===----------------------------------------------------------------------===//
 
@@ -821,10 +572,10 @@ std::optional<tpl::TStmt> Parser::parseTStmt() {
     S.LoopVar = take().Text;
     if (!expect(Tok::Equals, "'=' in do statement"))
       return std::nullopt;
-    S.Lo = parseTExpr();
+    S.Lo = parseExpr(ExprContext::Body);
     if (!S.Lo || !expect(Tok::Comma, "',' between loop bounds"))
       return std::nullopt;
-    S.Hi = parseTExpr();
+    S.Hi = parseExpr(ExprContext::Body);
     if (!S.Hi)
       return std::nullopt;
     return S;
@@ -847,7 +598,7 @@ std::optional<tpl::TStmt> Parser::parseTStmt() {
     S.Callee = take().Text;
     take(); // (
     while (!cur().is(Tok::RParen) && !cur().is(Tok::Eof)) {
-      auto E = parseTExpr();
+      auto E = parseExpr(ExprContext::Body);
       if (!E)
         return std::nullopt;
       S.CallArgs.push_back(E);
@@ -873,7 +624,7 @@ std::optional<tpl::TStmt> Parser::parseTStmt() {
   Token Lhs = take();
   if (cur().is(Tok::LParen) && cur().Adjacent) {
     take();
-    tpl::TExprRef Sub = parseTExpr();
+    tpl::TExprRef Sub = parseExpr(ExprContext::Body);
     if (!Sub || !expect(Tok::RParen, "')' closing the subscript"))
       return std::nullopt;
     S.Lhs = tpl::TExpr::vecRef(Lhs.Text, Sub, Lhs.Loc);
@@ -882,117 +633,218 @@ std::optional<tpl::TStmt> Parser::parseTStmt() {
   }
   if (!expect(Tok::Equals, "'=' in assignment"))
     return std::nullopt;
-  S.Rhs = parseTExpr();
+  S.Rhs = parseExpr(ExprContext::Body);
   if (!S.Rhs)
     return std::nullopt;
   return S;
 }
 
-tpl::TExprRef Parser::parseTExpr() { return parseTAdd(); }
+//===----------------------------------------------------------------------===//
+// Expressions
+//===----------------------------------------------------------------------===//
 
-tpl::TExprRef Parser::parseTAdd() {
-  auto L = parseTMul();
-  while (L && (cur().is(Tok::Plus) || cur().is(Tok::Minus))) {
-    SourceLoc Loc = cur().Loc;
-    bool IsAdd = take().is(Tok::Plus);
-    auto R = parseTMul();
-    if (!R)
-      return nullptr;
-    L = tpl::TExpr::bin(IsAdd ? tpl::TExpr::Add : tpl::TExpr::Sub, L, R, Loc);
-  }
-  return L;
+namespace {
+
+constexpr unsigned kindBit(tpl::TExpr::Kind K) { return 1u << K; }
+
+/// Literals, + - * / and negation: what every context admits.
+constexpr unsigned ArithKinds =
+    kindBit(tpl::TExpr::Add) | kindBit(tpl::TExpr::Sub) |
+    kindBit(tpl::TExpr::Mul) | kindBit(tpl::TExpr::Div) |
+    kindBit(tpl::TExpr::Neg) | kindBit(tpl::TExpr::Num);
+
+/// What one context of the expression grammar admits, and the wording of
+/// its diagnostics. A binary operator outside Kinds ends the expression;
+/// any other missing kind reads as a missing operand.
+struct ContextRules {
+  unsigned Kinds;         ///< Admitted tpl::TExpr kinds, one kindBit each.
+  bool IntegerLiterals;   ///< Number tokens must be integers.
+  bool Properties;        ///< Names may carry ".in_size" / ".out_size".
+  const char *Expected;   ///< Error where an operand is missing.
+  const char *ParenClose; ///< What the ')' of "( e )" closes.
+  const char *CallClose;  ///< What the ')' of "f(args)" closes.
+};
+
+const ContextRules &rulesFor(ExprContext C) {
+  using tpl::TExpr;
+  static const ContextRules Rules[] = {
+      // Condition.
+      {ArithKinds | kindBit(TExpr::Mod) | kindBit(TExpr::Sym) |
+           kindBit(TExpr::EQ) | kindBit(TExpr::NE) | kindBit(TExpr::LT) |
+           kindBit(TExpr::LE) | kindBit(TExpr::GT) | kindBit(TExpr::GE) |
+           kindBit(TExpr::And) | kindBit(TExpr::Or) | kindBit(TExpr::Not),
+       true, true,
+       "expected an integer, a pattern variable, or '(' in condition",
+       "')' in condition", nullptr},
+      // Body.
+      {ArithKinds | kindBit(TExpr::Mod) | kindBit(TExpr::Sym) |
+           kindBit(TExpr::VecRef) | kindBit(TExpr::Call) |
+           kindBit(TExpr::Complex),
+       false, true, "expected an expression",
+       "')' closing a parenthesized expression",
+       "')' closing the intrinsic call"},
+      // Constant.
+      {ArithKinds | kindBit(TExpr::Sym) | kindBit(TExpr::Call) |
+           kindBit(TExpr::Complex),
+       false, false, "expected a scalar constant",
+       "')' closing a parenthesized constant",
+       "')' closing the argument list"},
+      // IntParam.
+      {ArithKinds | kindBit(TExpr::Mod), true, false,
+       "expected an integer parameter",
+       "')' closing a parenthesized expression", nullptr},
+  };
+  return Rules[static_cast<int>(C)];
 }
 
-tpl::TExprRef Parser::parseTMul() {
-  auto L = parseTUnary();
-  while (L && (cur().is(Tok::Star) || cur().is(Tok::Slash) ||
-               cur().is(Tok::Percent))) {
-    SourceLoc Loc = cur().Loc;
-    Tok Op = take().Kind;
-    auto R = parseTUnary();
-    if (!R)
-      return nullptr;
-    tpl::TExpr::Kind K = Op == Tok::Star    ? tpl::TExpr::Mul
-                         : Op == Tok::Slash ? tpl::TExpr::Div
-                                            : tpl::TExpr::Mod;
-    L = tpl::TExpr::bin(K, L, R, Loc);
-  }
-  return L;
+bool admits(ExprContext C, tpl::TExpr::Kind K) {
+  return (rulesFor(C).Kinds & kindBit(K)) != 0;
 }
 
-tpl::TExprRef Parser::parseTUnary() {
-  if (cur().is(Tok::Minus)) {
+/// The binary operators, loosest first. Comparisons do not associate:
+/// "a < b < c" is an error.
+struct BinaryOp {
+  Tok T;
+  tpl::TExpr::Kind K;
+  int Prec;
+};
+constexpr int ComparisonPrec = 3;
+constexpr BinaryOp BinaryOps[] = {
+    {Tok::PipePipe, tpl::TExpr::Or, 1},  {Tok::AmpAmp, tpl::TExpr::And, 2},
+    {Tok::EqEq, tpl::TExpr::EQ, 3},      {Tok::NotEq, tpl::TExpr::NE, 3},
+    {Tok::Lt, tpl::TExpr::LT, 3},        {Tok::Le, tpl::TExpr::LE, 3},
+    {Tok::Gt, tpl::TExpr::GT, 3},        {Tok::Ge, tpl::TExpr::GE, 3},
+    {Tok::Plus, tpl::TExpr::Add, 4},     {Tok::Minus, tpl::TExpr::Sub, 4},
+    {Tok::Star, tpl::TExpr::Mul, 5},     {Tok::Slash, tpl::TExpr::Div, 5},
+    {Tok::Percent, tpl::TExpr::Mod, 5},
+};
+
+/// The operator \p T spells in context \p C, or null.
+const BinaryOp *binaryOp(Tok T, ExprContext C) {
+  for (const BinaryOp &Op : BinaryOps)
+    if (Op.T == T)
+      return admits(C, Op.K) ? &Op : nullptr;
+  return nullptr;
+}
+
+/// A literal or a negated literal: what a template body's "(re, im)" takes.
+bool isLiteral(const tpl::TExprRef &E) {
+  return E->K == tpl::TExpr::Num ||
+         (E->K == tpl::TExpr::Neg && E->Args[0]->K == tpl::TExpr::Num);
+}
+
+} // namespace
+
+tpl::TExprRef Parser::parseExpr(ExprContext C, int MinPrec) {
+  tpl::TExprRef L = parseUnary(C);
+  // Each operator bounds the precedence of the next one, so a second
+  // comparison ends the expression instead of applying to the first.
+  int MaxPrec = INT_MAX;
+  while (L) {
+    const BinaryOp *Op = binaryOp(cur().Kind, C);
+    if (!Op || Op->Prec < MinPrec || Op->Prec > MaxPrec)
+      break;
     SourceLoc Loc = take().Loc;
-    auto E = parseTUnary();
-    return E ? tpl::TExpr::neg(E, Loc) : nullptr;
+    tpl::TExprRef R = parseExpr(C, Op->Prec + 1);
+    if (!R)
+      return nullptr;
+    L = tpl::TExpr::bin(Op->K, L, R, Loc);
+    MaxPrec = Op->Prec == ComparisonPrec ? Op->Prec - 1 : Op->Prec;
   }
-  return parseTPrimary();
+  return L;
 }
 
-tpl::TExprRef Parser::parseTPrimary() {
-  if (cur().is(Tok::Number)) {
+tpl::TExprRef Parser::parseUnary(ExprContext C) {
+  if (cur().is(Tok::Minus) ||
+      (cur().is(Tok::Bang) && admits(C, tpl::TExpr::Not))) {
+    SourceLoc Loc = cur().Loc;
+    auto K = take().is(Tok::Minus) ? tpl::TExpr::Neg : tpl::TExpr::Not;
+    tpl::TExprRef E = parseUnary(C);
+    return E ? tpl::TExpr::unary(K, E, Loc) : nullptr;
+  }
+  return parsePrimary(C);
+}
+
+tpl::TExprRef Parser::parsePrimary(ExprContext C) {
+  const ContextRules &R = rulesFor(C);
+  if (cur().is(Tok::Number) && (cur().IsInt || !R.IntegerLiterals)) {
     Token T = take();
     return tpl::TExpr::num(Cplx(T.Num, 0), T.Loc);
   }
 
-  if (cur().is(Tok::Symbol)) {
+  if (cur().is(Tok::Symbol) && admits(C, tpl::TExpr::Sym)) {
     Token T = take();
-    if (cur().is(Tok::LParen) && cur().Adjacent) {
-      take(); // (
-      if (startsWith(T.Text, "$")) {
-        // Vector reference with one subscript.
-        auto Sub = parseTExpr();
-        if (!Sub || !expect(Tok::RParen, "')' closing the subscript"))
-          return nullptr;
-        return tpl::TExpr::vecRef(T.Text, Sub, T.Loc);
-      }
-      // Intrinsic call; arguments are space- (or comma-) separated.
-      std::vector<tpl::TExprRef> Args;
-      while (!cur().is(Tok::RParen) && !cur().is(Tok::Eof)) {
-        auto A = parseTExpr();
-        if (!A)
-          return nullptr;
-        Args.push_back(A);
-        consumeIf(Tok::Comma);
-      }
-      if (!expect(Tok::RParen, "')' closing the intrinsic call"))
+    if (!cur().is(Tok::LParen) || !cur().Adjacent ||
+        !admits(C, tpl::TExpr::Call))
+      return tpl::TExpr::sym(
+          R.Properties ? parsePropertyName(T.Text) : T.Text, T.Loc);
+    take(); // (
+    if (admits(C, tpl::TExpr::VecRef) && startsWith(T.Text, "$")) {
+      // Vector reference with one subscript.
+      tpl::TExprRef Sub = parseExpr(C);
+      if (!Sub || !expect(Tok::RParen, "')' closing the subscript"))
         return nullptr;
-      return tpl::TExpr::call(T.Text, std::move(Args), T.Loc);
+      return tpl::TExpr::vecRef(T.Text, Sub, T.Loc);
     }
-    return tpl::TExpr::sym(parsePropertyName(T.Text), T.Loc);
+    // Arguments are space- (or comma-) separated.
+    std::vector<tpl::TExprRef> Args;
+    while (!cur().is(Tok::RParen) && !cur().is(Tok::Eof)) {
+      tpl::TExprRef A = parseExpr(C);
+      if (!A)
+        return nullptr;
+      Args.push_back(A);
+      consumeIf(Tok::Comma);
+    }
+    if (!expect(Tok::RParen, R.CallClose))
+      return nullptr;
+    return tpl::TExpr::call(T.Text, std::move(Args), T.Loc);
   }
 
   if (cur().is(Tok::LParen)) {
     SourceLoc Loc = take().Loc;
-    auto A = parseTExpr();
+    tpl::TExprRef A = parseExpr(C);
     if (!A)
       return nullptr;
-    if (consumeIf(Tok::Comma)) {
-      auto B = parseTExpr();
+    if (admits(C, tpl::TExpr::Complex) && consumeIf(Tok::Comma)) {
+      tpl::TExprRef B = parseExpr(C);
       if (!B || !expect(Tok::RParen, "')' closing a complex constant"))
         return nullptr;
-      // Components may be literals or negated literals ("(0.7,-0.7)").
-      auto FoldNum = [](const tpl::TExprRef &E) -> std::optional<double> {
-        if (E->K == tpl::TExpr::Num)
-          return E->NumVal.real();
-        if (E->K == tpl::TExpr::Neg && E->Args[0]->K == tpl::TExpr::Num)
-          return -E->Args[0]->NumVal.real();
-        return std::nullopt;
-      };
-      auto Re = FoldNum(A), Im = FoldNum(B);
-      if (!Re || !Im) {
+      tpl::TExprRef Pair = tpl::TExpr::bin(tpl::TExpr::Complex, A, B, Loc);
+      if (C != ExprContext::Body)
+        return Pair;
+      // Template bodies take literal components ("(0.7,-0.7)") and see
+      // the pair as one number.
+      if (!isLiteral(A) || !isLiteral(B)) {
         Diags.error(Loc, "complex constants must have constant components");
         return nullptr;
       }
-      return tpl::TExpr::num(Cplx(*Re, *Im), Loc);
+      return tpl::TExpr::num(*foldConstant(Pair, Diags), Loc);
     }
-    if (!expect(Tok::RParen, "')' closing a parenthesized expression"))
+    if (!expect(Tok::RParen, R.ParenClose))
       return nullptr;
     return A;
   }
 
-  error("expected an expression");
+  error(R.Expected);
   return nullptr;
+}
+
+std::string Parser::parsePropertyName(std::string Base) {
+  if (cur().is(Tok::Dot) && cur().Adjacent && peek(1).is(Tok::Symbol) &&
+      peek(1).Adjacent) {
+    take();
+    Base += "." + take().Text;
+  }
+  return Base;
+}
+
+std::optional<Cplx> Parser::parseElement() {
+  // Elements are whitespace-separated, so an element is a primary or a
+  // negated element; infix arithmetic needs parentheses.
+  tpl::TExprRef E = parseUnary(ExprContext::Constant);
+  if (!E)
+    return std::nullopt;
+  return foldConstant(E, Diags);
 }
 
 //===----------------------------------------------------------------------===//

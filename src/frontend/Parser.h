@@ -11,6 +11,9 @@
 /// #language, #unroll). Defined names are resolved during parsing by
 /// substitution, so downstream phases only ever see closed formula trees
 /// (this is why pattern variables "cannot match undefined symbols").
+/// Every expression (a condition, a body expression, a matrix element, an
+/// integer parameter) goes through one precedence-climbing parseExpr that
+/// builds a tpl::TExpr.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +52,14 @@ struct SplProgram {
   std::vector<tpl::TemplateDef> Templates; ///< In definition order.
   std::map<std::string, FormulaRef> Defines;
 };
+
+/// The contexts of SPL's one expression grammar (docs/LANGUAGE.md §2).
+/// Each admits a subset of it: template [conditions] compute on integers
+/// with comparisons and logic; template i-code bodies add vector
+/// references, intrinsic calls and complex pairs; matrix and diagonal
+/// elements are constant complex arithmetic; integer parameters are
+/// literals, pattern variables or parenthesized integer arithmetic.
+enum class ExprContext { Condition, Body, Constant, IntParam };
 
 /// The SPL parser. Errors are reported to the Diagnostics engine; parse
 /// functions return nullopt / null on failure.
@@ -91,33 +102,17 @@ private:
   FormulaRef parsePermutationForm(SourceLoc Loc);
   bool parseFormulaList(bool PatternMode, std::vector<FormulaRef> &Out);
 
-  // Constant scalar expressions (matrix / diagonal elements).
-  std::optional<Cplx> parseElement();
-  std::optional<Cplx> parseScalarExpr();
-  std::optional<Cplx> parseScalarTerm();
-  std::optional<Cplx> parseScalarUnary();
-  std::optional<Cplx> parseScalarPrimary();
-
   // Templates.
   std::optional<tpl::TemplateDef> parseTemplate(SourceLoc Loc);
-  cond::ExprRef parseCondition();
-  cond::ExprRef parseCondOr();
-  cond::ExprRef parseCondAnd();
-  cond::ExprRef parseCondCmp();
-  cond::ExprRef parseCondAdd();
-  cond::ExprRef parseCondMul();
-  cond::ExprRef parseCondUnary();
-  cond::ExprRef parseCondPrimary();
-  std::string parsePropertyName(std::string Base);
-
-  // Template i-code bodies.
   bool parseTStmtList(std::vector<tpl::TStmt> &Out);
   std::optional<tpl::TStmt> parseTStmt();
-  tpl::TExprRef parseTExpr();
-  tpl::TExprRef parseTAdd();
-  tpl::TExprRef parseTMul();
-  tpl::TExprRef parseTUnary();
-  tpl::TExprRef parseTPrimary();
+
+  // Expressions: one grammar, four contexts.
+  tpl::TExprRef parseExpr(ExprContext C, int MinPrec = 0);
+  tpl::TExprRef parseUnary(ExprContext C);
+  tpl::TExprRef parsePrimary(ExprContext C);
+  std::string parsePropertyName(std::string Base);
+  std::optional<Cplx> parseElement();
 };
 
 /// Convenience: parses one formula from \p Source.

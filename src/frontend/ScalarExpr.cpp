@@ -9,6 +9,7 @@
 #include "ir/Transforms.h"
 #include "support/StrUtil.h"
 
+#include <cassert>
 #include <cmath>
 
 using namespace spl;
@@ -52,4 +53,71 @@ std::optional<Cplx> spl::applyScalarFn(const std::string &Name,
   if (N == "log")
     return IsReal && X.real() > 0 ? Cplx(std::log(X.real()), 0) : std::log(X);
   return std::nullopt;
+}
+
+std::optional<Cplx> spl::foldConstant(const tpl::TExprRef &E,
+                                      Diagnostics &Diags) {
+  using tpl::TExpr;
+  switch (E->K) {
+  case TExpr::Num:
+    return E->NumVal;
+  case TExpr::Sym: {
+    auto V = scalarConstant(E->Name);
+    if (!V)
+      Diags.error(E->Loc, "unknown scalar constant '" + E->Name + "'");
+    return V;
+  }
+  case TExpr::Call: {
+    std::vector<Cplx> Args;
+    for (const tpl::TExprRef &A : E->Args) {
+      auto V = foldConstant(A, Diags);
+      if (!V)
+        return std::nullopt;
+      Args.push_back(*V);
+    }
+    auto V = applyScalarFn(E->Name, Args);
+    if (!V)
+      Diags.error(E->Loc, "unknown scalar function '" + E->Name +
+                              "' or wrong number of arguments");
+    return V;
+  }
+  case TExpr::Neg: {
+    auto V = foldConstant(E->Args[0], Diags);
+    if (!V)
+      return std::nullopt;
+    return -*V;
+  }
+  default:
+    break;
+  }
+
+  auto A = foldConstant(E->Args[0], Diags);
+  if (!A)
+    return std::nullopt;
+  auto B = foldConstant(E->Args[1], Diags);
+  if (!B)
+    return std::nullopt;
+  switch (E->K) {
+  case TExpr::Complex:
+    if (A->imag() != 0 || B->imag() != 0) {
+      Diags.error(E->Loc, "components of a complex constant must be real");
+      return std::nullopt;
+    }
+    return Cplx(A->real(), B->real());
+  case TExpr::Add:
+    return *A + *B;
+  case TExpr::Sub:
+    return *A - *B;
+  case TExpr::Mul:
+    return *A * *B;
+  case TExpr::Div:
+    if (*B == Cplx(0, 0)) {
+      Diags.error(E->Loc, "division by zero in constant expression");
+      return std::nullopt;
+    }
+    return *A / *B;
+  default:
+    assert(false && "kind not admitted in constant expressions");
+    return std::nullopt;
+  }
 }

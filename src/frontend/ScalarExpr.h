@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Named constants and functions usable inside SPL constant scalar
-/// expressions such as sqrt(2) or (cos(2*pi/3.0),sin(2*pi/3.0)). All are
-/// evaluated at compile time (paper Section 2.2).
+/// expressions such as sqrt(2) or (cos(2*pi/3.0),sin(2*pi/3.0)), and the
+/// folder that evaluates such an expression tree at compile time (paper
+/// Section 2.2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #define SPL_FRONTEND_SCALAREXPR_H
 
 #include "ir/Matrix.h"
+#include "support/Diagnostics.h"
+#include "templates/TemplateDef.h"
 
 #include <optional>
 #include <string>
@@ -30,6 +33,12 @@ std::optional<Cplx> scalarConstant(const std::string &Name);
 /// for an unknown function or wrong arity.
 std::optional<Cplx> applyScalarFn(const std::string &Name,
                                   const std::vector<Cplx> &Args);
+
+/// Folds a constant expression tree (a matrix or diagonal element, or a
+/// complex pair in a template body) to its value: names are constants,
+/// calls are scalar functions, '/' divides complex numbers. Reports to
+/// \p Diags and returns nullopt on failure.
+std::optional<Cplx> foldConstant(const tpl::TExprRef &E, Diagnostics &Diags);
 
 } // namespace spl
 

@@ -384,6 +384,7 @@ std::optional<Operand> Expander::flattenOperand(Scope &S,
   case tpl::TExpr::Sub:
   case tpl::TExpr::Mul:
   case tpl::TExpr::Div:
+  case tpl::TExpr::Mod: // emitAssign rejects it.
   case tpl::TExpr::Neg: {
     Operand Tmp = Operand::fltTemp(freshFltTemp());
     if (!emitAssign(S, Tmp, E))

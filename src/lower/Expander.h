@@ -25,6 +25,7 @@
 #include "icode/Intrinsics.h"
 #include "ir/Formula.h"
 #include "support/Diagnostics.h"
+#include "templates/Condition.h"
 #include "templates/Matcher.h"
 #include "templates/Registry.h"
 

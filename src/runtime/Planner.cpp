@@ -27,6 +27,9 @@ using namespace spl::runtime;
 
 namespace {
 
+/// Best-of-k repetitions for the timed evaluators and the codegen race.
+constexpr int TimingRepeats = 2;
+
 /// Normalized copy of \p Spec: transform/datatype defaults filled in from
 /// the registry, total Size derived from a multi-dimensional Shape, and a
 /// one-element Shape collapsed to the equivalent 1-D spec (so its key and
@@ -115,11 +118,11 @@ Planner::makeEvaluator(const std::string &Datatype,
   std::unique_ptr<search::Evaluator> E;
   if (Opts.Evaluator == "vmtime") {
     E = std::make_unique<search::VMTimeEvaluator>(Diags, CO,
-                                                  Opts.TimingRepeats);
+                                                  TimingRepeats);
   } else if (Opts.Evaluator == "native") {
     if (search::NativeTimeEvaluator::available()) {
       E = std::make_unique<search::NativeTimeEvaluator>(Diags, CO,
-                                                        Opts.TimingRepeats);
+                                                        TimingRepeats);
     } else {
       Diags.warning(SourceLoc(), "no working C compiler for the nativetime "
                                  "cost model; using opcount instead");
@@ -421,10 +424,11 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       BO.Variant = V;
       BO.Deadline = Deadline; // Compile runs under the remaining budget.
       auto K = perf::CompiledKernel::create(P->Final, &Err, BO);
-      if (K && Opts.TrialExecution) {
-        // The trial guard gets min(SPL_TRIAL_TIMEOUT_MS, remaining). An
-        // unproven kernel never joins the plan, so a spent budget demotes
-        // to the VM tier rather than skipping the proof.
+      if (K) {
+        // Every kernel is proven by a trial run in a forked guard that
+        // gets min(SPL_TRIAL_TIMEOUT_MS, remaining). An unproven kernel
+        // never joins the plan, so a spent budget demotes to the VM tier
+        // rather than skipping the proof.
         double TrialBudget = trialTimeoutSeconds();
         const double Remaining = Deadline.remainingSeconds();
         if (Remaining <= 0) {
@@ -477,8 +481,8 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
           Diags.note(SourceLoc(), "vector kernel for " + Dirs.SubName +
                                       " lost the codegen race (" +
                                       VErr.str() + ")");
-        const int Reps = Opts.TimingRepeats;
-        if (Vec && Vec->time(Reps) / Vec->lanes() < Kernel->time(Reps)) {
+        if (Vec && Vec->time(TimingRepeats) / Vec->lanes() <
+                       Kernel->time(TimingRepeats)) {
           Kernel = std::move(Vec);
           telemetry::PlanVectorWins.add();
         } else {

@@ -46,9 +46,6 @@ struct PlannerOptions {
   /// Worker threads for candidate evaluation during searches.
   int SearchThreads = 1;
 
-  /// Best-of-k repetitions for timed evaluators.
-  int TimingRepeats = 2;
-
   /// Consult / record the persistent plan cache ("wisdom").
   bool UseWisdom = true;
 
@@ -66,13 +63,6 @@ struct PlannerOptions {
   /// Force-disables the kernel cache regardless of environment or
   /// KernelCacheDir (the --no-kernel-cache flag).
   bool DisableKernelCache = false;
-
-  /// Prove every newly compiled native kernel with a guarded trial
-  /// execution (forked subprocess, wall-clock bounded by
-  /// SPL_TRIAL_TIMEOUT_MS, default 5 s) before it joins the plan. A kernel
-  /// that crashes, hangs, or emits non-finite output is demoted to the VM
-  /// tier without harming the planning process.
-  bool TrialExecution = true;
 
   /// Test hook: pretend every native kernel build fails, exercising the
   /// VM fallback path deterministically.

@@ -73,9 +73,6 @@ public:
            SearchOptions Opts = SearchOptions(), PlanCache *Wisdom = nullptr)
       : Eval(Eval), Diags(Diags), Opts(Opts), Wisdom(Wisdom) {}
 
-  /// Attaches (or detaches, with null) a persistent plan cache.
-  void setWisdom(PlanCache *W) { Wisdom = W; }
-
   /// Exhaustively searches sizes 2,4,...,MaxN (powers of two, MaxN <=
   /// MaxLeaf) and returns the winner per size. Results are cached for use
   /// by searchLarge.

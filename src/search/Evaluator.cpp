@@ -29,7 +29,7 @@ Evaluator::Evaluator(Diagnostics &Diags, driver::CompilerOptions CompOpts)
     : Diags(Diags), CompOpts(std::move(CompOpts)),
       TimingTimeoutSeconds(envTimeoutSeconds("SPL_EVAL_TIMEOUT_MS", 10.0)) {}
 
-std::optional<Compiled> Evaluator::compile(const FormulaRef &F) {
+std::optional<icode::Program> Evaluator::compile(const FormulaRef &F) {
   driver::Compiler Comp(Diags);
   DirectiveState Dirs;
   Dirs.SubName = "cand";
@@ -43,7 +43,7 @@ std::optional<Compiled> Evaluator::compile(const FormulaRef &F) {
   auto Unit = Comp.compileFormula(F, Dirs, Opts);
   if (!Unit)
     return std::nullopt;
-  return Compiled{std::move(Unit->Final)};
+  return std::move(Unit->Final);
 }
 
 void Evaluator::countEvaluation() {
@@ -55,10 +55,10 @@ std::optional<double> Evaluator::cost(const FormulaRef &F) {
   if (DL.expired())
     return std::numeric_limits<double>::infinity();
   countEvaluation();
-  auto C = compile(F);
-  if (!C)
+  auto P = compile(F);
+  if (!P)
     return std::nullopt;
-  return measure(C->Final);
+  return measure(*P);
 }
 
 std::optional<double> Evaluator::cost(const icode::Program &P) {

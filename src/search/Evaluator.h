@@ -32,11 +32,6 @@
 namespace spl {
 namespace search {
 
-/// A compiled candidate ready for costing.
-struct Compiled {
-  icode::Program Final;
-};
-
 /// The factors of a gen::ruleCooleyTukeyDIT(R, S, F_R, F_S) candidate and
 /// the costs of its children F_R and F_S.
 struct CooleyTukeyParts {
@@ -75,10 +70,10 @@ public:
   /// evaluation.
   std::optional<double> composedCost(const CooleyTukeyParts &P);
 
-  /// Compiles \p F through the shared pipeline. Defaults to complex data /
-  /// real code (the FFT experiments); override via setDatatype for real
-  /// transforms such as the WHT and DCTs.
-  std::optional<Compiled> compile(const FormulaRef &F);
+  /// Compiles \p F through the shared pipeline to its final i-code.
+  /// Defaults to complex data / real code (the FFT experiments); override
+  /// via setDatatype for real transforms such as the WHT and DCTs.
+  std::optional<icode::Program> compile(const FormulaRef &F);
 
   /// Sets the #datatype used for candidate compilation ("complex"|"real").
   void setDatatype(std::string D) { Datatype = std::move(D); }
@@ -104,7 +99,6 @@ public:
     TimingTimeoutSeconds = TimeoutSeconds;
     TimingRetries = Retries < 0 ? 0 : Retries;
   }
-  double timingTimeoutSeconds() const { return TimingTimeoutSeconds; }
 
   /// Caps all remaining evaluation work by \p D. Each watchdog attempt is
   /// bounded by min(SPL_EVAL_TIMEOUT_MS, remaining budget), retries are

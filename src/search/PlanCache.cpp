@@ -62,20 +62,21 @@ std::string PlanCache::defaultPath() {
 bool PlanCache::readRecords(
     const support::RecordFile &File, const std::string &Path,
     std::map<std::string, std::vector<PlanEntry>> &Into,
-    bool CountStats) const {
+    bool Report) const {
   support::RecordFile::Contents C = File.read(VersionHeader, "plan");
   if (!C.HeaderOk) {
-    Diags.warning(SourceLoc(), "wisdom file '" + Path +
-                                   "' has an unrecognized version header; "
-                                   "ignoring it");
+    if (Report)
+      Diags.warning(SourceLoc(), "wisdom file '" + Path +
+                                     "' has an unrecognized version header; "
+                                     "ignoring it");
     return false;
   }
 
   auto Reject = [&](unsigned LineNo, const char *Why) {
-    if (CountStats) {
-      ++S.Skipped;
-      telemetry::WisdomCorruptLines.add();
-    }
+    if (!Report)
+      return;
+    ++S.Skipped;
+    telemetry::WisdomCorruptLines.add();
     Diags.warning(SourceLoc(), "wisdom file '" + Path + "' line " +
                                    std::to_string(LineNo) + ": " + Why +
                                    "; skipping entry");
@@ -116,7 +117,7 @@ bool PlanCache::readRecords(
     if (Entries.size() <= static_cast<size_t>(Index))
       Entries.resize(Index + 1);
     Entries[static_cast<size_t>(Index)] = {Formula, Cost};
-    if (CountStats) {
+    if (Report) {
       ++S.Loaded;
       telemetry::WisdomLoaded.add();
     }
@@ -133,7 +134,7 @@ bool PlanCache::load(const std::string &Path) {
   }
   std::map<std::string, std::vector<PlanEntry>> Incoming;
   support::RecordFile File(Path, LOCK_SH);
-  if (!readRecords(File, Path, Incoming, /*CountStats=*/true))
+  if (!readRecords(File, Path, Incoming, /*Report=*/true))
     return false;
   // Incoming entries fill gaps; entries already in memory win.
   for (auto &[Key, Entries] : Incoming)
@@ -156,8 +157,8 @@ bool PlanCache::save(const std::string &Path) const {
   // Merge-on-save: what is on disk survives unless we hold the same key.
   std::map<std::string, std::vector<PlanEntry>> Merged;
   // Corrupt/alien files simply contribute nothing; their lines were already
-  // counted (if at all) by an explicit load(), so keep stats untouched here.
-  readRecords(File, Path, Merged, /*CountStats=*/false);
+  // reported (if at all) by an explicit load(), so stay silent here.
+  readRecords(File, Path, Merged, /*Report=*/false);
   for (const auto &[Key, Entries] : Plans)
     Merged[Key] = Entries;
 

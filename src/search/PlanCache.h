@@ -121,9 +121,13 @@ public:
   void reportSummary() const;
 
 private:
+  /// Reads \p File's records into \p Into. With \p Report, bad headers
+  /// and lines are warned about and counted in the stats; without it (the
+  /// re-read in save(), after load() already reported) they are skipped
+  /// silently.
   bool readRecords(const support::RecordFile &File, const std::string &Path,
                    std::map<std::string, std::vector<PlanEntry>> &Into,
-                   bool CountStats) const;
+                   bool Report) const;
 
   Diagnostics &Diags;
   mutable std::mutex M;

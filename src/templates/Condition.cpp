@@ -7,116 +7,101 @@
 #include "templates/Condition.h"
 
 #include <cassert>
+#include <limits>
 
 using namespace spl;
 using namespace spl::cond;
+using tpl::TExpr;
 
-ExprRef Expr::num(std::int64_t V) {
-  auto E = std::make_shared<Expr>();
-  E->K = Num;
-  E->NumVal = V;
-  return E;
-}
-
-ExprRef Expr::sym(std::string Name) {
-  auto E = std::make_shared<Expr>();
-  E->K = Sym;
-  E->Name = std::move(Name);
-  return E;
-}
-
-ExprRef Expr::unary(Kind K, ExprRef Sub) {
-  assert((K == Neg || K == Not) && "not a unary operator");
-  auto E = std::make_shared<Expr>();
-  E->K = K;
-  E->L = std::move(Sub);
-  return E;
-}
-
-ExprRef Expr::bin(Kind K, ExprRef L, ExprRef R) {
-  auto E = std::make_shared<Expr>();
-  E->K = K;
-  E->L = std::move(L);
-  E->R = std::move(R);
-  return E;
-}
-
-std::optional<std::int64_t> cond::eval(const ExprRef &E, const Lookup &L) {
+std::optional<std::int64_t> cond::eval(const tpl::TExprRef &E,
+                                       const Lookup &L) {
   if (!E)
     return std::nullopt;
   switch (E->K) {
-  case Expr::Num:
-    return E->NumVal;
-  case Expr::Sym:
+  case TExpr::Num: {
+    // Integer literals are exact up to 2^53; beyond int64 they saturate,
+    // as the lexer's strtoll does.
+    double V = E->NumVal.real();
+    if (V >= 0x1p63)
+      return std::numeric_limits<std::int64_t>::max();
+    if (V < -0x1p63)
+      return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(V);
+  }
+  case TExpr::Sym:
     return L(E->Name);
-  case Expr::Neg: {
-    auto V = eval(E->L, L);
+  case TExpr::Neg: {
+    auto V = eval(E->Args[0], L);
     if (!V)
       return std::nullopt;
     return -*V;
   }
-  case Expr::Not: {
-    auto V = eval(E->L, L);
+  case TExpr::Not: {
+    auto V = eval(E->Args[0], L);
     if (!V)
       return std::nullopt;
     return *V == 0 ? 1 : 0;
   }
-  case Expr::And: {
+  case TExpr::And: {
     // Short-circuit, but an unresolvable left side poisons the result.
-    auto A = eval(E->L, L);
+    auto A = eval(E->Args[0], L);
     if (!A)
       return std::nullopt;
     if (*A == 0)
       return 0;
-    auto B = eval(E->R, L);
+    auto B = eval(E->Args[1], L);
     if (!B)
       return std::nullopt;
     return *B != 0 ? 1 : 0;
   }
-  case Expr::Or: {
-    auto A = eval(E->L, L);
+  case TExpr::Or: {
+    auto A = eval(E->Args[0], L);
     if (!A)
       return std::nullopt;
     if (*A != 0)
       return 1;
-    auto B = eval(E->R, L);
+    auto B = eval(E->Args[1], L);
     if (!B)
       return std::nullopt;
     return *B != 0 ? 1 : 0;
   }
+  case TExpr::VecRef:
+  case TExpr::Call:
+  case TExpr::Complex:
+    return std::nullopt; // Not integer-valued; the parser admits none here.
   default:
     break;
   }
 
-  auto A = eval(E->L, L), B = eval(E->R, L);
+  auto A = eval(E->Args[0], L), B = eval(E->Args[1], L);
   if (!A || !B)
     return std::nullopt;
   switch (E->K) {
-  case Expr::Add:
+  case TExpr::Add:
     return *A + *B;
-  case Expr::Sub:
+  case TExpr::Sub:
     return *A - *B;
-  case Expr::Mul:
+  case TExpr::Mul:
     return *A * *B;
-  case Expr::Div:
+  case TExpr::Div:
     if (*B == 0)
       return std::nullopt;
     return *A / *B;
-  case Expr::Mod:
+  case TExpr::Mod:
     if (*B == 0)
       return std::nullopt;
     return *A % *B;
-  case Expr::EQ:
+  case TExpr::EQ:
     return *A == *B ? 1 : 0;
-  case Expr::NE:
+  case TExpr::NE:
     return *A != *B ? 1 : 0;
-  case Expr::LT:
+  case TExpr::LT:
     return *A < *B ? 1 : 0;
-  case Expr::LE:
+  case TExpr::LE:
     return *A <= *B ? 1 : 0;
-  case Expr::GT:
+  case TExpr::GT:
     return *A > *B ? 1 : 0;
-  case Expr::GE:
+  case TExpr::GE:
     return *A >= *B ? 1 : 0;
   default:
     assert(false && "unhandled condition kind");
@@ -124,7 +109,7 @@ std::optional<std::int64_t> cond::eval(const ExprRef &E, const Lookup &L) {
   }
 }
 
-bool cond::holds(const ExprRef &E, const Lookup &L) {
+bool cond::holds(const tpl::TExprRef &E, const Lookup &L) {
   if (!E)
     return true;
   auto V = eval(E, L);

@@ -7,8 +7,9 @@
 /// \file
 /// Parsed form of SPL templates (paper Section 3.2): a pattern (a formula
 /// containing pattern variables), an optional C-style boolean condition, and
-/// an i-code body. The body is kept symbolic (TExpr/TStmt); the expander
-/// instantiates it once pattern variables are bound to concrete values.
+/// an i-code body. Conditions and bodies are kept symbolic (TExpr/TStmt);
+/// the expander evaluates and instantiates them once pattern variables are
+/// bound to concrete values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,6 @@
 #define SPL_TEMPLATES_TEMPLATEDEF_H
 
 #include "ir/Formula.h"
-#include "templates/Condition.h"
 
 #include <memory>
 #include <string>
@@ -28,22 +28,34 @@ namespace tpl {
 struct TExpr;
 using TExprRef = std::shared_ptr<const TExpr>;
 
-/// A symbolic expression in a template body. Scalar names keep their source
-/// spelling: "$i0" (loop index), "$r0" (integer temp), "$f0" (float temp),
-/// "n_" (integer pattern variable), "A_.in_size" (property of a bound
-/// formula variable).
+/// A node of SPL's one expression language, as written in template
+/// conditions and bodies, matrix elements and integer parameters. Each of
+/// those contexts admits a subset of the kinds (docs/LANGUAGE.md §2).
+/// Scalar names keep their source spelling: "$i0" (loop index), "$r0"
+/// (integer temp), "$f0" (float temp), "n_" (integer pattern variable),
+/// "A_.in_size" (property of a bound formula variable), "pi".
 struct TExpr {
   enum Kind {
-    Num,    ///< Numeric literal (possibly complex).
-    Sym,    ///< Named scalar; see above.
-    VecRef, ///< $in(e), $out(e), $tK(e).
-    Call,   ///< Intrinsic call name(e1 e2 ...).
+    Num,     ///< Numeric literal (possibly complex).
+    Sym,     ///< Named scalar; see above.
+    VecRef,  ///< $in(e), $out(e), $tK(e).
+    Call,    ///< Function or intrinsic call name(e1 e2 ...).
+    Complex, ///< Complex constant (re, im).
     Add,
     Sub,
     Mul,
     Div,
     Mod,
+    EQ,
+    NE,
+    LT,
+    LE,
+    GT,
+    GE,
+    And,
+    Or,
     Neg,
+    Not,
   } K = Num;
 
   Cplx NumVal;                ///< For Num.
@@ -92,9 +104,9 @@ struct TExpr {
     E->Loc = Loc;
     return E;
   }
-  static TExprRef neg(TExprRef Sub, SourceLoc Loc = SourceLoc()) {
+  static TExprRef unary(Kind K, TExprRef Sub, SourceLoc Loc = SourceLoc()) {
     auto E = std::make_shared<TExpr>();
-    E->K = Neg;
+    E->K = K;
     E->Args.push_back(std::move(Sub));
     E->Loc = Loc;
     return E;
@@ -126,7 +138,7 @@ struct TStmt {
 /// One template definition.
 struct TemplateDef {
   FormulaRef Pattern;
-  cond::ExprRef Condition; ///< Null when the template has no condition.
+  TExprRef Condition; ///< Null when the template has no condition.
   std::vector<TStmt> Body;
   SourceLoc Loc;
 };

@@ -203,7 +203,7 @@ TEST(Corpus, GoldenEmission) {
   ASSERT_TRUE(Best) << Diags.dump();
   auto Compiled = Eval.compile(Best->Formula);
   ASSERT_TRUE(Compiled) << Diags.dump();
-  checkGoldens("fft32-searched", Compiled->Final);
+  checkGoldens("fft32-searched", *Compiled);
 }
 
 } // namespace

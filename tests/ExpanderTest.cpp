@@ -256,4 +256,23 @@ TEST(Expander, ErrorOnUnmatchedFormula) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+TEST(Expander, ModuloInsideAFloatingPointOperandIsAnError) {
+  // '%' nested in a floating-point expression used to recurse between
+  // flattenOperand and floatOperand until the stack overflowed.
+  for (const char *Rhs : {"$in(0) % 2", "$in(0) + $in(1) % 2",
+                          "-($in(0) % 2)"}) {
+    Diagnostics Diags;
+    auto Registry = tpl::TemplateRegistry::withBuiltins();
+    Registry.addAll(parseTemplateString(
+        std::string("(template (PQ n_) ($out(0) = ") + Rhs + "))", Diags));
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+    lower::Expander Exp(Registry, Diags);
+    EXPECT_FALSE(Exp.expand(parseFormulaString("(PQ 2)", Diags), {})) << Rhs;
+    ASSERT_FALSE(Diags.all().empty()) << Rhs;
+    EXPECT_EQ(Diags.all().back().Message,
+              "'%' is not a floating-point operation")
+        << Rhs;
+  }
+}
+
 } // namespace

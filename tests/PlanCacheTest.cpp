@@ -187,6 +187,34 @@ TEST(PlanCache, SaveMergesWithExistingFile) {
   std::remove(Path.c_str());
 }
 
+TEST(PlanCache, SaveDoesNotRepeatLoadWarnings) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  std::string Path = tempPath("spl_wisdom_warn_once");
+  Diagnostics D1;
+  search::PlanCache C1(D1);
+  C1.insert(testKey(8), {{makeDFT(8)->print(), 1.5}});
+  ASSERT_TRUE(C1.save(Path));
+  {
+    std::ofstream Out(Path, std::ios::app);
+    Out << "complete garbage\n";
+  }
+
+  // load() reports the bad line; the merge-on-save re-read stays silent.
+  Diagnostics D2;
+  search::PlanCache C2(D2);
+  ASSERT_TRUE(C2.load(Path));
+  C2.insert(testKey(16), {{makeDFT(16)->print(), 2.5}});
+  ASSERT_TRUE(C2.save(Path));
+  std::string Dump = D2.dump();
+  size_t Warnings = 0;
+  for (size_t At = Dump.find("' line "); At != std::string::npos;
+       At = Dump.find("' line ", At + 1))
+    ++Warnings;
+  EXPECT_EQ(Warnings, 1u) << Dump;
+  EXPECT_EQ(C2.stats().Skipped, 1u);
+  std::remove(Path.c_str());
+}
+
 TEST(PlanCache, CorruptLinesAreSkippedWithDiagnostics) {
   SPL_SKIP_IF_FAULTS_ARMED();
   std::string Path = tempPath("spl_wisdom_corrupt");

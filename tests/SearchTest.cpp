@@ -134,8 +134,8 @@ TEST(Search, RealDatatypeEvaluatorForWHT) {
   ASSERT_TRUE(Cost) << Diags.dump();
   auto C = Eval.compile(makeWHT(8));
   ASSERT_TRUE(C);
-  EXPECT_EQ(C->Final.Type, icode::DataType::Real);
-  EXPECT_FALSE(C->Final.LoweredToReal);
+  EXPECT_EQ(C->Type, icode::DataType::Real);
+  EXPECT_FALSE(C->LoweredToReal);
 }
 
 TEST(Search, KeepOneIsNeverBetterThanKeepThree) {
@@ -264,7 +264,7 @@ TEST(Search, ComposedOpCountEqualsTheFullPipeline) {
               gen::ruleCooleyTukeyDIT(R, S, FR->Formula, FS.Formula);
           auto Lowered = Eval.compile(F);
           ASSERT_TRUE(Lowered) << Diags.dump();
-          EXPECT_EQ(*C, static_cast<double>(Lowered->Final.dynamicOpCount()))
+          EXPECT_EQ(*C, static_cast<double>(Lowered->dynamicOpCount()))
               << "L" << Cfg.Leaf << " B" << Cfg.B << ": " << F->print();
           ++Composed;
         }
