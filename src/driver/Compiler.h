@@ -56,21 +56,6 @@ struct CompilerOptions {
   /// the i-code is wanted (e.g. cost evaluation of many candidates) —
   /// emitting megabytes of twiddle-table text is wasted work there.
   bool EmitCode = true;
-
-  // --- Search-engine knobs (consumed by search::DPSearch via the tools;
-  // --- the pure compile path ignores them). ---
-
-  /// Consult / update the persistent plan cache ("wisdom") during searches
-  /// (splc --no-wisdom clears it).
-  bool UseWisdom = true;
-
-  /// Wisdom file path; empty means search::PlanCache::defaultPath()
-  /// ($SPL_WISDOM or ~/.spl_wisdom).
-  std::string WisdomPath;
-
-  /// Worker threads for candidate evaluation in searches (splc
-  /// --search-threads; 1: serial).
-  int SearchThreads = 1;
 };
 
 /// Everything produced for one top-level formula.

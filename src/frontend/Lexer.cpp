@@ -7,6 +7,7 @@
 #include "frontend/Lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 using namespace spl;
@@ -223,8 +224,12 @@ private:
     Token T = make(Tok::Number, Text, L);
     T.Num = std::strtod(Text.c_str(), nullptr);
     T.IsInt = IsInt;
-    if (IsInt)
+    if (IsInt) {
+      errno = 0;
       T.Int = std::strtoll(Text.c_str(), nullptr, 10);
+      if (errno == ERANGE)
+        Diags.error(L, "integer literal out of range: " + Text);
+    }
     return T;
   }
 

@@ -489,6 +489,10 @@ IntExprRef Expander::toIntExpr(Scope &S, const tpl::TExprRef &E) {
       fail(E->Loc, "expected an integer constant");
       return nullptr;
     }
+    if (R < -0x1p63 || R >= 0x1p63) { // The cast below would be undefined.
+      fail(E->Loc, "integer constant out of range");
+      return nullptr;
+    }
     return IntExpr::mkConst(static_cast<std::int64_t>(R));
   }
   case tpl::TExpr::Sym: {

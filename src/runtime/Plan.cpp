@@ -330,16 +330,10 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
   if (Mask != 0) {
     const std::uint64_t Dur = telemetry::traceNowNs() - Start;
     if ((Mask & telemetry::kMetrics) && Single) {
-      NumExecutes.fetch_add(1, std::memory_order_relaxed);
-      ExecuteNs.recordAlways(Dur);
       telemetry::RuntimeExecutes.add();
       telemetry::RuntimeExecuteNs.recordAlways(Dur);
     } else if (Mask & telemetry::kMetrics) {
       // Every executeBatch form lands here: dense, strided, deadline-bearing.
-      NumBatches.fetch_add(1, std::memory_order_relaxed);
-      NumVectors.fetch_add(static_cast<std::uint64_t>(Count),
-                           std::memory_order_relaxed);
-      BatchNs.recordAlways(Dur);
       telemetry::RuntimeBatches.add();
       telemetry::RuntimeBatchVectors.add(static_cast<std::uint64_t>(Count));
       telemetry::RuntimeBatchNs.recordAlways(Dur);
@@ -352,16 +346,6 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
     return ExecStatus::Ok; // Expiry after the last group still counts as Ok.
   telemetry::RuntimeDeadlineExceeded.add();
   return ExecStatus::DeadlineExceeded;
-}
-
-ExecStats Plan::stats() const {
-  ExecStats S;
-  S.Executes = NumExecutes.load(std::memory_order_relaxed);
-  S.Batches = NumBatches.load(std::memory_order_relaxed);
-  S.Vectors = NumVectors.load(std::memory_order_relaxed);
-  S.ExecuteNs = ExecuteNs.snapshot();
-  S.BatchNs = BatchNs.snapshot();
-  return S;
 }
 
 std::string Plan::describe() const {

@@ -43,11 +43,9 @@
 #include "perf/KernelRunner.h"
 #include "runtime/AlignedBuffer.h"
 #include "support/Deadline.h"
-#include "telemetry/Metrics.h"
 #include "transforms/Registry.h"
 #include "vm/Executor.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -135,18 +133,6 @@ struct BatchLayout {
   std::int64_t DistX = 0;    ///< Input vector-to-vector distance.
   std::int64_t StrideY = 1;  ///< Output element stride, >= 1.
   std::int64_t DistY = 0;    ///< Output vector-to-vector distance.
-};
-
-/// Point-in-time execution statistics for one Plan (see Plan::stats()).
-/// Populated only while telemetry metrics are armed (SPL_METRICS=1,
-/// telemetry::setMetricsEnabled, or a tool's --stats-json flag) — the
-/// disarmed execute path stays a single relaxed atomic load.
-struct ExecStats {
-  std::uint64_t Executes = 0; ///< execute() calls.
-  std::uint64_t Batches = 0;  ///< executeBatch() calls, either overload.
-  std::uint64_t Vectors = 0;  ///< Vectors processed across those batches.
-  telemetry::HistogramSnapshot ExecuteNs; ///< Single-vector execute latency.
-  telemetry::HistogramSnapshot BatchNs;   ///< Whole-batch latency.
 };
 
 /// Outcome of a deadline-bearing batch. Execution is all-or-nothing per
@@ -263,10 +249,6 @@ public:
   /// ...").
   std::string describe() const;
 
-  /// Snapshot of this plan's execution counters and latency histograms.
-  /// Counts accumulate only while telemetry metrics are armed.
-  ExecStats stats() const;
-
 private:
   friend class Planner;
   Plan() = default;
@@ -310,13 +292,6 @@ private:
 
   std::mutex CtxM;
   std::vector<std::unique_ptr<ExecCtx>> FreeCtxs;
-
-  // Per-plan telemetry, written only on the armed execute paths.
-  std::atomic<std::uint64_t> NumExecutes{0};
-  std::atomic<std::uint64_t> NumBatches{0};
-  std::atomic<std::uint64_t> NumVectors{0};
-  telemetry::Histogram ExecuteNs;
-  telemetry::Histogram BatchNs;
 };
 
 } // namespace runtime

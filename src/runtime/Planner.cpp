@@ -254,6 +254,96 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec) {
   return plan(Spec, support::Deadline::afterMs(Opts.DeadlineMs));
 }
 
+std::optional<Choice> Planner::choose(const PlanSpec &Spec,
+                                      const support::Deadline &Deadline,
+                                      PlanError *Err) {
+  auto Fail = [&](PlanError E) -> std::optional<Choice> {
+    if (Err)
+      *Err = E;
+    return std::nullopt;
+  };
+  if (Err)
+    *Err = PlanError::None;
+
+  PlanSpec S = normalize(Spec);
+  if (!validateSpec(S, Diags))
+    return Fail(PlanError::InvalidSpec);
+
+  std::call_once(WisdomOnce, [&] {
+    if (Opts.UseWisdom)
+      Wisdom.load(wisdomPath());
+  });
+
+  const transforms::TransformInfo &TI = *transforms::lookup(S.Transform);
+  // Halfcomplex transforms (rdft N, always 1-D) search the complex F_{N/2}
+  // their plan runs before its split pass; everything else searches in the
+  // spec's own datatype over its own dimensions.
+  const bool HalfComplex = TI.IOLayout == transforms::Layout::HalfComplex;
+  const std::vector<std::int64_t> Dims = planDims(S);
+  const std::vector<std::int64_t> KernelDims =
+      HalfComplex ? std::vector<std::int64_t>{S.Size / 2} : Dims;
+
+  Choice C;
+  C.Eval = makeEvaluator(HalfComplex ? TI.KernelDatatype : S.Datatype,
+                         S.UnrollThreshold);
+  C.Eval->setDeadline(Deadline);
+  telemetry::StageTimer SearchTimer(telemetry::PlanSearchNs);
+  // Multi-dimensional specs plan the row-column algorithm: each dimension
+  // is planned independently (reusing per-dimension wisdom) and the winners
+  // join as a Kronecker product.
+  std::vector<FormulaRef> Parts;
+  switch (TI.PlanFamily) {
+  case transforms::Family::SearchedFFT: {
+    search::SearchOptions SO;
+    SO.MaxLeaf = S.MaxLeaf;
+    SO.Threads = Opts.SearchThreads;
+    SO.Deadline = Deadline;
+    // Wisdom for rdft is keyed under "rdft" even though the inner search is
+    // over complex F_n factorizations — keys must distinguish the
+    // transforms they were recorded for. An entry holds the best F_n for
+    // its n, the kernel of rdft 2n.
+    SO.Transform = S.Transform;
+    search::DPSearch Search(*C.Eval, Diags, SO,
+                            Opts.UseWisdom ? &Wisdom : nullptr);
+    for (std::int64_t Ni : KernelDims) {
+      if (Ni == 1) { // rdft 2: F_1 is a copy; nothing to search.
+        Parts.push_back(makeDFT(1));
+        continue;
+      }
+      auto Best = Search.best(Ni);
+      if (!Best)
+        return Fail(Deadline.expired() ? PlanError::DeadlineExceeded
+                                       : PlanError::Failed);
+      Parts.push_back(Best->Formula);
+      C.Cost += Best->Cost;
+    }
+    break;
+  }
+  case transforms::Family::EnumeratedWHT: {
+    for (std::int64_t Ni : Dims) {
+      PlanSpec DimSpec = S;
+      DimSpec.Size = Ni;
+      DimSpec.Shape.clear();
+      FormulaRef F;
+      double Cost = 0;
+      if (!chooseWHT(DimSpec, *C.Eval, F, Cost))
+        return Fail(Deadline.expired() ? PlanError::DeadlineExceeded
+                                       : PlanError::Failed);
+      Parts.push_back(F);
+      C.Cost += Cost;
+    }
+    break;
+  }
+  case transforms::Family::Recursive:
+    for (std::int64_t Ni : Dims)
+      Parts.push_back(TI.Rule(Ni));
+    break;
+  }
+  C.Formula = tensorOfDims(std::move(Parts));
+  C.Evaluations = C.Eval->evaluations();
+  return C;
+}
+
 std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
                                     const support::Deadline &Deadline,
                                     PlanError *Err) {
@@ -264,98 +354,28 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   };
   Report(PlanError::None);
 
-  PlanSpec S = normalize(Spec);
-
-  if (!validateSpec(S, Diags)) {
-    Report(PlanError::InvalidSpec);
-    return nullptr;
-  }
-
-  std::call_once(WisdomOnce, [&] {
-    if (Opts.UseWisdom)
-      Wisdom.load(wisdomPath());
-  });
-
-  const transforms::TransformInfo &TI = *transforms::lookup(S.Transform);
-  // Halfcomplex transforms (rdft N, always 1-D) run the complex F_{N/2} on
-  // x read as N/2 points, then the plan's split pass; everything else
-  // compiles in the spec's own datatype over its own dimensions.
-  const bool HalfComplex = TI.IOLayout == transforms::Layout::HalfComplex;
-  const std::string KernelType =
-      HalfComplex ? TI.KernelDatatype : S.Datatype;
-  const std::vector<std::int64_t> Dims = planDims(S);
-  const std::vector<std::int64_t> KernelDims =
-      HalfComplex ? std::vector<std::int64_t>{S.Size / 2} : Dims;
-
-  auto Eval = makeEvaluator(KernelType, S.UnrollThreshold);
   // Budget split: the search gets ~70% of whatever remains, the rest stays
   // for compile + trial. The slice shares the cancel token, so cancelling
   // the parent deadline stops the search too. An unbounded deadline slices
   // to unbounded — zero cost on the common path.
-  const support::Deadline SearchSlice = Deadline.slice(0.7);
-  Eval->setDeadline(SearchSlice);
-  FormulaRef Winner;
-  double Cost = 0;
-  {
-    telemetry::StageTimer SearchTimer(telemetry::PlanSearchNs);
-    // Multi-dimensional specs plan the row-column algorithm: each
-    // dimension is planned independently (reusing per-dimension wisdom)
-    // and the winners join as a Kronecker product.
-    std::vector<FormulaRef> Parts;
-    switch (TI.PlanFamily) {
-    case transforms::Family::SearchedFFT: {
-      search::SearchOptions SO;
-      SO.MaxLeaf = S.MaxLeaf;
-      SO.Threads = Opts.SearchThreads;
-      SO.Deadline = SearchSlice;
-      // Wisdom for rdft is keyed under "rdft" even though the inner search
-      // is over complex F_n factorizations — keys must distinguish the
-      // transforms they were recorded for. An entry holds the best F_n for
-      // its n, the kernel of rdft 2n.
-      SO.Transform = S.Transform;
-      search::DPSearch Search(*Eval, Diags, SO,
-                              Opts.UseWisdom ? &Wisdom : nullptr);
-      for (std::int64_t Ni : KernelDims) {
-        if (Ni == 1) { // rdft 2: F_1 is a copy; nothing to search.
-          Parts.push_back(makeDFT(1));
-          continue;
-        }
-        auto Best = Search.best(Ni);
-        if (!Best) {
-          Report(Deadline.expired() ? PlanError::DeadlineExceeded
-                                    : PlanError::Failed);
-          return nullptr;
-        }
-        Parts.push_back(Best->Formula);
-        Cost += Best->Cost;
-      }
-      break;
-    }
-    case transforms::Family::EnumeratedWHT: {
-      for (std::int64_t Ni : Dims) {
-        PlanSpec DimSpec = S;
-        DimSpec.Size = Ni;
-        DimSpec.Shape.clear();
-        FormulaRef F;
-        double C = 0;
-        if (!chooseWHT(DimSpec, *Eval, F, C)) {
-          Report(Deadline.expired() ? PlanError::DeadlineExceeded
-                                    : PlanError::Failed);
-          return nullptr;
-        }
-        Parts.push_back(F);
-        Cost += C;
-      }
-      break;
-    }
-    case transforms::Family::Recursive: {
-      for (std::int64_t Ni : Dims)
-        Parts.push_back(TI.Rule(Ni));
-      break;
-    }
-    }
-    Winner = tensorOfDims(std::move(Parts));
+  PlanError SearchErr;
+  std::optional<Choice> Chosen = choose(Spec, Deadline.slice(0.7), &SearchErr);
+  if (!Chosen) {
+    // A spent search slice alone is a planning failure; only the plan's
+    // own deadline makes it DeadlineExceeded.
+    Report(SearchErr == PlanError::InvalidSpec ? PlanError::InvalidSpec
+           : Deadline.expired()                ? PlanError::DeadlineExceeded
+                                               : PlanError::Failed);
+    return nullptr;
   }
+  const FormulaRef &Winner = Chosen->Formula;
+  search::Evaluator &Eval = *Chosen->Eval;
+
+  const PlanSpec S = normalize(Spec);
+  const transforms::TransformInfo &TI = *transforms::lookup(S.Transform);
+  // Halfcomplex plans compile the complex F_{N/2} kernel choose() picked,
+  // then run the split pass on top.
+  const bool HalfComplex = TI.IOLayout == transforms::Layout::HalfComplex;
 
   driver::Compiler Compiler(Diags);
   driver::CompilerOptions CO;
@@ -363,7 +383,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   CO.EmitCode = false; // Plans hold i-code; the backends render on demand.
   DirectiveState Dirs;
   Dirs.SubName = subNameFor(S);
-  Dirs.Datatype = KernelType;
+  Dirs.Datatype = HalfComplex ? TI.KernelDatatype : S.Datatype;
   Dirs.Language = "c";
   auto Unit = Compiler.compileFormula(Winner, Dirs, CO);
   if (!Unit) {
@@ -374,8 +394,8 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
     // A deterministic rule has no search, but its evaluator cost is still
     // the comparable figure callers see in searchCost(); it is read off the
     // program just lowered rather than lowering the rule a second time.
-    if (auto C = Eval->cost(Unit->Final))
-      Cost = *C;
+    if (auto C = Eval.cost(Unit->Final))
+      Chosen->Cost = *C;
   }
 
   auto P = std::shared_ptr<Plan>(new Plan());
@@ -383,7 +403,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   P->Final = std::move(Unit->Final);
   P->Winner = Winner;
   P->FormulaText = Winner->print();
-  P->Cost = Cost;
+  P->Cost = Chosen->Cost;
   P->IOLen = P->Final.LoweredToReal ? P->Final.InSize * 2 : P->Final.InSize;
   P->IOLayout = HalfComplex ? Plan::Layout::HalfComplex
                             : (P->Final.LoweredToReal
@@ -473,7 +493,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       // faster. A vector kernel that fails to build or prove itself loses
       // the race; nothing demotes.
       if (Kernel && S.Codegen == CodegenMode::Auto &&
-          std::string_view(Eval->kindName()) == "nativetime" &&
+          std::string_view(Eval.kindName()) == "nativetime" &&
           codegen::vectorBackendAvailable()) {
         perf::KernelError VErr;
         auto Vec = Build(codegen::CodegenVariant::Vector, VErr);
@@ -547,7 +567,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       Report(PlanError::Failed);
       return nullptr;
     }
-    P->OracleMat = HalfComplex ? transforms::oracleMatrix(TI, Dims)
+    P->OracleMat = HalfComplex ? transforms::oracleMatrix(TI, planDims(S))
                                : Winner->toMatrix();
     P->Resolved = Backend::Oracle;
   }

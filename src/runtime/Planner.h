@@ -28,6 +28,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 namespace spl {
@@ -86,6 +87,17 @@ enum class PlanError {
   Failed,           ///< Search/compilation failed for a non-deadline reason.
 };
 
+/// The search stage's result (Planner::choose): the formula a plan for the
+/// spec compiles, before any backend is picked.
+struct Choice {
+  FormulaRef Formula;            ///< The winner; a Kronecker product for N-D.
+  double Cost = 0;               ///< Its evaluator cost (0 for a rule).
+  std::uint64_t Evaluations = 0; ///< Candidates costed; 0 on a warm hit.
+  /// The evaluator that costed it. plan() reuses it to cost a rule
+  /// transform's lowered program and to gate the codegen race.
+  std::shared_ptr<search::Evaluator> Eval;
+};
+
 /// Builds executable plans. Thread-safe: concurrent plan() calls share the
 /// diagnostics engine and wisdom cache, both of which are internally locked.
 class Planner {
@@ -105,6 +117,18 @@ public:
   std::shared_ptr<Plan> plan(const PlanSpec &Spec,
                              const support::Deadline &Deadline,
                              PlanError *Err = nullptr);
+
+  /// The search stage of plan(), and the one search front door (splc
+  /// --best-fft uses it too): validates \p Spec, loads wisdom once, costs
+  /// candidates under the spec's -B threshold at the default optimization
+  /// level, and picks the formula by the transform's family (DP search,
+  /// flat WHT enumeration or the registry rule), one per dimension joined
+  /// as a Kronecker product. Searches under \p Deadline and returns its
+  /// best-so-far winner on expiry; null after reporting diagnostics, with
+  /// the reason in \p Err when non-null.
+  std::optional<Choice> choose(const PlanSpec &Spec,
+                               const support::Deadline &Deadline,
+                               PlanError *Err = nullptr);
 
   /// Checks \p Spec without planning: reports Diagnostics errors and
   /// returns false on an invalid transform/size/datatype combination.

@@ -179,7 +179,7 @@ public:
       recordAlways(Sample);
   }
 
-  /// Records unconditionally (for per-plan stats the caller gates itself).
+  /// Records unconditionally (for callers that check armedMask() themselves).
   void recordAlways(std::uint64_t Sample);
 
   HistogramSnapshot snapshot() const;

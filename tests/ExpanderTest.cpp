@@ -256,6 +256,24 @@ TEST(Expander, ErrorOnUnmatchedFormula) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+TEST(Expander, IntegerConstantsBeyondInt64AreErrors) {
+  // 1e20 is integral, so it passes the integer check, but casting it to
+  // int64 is undefined; the bound must be rejected, not wrapped.
+  Diagnostics Diags;
+  auto Registry = tpl::TemplateRegistry::withBuiltins();
+  Registry.addAll(parseTemplateString(R"(
+    (template (PQ n_)
+      (do $i0 = 0, 1e20
+         $out($i0) = $in($i0)
+       end)))",
+                                      Diags));
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+  lower::Expander Exp(Registry, Diags);
+  EXPECT_FALSE(Exp.expand(parseFormulaString("(PQ 2)", Diags), {}));
+  ASSERT_FALSE(Diags.all().empty());
+  EXPECT_EQ(Diags.all().back().Message, "integer constant out of range");
+}
+
 TEST(Expander, ModuloInsideAFloatingPointOperandIsAnError) {
   // '%' nested in a floating-point expression used to recurse between
   // flattenOperand and floatOperand until the stack overflowed.

@@ -75,6 +75,29 @@ TEST(Lexer, NumbersIntAndFloat) {
   EXPECT_DOUBLE_EQ(Toks[3].Num, 0.07);
 }
 
+TEST(Lexer, IntegerLiteralsBeyondInt64AreErrors) {
+  // strtoll saturates at INT64_MAX; the lexer must not hand that on as the
+  // literal's value, neither in a formula nor in a template's do bound.
+  for (const char *Src : {"(I 99999999999999999999)",
+                          "(template (PQ n_) (do $i0 = 0, "
+                          "99999999999999999999 $out($i0) = $in($i0) end))"}) {
+    Diagnostics Diags;
+    lex(Src, Diags);
+    ASSERT_TRUE(Diags.hasErrors()) << Src;
+    EXPECT_EQ(Diags.all().front().Message,
+              "integer literal out of range: 99999999999999999999")
+        << Src;
+  }
+  Diagnostics Diags;
+  EXPECT_FALSE(parseFormulaString("(I 99999999999999999999)", Diags) &&
+               !Diags.hasErrors());
+
+  Diagnostics Max;
+  auto Toks = lex("9223372036854775807", Max);
+  EXPECT_FALSE(Max.hasErrors()) << Max.dump();
+  EXPECT_EQ(Toks[0].Int, INT64_MAX);
+}
+
 TEST(Parser, ParameterizedMatrices) {
   Diagnostics Diags;
   FormulaRef F = parseFormulaString("(F 8)", Diags);

@@ -127,7 +127,7 @@ TEST(Plan, InPlaceExecuteMatchesOutOfPlace) {
   EXPECT_EQ(std::memcmp(Y.data(), InPlace.data(), 32 * sizeof(double)), 0);
 }
 
-TEST(Plan, StatsSnapshotTracksArmedExecutes) {
+TEST(Plan, ExecutesFeedTheCatalogueOnlyWhenArmed) {
   Diagnostics Diags;
   runtime::Planner Planner(Diags, testOptions());
   runtime::PlanSpec Spec;
@@ -139,28 +139,31 @@ TEST(Plan, StatsSnapshotTracksArmedExecutes) {
   std::vector<double> X(static_cast<size_t>(P->vectorLen() * 4), 0.5);
   std::vector<double> Y(X.size());
 
-  // Disarmed executions leave no trace in the snapshot.
+  // Disarmed executions record nothing.
   telemetry::setMetricsEnabled(false);
+  telemetry::resetAllMetrics();
   P->execute(Y.data(), X.data());
-  runtime::ExecStats S0 = P->stats();
-  EXPECT_EQ(S0.Executes, 0u);
-  EXPECT_EQ(S0.Batches, 0u);
+  P->executeBatch(Y.data(), X.data(), 4);
+  EXPECT_EQ(telemetry::RuntimeExecutes.value(), 0u);
+  EXPECT_EQ(telemetry::RuntimeBatches.value(), 0u);
+  EXPECT_EQ(telemetry::RuntimeExecuteNs.snapshot().Count, 0u);
 
   telemetry::setMetricsEnabled(true);
   P->execute(Y.data(), X.data());
   P->execute(Y.data(), X.data());
   P->executeBatch(Y.data(), X.data(), 4);
   telemetry::setMetricsEnabled(false);
-  telemetry::resetAllMetrics(); // Keep the process-global registry clean.
 
-  runtime::ExecStats S = P->stats();
-  EXPECT_EQ(S.Executes, 2u);
-  EXPECT_EQ(S.Batches, 1u);
-  EXPECT_EQ(S.Vectors, 4u);
-  EXPECT_EQ(S.ExecuteNs.Count, 2u);
-  EXPECT_EQ(S.BatchNs.Count, 1u);
-  EXPECT_GE(S.ExecuteNs.Max, S.ExecuteNs.Min);
-  EXPECT_GT(S.ExecuteNs.p50(), 0u);
+  EXPECT_EQ(telemetry::RuntimeExecutes.value(), 2u);
+  EXPECT_EQ(telemetry::RuntimeBatches.value(), 1u);
+  EXPECT_EQ(telemetry::RuntimeBatchVectors.value(), 4u);
+  const telemetry::HistogramSnapshot ExecNs =
+      telemetry::RuntimeExecuteNs.snapshot();
+  EXPECT_EQ(ExecNs.Count, 2u);
+  EXPECT_EQ(telemetry::RuntimeBatchNs.snapshot().Count, 1u);
+  EXPECT_GE(ExecNs.Max, ExecNs.Min);
+  EXPECT_GT(ExecNs.p50(), 0u);
+  telemetry::resetAllMetrics(); // Keep the process-global registry clean.
 }
 
 TEST(Plan, InvalidSpecsFailWithDiagnostics) {

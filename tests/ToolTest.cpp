@@ -390,11 +390,43 @@ TEST(Splc, RuleTransformsEmitSubroutines) {
   auto R = runCommand(splcPath() + " --best-fft 8 --transform dct3");
   EXPECT_EQ(exitStatus(R), 0) << R.Output;
   EXPECT_NE(R.Output.find("void dct38"), std::string::npos) << R.Output;
-  // wht is registered but enumerated, not rule-expanded; search mode
-  // refuses it up front rather than emitting a wrong kernel.
-  auto W = runCommand(splcPath() + " --best-fft 8 --transform wht");
-  EXPECT_EQ(exitStatus(W), 2) << W.Output;
-  EXPECT_NE(W.Output.find("no emit rule"), std::string::npos) << W.Output;
+  // wht has no rule; search mode emits the Planner's enumerated winner.
+  auto W = runCommand(splcPath() + " --best-fft 8 --transform wht "
+                                   "--no-wisdom");
+  EXPECT_EQ(exitStatus(W), 0) << W.Output;
+  EXPECT_NE(W.Output.find("void wht8"), std::string::npos) << W.Output;
+}
+
+TEST(Splc, LowOptSearchDoesNotPoisonWisdom) {
+  // -O only shapes splc's emitted code. The search costs candidates at the
+  // default level, so the wisdom a -O0/-O1 search records is the wisdom
+  // splrun would record itself.
+  const std::string Splrun = splrunPath() +
+                             " --size 256 --unroll 16 --backend vm --stats";
+  auto Cost = [](const std::string &Out) {
+    size_t At = Out.find("search cost ");
+    return At == std::string::npos
+               ? std::string()
+               : Out.substr(At, Out.find_first_of(" ,)\n", At + 12) - At);
+  };
+  auto Fresh = runCommand(Splrun + " --no-wisdom");
+  ASSERT_EQ(exitStatus(Fresh), 0) << Fresh.Output;
+  EXPECT_EQ(Cost(Fresh.Output), "search cost 7328") << Fresh.Output;
+
+  const std::string W =
+      "/tmp/spl-tool-test-poison-" + std::to_string(getpid()) + ".wisdom";
+  for (const char *Level : {"-O0", "-O1"}) {
+    std::remove(W.c_str());
+    auto S = runCommand(splcPath() + " " + Level +
+                        " -B 16 --best-fft 256 --wisdom " + W +
+                        " -o /dev/null");
+    ASSERT_EQ(exitStatus(S), 0) << Level << ": " << S.Output;
+    auto R = runCommand(Splrun + " --wisdom " + W);
+    ASSERT_EQ(exitStatus(R), 0) << Level << ": " << R.Output;
+    EXPECT_EQ(Cost(R.Output), Cost(Fresh.Output)) << Level << ": " << R.Output;
+  }
+  std::remove(W.c_str());
+  std::remove((W + ".lock").c_str());
 }
 
 TEST(Splrun, RegistryTransformsVerifyAgainstOracles) {

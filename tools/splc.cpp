@@ -23,18 +23,21 @@
 ///     --version          print version, build date and compiler
 ///
 ///   Search mode (instead of an input file):
-///     --best-fft <n>     DP-search the FFT space for size n and emit the
-///                        winning subroutine
+///     --best-fft <n>     pick a formula for size n through the runtime
+///                        Planner's search stage and emit it; the search
+///                        costs at the default level, ignoring -O/-u/--sparc
 ///     --transform <t>    with --best-fft: which registry transform to
-///                        emit (default fft). fft runs the DP search;
-///                        rdft/dct2/dct3/dct4 expand their recursive rule
-///                        (docs/WORKLOADS.md)
+///                        emit (default fft). fft runs the DP search, wht
+///                        the flat enumeration; rdft/dct2/dct3/dct4 expand
+///                        their recursive rule (docs/WORKLOADS.md)
 ///     --codegen <m>      auto (default) | scalar | vector: which codegen
 ///                        variant to emit for the winner. auto and scalar
 ///                        render plain C (splc builds no kernels to race);
 ///                        vector renders the SIMD backend's C
 ///                        (docs/VECTORIZATION.md)
 ///     --search-eval <e>  cost model: opcount (default) | vmtime | native
+///                        (native without a C compiler warns and uses
+///                        opcount)
 ///     --search-threads <t>  candidate-evaluation worker threads
 ///     --search-leaf <n>  largest straight-line sub-transform (default 16)
 ///     --deadline-ms <n>  budget for the DP search (0 = unbounded); an
@@ -61,8 +64,7 @@
 #include "codegen/VectorISA.h"
 #include "driver/Compiler.h"
 #include "frontend/Parser.h"
-#include "perf/KernelCache.h"
-#include "search/DPSearch.h"
+#include "runtime/Planner.h"
 #include "support/Deadline.h"
 #include "support/Diagnostics.h"
 #include "telemetry/Metrics.h"
@@ -74,7 +76,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 
 using namespace spl;
@@ -109,6 +110,7 @@ void renderVector(driver::CompiledUnit &Unit, const std::string &Comment) {
 
 int main(int Argc, char **Argv) {
   driver::CompilerOptions Opts;
+  runtime::PlannerOptions POpts; // The --best-fft search's knobs.
   std::string InputPath;
   std::string OutputPath;
   bool PrintICode = false;
@@ -117,7 +119,6 @@ int main(int Argc, char **Argv) {
   std::int64_t BestFFT = 0;
   std::int64_t SearchLeaf = 16;
   std::int64_t DeadlineMs = 0;
-  std::string SearchEval = "opcount";
   std::string CodegenArg = "auto";
   std::string Transform = "fft";
 
@@ -182,16 +183,16 @@ int main(int Argc, char **Argv) {
         return tools::ExitUsage;
       }
     } else if (Arg == "--search-eval" && I + 1 < Argc) {
-      SearchEval = Argv[++I];
-      if (SearchEval != "opcount" && SearchEval != "vmtime" &&
-          SearchEval != "native") {
+      POpts.Evaluator = Argv[++I];
+      if (POpts.Evaluator != "opcount" && POpts.Evaluator != "vmtime" &&
+          POpts.Evaluator != "native") {
         std::fprintf(stderr, "splc: error: unknown cost model '%s'\n",
-                     SearchEval.c_str());
+                     POpts.Evaluator.c_str());
         return tools::ExitUsage;
       }
     } else if (Arg == "--search-threads" && I + 1 < Argc) {
-      Opts.SearchThreads = std::atoi(Argv[++I]);
-      if (Opts.SearchThreads < 1) {
+      POpts.SearchThreads = std::atoi(Argv[++I]);
+      if (POpts.SearchThreads < 1) {
         std::fprintf(stderr, "splc: error: --search-threads must be >= 1\n");
         return tools::ExitUsage;
       }
@@ -208,14 +209,13 @@ int main(int Argc, char **Argv) {
         return tools::ExitUsage;
       }
     } else if (Arg == "--wisdom" && I + 1 < Argc) {
-      Opts.WisdomPath = Argv[++I];
+      POpts.WisdomPath = Argv[++I];
     } else if (Arg == "--no-wisdom") {
-      Opts.UseWisdom = false;
+      POpts.UseWisdom = false;
     } else if (Arg == "--kernel-cache" && I + 1 < Argc) {
-      // Process-wide: the nativetime evaluator's compiles go through it.
-      perf::KernelCache::setDirectory(Argv[++I]);
+      POpts.KernelCacheDir = Argv[++I];
     } else if (Arg == "--no-kernel-cache") {
-      perf::KernelCache::setEnabled(false);
+      POpts.DisableKernelCache = true;
     } else if (Arg == "-h" || Arg == "--help") {
       printUsage();
       return 0;
@@ -252,145 +252,83 @@ int main(int Argc, char **Argv) {
                    "splc: error: --best-fft does not take an input file\n");
       return tools::ExitUsage;
     }
-    const transforms::TransformInfo *TI = transforms::lookup(Transform);
-    if (Transform != "fft") {
-      // Non-fft transforms expand their registry rule instead of running
-      // the DP search: the recursion is the known-good factorization.
-      if (!TI->Rule) {
-        std::fprintf(stderr,
-                     "splc: error: '%s' has no emit rule; search mode "
-                     "supports fft and the rule-based transforms\n",
-                     Transform.c_str());
-        return tools::ExitUsage;
-      }
-      if (!TI->ValidSize(BestFFT, SearchLeaf)) {
-        std::fprintf(stderr, "splc: error: %s sizes must be %s; got %lld\n",
-                     Transform.c_str(), TI->SizeRule,
-                     static_cast<long long>(BestFFT));
-        return tools::ExitUsage;
-      }
-      FormulaRef F = TI->Rule(BestFFT);
-      codegen::CodegenVariant Variant = CodegenArg == "vector"
-                                            ? codegen::CodegenVariant::Vector
-                                            : codegen::CodegenVariant::Scalar;
-      DirectiveState Dirs;
-      Dirs.SubName = Transform + std::to_string(BestFFT);
-      Dirs.Datatype = TI->KernelDatatype;
-      Dirs.Language =
-          Opts.LanguageOverride.empty() ? "c" : Opts.LanguageOverride;
-      if (Variant == codegen::CodegenVariant::Vector &&
-          Dirs.Language != "c") {
-        std::fprintf(stderr,
-                     "splc: error: --codegen vector emits C only (got -l "
-                     "%s)\n",
-                     Dirs.Language.c_str());
-        return tools::ExitUsage;
-      }
-      auto Unit = Compiler.compileFormula(F, Dirs, Opts);
-      if (!Unit) {
-        std::fputs(Diags.dump().c_str(), stderr);
-        return tools::ExitCompile;
-      }
-      if (Variant == codegen::CodegenVariant::Vector)
-        renderVector(*Unit, "rule " + F->print());
-      if (Stats)
-        std::fprintf(stderr, "%s: rule %s (codegen %s)\n",
-                     Dirs.SubName.c_str(), F->print().c_str(),
-                     codegen::variantName(Variant));
-      Units.emplace();
-      Units->push_back(std::move(*Unit));
-    } else {
-    if (BestFFT > SearchLeaf && (BestFFT & (BestFFT - 1)) != 0) {
-      std::fprintf(stderr,
-                   "splc: error: sizes above --search-leaf must be powers "
-                   "of two\n");
+    runtime::PlanSpec Spec;
+    Spec.Transform = Transform;
+    Spec.Size = BestFFT;
+    Spec.UnrollThreshold = Opts.UnrollThreshold;
+    Spec.MaxLeaf = SearchLeaf;
+    if (!runtime::Planner::validateSpec(Spec, Diags)) {
+      std::fputs(Diags.dump().c_str(), stderr);
       return tools::ExitUsage;
     }
-
-    std::unique_ptr<search::Evaluator> Eval;
-    if (SearchEval == "vmtime") {
-      Eval = std::make_unique<search::VMTimeEvaluator>(Diags, Opts);
-    } else if (SearchEval == "native") {
-      if (!search::NativeTimeEvaluator::available()) {
-        std::fprintf(stderr,
-                     "splc: error: no working C compiler for --search-eval "
-                     "native\n");
-        return tools::ExitUsage;
-      }
-      Eval = std::make_unique<search::NativeTimeEvaluator>(Diags, Opts);
-    } else {
-      Eval = std::make_unique<search::OpCountEvaluator>(Diags, Opts);
-    }
-    search::PlanCache Wisdom(Diags);
-    std::string WisdomPath =
-        Opts.WisdomPath.empty() ? search::PlanCache::defaultPath()
-                                : Opts.WisdomPath;
-    if (Opts.UseWisdom)
-      Wisdom.load(WisdomPath);
-
-    // The whole --deadline-ms budget goes to the search; the search layer
-    // hands back its best-so-far formula when the budget expires and never
-    // records a truncated table as wisdom.
-    const support::Deadline DL = support::Deadline::afterMs(DeadlineMs);
-    Eval->setDeadline(DL);
-
-    search::SearchOptions SOpts;
-    SOpts.MaxLeaf = SearchLeaf;
-    SOpts.Threads = Opts.SearchThreads;
-    SOpts.Deadline = DL;
-    search::DPSearch Search(*Eval, Diags, SOpts,
-                            Opts.UseWisdom ? &Wisdom : nullptr);
-    auto Best = Search.best(BestFFT);
-    if (!Best) {
-      std::fputs(Diags.dump().c_str(), stderr);
-      if (DL.expired()) {
-        std::fprintf(stderr,
-                     "splc: error: the --deadline-ms budget expired before "
-                     "any formula was evaluated\n");
-        return tools::ExitDeadline;
-      }
-      return tools::ExitCompile;
-    }
-    if (Opts.UseWisdom)
-      Wisdom.save(WisdomPath);
-
-    codegen::CodegenVariant Variant = CodegenArg == "vector"
-                                          ? codegen::CodegenVariant::Vector
-                                          : codegen::CodegenVariant::Scalar;
-
+    const transforms::TransformInfo &TI = *transforms::lookup(Transform);
+    const bool Vector = CodegenArg == "vector";
     DirectiveState Dirs;
-    Dirs.SubName = "fft" + std::to_string(BestFFT);
+    Dirs.SubName = Transform + std::to_string(BestFFT);
+    Dirs.Datatype = TI.KernelDatatype;
     Dirs.Language =
         Opts.LanguageOverride.empty() ? "c" : Opts.LanguageOverride;
-    if (Variant == codegen::CodegenVariant::Vector &&
-        Dirs.Language != "c") {
+    if (Vector && Dirs.Language != "c") {
       std::fprintf(stderr,
                    "splc: error: --codegen vector emits C only (got -l %s)\n",
                    Dirs.Language.c_str());
       return tools::ExitUsage;
     }
-    auto Unit = Compiler.compileFormula(Best->Formula, Dirs, Opts);
+
+    // Rule transforms expand their registry rule, the known-good
+    // factorization; fft and wht take the Planner's choice, costed at the
+    // default optimization level whatever -O/-u/--sparc say, so the wisdom
+    // recorded here is the wisdom splrun and spld would record.
+    FormulaRef F;
+    std::optional<runtime::Choice> Won;
+    runtime::Planner Planner(Diags, POpts);
+    if (TI.Rule) {
+      F = TI.Rule(BestFFT);
+    } else {
+      // The whole --deadline-ms budget goes to the search, which hands back
+      // its best-so-far formula on expiry and never records a truncated
+      // table as wisdom.
+      runtime::PlanError Err;
+      Won = Planner.choose(Spec, support::Deadline::afterMs(DeadlineMs), &Err);
+      if (!Won) {
+        std::fputs(Diags.dump().c_str(), stderr);
+        if (Err == runtime::PlanError::DeadlineExceeded) {
+          std::fprintf(stderr,
+                       "splc: error: the --deadline-ms budget expired before "
+                       "any formula was evaluated\n");
+          return tools::ExitDeadline;
+        }
+        return tools::ExitCompile;
+      }
+      Planner.saveWisdom();
+      F = Won->Formula;
+    }
+
+    auto Unit = Compiler.compileFormula(F, Dirs, Opts);
     if (!Unit) {
       std::fputs(Diags.dump().c_str(), stderr);
       return tools::ExitCompile;
     }
-    if (Variant == codegen::CodegenVariant::Vector)
-      renderVector(*Unit, "winner " + Best->Formula->print());
+    const std::string How = (Won ? "winner " : "rule ") + F->print();
+    if (Vector)
+      renderVector(*Unit, How);
     if (Stats) {
-      std::fprintf(stderr,
-                   "%s: winner %s (cost %.6g, %llu evaluations, "
-                   "codegen %s)\n",
-                   Dirs.SubName.c_str(), Best->Formula->print().c_str(),
-                   Best->Cost,
-                   static_cast<unsigned long long>(Eval->evaluations()),
-                   codegen::variantName(Variant));
-      if (Opts.UseWisdom)
-        std::fprintf(stderr, "%s (%s)\n", Wisdom.summary().c_str(),
-                     WisdomPath.c_str());
+      const char *Codegen = Vector ? "vector" : "scalar";
+      if (Won)
+        std::fprintf(stderr,
+                     "%s: %s (cost %.6g, %llu evaluations, codegen %s)\n",
+                     Dirs.SubName.c_str(), How.c_str(), Won->Cost,
+                     static_cast<unsigned long long>(Won->Evaluations),
+                     Codegen);
+      else
+        std::fprintf(stderr, "%s: %s (codegen %s)\n", Dirs.SubName.c_str(),
+                     How.c_str(), Codegen);
+      if (Won && POpts.UseWisdom)
+        std::fprintf(stderr, "%s (%s)\n", Planner.wisdom().summary().c_str(),
+                     Planner.wisdomPath().c_str());
     }
     Units.emplace();
     Units->push_back(std::move(*Unit));
-    }
   } else {
     std::string Source;
     if (InputPath.empty() || InputPath == "-") {

@@ -537,15 +537,20 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "%s (%s)\n", Planner.wisdom().summary().c_str(),
                    Planner.wisdomPath().c_str());
     if (telemetry::metricsEnabled()) {
-      runtime::ExecStats PS = Plan->stats();
-      std::fprintf(stderr,
-                   "plan stats: %llu executes (p50 %llu ns), %llu batches "
-                   "over %llu vectors (p50 %llu ns)\n",
-                   static_cast<unsigned long long>(PS.Executes),
-                   static_cast<unsigned long long>(PS.ExecuteNs.p50()),
-                   static_cast<unsigned long long>(PS.Batches),
-                   static_cast<unsigned long long>(PS.Vectors),
-                   static_cast<unsigned long long>(PS.BatchNs.p50()));
+      // The catalogue instruments: so far this process has executed only
+      // this plan.
+      std::fprintf(
+          stderr,
+          "execute stats: %llu executes (p50 %llu ns), %llu batches over "
+          "%llu vectors (p50 %llu ns)\n",
+          static_cast<unsigned long long>(telemetry::RuntimeExecutes.value()),
+          static_cast<unsigned long long>(
+              telemetry::RuntimeExecuteNs.snapshot().p50()),
+          static_cast<unsigned long long>(telemetry::RuntimeBatches.value()),
+          static_cast<unsigned long long>(
+              telemetry::RuntimeBatchVectors.value()),
+          static_cast<unsigned long long>(
+              telemetry::RuntimeBatchNs.snapshot().p50()));
     }
   }
 
