@@ -11,9 +11,10 @@
 /// size the harness plans cold (fresh cache + wisdom), then warm (fresh
 /// process-internal state, same cache files), and reports both latencies,
 /// the speedup, and the counter proof: a warm plan performs zero compiler
-/// invocations (native.compiles == 0, kernelcache.hits >= 1). Exits
-/// nonzero when the warm path ever reaches the compiler — this is the
-/// executable form of the PR's acceptance gate.
+/// invocations (native.compiles == 0, kernelcache.hits >= 1) and, when the
+/// build has a GNU build-id, lowers nothing (no compile.optimize_ns
+/// sample: its kernel comes from a plan record). Exits nonzero when a warm
+/// plan ever reaches the compiler or lowers its formula.
 ///
 /// Environment knobs (in addition to BenchUtil's):
 ///   SPL_KC_MAXLG=<k>   largest FFT size 2^k to plan (default 10)
@@ -25,6 +26,7 @@
 #include "perf/KernelCache.h"
 #include "runtime/Planner.h"
 #include "telemetry/Metrics.h"
+#include "telemetry/Trace.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -65,8 +67,10 @@ int main() {
 
   telemetry::setMetricsEnabled(true);
 
-  std::printf("%8s  %12s  %12s  %8s  %10s  %8s\n", "N", "cold ms", "warm ms",
-              "speedup", "compiles", "hits");
+  // Without a build-id there are no plan records, so warm plans lower.
+  const bool Records = !perf::KernelCache::buildId().empty();
+  std::printf("%8s  %12s  %12s  %8s  %10s  %8s  %8s\n", "N", "cold ms",
+              "warm ms", "speedup", "compiles", "hits", "lowers");
 
   bool GateFailed = false;
   for (std::int64_t Lg = 4; Lg <= MaxLg; Lg += 2) {
@@ -102,29 +106,37 @@ int main() {
 
     std::uint64_t Compiles0 = counterValue("native.compiles");
     std::uint64_t Hits0 = counterValue("kernelcache.hits");
+    std::uint64_t Lowers0 = telemetry::CompileOptimizeNs.snapshot().Count;
     if (!planOnce(WarmMs)) {
       GateFailed = true;
       continue;
     }
     std::uint64_t WarmCompiles = counterValue("native.compiles") - Compiles0;
     std::uint64_t WarmHits = counterValue("kernelcache.hits") - Hits0;
+    std::uint64_t WarmLowers =
+        telemetry::CompileOptimizeNs.snapshot().Count - Lowers0;
 
-    std::printf("%8lld  %12.3f  %12.3f  %7.1fx  %10llu  %8llu\n",
+    std::printf("%8lld  %12.3f  %12.3f  %7.1fx  %10llu  %8llu  %8llu\n",
                 static_cast<long long>(Spec.Size), ColdMs, WarmMs,
                 WarmMs > 0 ? ColdMs / WarmMs : 0.0,
                 static_cast<unsigned long long>(WarmCompiles),
-                static_cast<unsigned long long>(WarmHits));
+                static_cast<unsigned long long>(WarmHits),
+                static_cast<unsigned long long>(WarmLowers));
     const std::string Suffix = "_n" + std::to_string(Spec.Size);
     Report.num("cold_ms" + Suffix, ColdMs);
     Report.num("warm_ms" + Suffix, WarmMs);
     Report.num("warm_compiles" + Suffix, static_cast<double>(WarmCompiles));
+    Report.num("warm_lowers" + Suffix, static_cast<double>(WarmLowers));
 
-    // The acceptance gate: warm planning never forks the compiler.
-    if (WarmCompiles != 0 || WarmHits < 1) {
-      std::printf("GATE FAILED at N=%lld: warm compiles=%llu hits=%llu\n",
+    // The acceptance gate: warm planning never forks the compiler, and
+    // with plan records never lowers the formula either.
+    if (WarmCompiles != 0 || WarmHits < 1 || (Records && WarmLowers != 0)) {
+      std::printf("GATE FAILED at N=%lld: warm compiles=%llu hits=%llu "
+                  "lowers=%llu\n",
                   static_cast<long long>(Spec.Size),
                   static_cast<unsigned long long>(WarmCompiles),
-                  static_cast<unsigned long long>(WarmHits));
+                  static_cast<unsigned long long>(WarmHits),
+                  static_cast<unsigned long long>(WarmLowers));
       GateFailed = true;
     }
   }
@@ -137,10 +149,15 @@ int main() {
   Report.write();
 
   if (GateFailed) {
-    std::puts("\nresult: FAIL — a warm plan reached the compiler");
+    std::puts("\nresult: FAIL — a warm plan reached the compiler or "
+              "lowered its formula");
     return 1;
   }
-  std::puts("\nresult: ok — every warm plan mapped its kernel from the "
-            "cache with zero compiler invocations");
+  std::puts(Records ? "\nresult: ok — every warm plan mapped its kernel "
+                      "from a plan record with zero compiler invocations "
+                      "and zero lowerings"
+                    : "\nresult: ok — every warm plan mapped its kernel "
+                      "from the cache with zero compiler invocations (no "
+                      "build-id: plan records off)");
   return 0;
 }

@@ -26,6 +26,15 @@
 /// never double-compile the same kernel. Eviction is LRU by artifact mtime
 /// (refreshed on every hit), bounded by a configurable byte budget.
 ///
+/// Beside the index, a `plans` record file maps a *plan key* — the winner's
+/// formula text and everything else a plan's kernel depends on, known
+/// before lowering, including the GNU build-id of the object holding libspl
+/// — to the C-source-keyed artifact, a checksummed raw-binary tables
+/// artifact `<plan-key>.tables`, and for rule-planned specs the evaluator
+/// cost. A planner that hits one loads the kernel without lowering,
+/// optimizing or rendering the formula. Artifacts stay shared by every
+/// build; plan records are per build.
+///
 /// The full contract — key derivation, layout, invalidation, locking, the
 /// flag/env reference, and a worked cold-vs-warm example — is documented in
 /// docs/KERNEL_CACHE.md. Telemetry: kernelcache.hits / misses / inserts /
@@ -44,6 +53,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace spl {
 namespace perf {
@@ -106,6 +116,53 @@ public:
   /// Drops \p Key's index entry and artifact (used when a checksum-valid
   /// artifact still fails to dlopen — e.g. an alien or truncated file).
   static void remove(const std::string &Key);
+
+  /// What a plan's kernel depends on, all known before its program is
+  /// lowered. Every field is one line of the plan key.
+  struct PlanKeyInputs {
+    std::string FormulaText;         ///< The winner, Formula::print().
+    std::string SubName;             ///< The kernel's entry point.
+    std::string Datatype;            ///< The kernel's "complex" | "real".
+    std::int64_t UnrollThreshold = 0; ///< The -B threshold.
+    std::string Evaluator;           ///< The cost model of a stored cost.
+    std::string Variant;             ///< codegen::variantName().
+    std::string ISA;                 ///< isaName(codegen::detectISA()).
+    std::string Flags;               ///< Compiler flags, ISA flags included.
+    std::string Compiler;            ///< NativeModule::compilerIdentity().
+    std::string Host;                ///< HostInfo::fingerprint().
+    std::string BuildId;             ///< buildId().
+  };
+
+  /// The plan key (16 hex digits) of \p In; "" when In.BuildId is empty,
+  /// which turns the plan-record fast path off.
+  static std::string planKey(const PlanKeyInputs &In);
+
+  /// The GNU build-id (hex) of the object that holds libspl, read once per
+  /// process from its loaded program headers; "" when it has none.
+  static const std::string &buildId();
+
+  /// A verified plan record: the artifact is checksum-valid and its recency
+  /// refreshed, and the tables passed their recorded checksum.
+  struct PlanRecord {
+    std::string SoKey;                       ///< The artifact's key().
+    std::string SoPath;                      ///< Ready to dlopen.
+    std::vector<std::vector<double>> Tables; ///< The kernel's tables.
+    std::optional<double> Cost;              ///< Rule-planned specs only.
+  };
+
+  /// Looks up \p PlanKey. A hit counts in kernelcache.hits. A record whose
+  /// artifact or tables fail verification counts in
+  /// kernelcache.corrupt_entries and is dropped, so the caller's full path
+  /// rewrites it. A missing record counts nothing: the caller's compile
+  /// probes the artifact next.
+  static std::optional<PlanRecord> probePlan(const std::string &PlanKey);
+
+  /// Records that \p PlanKey's kernel is the cached artifact \p SoKey with
+  /// \p Tables (and \p Cost). Sweeps and evicts like insert(). A no-op
+  /// when disabled or when \p SoKey is not in the index.
+  static void insertPlan(const std::string &PlanKey, const std::string &SoKey,
+                         const std::vector<std::vector<double>> &Tables,
+                         std::optional<double> Cost);
 
   /// The population lock file of one key, `<dir>/<key>.lock`, after
   /// creating the cache directory ("" when the cache is disabled). An

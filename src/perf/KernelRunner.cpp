@@ -46,6 +46,43 @@ std::string KernelError::str() const {
                          : std::string(kindName()) + ": " + Message;
 }
 
+std::string CompiledKernel::compilerFlags(const KernelBuildOptions &BuildOpts) {
+  std::string Flags = BuildOpts.ExtraFlags;
+  if (BuildOpts.Variant == codegen::CodegenVariant::Vector) {
+    std::string ISAFlags = codegen::isaCompilerFlags(codegen::detectISA());
+    if (!ISAFlags.empty())
+      Flags += " " + ISAFlags;
+  }
+  return Flags;
+}
+
+std::unique_ptr<CompiledKernel>
+CompiledKernel::bind(std::unique_ptr<NativeModule> Mod,
+                     const std::string &FnName,
+                     std::vector<std::vector<double>> Tables,
+                     KernelError *Err) {
+  auto K = std::unique_ptr<CompiledKernel>(new CompiledKernel());
+  K->Fn = Mod->fn();
+  K->Tables = std::move(Tables);
+  if (!K->Tables.empty()) {
+    using SetFn = void (*)(const double *const *);
+    std::string SetName = FnName + "_set_tables";
+    auto Set = reinterpret_cast<SetFn>(Mod->symbol(SetName.c_str()));
+    if (!Set) {
+      if (Err)
+        *Err = KernelError{KernelErrorKind::MissingSymbol,
+                           "generated module lacks " + SetName};
+      return nullptr;
+    }
+    std::vector<const double *> Ptrs;
+    for (const auto &T : K->Tables)
+      Ptrs.push_back(T.data());
+    Set(Ptrs.data());
+  }
+  K->Mod = std::move(Mod);
+  return K;
+}
+
 std::unique_ptr<CompiledKernel>
 CompiledKernel::create(const icode::Program &Final, KernelError *Err,
                        const KernelBuildOptions &BuildOpts) {
@@ -66,7 +103,6 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
                 "no system C compiler available (set SPL_CC to override)");
 
   const bool Vector = BuildOpts.Variant == codegen::CodegenVariant::Vector;
-  std::string Flags = BuildOpts.ExtraFlags;
   codegen::CEmitOptions CO;
   CO.ExternalTables = true;
   CO.ThreadSafe = BuildOpts.ThreadSafe;
@@ -75,9 +111,6 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
       return Fail(KernelErrorKind::CompileFailed,
                   fault::describe("vector-compile"));
     CO.ISA = codegen::detectISA();
-    std::string ISAFlags = codegen::isaCompilerFlags(CO.ISA);
-    if (!ISAFlags.empty())
-      Flags += " " + ISAFlags;
   }
   const int Lanes = codegen::laneCount(CO.ISA);
   auto Start = std::chrono::steady_clock::now();
@@ -92,40 +125,62 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
 
   std::string CompileError;
   bool TimedOut = false;
-  auto Mod = NativeModule::compile(Code, Final.SubName, &CompileError, Flags,
-                                   &TimedOut, BuildOpts.Deadline);
+  auto Mod = NativeModule::compile(Code, Final.SubName, &CompileError,
+                                   compilerFlags(BuildOpts), &TimedOut,
+                                   BuildOpts.Deadline);
   if (!Mod)
     return Fail(TimedOut ? KernelErrorKind::CompileTimeout
                          : KernelErrorKind::CompileFailed,
                 CompileError);
 
-  auto K = std::unique_ptr<CompiledKernel>(new CompiledKernel());
-  K->Fn = Mod->fn();
+  std::vector<std::vector<double>> Tables;
+  for (const auto &T : Final.Tables) {
+    std::vector<double> Flat(T.size());
+    for (size_t I = 0; I != T.size(); ++I)
+      Flat[I] = T[I].real();
+    Tables.push_back(std::move(Flat));
+  }
+  auto K = bind(std::move(Mod), Final.SubName, std::move(Tables), Err);
+  if (!K)
+    return nullptr;
   K->Lanes = Lanes;
   K->Variant = BuildOpts.Variant;
   K->InLen = (Final.LoweredToReal ? Final.InSize * 2 : Final.InSize) * Lanes;
   K->OutLen =
       (Final.LoweredToReal ? Final.OutSize * 2 : Final.OutSize) * Lanes;
+  return K;
+}
 
-  if (!Final.Tables.empty()) {
-    for (const auto &T : Final.Tables) {
-      std::vector<double> Flat(T.size());
-      for (size_t I = 0; I != T.size(); ++I)
-        Flat[I] = T[I].real();
-      K->Tables.push_back(std::move(Flat));
-    }
-    using SetFn = void (*)(const double *const *);
-    std::string SetName = Final.SubName + "_set_tables";
-    auto Set = reinterpret_cast<SetFn>(Mod->symbol(SetName.c_str()));
-    if (!Set)
-      return Fail(KernelErrorKind::MissingSymbol,
-                  "generated module lacks " + SetName);
-    std::vector<const double *> Ptrs;
-    for (const auto &T : K->Tables)
-      Ptrs.push_back(T.data());
-    Set(Ptrs.data());
+std::unique_ptr<CompiledKernel>
+CompiledKernel::load(KernelCache::PlanRecord Record, const std::string &FnName,
+                     std::int64_t VectorLen, codegen::CodegenVariant Variant,
+                     KernelError *Err) {
+  if (Err)
+    *Err = KernelError();
+  const bool Vector = Variant == codegen::CodegenVariant::Vector;
+  if (Vector && fault::at("vector-compile")) {
+    if (Err)
+      *Err = KernelError{KernelErrorKind::CompileFailed,
+                         fault::describe("vector-compile")};
+    return nullptr;
   }
-  K->Mod = std::move(Mod);
+  std::string LoadError;
+  std::unique_ptr<CompiledKernel> K;
+  if (auto Mod = NativeModule::loadCached(Record.SoPath, FnName, &LoadError))
+    K = bind(std::move(Mod), FnName, std::move(Record.Tables), Err);
+  else if (Err)
+    *Err = KernelError{KernelErrorKind::CompileFailed, LoadError};
+  if (!K) {
+    // A checksum-valid artifact that does not load is as bad as a
+    // corrupt one: drop it so the caller's full path rebuilds it.
+    telemetry::KernelcacheCorruptEntries.add();
+    KernelCache::remove(Record.SoKey);
+    return nullptr;
+  }
+  K->Lanes = codegen::laneCount(Vector ? codegen::detectISA()
+                                       : codegen::VectorISA::Scalar);
+  K->Variant = Variant;
+  K->InLen = K->OutLen = VectorLen * K->Lanes;
   return K;
 }
 

@@ -18,6 +18,7 @@
 
 #include "codegen/VectorISA.h"
 #include "icode/ICode.h"
+#include "perf/KernelCache.h"
 #include "perf/NativeCompile.h"
 
 #include <memory>
@@ -90,6 +91,20 @@ public:
   create(const icode::Program &Final, KernelError *Err,
          const KernelBuildOptions &BuildOpts = KernelBuildOptions());
 
+  /// Loads the kernel a kernel-cache plan record names, without its
+  /// program: dlopens the artifact as entry point \p FnName, binds the
+  /// record's tables, and sizes the buffers from \p VectorLen doubles per
+  /// transform. An artifact that fails to load is dropped from the cache
+  /// and counted in kernelcache.corrupt_entries; null with \p Err filled.
+  static std::unique_ptr<CompiledKernel>
+  load(KernelCache::PlanRecord Record, const std::string &FnName,
+       std::int64_t VectorLen, codegen::CodegenVariant Variant,
+       KernelError *Err);
+
+  /// The flags create() hands the C compiler for \p BuildOpts: ExtraFlags,
+  /// plus the ISA's own flags for the vector variant.
+  static std::string compilerFlags(const KernelBuildOptions &BuildOpts);
+
   /// Buffer lengths in doubles (2x the logical size for lowered-complex
   /// programs, additionally scaled by lanes() for vector kernels).
   std::int64_t inLen() const { return InLen; }
@@ -102,6 +117,13 @@ public:
 
   /// The variant this kernel was built with.
   codegen::CodegenVariant variant() const { return Variant; }
+
+  /// The tables bound into the kernel, one flat array per program table.
+  const std::vector<std::vector<double>> &tables() const { return Tables; }
+
+  /// The kernel-cache key of the artifact behind the kernel; "" when it is
+  /// not in the cache.
+  const std::string &cacheKey() const { return Mod->cacheKey(); }
 
   /// Runs the kernel once (one call computes lanes() transforms).
   void run(double *Y, const double *X) const { Fn(Y, X); }
@@ -124,6 +146,12 @@ public:
 
 private:
   CompiledKernel() = default;
+
+  /// Takes \p Mod and \p Tables and hands the tables to the module's
+  /// <FnName>_set_tables hook (when there are any).
+  static std::unique_ptr<CompiledKernel>
+  bind(std::unique_ptr<NativeModule> Mod, const std::string &FnName,
+       std::vector<std::vector<double>> Tables, KernelError *Err);
 
   std::unique_ptr<NativeModule> Mod;
   NativeModule::KernelFn Fn = nullptr;

@@ -122,6 +122,7 @@ const std::string &NativeModule::compilerIdentity() {
 std::unique_ptr<NativeModule>
 NativeModule::loadModule(const std::string &SoPath, const std::string &FnName,
                          bool OwnsSo, std::string *Error) {
+  telemetry::StageTimer T(telemetry::PlanDlopenNs);
   void *Handle = nullptr;
   if (!fault::at("dlopen"))
     Handle = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -151,6 +152,12 @@ NativeModule::loadModule(const std::string &SoPath, const std::string &FnName,
   M->SoPath = SoPath;
   M->OwnsSo = OwnsSo;
   return M;
+}
+
+std::unique_ptr<NativeModule>
+NativeModule::loadCached(const std::string &SoPath, const std::string &FnName,
+                         std::string *Error) {
+  return loadModule(SoPath, FnName, /*OwnsSo=*/false, Error);
 }
 
 std::unique_ptr<NativeModule>
@@ -282,28 +289,34 @@ NativeModule::compile(const std::string &CSource, const std::string &FnName,
                         Deadline);
 
   std::string Key = KernelCache::key(CSource, FnName, ExtraFlags);
-  if (auto Hit = KernelCache::probe(Key)) {
-    if (auto M = loadModule(*Hit, FnName, /*OwnsSo=*/false, Error))
-      return M;
-    // Checksum-valid but unloadable (e.g. an alien file of the right
-    // bytes): drop the entry and recompile below.
-    KernelCache::remove(Key);
-  }
+  auto LoadHit = [&]() -> std::unique_ptr<NativeModule> {
+    std::optional<std::string> Hit = KernelCache::probe(Key);
+    if (!Hit)
+      return nullptr;
+    auto M = loadCached(*Hit, FnName, Error);
+    if (M)
+      M->CacheKey = Key;
+    else // Checksum-valid but unloadable (e.g. an alien file of the
+         // right bytes): drop the entry and recompile.
+      KernelCache::remove(Key);
+    return M;
+  };
+  if (auto M = LoadHit())
+    return M;
 
   // Per-key population lock across re-probe + compile + insert: concurrent
   // planners (threads or processes) racing on a cold key block here and
   // all but one load the winner's artifact instead of recompiling.
   FileLock PL(KernelCache::populationLockPath(Key), LOCK_EX);
-  if (auto Hit = KernelCache::probe(Key))
-    if (auto M = loadModule(*Hit, FnName, /*OwnsSo=*/false, Error))
-      return M;
+  if (auto M = LoadHit())
+    return M;
 
   auto M = compileFresh(CSource, FnName, Error, ExtraFlags, TimedOut,
                         Deadline);
   // The module keeps (and owns) its temp copy; the cache gets its own.
   // A failed insert just means the next process compiles cold again.
-  if (M)
-    KernelCache::insert(Key, M->SoPath);
+  if (M && KernelCache::insert(Key, M->SoPath))
+    M->CacheKey = Key;
   return M;
 }
 

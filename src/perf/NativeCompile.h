@@ -74,7 +74,17 @@ public:
   /// The per-invocation compile deadline (SPL_CC_TIMEOUT_MS, default 60 s).
   static double compileTimeoutSeconds();
 
+  /// dlopens the kernel-cache artifact \p SoPath (which stays the cache's)
+  /// and resolves \p FnName; null with \p Error filled on failure.
+  static std::unique_ptr<NativeModule> loadCached(const std::string &SoPath,
+                                                  const std::string &FnName,
+                                                  std::string *Error);
+
   KernelFn fn() const { return Fn; }
+
+  /// The KernelCache::key() of the cached artifact this module was loaded
+  /// from or inserted as; "" when the cache was off or the insert failed.
+  const std::string &cacheKey() const { return CacheKey; }
 
   /// Looks up an additional symbol (e.g. the <name>_set_tables hook emitted
   /// with CEmitOptions::ExternalTables). Null when absent.
@@ -87,9 +97,10 @@ public:
 private:
   NativeModule() = default;
 
-  /// dlopens \p SoPath and resolves \p FnName. \p OwnsSo decides whether
-  /// the module deletes the .so in its destructor: true for freshly
-  /// compiled temp artifacts, false for files owned by the kernel cache.
+  /// dlopens \p SoPath and resolves \p FnName, timed as plan.dlopen_ns.
+  /// \p OwnsSo decides whether the module deletes the .so in its
+  /// destructor: true for freshly compiled temp artifacts, false for files
+  /// owned by the kernel cache.
   static std::unique_ptr<NativeModule> loadModule(const std::string &SoPath,
                                                   const std::string &FnName,
                                                   bool OwnsSo,
@@ -104,6 +115,7 @@ private:
   void *Handle = nullptr;
   KernelFn Fn = nullptr;
   std::string SoPath;
+  std::string CacheKey;
   bool OwnsSo = true;
 };
 

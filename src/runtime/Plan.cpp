@@ -6,6 +6,7 @@
 
 #include "runtime/Plan.h"
 
+#include "driver/Compiler.h"
 #include "ir/Transforms.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Trace.h"
@@ -91,6 +92,32 @@ std::string PlanSpec::key() const {
   return SS.str();
 }
 
+bool Plan::lower(Diagnostics &Diags) const {
+  std::call_once(FinalOnce, [&] {
+    driver::Compiler Compiler(Diags);
+    driver::CompilerOptions CO;
+    CO.UnrollThreshold = Spec.UnrollThreshold;
+    CO.EmitCode = false; // Plans hold i-code; the backends render on demand.
+    DirectiveState Dirs;
+    Dirs.SubName = SubName;
+    Dirs.Datatype = KernelDatatype;
+    Dirs.Language = "c";
+    if (auto Unit = Compiler.compileFormula(Winner, Dirs, CO)) {
+      Final = std::move(Unit->Final);
+      FinalOk = true;
+    }
+  });
+  return FinalOk;
+}
+
+const icode::Program &Plan::program() const {
+  // The same lowering built this plan's kernel, here or in the planner
+  // that wrote its plan record, so it does not fail here.
+  Diagnostics Diags;
+  lower(Diags);
+  return Final;
+}
+
 std::unique_ptr<Plan::ExecCtx> Plan::acquireCtx() {
   {
     std::lock_guard<std::mutex> Lock(CtxM);
@@ -102,7 +129,7 @@ std::unique_ptr<Plan::ExecCtx> Plan::acquireCtx() {
   }
   auto Ctx = std::make_unique<ExecCtx>();
   if (Resolved == Backend::VM)
-    Ctx->VM = std::make_unique<vm::Executor>(Final);
+    Ctx->VM = std::make_unique<vm::Executor>(program());
   Ctx->StageX.resize(static_cast<std::size_t>(IOLen) * Lanes);
   Ctx->StageY.resize(static_cast<std::size_t>(IOLen) * Lanes);
   return Ctx;

@@ -53,6 +53,7 @@
 #include <vector>
 
 namespace spl {
+class Diagnostics;
 namespace runtime {
 
 /// Which execution substrate a plan should (or does) use.
@@ -212,8 +213,11 @@ public:
   /// caller can rebuild the full-quality plan later.
   bool deadlinePressured() const { return Pressured; }
 
-  /// The compiled i-code (shared with every VM worker context).
-  const icode::Program &program() const { return Final; }
+  /// The compiled i-code (shared with every VM worker context). Built on
+  /// first use, once and thread-safely: a plan whose native kernel came
+  /// from a kernel-cache plan record never lowered its formula, and lowers
+  /// it here only when a caller or a VM demotion asks.
+  const icode::Program &program() const;
 
   /// Applies the plan to one vector: Y = M X (a batch of one). Thread-safe;
   /// Y == X runs in place through the staging buffers. Partial overlap is
@@ -270,13 +274,21 @@ private:
   ExecStatus run(double *Y, const double *X, const BatchLayout &L,
                  const support::Deadline &DL, int Threads, bool Single);
 
+  /// Lowers the winner into Final on the first call (reporting into
+  /// \p Diags); false when lowering failed.
+  bool lower(Diagnostics &Diags) const;
+
   /// Runs the tier's kernel on one kernel-facing lane group.
   void runKernel(ExecCtx &Ctx, double *KY, const double *KX);
   void applyOracle(double *Y, const double *X) const;
 
   PlanSpec Spec;
   Backend Resolved = Backend::VM;
-  icode::Program Final;
+  std::string SubName;        ///< The kernel's entry point ("fft1024").
+  std::string KernelDatatype; ///< What the kernel computes in.
+  mutable std::once_flag FinalOnce;
+  mutable icode::Program Final; ///< Written once, under FinalOnce.
+  mutable bool FinalOk = false;
   std::unique_ptr<perf::CompiledKernel> Native; ///< Null off the native tier.
   Matrix OracleMat; ///< Dense winner matrix (oracle tier only).
   FormulaRef Winner;

@@ -14,6 +14,7 @@
 #include "search/DPSearch.h"
 #include "search/Evaluator.h"
 #include "support/FaultInjection.h"
+#include "support/HostInfo.h"
 #include "support/Subprocess.h"
 #include "telemetry/Trace.h"
 #include "transforms/Registry.h"
@@ -376,41 +377,42 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   // Halfcomplex plans compile the complex F_{N/2} kernel choose() picked,
   // then run the split pass on top.
   const bool HalfComplex = TI.IOLayout == transforms::Layout::HalfComplex;
-
-  driver::Compiler Compiler(Diags);
-  driver::CompilerOptions CO;
-  CO.UnrollThreshold = S.UnrollThreshold;
-  CO.EmitCode = false; // Plans hold i-code; the backends render on demand.
-  DirectiveState Dirs;
-  Dirs.SubName = subNameFor(S);
-  Dirs.Datatype = HalfComplex ? TI.KernelDatatype : S.Datatype;
-  Dirs.Language = "c";
-  auto Unit = Compiler.compileFormula(Winner, Dirs, CO);
-  if (!Unit) {
-    Report(PlanError::Failed);
-    return nullptr;
-  }
-  if (TI.PlanFamily == transforms::Family::Recursive) {
-    // A deterministic rule has no search, but its evaluator cost is still
-    // the comparable figure callers see in searchCost(); it is read off the
-    // program just lowered rather than lowering the rule a second time.
-    if (auto C = Eval.cost(Unit->Final))
-      Chosen->Cost = *C;
-  }
+  const bool Rule = TI.PlanFamily == transforms::Family::Recursive;
 
   auto P = std::shared_ptr<Plan>(new Plan());
   P->Spec = S;
-  P->Final = std::move(Unit->Final);
+  P->SubName = subNameFor(S);
+  P->KernelDatatype = HalfComplex ? TI.KernelDatatype : S.Datatype;
   P->Winner = Winner;
   P->FormulaText = Winner->print();
   P->Cost = Chosen->Cost;
-  P->IOLen = P->Final.LoweredToReal ? P->Final.InSize * 2 : P->Final.InSize;
+  // The I/O shape comes from the spec and the winner, so a plan whose
+  // kernel comes from a plan record never needs its program.
+  const bool Complex = P->KernelDatatype == "complex";
+  P->IOLen = Complex ? 2 * Winner->inSize() : Winner->inSize();
   P->IOLayout = HalfComplex ? Plan::Layout::HalfComplex
-                            : (P->Final.LoweredToReal
-                                   ? Plan::Layout::Interleaved
-                                   : Plan::Layout::Real);
+                : Complex   ? Plan::Layout::Interleaved
+                            : Plan::Layout::Real;
   if (HalfComplex)
     P->SplitTw = splitTwiddles(S.Size);
+
+  // The program, lowered on first need: a kernel-cache miss, the VM tier,
+  // or a rule plan's cost. A failed lowering fails the plan.
+  bool LowerFailed = false;
+  auto Lowered = [&]() -> const icode::Program * {
+    if (P->lower(Diags))
+      return &P->Final;
+    LowerFailed = true;
+    return nullptr;
+  };
+  // A rule plan's evaluator cost is read off its program, or off the plan
+  // record that stored it.
+  std::optional<double> RuleCost;
+  auto CostRule = [&] {
+    if (Rule && !RuleCost)
+      if (const icode::Program *Prog = Lowered())
+        RuleCost = Eval.cost(*Prog);
+  };
 
   // Walk the degradation chain vector -> native -> vm -> oracle, recording
   // why each tier was skipped. A tier only joins the plan after proving
@@ -425,12 +427,34 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
                         : telemetry::RuntimeDemoteVm)
         .add();
     Diags.note(SourceLoc(), Tier + " backend unavailable for " +
-                                Dirs.SubName + " (" + Why + ")");
+                                P->SubName + " (" + Why + ")");
   };
   bool Placed = false;
 
   if (S.Want == Backend::Auto || S.Want == Backend::Native) {
-    // Builds (and, when configured, trial-proves) one kernel variant.
+    // The kernel-cache plan key of one variant's kernel: "" with the cache
+    // off, or in a build without a build-id.
+    auto PlanKeyOf = [&](const perf::KernelBuildOptions &BO) {
+      if (!perf::KernelCache::enabled())
+        return std::string();
+      perf::KernelCache::PlanKeyInputs In;
+      In.FormulaText = P->FormulaText;
+      In.SubName = P->SubName;
+      In.Datatype = P->KernelDatatype;
+      In.UnrollThreshold = S.UnrollThreshold;
+      In.Evaluator = Eval.kindName();
+      In.Variant = codegen::variantName(BO.Variant);
+      In.ISA = codegen::isaName(codegen::detectISA());
+      In.Flags = perf::CompiledKernel::compilerFlags(BO);
+      In.Compiler = perf::NativeModule::compilerIdentity();
+      In.Host = HostInfo::fingerprint();
+      In.BuildId = perf::KernelCache::buildId();
+      return perf::KernelCache::planKey(In);
+    };
+    // Builds (and, when configured, trial-proves) one kernel variant. A
+    // kernel-cache plan record supplies the kernel without lowering; on a
+    // miss the program is lowered and compiled, and a kernel that proves
+    // itself gets its record written.
     auto Build = [&](codegen::CodegenVariant V, perf::KernelError &Err)
         -> std::unique_ptr<perf::CompiledKernel> {
       if (Opts.ForceNativeFail) {
@@ -443,7 +467,24 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       BO.ThreadSafe = true; // Batch dispatch runs one kernel on many threads.
       BO.Variant = V;
       BO.Deadline = Deadline; // Compile runs under the remaining budget.
-      auto K = perf::CompiledKernel::create(P->Final, &Err, BO);
+      const std::string Key = PlanKeyOf(BO);
+      std::unique_ptr<perf::CompiledKernel> K;
+      if (auto Record = perf::KernelCache::probePlan(Key)) {
+        if (Rule)
+          RuleCost = Record->Cost;
+        K = perf::CompiledKernel::load(std::move(*Record), P->SubName,
+                                       P->IOLen, V, &Err);
+      }
+      const bool FromRecord = K != nullptr;
+      if (!K) {
+        const icode::Program *Prog = Lowered();
+        if (!Prog) {
+          Err = perf::KernelError{perf::KernelErrorKind::CompileFailed,
+                                  "lowering failed"};
+          return nullptr;
+        }
+        K = perf::CompiledKernel::create(*Prog, &Err, BO);
+      }
       if (K) {
         // Every kernel is proven by a trial run in a forked guard that
         // gets min(SPL_TRIAL_TIMEOUT_MS, remaining). An unproven kernel
@@ -469,6 +510,10 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
           Err = perf::KernelError{perf::KernelErrorKind::TrialFailed,
                                   Trial.Reason};
           K.reset();
+        } else if (!FromRecord) {
+          CostRule();
+          perf::KernelCache::insertPlan(Key, K->cacheKey(), K->tables(),
+                                        RuleCost);
         }
       }
       return K;
@@ -498,7 +543,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
         perf::KernelError VErr;
         auto Vec = Build(codegen::CodegenVariant::Vector, VErr);
         if (!Vec)
-          Diags.note(SourceLoc(), "vector kernel for " + Dirs.SubName +
+          Diags.note(SourceLoc(), "vector kernel for " + P->SubName +
                                       " lost the codegen race (" +
                                       VErr.str() + ")");
         if (Vec && Vec->time(TimingRepeats) / Vec->lanes() <
@@ -509,6 +554,10 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
           telemetry::PlanScalarWins.add();
         }
       }
+    }
+    if (LowerFailed) {
+      Report(PlanError::Failed);
+      return nullptr;
     }
     if (Kernel) {
       P->Native = std::move(Kernel);
@@ -525,10 +574,15 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
     // zero input must produce finite output (the VM cannot take the
     // process down the way a bad native kernel can).
     std::string VMErr;
+    const icode::Program *Prog = Lowered();
+    if (!Prog) {
+      Report(PlanError::Failed);
+      return nullptr;
+    }
     if (fault::at("vm-exec")) {
       VMErr = fault::describe("vm-exec");
     } else {
-      vm::Executor VM(P->Final);
+      vm::Executor VM(*Prog);
       std::vector<double> In(static_cast<size_t>(VM.inputLen()), 0.0);
       std::vector<double> Out(static_cast<size_t>(VM.outputLen()), 0.0);
       VM.runReal(In.data(), Out.data());
@@ -555,7 +609,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
     if (S.Size > OracleSizeCap ||
         (!HalfComplex && !Winner->hasDenseSemantics())) {
       Diags.error(SourceLoc(),
-                  "no usable backend for " + Dirs.SubName +
+                  "no usable backend for " + P->SubName +
                       (Demotions.empty() ? std::string()
                                          : " (" + Demotions + ")") +
                       "; the dense oracle tier " +
@@ -575,9 +629,19 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   if (!Demotions.empty()) {
     P->Fallback = true;
     P->FallbackReason = Demotions;
-    Diags.note(SourceLoc(), "plan for " + Dirs.SubName + " degraded to the " +
+    Diags.note(SourceLoc(), "plan for " + P->SubName + " degraded to the " +
                                 std::string(backendName(P->Resolved)) +
                                 " backend");
+  }
+
+  if (Rule) {
+    CostRule();
+    if (LowerFailed) {
+      Report(PlanError::Failed);
+      return nullptr;
+    }
+    if (RuleCost)
+      P->Cost = *RuleCost;
   }
 
   // A plan finished after its deadline expired is a degraded artifact:

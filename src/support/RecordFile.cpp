@@ -9,6 +9,7 @@
 #include "support/StrUtil.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -19,11 +20,19 @@ std::optional<std::string> support::readFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   if (!In)
     return std::nullopt;
-  std::ostringstream SS;
-  SS << In.rdbuf();
+  // Straight into a result sized up front (only regular files have a
+  // size), in large blocks: a stream copy through an ostringstream costs
+  // ~1.5 ms per MiB, which a warm plan's tables artifact pays per probe.
+  std::string Bytes;
+  std::error_code EC;
+  if (const std::uintmax_t Size = std::filesystem::file_size(Path, EC); !EC)
+    Bytes.reserve(Size);
+  char Block[1 << 16];
+  while (In.read(Block, sizeof Block) || In.gcount() > 0)
+    Bytes.append(Block, static_cast<std::size_t>(In.gcount()));
   if (In.bad())
     return std::nullopt;
-  return SS.str();
+  return Bytes;
 }
 
 bool support::replaceFile(const std::string &Path, const std::string &Bytes) {

@@ -11,6 +11,8 @@
 /// executions that never return. Each test asserts the corresponding
 /// degradation behaves — typed errors, bounded wall-clock, and a plan that
 /// still computes the right numbers on whatever tier the chain lands on.
+/// A kernel loaded from a kernel-cache plan record walks the same chain:
+/// its VM demotion runs on the lazily lowered program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #include "driver/Compiler.h"
 #include "frontend/Parser.h"
 #include "ir/Transforms.h"
+#include "perf/KernelCache.h"
 #include "perf/KernelRunner.h"
 #include "perf/NativeCompile.h"
 #include "runtime/Planner.h"
@@ -27,13 +30,16 @@
 #include "search/PlanCache.h"
 #include "support/Diagnostics.h"
 #include "support/Timer.h"
+#include "telemetry/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -337,6 +343,130 @@ TEST_F(FaultTest, FullChainLandsOnTheOracleAndIsCorrect) {
   P->executeBatch(Y1.data(), XB.data(), 4, 1);
   P->executeBatch(Y4.data(), XB.data(), 4, 4);
   EXPECT_EQ(Y1, Y4);
+}
+
+/// Fault sites on a warm plan whose native kernel comes from a kernel-cache
+/// plan record: each test first plans fft 32 healthy into a private cache.
+class PlanRecordFaultTest : public FaultTest {
+protected:
+  void SetUp() override {
+    FaultTest::SetUp();
+    Saved = perf::KernelCache::config();
+    Dir = ::testing::TempDir() + "spl-faultrec-" +
+          std::to_string(static_cast<unsigned>(::getpid()));
+    std::filesystem::remove_all(Dir);
+    if (!perf::NativeModule::available() ||
+        perf::KernelCache::buildId().empty())
+      GTEST_SKIP() << "needs a C compiler and a build-id";
+    telemetry::setMetricsEnabled(true);
+    auto Cold = plan(options());
+    ASSERT_TRUE(Cold);
+    ASSERT_EQ(Cold->backend(), runtime::Backend::Native);
+  }
+
+  void TearDown() override {
+    perf::KernelCache::configure(Saved);
+    std::filesystem::remove_all(Dir);
+    telemetry::setMetricsEnabled(false);
+    telemetry::resetAllMetrics();
+    FaultTest::TearDown();
+  }
+
+  runtime::PlannerOptions options() {
+    runtime::PlannerOptions O = chainOptions();
+    O.KernelCacheDir = Dir;
+    return O;
+  }
+
+  std::shared_ptr<runtime::Plan>
+  plan(const runtime::PlannerOptions &O,
+       const support::Deadline &D = support::Deadline()) {
+    Diagnostics Diags;
+    runtime::Planner Planner(Diags, O);
+    runtime::PlanSpec Spec;
+    Spec.Size = 32;
+    auto P = Planner.plan(Spec, D);
+    EXPECT_TRUE(P) << Diags.dump();
+    EXPECT_EQ(Diags.errorCount(), 0u) << Diags.dump();
+    return P;
+  }
+
+  /// Max |plan - DFT| over one random vector.
+  static double oracleError(runtime::Plan &P) {
+    auto X = randomVector(32);
+    std::vector<double> XR(64), YR(64);
+    for (int I = 0; I != 32; ++I) {
+      XR[2 * I] = X[I].real();
+      XR[2 * I + 1] = X[I].imag();
+    }
+    P.execute(YR.data(), XR.data());
+    auto Want = dftMatrix(32).apply(X);
+    double Max = 0;
+    for (int I = 0; I != 32; ++I) {
+      Max = std::max(Max, std::fabs(YR[2 * I] - Want[I].real()));
+      Max = std::max(Max, std::fabs(YR[2 * I + 1] - Want[I].imag()));
+    }
+    return Max;
+  }
+
+  std::uint64_t hits() const {
+    return telemetry::counter("kernelcache.hits").value();
+  }
+
+  perf::KernelCache::Config Saved;
+  std::string Dir;
+};
+
+TEST_F(PlanRecordFaultTest, TrialCrashOnARecordHitDemotesToVm) {
+  const std::uint64_t Hits0 = hits();
+  arm("trial-crash");
+  auto P = plan(options());
+  ASSERT_TRUE(P);
+  EXPECT_GE(hits() - Hits0, 1u) << "the kernel must come from the record";
+  EXPECT_EQ(P->backend(), runtime::Backend::VM);
+  EXPECT_NE(P->fallbackReason().find("trial-failed"), std::string::npos)
+      << P->fallbackReason();
+  EXPECT_NE(P->fallbackReason().find("signal"), std::string::npos)
+      << P->fallbackReason();
+  EXPECT_FALSE(P->program().Body.empty());
+  EXPECT_LT(oracleError(*P), 1e-10);
+}
+
+TEST_F(PlanRecordFaultTest, TrialHangOnARecordHitDemotesToVm) {
+  const std::uint64_t Hits0 = hits();
+  setenv("SPL_TRIAL_TIMEOUT_MS", "300", 1);
+  arm("trial-hang");
+  Timer T;
+  auto P = plan(options());
+  unsetenv("SPL_TRIAL_TIMEOUT_MS");
+  ASSERT_TRUE(P);
+  EXPECT_LT(T.seconds(), 30.0) << "the hung trial must be killed, not joined";
+  EXPECT_GE(hits() - Hits0, 1u) << "the kernel must come from the record";
+  EXPECT_EQ(P->backend(), runtime::Backend::VM);
+  EXPECT_NE(P->fallbackReason().find("timed out"), std::string::npos)
+      << P->fallbackReason();
+  EXPECT_LT(oracleError(*P), 1e-10);
+}
+
+TEST_F(PlanRecordFaultTest, ForcedFailureAndSpentDeadlineIgnoreTheRecord) {
+  runtime::PlannerOptions Forced = options();
+  Forced.ForceNativeFail = true;
+  auto F = plan(Forced);
+  ASSERT_TRUE(F);
+  EXPECT_EQ(F->backend(), runtime::Backend::VM);
+  EXPECT_NE(F->fallbackReason().find("ForceNativeFail"), std::string::npos)
+      << F->fallbackReason();
+  EXPECT_LT(oracleError(*F), 1e-10);
+
+  // A spent budget loads the recorded kernel (a map is free) but cannot
+  // prove it, so the plan demotes rather than skipping the trial.
+  support::Deadline Dead = support::Deadline::afterMs(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  auto D = plan(options(), Dead);
+  ASSERT_TRUE(D);
+  EXPECT_TRUE(D->deadlinePressured());
+  EXPECT_NE(D->backend(), runtime::Backend::Native);
+  EXPECT_LT(oracleError(*D), 1e-10);
 }
 
 } // namespace

@@ -13,6 +13,11 @@
 /// leaves no trace on disk, and failed compiles leak no temp artifacts
 /// (including under SPL_FAULT=native-compile).
 ///
+/// Plan records: a warm plan that hits one skips lowering and matches its
+/// cold plan bit for bit; every plan-key input re-keys it; and a damaged
+/// tables artifact, a deleted artifact or an unloadable one falls back to
+/// the full path, is counted, and is rewritten by that path's insert.
+///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
@@ -21,15 +26,19 @@
 #include "driver/Compiler.h"
 #include "perf/KernelCache.h"
 #include "perf/NativeCompile.h"
+#include "runtime/Planner.h"
 #include "telemetry/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <unistd.h>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -486,6 +495,328 @@ TEST_F(TempHygieneTest, InjectedCompilerFaultLeavesNoTempArtifacts) {
   // the last temp artifact.
   M2.reset();
   EXPECT_EQ(tmpEntries(), 0u) << "successful compile leaked temp files";
+}
+
+/// Plan records: cold and warm plans through the runtime planner over a
+/// private wisdom file and the fixture's cache directory.
+class PlanRecordTest : public KernelCacheTest {
+protected:
+  void SetUp() override {
+    KernelCacheTest::SetUp();
+    Wisdom = Dir + ".wisdom";
+    std::remove(Wisdom.c_str());
+  }
+
+  void TearDown() override {
+    std::remove(Wisdom.c_str());
+    KernelCacheTest::TearDown();
+  }
+
+  /// Plans \p Spec with a new Planner (a fresh wisdom object, so only the
+  /// files carry state between plans) and saves its wisdom.
+  std::shared_ptr<runtime::Plan> plan(const runtime::PlanSpec &Spec) {
+    Diagnostics Diags;
+    runtime::PlannerOptions Opts;
+    Opts.WisdomPath = Wisdom;
+    runtime::Planner Planner(Diags, Opts);
+    auto P = Planner.plan(Spec);
+    EXPECT_TRUE(P) << Diags.dump();
+    Planner.saveWisdom();
+    return P;
+  }
+
+  /// The plan's output on three seeded input vectors.
+  static std::vector<double> run(runtime::Plan &P) {
+    std::mt19937 Gen(7);
+    std::uniform_real_distribution<double> Dist(-1.0, 1.0);
+    std::vector<double> X(static_cast<size_t>(3 * P.vectorLen()));
+    for (double &V : X)
+      V = Dist(Gen);
+    std::vector<double> Y(X.size(), 0.0);
+    P.executeBatch(Y.data(), X.data(), 3);
+    return Y;
+  }
+
+  /// The one plan record's fields: plan key, artifact key.
+  std::pair<std::string, std::string> onlyRecord() {
+    std::istringstream In(slurp(Dir + "/plans"));
+    std::string Line, Tag, Cksum, PlanKey, SoKey;
+    std::getline(In, Line); // Header.
+    std::vector<std::string> Records;
+    while (std::getline(In, Line))
+      Records.push_back(Line);
+    EXPECT_EQ(Records.size(), 1u) << slurp(Dir + "/plans");
+    if (!Records.empty())
+      std::istringstream(Records.front()) >> Tag >> Cksum >> PlanKey >> SoKey;
+    return {PlanKey, SoKey};
+  }
+
+  /// Every tables artifact in the directory has a record and vice versa.
+  void expectTablesMatchRecords() {
+    std::size_t Files = 0;
+    for (const auto &E : fs::directory_iterator(Dir))
+      if (E.path().extension() == ".tables") {
+        ++Files;
+        EXPECT_NE(slurp(Dir + "/plans").find(E.path().stem().string()),
+                  std::string::npos)
+            << E.path() << " has no plan record";
+      }
+    EXPECT_EQ(Files, 1u);
+  }
+
+  std::string Wisdom;
+};
+
+/// Histogram sample counts around one plan.
+struct Samples {
+  std::uint64_t Expand = telemetry::CompileExpandNs.snapshot().Count;
+  std::uint64_t Optimize = telemetry::CompileOptimizeNs.snapshot().Count;
+  std::uint64_t Trial = telemetry::PlanTrialNs.snapshot().Count;
+
+  std::uint64_t expand() const {
+    return telemetry::CompileExpandNs.snapshot().Count - Expand;
+  }
+  std::uint64_t optimize() const {
+    return telemetry::CompileOptimizeNs.snapshot().Count - Optimize;
+  }
+  std::uint64_t trial() const {
+    return telemetry::PlanTrialNs.snapshot().Count - Trial;
+  }
+};
+
+TEST_F(PlanRecordTest, WarmPlansMatchColdPlansWithoutLowering) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!NativeModule::available())
+    GTEST_SKIP() << "no C compiler";
+  if (KernelCache::buildId().empty())
+    GTEST_SKIP() << "this build has no GNU build-id; plan records are off";
+
+  std::vector<runtime::PlanSpec> Specs;
+  auto Add = [&](const char *Transform, std::int64_t Size,
+                 runtime::CodegenMode Codegen = runtime::CodegenMode::Auto) {
+    runtime::PlanSpec S;
+    S.Transform = Transform;
+    S.Size = Size;
+    S.Codegen = Codegen;
+    Specs.push_back(S);
+  };
+  for (std::int64_t N = 2; N <= 4096; N *= 2)
+    Add("fft", N);
+  Add("rdft", 256);
+  Add("rdft", 4096);
+  Add("wht", 512);
+  Add("dct2", 64);
+  Add("dct3", 64);
+  Add("dct4", 64);
+  runtime::PlanSpec Grid;
+  Grid.Shape = {32, 32};
+  Specs.push_back(Grid);
+  if (codegen::vectorBackendAvailable()) {
+    Add("fft", 64, runtime::CodegenMode::Vector);
+    Add("rdft", 256, runtime::CodegenMode::Vector);
+  }
+
+  for (const runtime::PlanSpec &Spec : Specs) {
+    SCOPED_TRACE(Spec.key());
+    // Cold over an empty record: the full path, which writes the record.
+    Deltas D;
+    Samples Cold;
+    auto C = plan(Spec);
+    ASSERT_TRUE(C);
+    ASSERT_EQ(C->backend(), runtime::Backend::Native) << C->fallbackReason();
+    EXPECT_GE(Cold.expand(), 1u);
+    EXPECT_GE(Cold.optimize(), 1u);
+
+    // Warm: the record supplies the kernel; nothing is lowered, the kernel
+    // is still trialed.
+    Deltas DW;
+    Samples Warm;
+    auto W = plan(Spec);
+    ASSERT_TRUE(W);
+    EXPECT_EQ(Warm.expand(), 0u);
+    EXPECT_EQ(Warm.optimize(), 0u);
+    EXPECT_EQ(Warm.trial(), 1u);
+    EXPECT_EQ(DW.compiles(), 0u);
+    EXPECT_EQ(DW.hits(), 1u);
+    EXPECT_EQ(DW.corrupt(), 0u);
+
+    EXPECT_EQ(W->backend(), runtime::Backend::Native);
+    EXPECT_EQ(W->formulaText(), C->formulaText());
+    EXPECT_EQ(W->searchCost(), C->searchCost());
+    EXPECT_EQ(W->vectorLen(), C->vectorLen());
+    EXPECT_EQ(W->layout(), C->layout());
+    EXPECT_EQ(W->lanes(), C->lanes());
+    EXPECT_EQ(W->codegenVariant(), C->codegenVariant());
+    const std::vector<double> YC = run(*C), YW = run(*W);
+    ASSERT_EQ(YC.size(), YW.size());
+    EXPECT_EQ(std::memcmp(YC.data(), YW.data(), YC.size() * sizeof(double)),
+              0)
+        << "a record-hit kernel must compute the cold kernel's bits";
+
+    // The lazily built program is the one the cold plan lowered.
+    Samples Lazy;
+    EXPECT_EQ(W->program().print(), C->program().print());
+    EXPECT_EQ(Lazy.optimize(), 1u) << "only the warm plan lowers, once";
+    EXPECT_EQ(&W->program(), &W->program());
+  }
+}
+
+TEST_F(PlanRecordTest, LazyProgramIsBuiltOnceUnderConcurrentCallers) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!NativeModule::available() || KernelCache::buildId().empty())
+    GTEST_SKIP() << "needs a C compiler and a build-id";
+  runtime::PlanSpec Spec;
+  Spec.Size = 64;
+  const std::string Want = plan(Spec)->program().print();
+  auto W = plan(Spec); // A record hit: no program yet.
+  ASSERT_TRUE(W);
+  Samples S;
+  std::vector<std::string> Got(4);
+  std::vector<std::thread> Threads;
+  for (std::size_t I = 0; I != Got.size(); ++I)
+    Threads.emplace_back([&, I] { Got[I] = W->program().print(); });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::string &G : Got)
+    EXPECT_EQ(G, Want);
+  EXPECT_EQ(S.optimize(), 1u);
+}
+
+TEST_F(PlanRecordTest, EveryKeyInputChangesThePlanKey) {
+  KernelCache::PlanKeyInputs Base;
+  Base.FormulaText = "(F 4)";
+  Base.SubName = "fft4";
+  Base.Datatype = "complex";
+  Base.UnrollThreshold = 16;
+  Base.Evaluator = "opcount";
+  Base.Variant = "scalar";
+  Base.ISA = "avx2";
+  Base.Flags = "-O2";
+  Base.Compiler = "cc | gcc 12.2.0";
+  Base.Host = "0123456789abcdef";
+  Base.BuildId = "8724c761a2283e174a0cc73d1bbdeb1fb9bfaa09";
+  const std::string Key = KernelCache::planKey(Base);
+  EXPECT_EQ(Key.size(), 16u);
+  EXPECT_EQ(KernelCache::planKey(Base), Key) << "derivation is deterministic";
+
+  // A rebuilt emitter, optimizer or lowering changes the build-id, so it
+  // can never hit a kernel an older build recorded.
+  auto Changed = [&](auto Mutate) {
+    KernelCache::PlanKeyInputs In = Base;
+    Mutate(In);
+    return KernelCache::planKey(In);
+  };
+  using In = KernelCache::PlanKeyInputs;
+  EXPECT_NE(Changed([](In &I) { I.BuildId[0] = '9'; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.Flags = "-O2 -mavx2 -mfma"; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.Compiler = "cc | gcc 13.1.0"; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.ISA = "neon"; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.UnrollThreshold = 32; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.Datatype = "real"; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.FormulaText = "(F 4) "; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.SubName = "fft4b"; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.Variant = "vector"; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.Evaluator = "vmtime"; }), Key);
+  EXPECT_NE(Changed([](In &I) { I.Host = "fedcba9876543210"; }), Key);
+
+  // No build-id, no plan records.
+  EXPECT_EQ(Changed([](In &I) { I.BuildId.clear(); }), "");
+  // This toolchain emits one by default; it reads as hex.
+  const std::string &Id = KernelCache::buildId();
+  EXPECT_EQ(Id.find_first_not_of("0123456789abcdef"), std::string::npos)
+      << Id;
+}
+
+class DamagedPlanRecordTest : public PlanRecordTest {
+protected:
+  /// Plans fft 64 cold, damages the cache with \p Damage, and plans it
+  /// again: the damaged record must fall back to the full path with the
+  /// cold plan's output, count one corrupt entry and \p Compiles compiler
+  /// runs, and leave a clean record the next plan hits.
+  void check(const std::function<void(const std::string &PlanKey,
+                                      const std::string &SoKey)> &Damage,
+             std::uint64_t Compiles) {
+    runtime::PlanSpec Spec;
+    Spec.Size = 64;
+    auto C = plan(Spec);
+    ASSERT_TRUE(C);
+    ASSERT_EQ(C->backend(), runtime::Backend::Native) << C->fallbackReason();
+    const std::vector<double> Want = run(*C);
+    const auto [PlanKey, SoKey] = onlyRecord();
+    ASSERT_FALSE(PlanKey.empty());
+    Damage(PlanKey, SoKey);
+
+    Deltas D;
+    Samples S;
+    auto W = plan(Spec);
+    ASSERT_TRUE(W);
+    EXPECT_EQ(W->backend(), runtime::Backend::Native) << W->fallbackReason();
+    EXPECT_FALSE(W->usedFallback());
+    EXPECT_EQ(run(*W), Want);
+    EXPECT_GE(S.optimize(), 1u) << "a damaged record takes the full path";
+    EXPECT_EQ(D.compiles(), Compiles);
+    EXPECT_EQ(D.corrupt(), 1u);
+
+    // The full path's insert rewrote a clean record: the next plan hits it.
+    expectTablesMatchRecords();
+    Deltas D2;
+    Samples S2;
+    auto Again = plan(Spec);
+    ASSERT_TRUE(Again);
+    EXPECT_EQ(S2.optimize(), 0u);
+    EXPECT_EQ(D2.hits(), 1u);
+    EXPECT_EQ(D2.corrupt(), 0u);
+    EXPECT_EQ(run(*Again), Want);
+  }
+
+  void SetUp() override {
+    PlanRecordTest::SetUp();
+    if (fault::armed() || !NativeModule::available() ||
+        KernelCache::buildId().empty())
+      GTEST_SKIP() << "needs a C compiler, a build-id and no SPL_FAULT";
+  }
+};
+
+TEST_F(DamagedPlanRecordTest, TruncatedTablesFallBack) {
+  check(
+      [&](const std::string &PlanKey, const std::string &) {
+        const std::string Path = Dir + "/" + PlanKey + ".tables";
+        const std::string Bytes = slurp(Path);
+        std::ofstream(Path, std::ios::trunc | std::ios::binary)
+            << Bytes.substr(0, Bytes.size() - 3);
+      },
+      /*Compiles=*/0);
+}
+
+TEST_F(DamagedPlanRecordTest, FlippedTablesBitFallsBack) {
+  check(
+      [&](const std::string &PlanKey, const std::string &) {
+        const std::string Path = Dir + "/" + PlanKey + ".tables";
+        std::string Bytes = slurp(Path);
+        Bytes[Bytes.size() - 5] ^= 0x10;
+        std::ofstream(Path, std::ios::trunc | std::ios::binary) << Bytes;
+      },
+      /*Compiles=*/0);
+}
+
+TEST_F(DamagedPlanRecordTest, DeletedArtifactFallsBack) {
+  check(
+      [&](const std::string &, const std::string &SoKey) {
+        ASSERT_TRUE(fs::remove(Dir + "/" + SoKey + ".so"));
+      },
+      /*Compiles=*/1);
+}
+
+TEST_F(DamagedPlanRecordTest, UnloadableArtifactFallsBack) {
+  check(
+      [&](const std::string &, const std::string &SoKey) {
+        // Checksum-valid garbage: only dlopen can tell.
+        const std::string Alien = Dir + ".alien";
+        std::ofstream(Alien, std::ios::binary) << "not an ELF object\n";
+        ASSERT_TRUE(KernelCache::insert(SoKey, Alien));
+        std::remove(Alien.c_str());
+      },
+      /*Compiles=*/1);
 }
 
 } // namespace

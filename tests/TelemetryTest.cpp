@@ -9,19 +9,26 @@
 /// disarmed no-ops, histogram edge cases (empty, single sample, saturating
 /// overflow bucket, 8-thread concurrent recording, quantile rank), the
 /// metric catalogue (names, JSON shape, reset, profile table, lookups), the
-/// span tracer ring, the StageTimer stage instrument, and the per-lane-group
-/// staging/kernel split of Plan execution.
+/// span tracer ring, the StageTimer stage instrument, the per-lane-group
+/// staging/kernel split of Plan execution, and the stages of a warm plan.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
+#include "perf/KernelCache.h"
+#include "perf/NativeCompile.h"
 #include "runtime/Planner.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -411,6 +418,50 @@ TEST(RuntimeTelemetry, ArmedBatchTimesStagingAndKernelPerLaneGroup) {
   const std::uint64_t Groups = (Count + P->lanes() - 1) / P->lanes();
   EXPECT_EQ(telemetry::RuntimeStageNs.snapshot().Count, Groups);
   EXPECT_EQ(telemetry::RuntimeKernelNs.snapshot().Count, Groups);
+}
+
+TEST(PlanTelemetry, WarmNativePlanRecordsOneSampleOfEachStage) {
+  // A warm plan is search + cache probe + dlopen + trial, one span each,
+  // and lowers nothing: its kernel comes from a kernel-cache plan record.
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!perf::NativeModule::available())
+    GTEST_SKIP() << "no C compiler";
+  if (perf::KernelCache::buildId().empty())
+    GTEST_SKIP() << "this build has no GNU build-id; plan records are off";
+  const perf::KernelCache::Config Saved = perf::KernelCache::config();
+  const std::string Stem = ::testing::TempDir() + "spl-telemetry-warm-" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(Stem + ".cache");
+  runtime::PlannerOptions Opts;
+  Opts.WisdomPath = Stem + ".wisdom";
+  Opts.KernelCacheDir = Stem + ".cache";
+  runtime::PlanSpec Spec;
+  Spec.Size = 256;
+  auto PlanOnce = [&] {
+    Diagnostics Diags;
+    runtime::Planner Planner(Diags, Opts);
+    auto P = Planner.plan(Spec);
+    EXPECT_TRUE(P) << Diags.dump();
+    Planner.saveWisdom();
+    return P;
+  };
+
+  ArmedScope Armed;
+  ASSERT_TRUE(PlanOnce()); // Cold: fills wisdom and the kernel cache.
+  telemetry::resetAllMetrics();
+  auto P = PlanOnce();
+  ASSERT_TRUE(P);
+  EXPECT_EQ(P->backend(), runtime::Backend::Native);
+  EXPECT_EQ(telemetry::PlanSearchNs.snapshot().Count, 1u);
+  EXPECT_EQ(telemetry::KernelcacheProbeNs.snapshot().Count, 1u);
+  EXPECT_EQ(telemetry::PlanDlopenNs.snapshot().Count, 1u);
+  EXPECT_EQ(telemetry::PlanTrialNs.snapshot().Count, 1u);
+  EXPECT_EQ(telemetry::CompileExpandNs.snapshot().Count, 0u);
+  EXPECT_EQ(telemetry::CompileOptimizeNs.snapshot().Count, 0u);
+
+  perf::KernelCache::configure(Saved);
+  std::filesystem::remove_all(Stem + ".cache");
+  std::remove((Stem + ".wisdom").c_str());
 }
 
 } // namespace

@@ -22,9 +22,9 @@ Four checks over README.md and docs/*.md:
 
 4. Every record-file dump is current: each `spl-wisdom vN` header line
    in a fenced block equals VersionHeader in src/search/PlanCache.cpp,
-   and each `spl-kernelcache vN` line equals IndexVersionHeader in
-   src/perf/KernelCache.cpp, so a format bump cannot leave stale example
-   files behind.
+   and each `spl-kernelcache vN` / `spl-kernelcache-plans vN` line equals
+   IndexVersionHeader / PlansVersionHeader in src/perf/KernelCache.cpp,
+   so a format bump cannot leave stale example files behind.
 
 Comment syntax is chosen per fence info string:
   lisp/spl   ';' to end of line
@@ -78,8 +78,10 @@ ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 RECORD_FORMATS = {
     "spl-wisdom": os.path.join("src", "search", "PlanCache.cpp"),
     "spl-kernelcache": os.path.join("src", "perf", "KernelCache.cpp"),
+    "spl-kernelcache-plans": os.path.join("src", "perf", "KernelCache.cpp"),
 }
-RECORD_HEADER_RE = re.compile(r"^(spl-wisdom|spl-kernelcache) v\d+$")
+RECORD_HEADER_RE = re.compile(
+    r"^(spl-wisdom|spl-kernelcache|spl-kernelcache-plans) v\d+$")
 VERSION_HEADER_RE = re.compile(r'VersionHeader = "([^"]+)"')
 
 
@@ -247,17 +249,19 @@ def check_metrics(def_path, doc_path):
     return errors
 
 
-def version_header(source_path):
-    """The header a source file writes, e.g. 'spl-wisdom v4'."""
+def version_header(source_path, name):
+    """The \p name header a source file writes, e.g. 'spl-wisdom v4'."""
     with open(source_path, encoding="utf-8") as f:
-        m = VERSION_HEADER_RE.search(f.read())
-    return m.group(1) if m else None
+        for value in VERSION_HEADER_RE.findall(f.read()):
+            if value.startswith(name + " v"):
+                return value
+    return None
 
 
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     headers = {
-        name: version_header(os.path.join(root, source))
+        name: version_header(os.path.join(root, source), name)
         for name, source in RECORD_FORMATS.items()
     }
     paths = [os.path.join(root, "README.md")] + sorted(
