@@ -7,9 +7,9 @@
 #include "frontend/Parser.h"
 
 #include "frontend/ScalarExpr.h"
+#include "icode/ICode.h"
 #include "ir/Builder.h"
 #include "support/StrUtil.h"
-#include "templates/Condition.h"
 
 #include <cctype>
 #include <climits>
@@ -276,14 +276,16 @@ std::optional<IntArg> Parser::parseIntArg(bool PatternMode) {
   tpl::TExprRef E = parsePrimary(ExprContext::IntParam);
   if (!E)
     return std::nullopt;
-  auto V = cond::eval(E, [](const std::string &) {
-    return std::optional<std::int64_t>();
-  });
+  icode::IntFault Fault;
+  std::optional<icode::IntValue> V = icode::lowerInt(*E, {}, Fault);
   if (!V) {
-    Diags.error(Loc, "division by zero in constant expression");
+    if (Fault.Overflow)
+      Diags.error(Fault.Loc, "integer overflow in constant expression");
+    else
+      Diags.error(Loc, "division by zero in constant expression");
     return std::nullopt;
   }
-  return IntArg(*V);
+  return IntArg(V->Lo);
 }
 
 bool Parser::parseFormulaList(bool PatternMode, std::vector<FormulaRef> &Out) {
@@ -769,7 +771,8 @@ tpl::TExprRef Parser::parsePrimary(ExprContext C) {
   const ContextRules &R = rulesFor(C);
   if (cur().is(Tok::Number) && (cur().IsInt || !R.IntegerLiterals)) {
     Token T = take();
-    return tpl::TExpr::num(Cplx(T.Num, 0), T.Loc);
+    return tpl::TExpr::num(Cplx(T.Num, 0), T.Loc,
+                           T.IsInt ? std::optional(T.Int) : std::nullopt);
   }
 
   if (cur().is(Tok::Symbol) && admits(C, tpl::TExpr::Sym)) {

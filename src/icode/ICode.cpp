@@ -7,8 +7,10 @@
 #include "icode/ICode.h"
 
 #include "support/StrUtil.h"
+#include "templates/TemplateDef.h"
 
 #include <algorithm>
+#include <cmath>
 
 using namespace spl;
 using namespace spl::icode;
@@ -35,29 +37,31 @@ IntExprRef IntExpr::mkBin(Kind K, IntExprRef L, IntExprRef R) {
   assert(L && R && "binary integer expression needs two operands");
   // Constant-fold eagerly; intrinsic arguments are often fully constant.
   if (L->K == Const && R->K == Const) {
-    std::int64_t A = L->C, B = R->C;
-    switch (K) {
-    case Add:
-      return mkConst(A + B);
-    case Sub:
-      return mkConst(A - B);
-    case Mul:
-      return mkConst(A * B);
-    case Div:
-      assert(B != 0 && "division by zero in integer expression");
-      return mkConst(A / B);
-    case Mod:
-      assert(B != 0 && "modulo by zero in integer expression");
-      return mkConst(A % B);
-    default:
-      break;
-    }
+    std::optional<std::int64_t> V = apply(K, L->C, R->C);
+    assert(V && "integer expression fails; lowerInt bounds every one");
+    return mkConst(V.value_or(0));
   }
   auto E = std::make_shared<IntExpr>();
   E->K = K;
   E->L = std::move(L);
   E->R = std::move(R);
   return E;
+}
+
+std::optional<std::int64_t> IntExpr::apply(Kind K, std::int64_t A,
+                                           std::int64_t B) {
+  assert(K != Const && K != Var && "not a binary integer operation");
+  std::int64_t R = 0;
+  if (K == Add   ? __builtin_add_overflow(A, B, &R)
+      : K == Sub ? __builtin_sub_overflow(A, B, &R)
+      : K == Mul ? __builtin_mul_overflow(A, B, &R)
+                 : B == 0 || (K == Div && A == INT64_MIN && B == -1))
+    return std::nullopt;
+  if (K == Div)
+    return A / B;
+  if (K == Mod)
+    return B == -1 ? 0 : A % B; // INT64_MIN % -1 traps in hardware.
+  return R;
 }
 
 std::int64_t IntExpr::eval(const std::vector<std::int64_t> &Vars) const {
@@ -67,24 +71,12 @@ std::int64_t IntExpr::eval(const std::vector<std::int64_t> &Vars) const {
   case Var:
     assert(static_cast<size_t>(V) < Vars.size() && "loop var out of range");
     return Vars[V];
-  case Add:
-    return L->eval(Vars) + R->eval(Vars);
-  case Sub:
-    return L->eval(Vars) - R->eval(Vars);
-  case Mul:
-    return L->eval(Vars) * R->eval(Vars);
-  case Div: {
-    std::int64_t D = R->eval(Vars);
-    assert(D != 0 && "division by zero in integer expression");
-    return L->eval(Vars) / D;
-  }
-  case Mod: {
-    std::int64_t D = R->eval(Vars);
-    assert(D != 0 && "modulo by zero in integer expression");
-    return L->eval(Vars) % D;
+  default: {
+    std::optional<std::int64_t> V = apply(K, L->eval(Vars), R->eval(Vars));
+    assert(V && "integer expression fails; lowerInt bounds every one");
+    return V.value_or(0);
   }
   }
-  return 0;
 }
 
 void IntExpr::collectVars(std::vector<int> &Out) const {
@@ -131,6 +123,140 @@ std::string IntExpr::str() const {
     Out += ")";
     return Out;
   }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Lowering integer expressions
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Bounds \p Out of A K B over the bounds of A and B, for a divisor range
+/// without 0. Each operation is monotone in each operand while the divisor
+/// keeps one sign, so its extremes lie at the corners; A % B lies within
+/// |B| - 1 of 0, on A's side. False when a corner overflows.
+bool bound(IntExpr::Kind K, const IntValue &A, const IntValue &B,
+           IntValue &Out) {
+  if (K == IntExpr::Mod) {
+    // |B| - 1, written so that B = INT64_MIN does not overflow.
+    std::int64_t M = B.Lo < 0 ? -(B.Lo + 1) : B.Hi - 1;
+    Out.Lo = std::max(std::min(A.Lo, std::int64_t(0)), -M);
+    Out.Hi = std::min(std::max(A.Hi, std::int64_t(0)), M);
+    return true;
+  }
+  Out.Lo = INT64_MAX;
+  Out.Hi = INT64_MIN;
+  for (std::int64_t X : {A.Lo, A.Hi}) {
+    for (std::int64_t Y : {B.Lo, B.Hi}) {
+      std::optional<std::int64_t> V = IntExpr::apply(K, X, Y);
+      if (!V)
+        return false;
+      Out.Lo = std::min(Out.Lo, *V);
+      Out.Hi = std::max(Out.Hi, *V);
+    }
+  }
+  return true;
+}
+
+} // namespace
+
+std::optional<IntValue> icode::lowerInt(const tpl::TExpr &E,
+                                        const IntNames &Names,
+                                        IntFault &Fault) {
+  using tpl::TExpr;
+  auto Fail = [&](const char *Message, SourceLoc Loc,
+                  bool Overflow = false) -> std::optional<IntValue> {
+    Fault = {Loc, Message, Overflow};
+    return std::nullopt;
+  };
+
+  switch (E.K) {
+  case TExpr::Num: {
+    if (E.Int)
+      return IntValue::constant(*E.Int);
+    double R = E.NumVal.real();
+    if (E.NumVal.imag() != 0 || R != std::floor(R))
+      return Fail("expected an integer constant", E.Loc);
+    if (R < -0x1p63 || R >= 0x1p63) // The cast below would be undefined.
+      return Fail("integer constant out of range", E.Loc);
+    return IntValue::constant(static_cast<std::int64_t>(R));
+  }
+  case TExpr::Sym: {
+    std::optional<IntValue> V;
+    if (Names)
+      V = Names(E);
+    return V ? V : Fail(nullptr, E.Loc);
+  }
+  case TExpr::Add:
+  case TExpr::Sub:
+  case TExpr::Mul:
+  case TExpr::Div:
+  case TExpr::Mod:
+  case TExpr::Neg: {
+    // -b is 0 - b.
+    std::optional<IntValue> A = E.K == TExpr::Neg
+                                    ? IntValue::constant(0)
+                                    : lowerInt(*E.Args[0], Names, Fault);
+    std::optional<IntValue> B;
+    if (!A || !(B = lowerInt(*E.Args.back(), Names, Fault)))
+      return std::nullopt;
+    IntExpr::Kind K = E.K == TExpr::Add   ? IntExpr::Add
+                      : E.K == TExpr::Mul ? IntExpr::Mul
+                      : E.K == TExpr::Div ? IntExpr::Div
+                      : E.K == TExpr::Mod ? IntExpr::Mod
+                                          : IntExpr::Sub;
+    if ((K == IntExpr::Div || K == IntExpr::Mod) && B->Lo <= 0 && B->Hi >= 0)
+      return Fail(B->isConst() ? "division by zero in integer expression"
+                               : "the divisor can be zero within the loop "
+                                 "bounds",
+                  E.Loc);
+    if (A->isConst() && B->isConst()) {
+      if (std::optional<std::int64_t> V = IntExpr::apply(K, A->Lo, B->Lo))
+        return IntValue::constant(*V);
+      return Fail("integer overflow in integer expression", E.Loc, true);
+    }
+    IntValue Out;
+    if (!bound(K, *A, *B, Out))
+      return Fail("integer overflow possible within the loop bounds", E.Loc,
+                  true);
+    Out.E = IntExpr::mkBin(K, A->expr(), B->expr());
+    return Out;
+  }
+  case TExpr::Not:
+  case TExpr::And:
+  case TExpr::Or:
+  case TExpr::EQ:
+  case TExpr::NE:
+  case TExpr::LT:
+  case TExpr::LE:
+  case TExpr::GT:
+  case TExpr::GE: {
+    // No context admits these over loop variables.
+    auto Operand = [&](const TExpr &Arg) -> std::optional<std::int64_t> {
+      std::optional<IntValue> V = lowerInt(Arg, Names, Fault);
+      assert((!V || V->isConst()) && "condition operator over loop indices");
+      return V ? std::optional(V->Lo) : std::nullopt;
+    };
+    std::optional<std::int64_t> A = Operand(*E.Args[0]), B;
+    // A left operand that fails fails the whole, even where the right one
+    // would decide.
+    if (!A || E.K == TExpr::Not)
+      return A ? std::optional(IntValue::constant(*A == 0)) : std::nullopt;
+    if ((E.K == TExpr::And && *A == 0) || (E.K == TExpr::Or && *A != 0))
+      return IntValue::constant(E.K == TExpr::Or);
+    if (!(B = Operand(*E.Args[1])))
+      return std::nullopt;
+    return IntValue::constant(E.K == TExpr::EQ   ? *A == *B
+                              : E.K == TExpr::NE ? *A != *B
+                              : E.K == TExpr::LT ? *A < *B
+                              : E.K == TExpr::LE ? *A <= *B
+                              : E.K == TExpr::GT ? *A > *B
+                              : E.K == TExpr::GE ? *A >= *B
+                                                 : *B != 0);
+  }
+  default: // VecRef, Call, Complex.
+    return Fail("expected an integer expression", E.Loc);
   }
 }
 

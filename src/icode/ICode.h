@@ -20,13 +20,20 @@
 #define SPL_ICODE_ICODE_H
 
 #include "ir/Matrix.h"
+#include "support/SourceLoc.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace spl {
+namespace tpl {
+struct TExpr;
+} // namespace tpl
+
 namespace icode {
 
 //===----------------------------------------------------------------------===//
@@ -48,7 +55,16 @@ struct IntExpr {
   static IntExprRef mkVar(int V);
   static IntExprRef mkBin(Kind K, IntExprRef L, IntExprRef R);
 
+  /// SPL's integer arithmetic, shared by lowerInt(), mkBin()'s constant
+  /// fold and eval(): 64-bit values, '/' truncating toward zero, '%' taking
+  /// the sign of the dividend. Returns nullopt when the divisor is zero or
+  /// the result does not fit in 64 bits.
+  static std::optional<std::int64_t> apply(Kind K, std::int64_t A,
+                                           std::int64_t B);
+
   /// Evaluates with loop variable values \p Vars (indexed by variable id).
+  /// lowerInt() bounded every expression over its loops, so with each
+  /// variable inside its loop's bounds no operation fails.
   std::int64_t eval(const std::vector<std::int64_t> &Vars) const;
 
   /// Appends the ids of all loop variables referenced to \p Out (may repeat).
@@ -60,6 +76,47 @@ struct IntExpr {
   /// Renders for debugging / printing ("$i0*$i1+4").
   std::string str() const;
 };
+
+//===----------------------------------------------------------------------===//
+// Lowering integer expressions
+//===----------------------------------------------------------------------===//
+
+/// An integer expression being lowered: the constant Lo == Hi when E is
+/// null, else the tree E over loop variables, whose value stays within
+/// [Lo, Hi] while each variable stays within its loop's bounds.
+struct IntValue {
+  IntExprRef E;
+  std::int64_t Lo = 0, Hi = 0;
+
+  static IntValue constant(std::int64_t C) { return {nullptr, C, C}; }
+  bool isConst() const { return !E; }
+  /// E, or a Const node for a constant.
+  IntExprRef expr() const { return E ? E : IntExpr::mkConst(Lo); }
+};
+
+/// Why lowerInt() failed: Message (worded for i-code bodies) at Loc, or a
+/// name that did not resolve (null Message; its resolver reports why).
+struct IntFault {
+  SourceLoc Loc;
+  const char *Message = nullptr;
+  bool Overflow = false; ///< A result beyond 64 bits, not a zero divisor.
+};
+
+/// Resolves a name of an integer expression; nullopt when it does not
+/// resolve in the context being lowered.
+using IntNames =
+    std::function<std::optional<IntValue>(const tpl::TExpr &Name)>;
+
+/// The one lowering of SPL's integer expressions (docs/LANGUAGE.md section
+/// 2.1): a template condition, an integer parameter or a template body's
+/// \p E, with names resolved by \p Names (empty: none resolve). Constants
+/// fold through IntExpr::apply(); an operation over loop variables becomes
+/// a node bounded over their loops by the same apply(), so one that can
+/// overflow or divide by zero fails here, never in mkBin() or eval().
+/// '&&' '||' '!' and comparisons take constants, yield 0 or 1, and do not
+/// lower e in '0 && e' and '1 || e'. On failure sets \p Fault.
+std::optional<IntValue> lowerInt(const tpl::TExpr &E, const IntNames &Names,
+                                 IntFault &Fault);
 
 //===----------------------------------------------------------------------===//
 // Affine subscripts

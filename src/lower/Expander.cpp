@@ -9,7 +9,7 @@
 #include "ir/Builder.h"
 #include "support/StrUtil.h"
 
-#include <cmath>
+#include <string_view>
 
 using namespace spl;
 using namespace spl::lower;
@@ -85,30 +85,46 @@ bool Expander::checkRealConst(Cplx V, SourceLoc Loc) {
 // Size inference
 //===----------------------------------------------------------------------===//
 
-cond::Lookup Expander::makeLookup(const tpl::Bindings &Binds) {
-  return [this, &Binds](const std::string &Name)
-             -> std::optional<std::int64_t> {
-    auto Dot = Name.find('.');
-    if (Dot == std::string::npos) {
-      auto It = Binds.Ints.find(Name);
-      if (It == Binds.Ints.end())
-        return std::nullopt;
-      return It->second;
-    }
-    std::string Var = Name.substr(0, Dot);
-    std::string Prop = Name.substr(Dot + 1);
-    auto It = Binds.Formulas.find(Var);
-    if (It == Binds.Formulas.end())
+/// The value of pattern variable \p Name ("n_") or of a size property
+/// ("A_.in_size") under \p Binds; nullopt when unbound or unsizable.
+std::optional<IntValue>
+Expander::bindingValue(const tpl::Bindings &Binds, const std::string &Name) {
+  auto Dot = Name.find('.');
+  if (Dot == std::string::npos) {
+    auto It = Binds.Ints.find(Name);
+    if (It == Binds.Ints.end())
       return std::nullopt;
-    auto Sizes = inferSizes(It->second);
-    if (!Sizes)
-      return std::nullopt;
-    if (Prop == "in_size")
-      return Sizes->first;
-    if (Prop == "out_size")
-      return Sizes->second;
+    return IntValue::constant(It->second);
+  }
+  auto It = Binds.Formulas.find(Name.substr(0, Dot));
+  if (It == Binds.Formulas.end())
     return std::nullopt;
-  };
+  auto Sizes = inferSizes(It->second);
+  if (!Sizes)
+    return std::nullopt;
+  std::string_view Prop = std::string_view(Name).substr(Dot + 1);
+  if (Prop == "in_size")
+    return IntValue::constant(Sizes->first);
+  if (Prop == "out_size")
+    return IntValue::constant(Sizes->second);
+  return std::nullopt;
+}
+
+/// True when \p Def has no condition or its condition is nonzero under
+/// \p Binds. A condition that does not lower (an unbound name, a zero
+/// divisor, an overflow) does not hold.
+bool Expander::conditionHolds(const tpl::TemplateDef &Def,
+                              const tpl::Bindings &Binds) {
+  if (!Def.Condition)
+    return true;
+  IntFault Fault;
+  std::optional<IntValue> V = icode::lowerInt(
+      *Def.Condition,
+      [this, &Binds](const tpl::TExpr &Name) {
+        return bindingValue(Binds, Name.Name);
+      },
+      Fault);
+  return V && V->Lo != 0;
 }
 
 std::optional<std::pair<std::int64_t, std::int64_t>>
@@ -162,7 +178,7 @@ Expander::inferUserParamSizes(const FormulaRef &F) {
     tpl::Bindings Binds;
     if (!matchPattern(It->Pattern, F, Binds))
       continue;
-    if (!cond::holds(It->Condition, makeLookup(Binds)))
+    if (!conditionHolds(*It, Binds))
       continue;
 
     Program Scratch;
@@ -251,7 +267,7 @@ bool Expander::expandInto(const FormulaRef &F, const VecMap &In,
     tpl::Bindings Binds;
     if (!matchPattern(It->Pattern, F, Binds))
       continue;
-    if (!cond::holds(It->Condition, makeLookup(Binds)))
+    if (!conditionHolds(*It, Binds))
       continue;
     return instantiate(*It, std::move(Binds), F, In, Out, Unroll);
   }
@@ -293,14 +309,17 @@ bool Expander::instantiate(const tpl::TemplateDef &Def, tpl::Bindings Binds,
 bool Expander::emitStmt(Scope &S, const tpl::TStmt &Stmt, bool Unroll) {
   switch (Stmt.K) {
   case tpl::TStmt::Do: {
-    IntExprRef Lo = toIntExpr(S, Stmt.Lo), Hi = toIntExpr(S, Stmt.Hi);
-    if (!Lo || !Hi)
+    auto First = lowerInt(S, Stmt.Lo), Last = lowerInt(S, Stmt.Hi);
+    if (!First || !Last)
       return false;
-    if (Lo->K != IntExpr::Const || Hi->K != IntExpr::Const)
+    if (!First->isConst() || !Last->isConst())
       return fail(Stmt.Loc, "loop bounds must be compile-time constants");
+    std::int64_t Lo = First->Lo, Hi = Last->Lo;
     int Var = freshLoopVar();
-    S.LoopVars[Stmt.LoopVar] = Var;
-    P->Body.push_back(Instr::loop(Var, Lo->C, Hi->C, Unroll));
+    // An empty loop runs nothing; bounding it over [Hi, Lo] is safe.
+    S.Ints[Stmt.LoopVar] = {IntExpr::mkVar(Var), std::min(Lo, Hi),
+                            std::max(Lo, Hi)};
+    P->Body.push_back(Instr::loop(Var, Lo, Hi, Unroll));
     return true;
   }
   case tpl::TStmt::EndDo:
@@ -323,10 +342,10 @@ bool Expander::emitStmt(Scope &S, const tpl::TStmt &Stmt, bool Unroll) {
       return emitAssign(S, Operand::fltTemp(It->second), Stmt.Rhs);
     }
     if (startsWith(Lhs->Name, "$r")) {
-      IntExprRef V = toIntExpr(S, Stmt.Rhs);
+      auto V = lowerInt(S, Stmt.Rhs);
       if (!V)
         return false;
-      S.IntEnv[Lhs->Name] = V;
+      S.Ints[Lhs->Name] = *V;
       return true;
     }
     return fail(Stmt.Loc, "assignment target must be $out(...), $tK(...), "
@@ -413,14 +432,14 @@ std::optional<Operand> Expander::floatOperand(Scope &S,
       return Operand::fltTemp(It->second);
     }
     // Integer-valued names are usable in floating context when constant.
-    IntExprRef V = toIntExpr(S, E);
+    auto V = lowerInt(S, E);
     if (!V)
       return std::nullopt;
-    if (V->K != IntExpr::Const) {
+    if (!V->isConst()) {
       fail(E->Loc, "non-constant integer value in floating-point context");
       return std::nullopt;
     }
-    return Operand::fltConst(Cplx(static_cast<double>(V->C), 0));
+    return Operand::fltConst(Cplx(static_cast<double>(V->Lo), 0));
   }
   case tpl::TExpr::VecRef:
     return vecOperand(S, E->Name, E->Args[0], /*IsWrite=*/false, E->Loc);
@@ -437,10 +456,10 @@ std::optional<Operand> Expander::floatOperand(Scope &S,
     }
     std::vector<IntExprRef> Args;
     for (const tpl::TExprRef &A : E->Args) {
-      IntExprRef IA = toIntExpr(S, A);
+      auto IA = lowerInt(S, A);
       if (!IA)
         return std::nullopt;
-      Args.push_back(IA);
+      Args.push_back(IA->expr());
     }
     return Operand::intrinsic(E->Name, std::move(Args));
   }
@@ -452,10 +471,10 @@ std::optional<Operand> Expander::floatOperand(Scope &S,
 std::optional<Operand> Expander::vecOperand(Scope &S, const std::string &Name,
                                             const tpl::TExprRef &Subscript,
                                             bool IsWrite, SourceLoc Loc) {
-  IntExprRef SubE = toIntExpr(S, Subscript);
+  auto SubE = lowerInt(S, Subscript);
   if (!SubE)
     return std::nullopt;
-  auto Sub = toAffine(SubE, Loc);
+  auto Sub = toAffine(SubE->expr(), Loc);
   if (!Sub)
     return std::nullopt;
 
@@ -481,89 +500,37 @@ std::optional<Operand> Expander::vecOperand(Scope &S, const std::string &Name,
   return std::nullopt;
 }
 
-IntExprRef Expander::toIntExpr(Scope &S, const tpl::TExprRef &E) {
-  switch (E->K) {
-  case tpl::TExpr::Num: {
-    double R = E->NumVal.real();
-    if (E->NumVal.imag() != 0 || R != std::floor(R)) {
-      fail(E->Loc, "expected an integer constant");
-      return nullptr;
-    }
-    if (R < -0x1p63 || R >= 0x1p63) { // The cast below would be undefined.
-      fail(E->Loc, "integer constant out of range");
-      return nullptr;
-    }
-    return IntExpr::mkConst(static_cast<std::int64_t>(R));
-  }
-  case tpl::TExpr::Sym: {
-    const std::string &N = E->Name;
-    if (startsWith(N, "$i")) {
-      auto It = S.LoopVars.find(N);
-      if (It == S.LoopVars.end()) {
-        fail(E->Loc, "loop variable " + N + " is not in scope");
-        return nullptr;
-      }
-      return IntExpr::mkVar(It->second);
-    }
-    if (startsWith(N, "$r")) {
-      auto It = S.IntEnv.find(N);
-      if (It == S.IntEnv.end()) {
-        fail(E->Loc, "use of unassigned integer temporary " + N);
-        return nullptr;
-      }
-      return It->second;
+std::optional<IntValue> Expander::lowerInt(Scope &S,
+                                           const tpl::TExprRef &E) {
+  auto Names = [this, &S](const tpl::TExpr &Name) -> std::optional<IntValue> {
+    const std::string &N = Name.Name;
+    if (startsWith(N, "$i") || startsWith(N, "$r")) {
+      auto It = S.Ints.find(N);
+      if (It != S.Ints.end())
+        return It->second;
+      fail(Name.Loc, N[1] == 'i' ? "loop variable " + N + " is not in scope"
+                                 : "use of unassigned integer temporary " + N);
+      return std::nullopt;
     }
     if (N == "$in_size" || N == "$out_size") {
       auto Sizes = inferSizes(
           std::shared_ptr<const Formula>(S.F, [](const Formula *) {}));
-      if (!Sizes) {
-        fail(E->Loc, "cannot determine formula size");
-        return nullptr;
-      }
-      return IntExpr::mkConst(N == "$in_size" ? Sizes->first
-                                              : Sizes->second);
+      if (Sizes)
+        return IntValue::constant(N == "$in_size" ? Sizes->first
+                                                  : Sizes->second);
+      fail(Name.Loc, "cannot determine formula size");
+      return std::nullopt;
     }
-    auto Lookup = makeLookup(S.Binds);
-    auto V = Lookup(N);
-    if (!V) {
-      fail(E->Loc, "unbound name '" + N + "' in integer expression");
-      return nullptr;
-    }
-    return IntExpr::mkConst(*V);
-  }
-  case tpl::TExpr::Add:
-  case tpl::TExpr::Sub:
-  case tpl::TExpr::Mul:
-  case tpl::TExpr::Div:
-  case tpl::TExpr::Mod: {
-    IntExprRef L = toIntExpr(S, E->Args[0]);
-    if (!L)
-      return nullptr;
-    IntExprRef R = toIntExpr(S, E->Args[1]);
-    if (!R)
-      return nullptr;
-    IntExpr::Kind K = E->K == tpl::TExpr::Add   ? IntExpr::Add
-                      : E->K == tpl::TExpr::Sub ? IntExpr::Sub
-                      : E->K == tpl::TExpr::Mul ? IntExpr::Mul
-                      : E->K == tpl::TExpr::Div ? IntExpr::Div
-                                                : IntExpr::Mod;
-    if ((K == IntExpr::Div || K == IntExpr::Mod) && R->K == IntExpr::Const &&
-        R->C == 0) {
-      fail(E->Loc, "division by zero in integer expression");
-      return nullptr;
-    }
-    return IntExpr::mkBin(K, L, R);
-  }
-  case tpl::TExpr::Neg: {
-    IntExprRef V = toIntExpr(S, E->Args[0]);
-    if (!V)
-      return nullptr;
-    return IntExpr::mkBin(IntExpr::Sub, IntExpr::mkConst(0), V);
-  }
-  default:
-    fail(E->Loc, "expected an integer expression");
-    return nullptr;
-  }
+    if (std::optional<IntValue> V = bindingValue(S.Binds, N))
+      return V;
+    fail(Name.Loc, "unbound name '" + N + "' in integer expression");
+    return std::nullopt;
+  };
+  IntFault Fault;
+  std::optional<IntValue> V = icode::lowerInt(*E, Names, Fault);
+  if (!V && Fault.Message)
+    fail(Fault.Loc, Fault.Message);
+  return V;
 }
 
 std::optional<Affine> Expander::toAffine(const IntExprRef &E, SourceLoc Loc) {
@@ -591,7 +558,7 @@ std::optional<Affine> Expander::toAffine(const IntExprRef &E, SourceLoc Loc) {
     return std::nullopt;
   }
   default:
-    // Non-constant Div/Mod (constants were folded in mkBin).
+    // Non-constant Div/Mod (lowerInt folded the constant ones).
     fail(Loc, "vector subscripts must be linear in the loop indices");
     return std::nullopt;
   }
@@ -647,22 +614,22 @@ bool Expander::emitCall(Scope &S, const tpl::TStmt &Stmt, bool Unroll) {
   // Offsets may involve loop indices (they stay affine); strides must be
   // compile-time constants.
   auto EvalOffset = [&](const tpl::TExprRef &E) -> std::optional<Affine> {
-    IntExprRef V = toIntExpr(S, E);
+    auto V = lowerInt(S, E);
     if (!V)
       return std::nullopt;
-    return toAffine(V, E->Loc);
+    return toAffine(V->expr(), E->Loc);
   };
   auto EvalStride = [&](const tpl::TExprRef &E)
       -> std::optional<std::int64_t> {
-    IntExprRef V = toIntExpr(S, E);
+    auto V = lowerInt(S, E);
     if (!V)
       return std::nullopt;
-    if (V->K != IntExpr::Const) {
+    if (!V->isConst()) {
       fail(E->Loc, "strides in formula calls must be compile-time "
                    "constants");
       return std::nullopt;
     }
-    return V->C;
+    return V->Lo;
   };
 
   auto InOff = EvalOffset(Stmt.CallArgs[2]);

@@ -25,7 +25,6 @@
 #include "icode/Intrinsics.h"
 #include "ir/Formula.h"
 #include "support/Diagnostics.h"
-#include "templates/Condition.h"
 #include "templates/Matcher.h"
 #include "templates/Registry.h"
 
@@ -91,10 +90,9 @@ private:
     tpl::Bindings Binds;
     const Formula *F = nullptr;
     VecMap In, Out;
-    std::map<std::string, icode::IntExprRef> IntEnv; ///< $rK values.
-    std::map<std::string, int> LoopVars;             ///< $iK -> global id.
-    std::map<std::string, int> FltTemps;             ///< $fK -> global id.
-    std::map<std::string, int> TempVecs;             ///< $tK -> vector id.
+    std::map<std::string, icode::IntValue> Ints; ///< $iK and $rK values.
+    std::map<std::string, int> FltTemps;         ///< $fK -> global id.
+    std::map<std::string, int> TempVecs;         ///< $tK -> vector id.
   };
 
   bool fail(SourceLoc Loc, std::string Message);
@@ -117,7 +115,7 @@ private:
   std::optional<icode::Operand> vecOperand(Scope &S, const std::string &Name,
                                            const tpl::TExprRef &Subscript,
                                            bool IsWrite, SourceLoc Loc);
-  icode::IntExprRef toIntExpr(Scope &S, const tpl::TExprRef &E);
+  std::optional<icode::IntValue> lowerInt(Scope &S, const tpl::TExprRef &E);
   std::optional<icode::Affine> toAffine(const icode::IntExprRef &E,
                                         SourceLoc Loc);
   std::optional<VecMap> resolveVecArg(Scope &S, const tpl::TExprRef &Arg,
@@ -136,7 +134,10 @@ private:
   int freshLoopVar() { return P->NumLoopVars++; }
   int allocTempVec(std::int64_t Size);
   icode::Operand mapVec(const VecMap &M, const icode::Affine &Sub) const;
-  cond::Lookup makeLookup(const tpl::Bindings &Binds);
+  std::optional<icode::IntValue> bindingValue(const tpl::Bindings &Binds,
+                                              const std::string &Name);
+  bool conditionHolds(const tpl::TemplateDef &Def,
+                      const tpl::Bindings &Binds);
   bool checkRealConst(Cplx V, SourceLoc Loc);
   std::optional<std::pair<std::int64_t, std::int64_t>>
   inferUserParamSizes(const FormulaRef &F);

@@ -18,7 +18,9 @@
 
 #include "ir/Formula.h"
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,14 +61,17 @@ struct TExpr {
   } K = Num;
 
   Cplx NumVal;                ///< For Num.
+  std::optional<std::int64_t> Int; ///< For Num: an integer literal, exact.
   std::string Name;           ///< For Sym / VecRef / Call.
   std::vector<TExprRef> Args; ///< Subscript, call args, or operands.
   SourceLoc Loc;
 
-  static TExprRef num(Cplx V, SourceLoc Loc = SourceLoc()) {
+  static TExprRef num(Cplx V, SourceLoc Loc = SourceLoc(),
+                      std::optional<std::int64_t> Int = std::nullopt) {
     auto E = std::make_shared<TExpr>();
     E->K = Num;
     E->NumVal = V;
+    E->Int = Int;
     E->Loc = Loc;
     return E;
   }

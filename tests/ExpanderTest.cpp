@@ -274,6 +274,57 @@ TEST(Expander, IntegerConstantsBeyondInt64AreErrors) {
   EXPECT_EQ(Diags.all().back().Message, "integer constant out of range");
 }
 
+TEST(Expander, IntegerOverflowAndZeroDivisorsAreDiagnostics) {
+  // Each integer operation of a body is bounded over its loops, so one that
+  // can fail is an error here rather than a SIGFPE or a wrapped value in
+  // unrolling, intrinsic evaluation or the VM. A condition that overflows
+  // does not match (n_ * 2^62 used to wrap to 0 for n_ = 8 and match).
+  const struct {
+    const char *Condition;
+    const char *Factor; ///< Multiplies $in($i0) in a loop over 0..n_-1.
+    const char *Message; ///< The last diagnostic; "" when it expands.
+  } Cases[] = {
+      {"", "W(n_ 8 / $i0)", "the divisor can be zero within the loop bounds"},
+      {"", "W(n_ 8 % ($i0 - 3))",
+       "the divisor can be zero within the loop bounds"},
+      {"", "W(n_ $i0 / 0)", "division by zero in integer expression"},
+      {"", "W(n_ 4611686018427387904 * 4 + $i0)",
+       "integer overflow in integer expression"},
+      {"", "W(n_ 4611686018427387904 * $i0)",
+       "integer overflow possible within the loop bounds"},
+      {"", "W(n_, -$i0 - 9223372036854775807 - 2)",
+       "integer overflow possible within the loop bounds"},
+      {"", "W(n_ 8 / ($i0 + 1))", ""},
+      {"", "W(n_ (-9223372036854775807 - 1 + $i0) % -1)", ""},
+      {"n_ * 4611686018427387904 <= 0", "$in(0)",
+       "no template matches user-defined matrix (PQ 8)"},
+  };
+  for (const auto &C : Cases) {
+    std::string Source = std::string("(template (PQ n_) ") +
+                         (*C.Condition ? "[" + std::string(C.Condition) + "] "
+                                       : "") +
+                         "(do $i0 = 0, n_-1\n $out($i0) = " + C.Factor +
+                         " * $in($i0)\n end))";
+    SCOPED_TRACE(Source);
+    Diagnostics Diags;
+    auto Registry = tpl::TemplateRegistry::withBuiltins();
+    Registry.addAll(parseTemplateString(Source, Diags));
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+    lower::Expander Exp(Registry, Diags);
+    auto Prog = Exp.expand(parseFormulaString("(PQ 8)", Diags), {});
+    if (!*C.Message) {
+      ASSERT_TRUE(Prog) << Diags.dump();
+      vm::Executor VM(*Prog);
+      std::vector<Cplx> X = randomVector(8), Y;
+      VM.run(X, Y);
+      continue;
+    }
+    EXPECT_FALSE(Prog);
+    ASSERT_FALSE(Diags.all().empty());
+    EXPECT_EQ(Diags.all().back().Message, C.Message);
+  }
+}
+
 TEST(Expander, ModuloInsideAFloatingPointOperandIsAnError) {
   // '%' nested in a floating-point expression used to recurse between
   // flattenOperand and floatOperand until the stack overflowed.

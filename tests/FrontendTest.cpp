@@ -8,10 +8,10 @@
 
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
+#include "icode/ICode.h"
 #include "ir/Builder.h"
 #include "lower/Expander.h"
 #include "support/StrUtil.h"
-#include "templates/Condition.h"
 #include "templates/Registry.h"
 
 #include <gtest/gtest.h>
@@ -363,7 +363,15 @@ std::optional<std::int64_t> evalCondition(const std::string &Cond,
   auto Defs = parseTemplateString(CondPrefix + Cond + CondSuffix, Diags);
   if (Defs.size() != 1)
     return std::nullopt;
-  return cond::eval(Defs[0].Condition, lookupForTests);
+  icode::IntFault Fault;
+  auto V = icode::lowerInt(
+      *Defs[0].Condition,
+      [](const tpl::TExpr &Name) -> std::optional<icode::IntValue> {
+        auto V = lookupForTests(Name.Name);
+        return V ? std::optional(icode::IntValue::constant(*V)) : std::nullopt;
+      },
+      Fault);
+  return V ? std::optional(V->Lo) : std::nullopt;
 }
 
 TEST(ExprGrammar, Conditions) {
@@ -403,6 +411,16 @@ TEST(ExprGrammar, Conditions) {
       {"unbound_ + 1", std::nullopt},
       {"0 && unbound_", 0},
       {"1 || unbound_", 1},
+      // 64-bit values: literals are exact, and an overflow does not match
+      // rather than wrapping (6 * 2^62 would wrap to -2^63).
+      {"9007199254740993 - 9007199254740992", 1},
+      {"n_ * 4611686018427387904 > 0", std::nullopt},
+      {"n_ * 4611686018427387904 <= 0", std::nullopt},
+      {"0 && n_ * 4611686018427387904", 0},
+      {"-(-9223372036854775807 - 1)", std::nullopt},
+      {"(-9223372036854775807 - 1) / -1", std::nullopt},
+      {"(-9223372036854775807 - 1) % -1", 0},
+      {"9223372036854775807 + 1 > 0", std::nullopt},
   };
   for (const auto &C : Accepted) {
     Diagnostics Diags;
@@ -608,17 +626,22 @@ TEST(ExprGrammar, IntegerParameters) {
 }
 
 /// A random integer expression over + - * unary minus and parentheses, with
-/// its value. Depth <= 4 with single-digit literals keeps every value far
-/// inside both int64 and the exactly representable doubles. Prec is the
-/// binding strength of the outermost operator (3 for an atom, a unary
-/// minus or a parenthesized expression).
+/// its value, nullopt when a step overflows int64. Depth <= 4 with
+/// single-digit literals keeps every value far inside both int64 and the
+/// exactly representable doubles; with \p Near2to62 a quarter of the
+/// literals lie near 2^62 instead, so that some expressions overflow. Prec
+/// is the binding strength of the outermost operator (3 for an atom, a
+/// unary minus or a parenthesized expression). Big is set when a literal
+/// near 2^62 occurs.
 struct RandomIntExpr {
   std::string Text;
-  std::int64_t Value = 0;
+  std::optional<std::int64_t> Value = 0;
   int Prec = 3;
+  bool Big = false;
 };
 
-RandomIntExpr randomIntExpr(std::mt19937 &Gen, int Depth) {
+RandomIntExpr randomIntExpr(std::mt19937 &Gen, int Depth,
+                            bool Near2to62 = false) {
   auto Pick = [&Gen](int N) {
     return std::uniform_int_distribution<int>(0, N - 1)(Gen);
   };
@@ -628,15 +651,27 @@ RandomIntExpr randomIntExpr(std::mt19937 &Gen, int Depth) {
     return E.Prec < MinPrec || Pick(4) == 0 ? "(" + E.Text + ")" : E.Text;
   };
   if (Depth == 0 || Pick(4) == 0) {
+    if (Near2to62 && Pick(4) == 0) {
+      const std::int64_t Near[] = {std::int64_t(1) << 62,
+                                   (std::int64_t(1) << 62) - 1,
+                                   (std::int64_t(1) << 62) + 1,
+                                   3037000499}; // floor(sqrt(2^63))
+      std::int64_t V = Near[Pick(4)];
+      return {std::to_string(V), V, 3, true};
+    }
     int V = Pick(10);
     return {std::to_string(V), V, 3};
   }
   if (Pick(4) == 0) {
-    RandomIntExpr E = randomIntExpr(Gen, Depth - 1);
-    return {"-" + Operand(E, 3), -E.Value, 3};
+    RandomIntExpr E = randomIntExpr(Gen, Depth - 1, Near2to62);
+    std::optional<std::int64_t> V;
+    std::int64_t Neg = 0;
+    if (E.Value && !__builtin_sub_overflow(0, *E.Value, &Neg))
+      V = Neg;
+    return {"-" + Operand(E, 3), V, 3, E.Big};
   }
-  RandomIntExpr L = randomIntExpr(Gen, Depth - 1);
-  RandomIntExpr R = randomIntExpr(Gen, Depth - 1);
+  RandomIntExpr L = randomIntExpr(Gen, Depth - 1, Near2to62);
+  RandomIntExpr R = randomIntExpr(Gen, Depth - 1, Near2to62);
   const char *Space = Pick(2) ? " " : "";
   int Op = Pick(3);
   int Prec = Op == 2 ? 2 : 1;
@@ -644,16 +679,19 @@ RandomIntExpr randomIntExpr(std::mt19937 &Gen, int Depth) {
   // right operands must bind tighter.
   std::string Text = Operand(L, Prec) + Space + "+-*"[Op] + Space +
                      Operand(R, Prec + 1);
-  std::int64_t V = Op == 0   ? L.Value + R.Value
-                   : Op == 1 ? L.Value - R.Value
-                             : L.Value * R.Value;
-  return {Text, V, Prec};
+  std::int64_t V = 0;
+  bool Overflow = !L.Value || !R.Value ||
+                  (Op == 0   ? __builtin_add_overflow(*L.Value, *R.Value, &V)
+                   : Op == 1 ? __builtin_sub_overflow(*L.Value, *R.Value, &V)
+                             : __builtin_mul_overflow(*L.Value, *R.Value, &V));
+  return {Text, Overflow ? std::nullopt : std::optional(V), Prec,
+          L.Big || R.Big};
 }
 
 /// Lowers a template whose only loop runs from \p Bound to \p Bound and
 /// returns the lower bound the expander computed.
-std::optional<std::int64_t> loweredLoopBound(const std::string &Bound) {
-  Diagnostics Diags;
+std::optional<std::int64_t> loweredLoopBound(const std::string &Bound,
+                                             Diagnostics &Diags) {
   auto Defs = parseTemplateString("(template (PQ n_) (do $i0 = " + Bound +
                                       ", " + Bound +
                                       "\n $out(0) = $in(0)\n end))",
@@ -674,21 +712,46 @@ std::optional<std::int64_t> loweredLoopBound(const std::string &Bound) {
 }
 
 TEST(ExprGrammar, RandomIntegerExpressionsAgreeAcrossContexts) {
+  // An overflow makes the condition not match and is an error in an i-code
+  // body and in an integer parameter.
   std::mt19937 Gen(20011);
-  for (int Trial = 0; Trial != 200; ++Trial) {
-    RandomIntExpr E = randomIntExpr(Gen, 4);
+  int Overflows = 0;
+  for (int Trial = 0; Trial != 300; ++Trial) {
+    RandomIntExpr E = randomIntExpr(Gen, 4, /*Near2to62=*/true);
     SCOPED_TRACE(E.Text);
+    Overflows += !E.Value;
 
     Diagnostics CDiags;
     EXPECT_EQ(evalCondition(E.Text, CDiags), E.Value) << CDiags.dump();
+    EXPECT_FALSE(CDiags.hasErrors()) << CDiags.dump();
 
-    EXPECT_EQ(loweredLoopBound(E.Text), E.Value);
+    Diagnostics LDiags;
+    EXPECT_EQ(loweredLoopBound(E.Text, LDiags), E.Value) << LDiags.dump();
+    if (!E.Value)
+      expectFirstError(LDiags,
+                       {E.Text.c_str(), 0,
+                        "integer overflow in integer expression"},
+                       0);
 
+    Diagnostics PDiags;
+    FormulaRef F = parseFormulaString("(J (" + E.Text + "))", PDiags);
+    if (E.Value)
+      EXPECT_EQ(F ? F->print() : PDiags.dump(),
+                "(J " + std::to_string(*E.Value) + ")");
+    else
+      expectFirstError(PDiags,
+                       {E.Text.c_str(), 0,
+                        "integer overflow in constant expression"},
+                       0);
+
+    if (E.Big) // Elements are doubles, exact only up to 2^53.
+      continue;
     Diagnostics EDiags;
     FormulaRef D = parseFormulaString("(diagonal ((" + E.Text + ")))", EDiags);
     ASSERT_TRUE(D) << EDiags.dump();
-    EXPECT_EQ(D->diagElems()[0], Cplx(static_cast<double>(E.Value), 0));
+    EXPECT_EQ(D->diagElems()[0], Cplx(static_cast<double>(*E.Value), 0));
   }
+  EXPECT_GT(Overflows, 20);
 }
 
 TEST(ExprGrammar, ParenthesizedIntegerParameters) {
@@ -702,6 +765,8 @@ TEST(ExprGrammar, ParenthesizedIntegerParameters) {
       {"(F (9 % 5))", "(F 4)"},
       {"(F (7 / 2))", "(F 3)"},
       {"(J 3 (-1))", "(J 3 -1)"},
+      {"(J 9223372036854775806)", "(J 9223372036854775806)"},
+      {"(J (-9223372036854775807 - 1))", "(J -9223372036854775808)"},
   };
   for (const auto &C : Accepted) {
     Diagnostics Diags;
@@ -713,6 +778,14 @@ TEST(ExprGrammar, ParenthesizedIntegerParameters) {
   const Rejected Rejects[] = {
       {"(F (1/0))", 4, "division by zero in constant expression"},
       {"(F (4 % 0))", 4, "division by zero in constant expression"},
+      // An overflow is reported at its operator; 2^62 * 4 used to wrap
+      // to 0 and read as a non-positive size.
+      {"(I (4611686018427387904 * 4))", 25,
+       "integer overflow in constant expression"},
+      {"(I (-(-9223372036854775807 - 1)))", 5,
+       "integer overflow in constant expression"},
+      {"(I ((-9223372036854775807 - 1) / -1))", 32,
+       "integer overflow in constant expression"},
       {"(F (2.5))", 5, "expected an integer parameter"},
       {"(F (2 * N))", 9, "expected an integer parameter"},
       {"(F (2, 3))", 6,
@@ -738,7 +811,7 @@ TEST(ExprGrammar, ParenthesizedIntegerParameters) {
     Diagnostics PDiags;
     FormulaRef F = parseFormulaString("(J (" + E.Text + "))", PDiags);
     ASSERT_TRUE(F) << E.Text << "\n" << PDiags.dump();
-    EXPECT_EQ(F->print(), "(J " + std::to_string(E.Value) + ")") << E.Text;
+    EXPECT_EQ(F->print(), "(J " + std::to_string(*E.Value) + ")") << E.Text;
   }
 }
 

@@ -350,6 +350,33 @@ TEST(Splc, ExitCodesDistinguishFailureStages) {
   EXPECT_EQ(exitStatus(runSplc("", "(F 2)")), 0);
 }
 
+TEST(Splc, IntegerFaultsAreDiagnosticsNotSignals) {
+  // An overflow or a zero divisor in an integer expression used to wrap
+  // silently or kill splc with SIGFPE (exit 136 from the shell).
+  const char *Loop = "(template (PQ n_) (do $i0 = 0, n_-1\n $out($i0) = ";
+  const struct {
+    std::string Source;
+    int Exit;
+    const char *Message;
+  } Cases[] = {
+      {"(I (4611686018427387904 * 4))", 3,
+       "1:25: integer overflow in constant expression"},
+      {Loop + std::string("W(n_ 8 / $i0) * $in($i0)\n end))\n(PQ 8)"), 4,
+       "the divisor can be zero within the loop bounds"},
+      {Loop + std::string("W(n_ 4611686018427387904 * 4 + $i0) * "
+                          "$in($i0)\n end))\n(PQ 8)"),
+       4, "integer overflow in integer expression"},
+      {"(template (PQ n_) [n_ * 4611686018427387904 == 0] (do $i0 = 0, "
+       "n_-1\n $out($i0) = $in($i0)\n end))\n(PQ 4)",
+       4, "no template matches user-defined matrix (PQ 4)"},
+  };
+  for (const auto &C : Cases) {
+    auto R = runSplc("", C.Source);
+    EXPECT_EQ(exitStatus(R), C.Exit) << C.Source << "\n" << R.Output;
+    EXPECT_NE(R.Output.find(C.Message), std::string::npos) << R.Output;
+  }
+}
+
 TEST(Splrun, DegradationChainSurvivesInjectedFaults) {
   // Acceptance criterion: with the native compile *and* the VM tier both
   // forced to fail, splrun must fall through to the dense-matrix oracle

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sanity-check the project's Markdown docs.
 
-Four checks over README.md and docs/*.md:
+Five checks over README.md and docs/*.md:
 
 1. Every fenced code block must have balanced (), [] and {} after
    comment text is stripped. This catches the usual documentation rot:
@@ -25,6 +25,11 @@ Four checks over README.md and docs/*.md:
    and each `spl-kernelcache vN` / `spl-kernelcache-plans vN` line equals
    IndexVersionHeader / PlansVersionHeader in src/perf/KernelCache.cpp,
    so a format bump cannot leave stale example files behind.
+
+5. Every source path resolves: `src/x/Y.{h,cpp}` needs every listed
+   file, a bare stem `src/x/Y` a Y.h or a Y.cpp, `src/x/` a directory,
+   and any other `src/...` path an existing file or directory, so a
+   moved or deleted module cannot stay named in the docs.
 
 Comment syntax is chosen per fence info string:
   lisp/spl   ';' to end of line
@@ -83,6 +88,9 @@ RECORD_FORMATS = {
 RECORD_HEADER_RE = re.compile(
     r"^(spl-wisdom|spl-kernelcache|spl-kernelcache-plans) v\d+$")
 VERSION_HEADER_RE = re.compile(r'VersionHeader = "([^"]+)"')
+
+# A source path: src/x/Y.h, src/x/Y.{h,cpp}, a stem src/x/Y, a dir src/x/.
+SRC_PATH_RE = re.compile(r"(?<![\w/.])src/[\w/.-]*(?:\{[\w,.]+\})?")
 
 
 def strip_comments(line, markers):
@@ -216,6 +224,36 @@ def check_file(path, headers):
     return blocks, links, errors
 
 
+def check_source_paths(root, path):
+    """Report each src/... path in one document that names nothing."""
+    errors = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            for m in SRC_PATH_RE.finditer(line):
+                ref = m.group(0).rstrip(".")
+                full = os.path.join(root, ref)
+                if ref.endswith("}"):
+                    stem, _, alts = ref[:-1].partition("{")
+                    missing = [
+                        stem + alt for alt in alts.split(",")
+                        if not os.path.isfile(os.path.join(root, stem + alt))
+                    ]
+                elif ref.endswith("/"):
+                    missing = [] if os.path.isdir(full) else [ref]
+                elif os.path.exists(full):
+                    missing = []
+                elif "." not in os.path.basename(ref):
+                    found = any(os.path.isfile(full + ext)
+                                for ext in (".h", ".cpp"))
+                    missing = [] if found else [ref + ".h or .cpp"]
+                else:
+                    missing = [ref]
+                for name in missing:
+                    errors.append("%s:%d: '%s' names a missing source (%s)"
+                                  % (path, lineno, ref, name))
+    return errors
+
+
 def check_metrics(def_path, doc_path):
     """Compare Metrics.def with the ### Counters/Gauges/Histograms tables."""
     declared = set()
@@ -279,6 +317,7 @@ def main():
         total_links += len(links)
         all_errors += errors
         all_errors += check_links(path, links, anchor_cache)
+        all_errors += check_source_paths(root, path)
     for name, source in RECORD_FORMATS.items():
         if not (headers[name] or "").startswith(name + " v"):
             all_errors.append("%s: no %s VersionHeader found" % (source, name))
