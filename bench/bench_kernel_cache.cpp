@@ -16,6 +16,13 @@
 /// sample: its kernel comes from a plan record). Exits nonzero when a warm
 /// plan ever reaches the compiler or lowers its formula.
 ///
+/// A ballast arm then checks that planning cost does not grow with the
+/// process: it times warm plans of fft 256 and fft 1024 (median of 15)
+/// with 0 and with 256 MiB of touched heap ballast, and exits nonzero when
+/// a 256 MiB median exceeds 1.5x its 0 MiB median. Every warm plan proves
+/// its kernel in a spawned trial runner; a fork of the planning process
+/// would copy the ballast's page tables on every plan.
+///
 /// Environment knobs (in addition to BenchUtil's):
 ///   SPL_KC_MAXLG=<k>   largest FFT size 2^k to plan (default 10)
 ///
@@ -28,10 +35,12 @@
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 using namespace spl;
 using namespace spl::bench;
@@ -141,13 +150,69 @@ int main() {
     }
   }
 
+  // Ballast arm: warm plans with and without 256 MiB of touched heap.
+  constexpr int Reps = 15;
+  constexpr std::size_t BallastMiB = 256;
+  const std::int64_t BallastSizes[] = {256, 1024};
+  auto warmMedianMs = [&](std::int64_t N) {
+    runtime::PlanSpec Spec;
+    Spec.Size = N;
+    std::vector<double> Ms;
+    for (int R = 0; R != Reps; ++R) {
+      Diagnostics Diags;
+      runtime::PlannerOptions POpts;
+      POpts.WisdomPath = WisdomPath;
+      POpts.KernelCacheDir = CacheDir;
+      runtime::Planner Planner(Diags, POpts);
+      Timer Wall;
+      auto Plan = Planner.plan(Spec);
+      Ms.push_back(Wall.seconds() * 1e3);
+      if (!Plan || Plan->backend() != runtime::Backend::Native)
+        return -1.0;
+      Planner.saveWisdom();
+    }
+    std::nth_element(Ms.begin(), Ms.begin() + Reps / 2, Ms.end());
+    return Ms[Reps / 2];
+  };
+  std::printf("\nwarm plan vs process size (median of %d, ms)\n", Reps);
+  std::printf("%8s  %12s  %12s  %8s\n", "N", "0 MiB", "256 MiB", "ratio");
+  bool BallastFailed = false;
+  for (std::int64_t N : BallastSizes) {
+    // One cold plan writes the record if the sweep above did not.
+    const double Cold = warmMedianMs(N);
+    const double Bare = warmMedianMs(N);
+    double Heavy = -1;
+    {
+      std::vector<char> Ballast(BallastMiB << 20, 1); // Touches every page.
+      Heavy = warmMedianMs(N);
+      std::printf("%8lld  %12.3f  %12.3f  %7.2fx%s\n",
+                  static_cast<long long>(N), Bare, Heavy,
+                  Bare > 0 ? Heavy / Bare : 0.0,
+                  Ballast[Ballast.size() / 2] == 1 ? "" : " (ballast lost)");
+    }
+    const std::string Suffix = "_n" + std::to_string(N);
+    Report.num("warm_ballast0_ms" + Suffix, Bare);
+    Report.num("warm_ballast256_ms" + Suffix, Heavy);
+    if (Cold < 0 || Bare <= 0 || Heavy < 0 || Heavy > 1.5 * Bare) {
+      std::printf("GATE FAILED at N=%lld: the 256 MiB warm median is not "
+                  "within 1.5x of the 0 MiB one (or a plan was not native)\n",
+                  static_cast<long long>(N));
+      BallastFailed = true;
+    }
+  }
+
   std::filesystem::remove_all(CacheDir);
   std::remove(WisdomPath.c_str());
 
   Report.boolean("skipped", false);
   Report.boolean("gate_warm_zero_compiles", !GateFailed);
+  Report.boolean("gate_warm_ballast", !BallastFailed);
   Report.write();
 
+  if (BallastFailed) {
+    std::puts("\nresult: FAIL — warm planning cost grows with the process");
+    return 1;
+  }
   if (GateFailed) {
     std::puts("\nresult: FAIL — a warm plan reached the compiler or "
               "lowered its formula");

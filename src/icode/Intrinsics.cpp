@@ -14,19 +14,19 @@ using namespace spl::icode;
 IntrinsicRegistry::IntrinsicRegistry() {
   add("W", 2, [](const std::vector<std::int64_t> &A) {
     return wRoot(A[0], A[1]);
-  });
+  }, 1);
   add("TW", 3, [](const std::vector<std::int64_t> &A) {
     return twiddleEntry(A[0], A[1], A[2]);
-  });
+  }, 2);
   add("DCT2E", 3, [](const std::vector<std::int64_t> &A) {
     return Cplx(dct2Entry(A[0], A[1], A[2]), 0);
-  });
+  }, 1);
   add("DCT4E", 3, [](const std::vector<std::int64_t> &A) {
     return Cplx(dct4Entry(A[0], A[1], A[2]), 0);
-  });
+  }, 1);
   add("WHTE", 3, [](const std::vector<std::int64_t> &A) {
     return Cplx(whtEntry(A[0], A[1], A[2]), 0);
-  });
+  }, 1);
 }
 
 const IntrinsicRegistry &IntrinsicRegistry::builtins() {
@@ -34,14 +34,15 @@ const IntrinsicRegistry &IntrinsicRegistry::builtins() {
   return Registry;
 }
 
-void IntrinsicRegistry::add(std::string Name, unsigned Arity, IntrinsicFn Fn) {
+void IntrinsicRegistry::add(std::string Name, unsigned Arity, IntrinsicFn Fn,
+                            unsigned Orders) {
   for (auto &[N, E] : Entries) {
     if (N == Name) {
-      E = {Arity, std::move(Fn)};
+      E = {Arity, std::move(Fn), Orders};
       return;
     }
   }
-  Entries.push_back({std::move(Name), {Arity, std::move(Fn)}});
+  Entries.push_back({std::move(Name), {Arity, std::move(Fn), Orders}});
 }
 
 const IntrinsicRegistry::Entry *
@@ -60,6 +61,12 @@ unsigned IntrinsicRegistry::arity(const std::string &Name) const {
   const Entry *E = find(Name);
   assert(E && "unknown intrinsic");
   return E->Arity;
+}
+
+unsigned IntrinsicRegistry::orders(const std::string &Name) const {
+  const Entry *E = find(Name);
+  assert(E && "unknown intrinsic");
+  return E->Orders;
 }
 
 Cplx IntrinsicRegistry::eval(const std::string &Name,

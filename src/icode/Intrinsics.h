@@ -44,14 +44,20 @@ public:
   IntrinsicRegistry();
 
   /// Registers (or replaces) an intrinsic. \p Arity is checked at
-  /// evaluation time.
-  void add(std::string Name, unsigned Arity, IntrinsicFn Fn);
+  /// evaluation time. Its first \p Orders arguments are orders (W's n,
+  /// TW's mn and n), which the expander requires to be positive.
+  void add(std::string Name, unsigned Arity, IntrinsicFn Fn,
+           unsigned Orders = 0);
 
   /// True when \p Name is a registered intrinsic.
   bool contains(const std::string &Name) const;
 
   /// Arity of \p Name; asserts that the intrinsic exists.
   unsigned arity(const std::string &Name) const;
+
+  /// How many leading arguments of \p Name are orders; asserts that the
+  /// intrinsic exists.
+  unsigned orders(const std::string &Name) const;
 
   /// Evaluates \p Name on \p Args; asserts on unknown name or wrong arity.
   Cplx eval(const std::string &Name,
@@ -61,6 +67,7 @@ private:
   struct Entry {
     unsigned Arity;
     IntrinsicFn Fn;
+    unsigned Orders;
   };
   std::vector<std::pair<std::string, Entry>> Entries;
 

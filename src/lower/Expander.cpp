@@ -9,6 +9,7 @@
 #include "ir/Builder.h"
 #include "support/StrUtil.h"
 
+#include <algorithm>
 #include <string_view>
 
 using namespace spl;
@@ -455,12 +456,39 @@ std::optional<Operand> Expander::floatOperand(Scope &S,
       return std::nullopt;
     }
     std::vector<IntExprRef> Args;
+    std::vector<int> Vars;
     for (const tpl::TExprRef &A : E->Args) {
       auto IA = lowerInt(S, A);
       if (!IA)
         return std::nullopt;
+      // An order is a divisor of the intrinsic (W's k mod n, ...).
+      if (Args.size() < Intrinsics.orders(E->Name) && IA->Lo <= 0) {
+        fail(A->Loc, "the order of intrinsic '" + E->Name +
+                         (IA->isConst() ? "' must be positive"
+                                        : "' can be nonpositive within the "
+                                          "loop bounds"));
+        return std::nullopt;
+      }
       Args.push_back(IA->expr());
+      Args.back()->collectVars(Vars);
     }
+    // Intrinsic evaluation tables the call over its loops' index ranges.
+    std::sort(Vars.begin(), Vars.end());
+    Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
+    std::int64_t Entries = 1;
+    for (int V : Vars)
+      for (const auto &[Name, Value] : S.Ints)
+        if (Value.E && Value.E->K == IntExpr::Var && Value.E->V == V) {
+          std::int64_t Span = 0;
+          if (__builtin_sub_overflow(Value.Hi, Value.Lo, &Span) ||
+              __builtin_add_overflow(Span, 1, &Span) ||
+              __builtin_mul_overflow(Entries, Span, &Entries)) {
+            fail(E->Loc, "the table of intrinsic '" + E->Name +
+                             "' over its loops would exceed 2^63 entries");
+            return std::nullopt;
+          }
+          break;
+        }
     return Operand::intrinsic(E->Name, std::move(Args));
   }
   default:

@@ -47,9 +47,8 @@ constexpr const char *IndexVersionHeader = "spl-kernelcache v1";
 // each spec takes the full path and writes its record again.
 constexpr const char *PlansVersionHeader = "spl-kernelcache-plans v1";
 
-/// The tables artifact: this magic, a u64 table count, then per table a
-/// u64 length and that many doubles, all in host byte order (the host
-/// fingerprint is part of the plan key).
+/// The tables artifact's magic (KernelCache::writeTables; the host
+/// fingerprint is part of the plan key, so host byte order is safe).
 constexpr char TablesMagic[8] = {'s', 'p', 'l', 't', 'a', 'b', '0', '1'};
 
 std::mutex ConfigM;
@@ -200,22 +199,7 @@ std::string tablesChecksum(const std::string &Bytes) {
   return Hex;
 }
 
-std::string encodeTables(const std::vector<std::vector<double>> &Tables) {
-  std::string Bytes(TablesMagic, sizeof TablesMagic);
-  auto Put = [&](const void *P, std::size_t N) {
-    Bytes.append(static_cast<const char *>(P), N);
-  };
-  const std::uint64_t Count = Tables.size();
-  Put(&Count, sizeof Count);
-  for (const std::vector<double> &T : Tables) {
-    const std::uint64_t Len = T.size();
-    Put(&Len, sizeof Len);
-    Put(T.data(), T.size() * sizeof(double));
-  }
-  return Bytes;
-}
-
-/// Inverse of encodeTables; nullopt when the bytes do not parse exactly.
+/// Inverse of writeTables; nullopt when the bytes do not parse exactly.
 std::optional<std::vector<std::vector<double>>>
 decodeTables(const std::string &Bytes) {
   std::size_t Pos = 0;
@@ -543,7 +527,9 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
   // Artifact first, then the index that vouches for it: a crash between
   // the two leaves an orphan, never an index entry pointing at garbage.
   std::string Dest = soPath(C.Dir, Key);
-  if (!support::replaceFile(Dest, *Bytes))
+  // Executable, like the compiler's own output: the trial runner is an
+  // artifact too.
+  if (!support::replaceFile(Dest, *Bytes) || ::chmod(Dest.c_str(), 0755) != 0)
     return std::nullopt;
   Index[Key] = IndexEntry{fnv1aHex(*Bytes), Bytes->size()};
   settle(C.Dir, C.MaxBytes, Index, Plans, Key, "");
@@ -649,8 +635,9 @@ KernelCache::probePlan(const std::string &PlanKey) {
   }
   telemetry::KernelcacheHits.add();
   Hit.SoPath = soPath(C.Dir, Hit.SoKey);
+  Hit.TablesPath = tablesPath(C.Dir, PlanKey);
   touchArtifact(Hit.SoPath);
-  touchArtifact(tablesPath(C.Dir, PlanKey));
+  touchArtifact(Hit.TablesPath);
   return Hit;
 }
 
@@ -672,13 +659,29 @@ void KernelCache::insertPlan(const std::string &PlanKey,
     return; // Evicted or dropped since the caller loaded it.
 
   // Tables first, then the record that vouches for them.
-  const std::string Bytes = encodeTables(Tables);
+  std::string Bytes;
+  writeTables(Tables, [&](const void *P, std::size_t N) {
+    Bytes.append(static_cast<const char *>(P), N);
+  });
   if (!support::replaceFile(tablesPath(C.Dir, PlanKey), Bytes))
     return;
   Plans[PlanKey] = PlanEntry{SoKey, tablesChecksum(Bytes), Bytes.size(), Cost};
   settle(C.Dir, C.MaxBytes, Index, Plans, SoKey, PlanKey);
   if (writeIndex(File, Index))
     writePlans(PlansFile, Plans);
+}
+
+void KernelCache::writeTables(
+    const std::vector<std::vector<double>> &Tables,
+    const std::function<void(const void *, std::size_t)> &Put) {
+  Put(TablesMagic, sizeof TablesMagic);
+  const std::uint64_t Count = Tables.size();
+  Put(&Count, sizeof Count);
+  for (const std::vector<double> &T : Tables) {
+    const std::uint64_t Len = T.size();
+    Put(&Len, sizeof Len);
+    Put(T.data(), T.size() * sizeof(double));
+  }
 }
 
 std::string KernelCache::populationLockPath(const std::string &Key) {

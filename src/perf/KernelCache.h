@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A persistent, content-addressed on-disk cache of compiled kernel shared
-/// objects. Every native plan otherwise pays a fork/exec of the system C
+/// objects. Every native plan otherwise pays a run of the system C
 /// compiler plus dlopen; FFTW-style systems amortize exactly that cost by
 /// keeping compiled artifacts around. A warm process (or a restarted spld
 /// daemon) maps a previously compiled kernel in microseconds with zero
@@ -51,6 +51,7 @@
 #define SPL_PERF_KERNELCACHE_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -147,6 +148,7 @@ public:
     std::string SoKey;                       ///< The artifact's key().
     std::string SoPath;                      ///< Ready to dlopen.
     std::vector<std::vector<double>> Tables; ///< The kernel's tables.
+    std::string TablesPath; ///< Their verified artifact (writeTables form).
     std::optional<double> Cost;              ///< Rule-planned specs only.
   };
 
@@ -163,6 +165,14 @@ public:
   static void insertPlan(const std::string &PlanKey, const std::string &SoKey,
                          const std::vector<std::vector<double>> &Tables,
                          std::optional<double> Cost);
+
+  /// Hands \p Put the bytes of \p Tables' tables artifact, piece by
+  /// piece: the magic `spltab01`, a u64 table count, then per table a u64
+  /// length and that many doubles, all in host byte order. The trial
+  /// runner maps this format.
+  static void
+  writeTables(const std::vector<std::vector<double>> &Tables,
+              const std::function<void(const void *, std::size_t)> &Put);
 
   /// The population lock file of one key, `<dir>/<key>.lock`, after
   /// creating the cache directory ("" when the cache is disabled). An

@@ -76,7 +76,7 @@ struct KernelBuildOptions {
 
   /// Remaining caller budget for the build: the compiler subprocess runs
   /// under min(SPL_CC_TIMEOUT_MS, remaining), and an expired deadline
-  /// fails fast with KernelErrorKind::CompileTimeout before forking.
+  /// fails fast with KernelErrorKind::CompileTimeout before compiling.
   /// Default: unbounded.
   support::Deadline Deadline;
 };
@@ -138,10 +138,14 @@ public:
     std::string Reason; ///< "died on signal 11", "timed out", ... when !Ok.
   };
 
-  /// Proves the kernel once in a forked guard process bounded by
-  /// \p TimeoutSeconds: runs it on deterministic random data and checks
-  /// every output is finite. A kernel that crashes, hangs, or emits
-  /// NaN/Inf fails the trial without harming this process.
+  /// Proves the kernel once in the trial runner, a small C program built
+  /// once per process (an ordinary kernel-cache artifact when the cache is
+  /// on) and spawned per trial, bounded by \p TimeoutSeconds: it dlopens
+  /// this kernel's module, binds its tables (a plan record's tables
+  /// artifact, or an unlinked temp file on fd 3), runs it on deterministic
+  /// random data and checks every output is finite. A kernel that
+  /// crashes, hangs, or emits NaN/Inf fails the trial without harming
+  /// this process, and the cost does not grow with this process's RSS.
   TrialResult trial(double TimeoutSeconds) const;
 
 private:
@@ -156,6 +160,8 @@ private:
   std::unique_ptr<NativeModule> Mod;
   NativeModule::KernelFn Fn = nullptr;
   std::vector<std::vector<double>> Tables; ///< Must outlive the module use.
+  std::string FnName;     ///< The kernel's entry point.
+  std::string TablesPath; ///< The plan record's tables artifact, if any.
   std::int64_t InLen = 0, OutLen = 0;
   int Lanes = 1;
   codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;

@@ -10,6 +10,7 @@
 #include "support/CircuitBreaker.h"
 #include "support/FaultInjection.h"
 #include "support/FileLock.h"
+#include "support/RecordFile.h"
 #include "support/Subprocess.h"
 #include "telemetry/Trace.h"
 
@@ -23,6 +24,7 @@
 #include <sstream>
 
 #include <dlfcn.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace spl;
@@ -38,24 +40,8 @@ std::vector<std::string> ccArgv() {
   return {"cc"};
 }
 
-/// Temp artifacts go under TMPDIR when set (tests point it at a private
-/// directory to assert nothing leaks), else /tmp.
-std::string uniqueStem() {
-  static std::atomic<unsigned> Counter{0};
-  std::string Dir = "/tmp";
-  if (const char *Env = std::getenv("TMPDIR"))
-    if (*Env) {
-      Dir = Env;
-      while (Dir.size() > 1 && Dir.back() == '/')
-        Dir.pop_back();
-    }
-  std::ostringstream SS;
-  SS << Dir << "/spl-native-" << getpid() << "-" << Counter++;
-  return SS.str();
-}
-
 /// One probe answers both "is there a compiler?" and "which one, exactly?"
-/// so the warm (cache-hit) path never pays an extra fork for identity.
+/// so the warm (cache-hit) path never pays an extra compiler run for identity.
 struct CcProbe {
   bool Available = false;
   std::string Identity;
@@ -105,7 +91,146 @@ SubprocessResult invokeCompiler(const std::vector<std::string> &Argv,
   return runSubprocess(Argv, Opts);
 }
 
+/// Compiles \p CSource with \p ExtraFlags into a fresh temp artifact (a
+/// shared object when \p Shared, else an executable), counted in \p Count.
+/// This is the one compiler invocation: the deadline, the breaker, one
+/// retry on a transient failure and the fault sites apply to every
+/// artifact. Returns its path, or "" with \p Error (and \p TimedOut) set.
+std::string compileToTemp(const std::string &CSource, bool Shared,
+                          const std::string &ExtraFlags,
+                          telemetry::Counter &Count, std::string *Error,
+                          bool *TimedOut, const support::Deadline &Deadline) {
+  // An exhausted caller budget fails fast before the source is even
+  // written; this is the caller's deadline, not compiler sickness, so the
+  // breaker does not hear about it.
+  if (Deadline.expired()) {
+    if (TimedOut)
+      *TimedOut = true;
+    if (Error)
+      *Error = "compilation skipped: the caller's deadline is already "
+               "spent (see --deadline-ms)";
+    return "";
+  }
+  // While the breaker is open the compiler is presumed sick: fail fast and
+  // let the planner degrade to the VM tier instead of spawning it.
+  support::CircuitBreaker &Breaker = support::compileBreaker();
+  if (!Breaker.allow()) {
+    if (TimedOut)
+      *TimedOut = false;
+    if (Error)
+      *Error = Breaker.describe();
+    return "";
+  }
+  // Every admitted attempt MUST report back, or a half-open probe would
+  // stay in flight forever and wedge the breaker open. Success is flipped
+  // once the compiler invocation itself succeeds; failures on the way
+  // (unwritable temp dir included) count against the dependency.
+  struct BreakerOutcome {
+    support::CircuitBreaker &B;
+    bool Success = false;
+    ~BreakerOutcome() { Success ? B.recordSuccess() : B.recordFailure(); }
+  } Outcome{Breaker};
+  std::string Stem = tempStem();
+  std::string CPath = Stem + ".c";
+  std::string OutPath = Shared ? Stem + ".so" : Stem;
+  // Every exit removes the source; the artifact is the caller's (or
+  // removed on the failure path below).
+  struct SourceGuard {
+    const std::string &Path;
+    ~SourceGuard() { std::remove(Path.c_str()); }
+  } Guard{CPath};
+
+  {
+    std::ofstream Out(CPath);
+    if (!Out) {
+      if (Error)
+        *Error = "cannot write " + CPath;
+      return "";
+    }
+    Out << CSource;
+    if (!Out.good()) {
+      if (Error)
+        *Error = "error writing " + CPath;
+      return "";
+    }
+  }
+
+  std::vector<std::string> Argv = ccArgv();
+  for (std::string &F : splitCommandArgs(ExtraFlags))
+    Argv.push_back(std::move(F));
+  if (Shared) {
+    Argv.push_back("-shared");
+    Argv.push_back("-fPIC");
+  }
+  Argv.push_back("-o");
+  Argv.push_back(OutPath);
+  Argv.push_back(CPath);
+  if (!Shared)
+    Argv.push_back("-ldl"); // dlopen is in libc only since glibc 2.34.
+
+  // The compiler's leash is the smaller of the fixed env knob and the
+  // caller's remaining budget — a request with 2 s left never waits 60 s
+  // for a wedged cc.
+  double Timeout = NativeModule::compileTimeoutSeconds();
+  const double Remaining = Deadline.remainingSeconds();
+  if (std::isfinite(Remaining))
+    Timeout = Timeout > 0 ? std::min(Timeout, Remaining) : Remaining;
+  Count.add();
+  // One bounded retry, and only for transient failures (a crashed or
+  // timed-out compiler); a deterministic nonzero exit is a real diagnostic
+  // and retrying it would just double the latency of every bad kernel.
+  SubprocessResult R;
+  {
+    telemetry::StageTimer T(telemetry::NativeCompileNs);
+    for (int Attempt = 0;; ++Attempt) {
+      R = invokeCompiler(Argv, Timeout);
+      if (R.ok() || !R.transient() || Attempt >= 1)
+        break;
+      // The retry must fit the remaining budget too.
+      if (Deadline.expired())
+        break;
+      telemetry::NativeCompileRetries.add();
+    }
+  }
+  Outcome.Success = R.ok();
+  if (!R.ok()) {
+    telemetry::NativeCompileFailures.add();
+    if (R.TimedOut)
+      telemetry::NativeCompileTimeouts.add();
+    if (TimedOut)
+      *TimedOut = R.TimedOut;
+    if (Error) {
+      std::ostringstream SS;
+      SS << "compilation " << (R.TimedOut ? "timed out" : "failed") << " ("
+         << R.describe();
+      if (R.TimedOut)
+        SS << " after " << Timeout << " s; see SPL_CC_TIMEOUT_MS";
+      SS << ")";
+      if (!R.Output.empty())
+        SS << ":\n" << R.Output;
+      *Error = SS.str();
+    }
+    std::remove(OutPath.c_str());
+    return "";
+  }
+  return OutPath;
+}
+
 } // namespace
+
+std::string perf::tempStem() {
+  static std::atomic<unsigned> Counter{0};
+  std::string Dir = "/tmp";
+  if (const char *Env = std::getenv("TMPDIR"))
+    if (*Env) {
+      Dir = Env;
+      while (Dir.size() > 1 && Dir.back() == '/')
+        Dir.pop_back();
+    }
+  std::ostringstream SS;
+  SS << Dir << "/spl-native-" << getpid() << "-" << Counter++;
+  return SS.str();
+}
 
 double NativeModule::compileTimeoutSeconds() {
   return envTimeoutSeconds("SPL_CC_TIMEOUT_MS", 60.0);
@@ -165,117 +290,37 @@ NativeModule::compileFresh(const std::string &CSource,
                            const std::string &FnName, std::string *Error,
                            const std::string &ExtraFlags, bool *TimedOut,
                            const support::Deadline &Deadline) {
-  // An exhausted caller budget fails fast before the source is even
-  // written; this is the caller's deadline, not compiler sickness, so the
-  // breaker does not hear about it.
-  if (Deadline.expired()) {
-    if (TimedOut)
-      *TimedOut = true;
-    if (Error)
-      *Error = "compilation skipped: the caller's deadline is already "
-               "spent (see --deadline-ms)";
+  std::string SoPath =
+      compileToTemp(CSource, /*Shared=*/true, ExtraFlags,
+                    telemetry::NativeCompiles, Error, TimedOut, Deadline);
+  if (SoPath.empty())
     return nullptr;
-  }
-  // While the breaker is open the compiler is presumed sick: fail fast and
-  // let the planner degrade to the VM tier instead of forking.
-  support::CircuitBreaker &Breaker = support::compileBreaker();
-  if (!Breaker.allow()) {
-    if (TimedOut)
-      *TimedOut = false;
-    if (Error)
-      *Error = Breaker.describe();
-    return nullptr;
-  }
-  // Every admitted attempt MUST report back, or a half-open probe would
-  // stay in flight forever and wedge the breaker open. Success is flipped
-  // once the compiler invocation itself succeeds; failures on the way
-  // (unwritable temp dir included) count against the dependency.
-  struct BreakerOutcome {
-    support::CircuitBreaker &B;
-    bool Success = false;
-    ~BreakerOutcome() { Success ? B.recordSuccess() : B.recordFailure(); }
-  } Outcome{Breaker};
-  std::string Stem = uniqueStem();
-  std::string CPath = Stem + ".c";
-  std::string SoPath = Stem + ".so";
-  // Every early exit removes the source; the .so is owned by the module (or
-  // removed on its own failure paths below).
-  struct SourceGuard {
-    const std::string &Path;
-    ~SourceGuard() { std::remove(Path.c_str()); }
-  } Guard{CPath};
-
-  {
-    std::ofstream Out(CPath);
-    if (!Out) {
-      if (Error)
-        *Error = "cannot write " + CPath;
-      return nullptr;
-    }
-    Out << CSource;
-    if (!Out.good()) {
-      if (Error)
-        *Error = "error writing " + CPath;
-      return nullptr;
-    }
-  }
-
-  std::vector<std::string> Argv = ccArgv();
-  for (std::string &F : splitCommandArgs(ExtraFlags))
-    Argv.push_back(std::move(F));
-  Argv.push_back("-shared");
-  Argv.push_back("-fPIC");
-  Argv.push_back("-o");
-  Argv.push_back(SoPath);
-  Argv.push_back(CPath);
-
-  // The compiler's leash is the smaller of the fixed env knob and the
-  // caller's remaining budget — a request with 2 s left never waits 60 s
-  // for a wedged cc.
-  double Timeout = compileTimeoutSeconds();
-  const double Remaining = Deadline.remainingSeconds();
-  if (std::isfinite(Remaining))
-    Timeout = Timeout > 0 ? std::min(Timeout, Remaining) : Remaining;
-  telemetry::NativeCompiles.add();
-  // One bounded retry, and only for transient failures (a crashed or
-  // timed-out compiler); a deterministic nonzero exit is a real diagnostic
-  // and retrying it would just double the latency of every bad kernel.
-  SubprocessResult R;
-  {
-    telemetry::StageTimer T(telemetry::NativeCompileNs);
-    for (int Attempt = 0;; ++Attempt) {
-      R = invokeCompiler(Argv, Timeout);
-      if (R.ok() || !R.transient() || Attempt >= 1)
-        break;
-      // The retry must fit the remaining budget too.
-      if (Deadline.expired())
-        break;
-      telemetry::NativeCompileRetries.add();
-    }
-  }
-  Outcome.Success = R.ok();
-  if (!R.ok()) {
-    telemetry::NativeCompileFailures.add();
-    if (R.TimedOut)
-      telemetry::NativeCompileTimeouts.add();
-    if (TimedOut)
-      *TimedOut = R.TimedOut;
-    if (Error) {
-      std::ostringstream SS;
-      SS << "compilation " << (R.TimedOut ? "timed out" : "failed") << " ("
-         << R.describe();
-      if (R.TimedOut)
-        SS << " after " << Timeout << " s; see SPL_CC_TIMEOUT_MS";
-      SS << ")";
-      if (!R.Output.empty())
-        SS << ":\n" << R.Output;
-      *Error = SS.str();
-    }
-    std::remove(SoPath.c_str());
-    return nullptr;
-  }
-
   return loadModule(SoPath, FnName, /*OwnsSo=*/true, Error);
+}
+
+std::string NativeModule::compileExecutable(const std::string &CSource,
+                                            const std::string &ExtraFlags,
+                                            std::string *Error) {
+  const std::string Key =
+      KernelCache::enabled() ? KernelCache::key(CSource, "main", ExtraFlags)
+                             : std::string();
+  // A cached build is copied out: the caller's copy outlives the cache.
+  if (!Key.empty())
+    if (std::optional<std::string> Hit = KernelCache::probe(Key)) {
+      std::optional<std::string> Bytes = support::readFile(*Hit);
+      const std::string Path = tempStem();
+      if (Bytes && support::replaceFile(Path, *Bytes) &&
+          ::chmod(Path.c_str(), 0755) == 0)
+        return Path;
+      std::remove(Path.c_str());
+    }
+  std::string Path =
+      compileToTemp(CSource, /*Shared=*/false, ExtraFlags,
+                    telemetry::NativeRunnerBuilds, Error, nullptr,
+                    support::Deadline());
+  if (!Path.empty() && !Key.empty())
+    KernelCache::insert(Key, Path);
+  return Path;
 }
 
 std::unique_ptr<NativeModule>

@@ -18,7 +18,7 @@
 /// docs/RELIABILITY.md.
 ///
 /// When the persistent kernel cache is enabled (perf/KernelCache.h,
-/// docs/KERNEL_CACHE.md) compile() probes it before forking the compiler
+/// docs/KERNEL_CACHE.md) compile() probes it before spawning the compiler
 /// and maps a verified cached artifact directly; fresh compiles populate
 /// the cache under a per-key flock so concurrent processes build each
 /// kernel at most once. native.compiles counts only real compiler
@@ -38,6 +38,10 @@
 namespace spl {
 namespace perf {
 
+/// A fresh temp path stem, `<TMPDIR or /tmp>/spl-native-<pid>-<n>`; every
+/// temp artifact of this process is one stem plus a suffix.
+std::string tempStem();
+
 /// A loaded shared object holding one generated kernel.
 class NativeModule {
 public:
@@ -51,8 +55,8 @@ public:
   /// \p Deadline caps the invocation by the caller's remaining budget: the
   /// effective subprocess timeout is min(SPL_CC_TIMEOUT_MS, remaining), and
   /// an already-expired deadline fails fast (reported through \p TimedOut)
-  /// without forking at all. Kernel-cache hits ignore the deadline — a map
-  /// is effectively free. Fresh compiles are additionally gated by the
+  /// without spawning the compiler. Kernel-cache hits ignore the deadline —
+  /// a map is effectively free. Fresh compiles are additionally gated by the
   /// process-wide support::compileBreaker(): while it is open they fail
   /// fast with the breaker's describe() message, and every real compiler
   /// outcome (success / failure / timeout) feeds the breaker's state.
@@ -67,7 +71,7 @@ public:
 
   /// The compiler's identity string: the SPL_CC command plus the first
   /// line of its --version output (captured by the same probe as
-  /// available(), so the warm path never forks). Part of the kernel-cache
+  /// available(), so the warm path never spawns it). Part of the kernel-cache
   /// key — a compiler upgrade invalidates every cached artifact.
   static const std::string &compilerIdentity();
 
@@ -80,7 +84,22 @@ public:
                                                   const std::string &FnName,
                                                   std::string *Error);
 
+  /// Builds \p CSource into an executable through the compiler
+  /// invocation compile() uses (SPL_CC, \p ExtraFlags, the breaker, the
+  /// retry and the fault sites), counted in native.runner_builds rather
+  /// than native.compiles. With the kernel cache on, the executable is an
+  /// ordinary artifact under key(\p CSource, "main", \p ExtraFlags): a hit
+  /// is copied out instead of compiled, and a fresh build is inserted.
+  /// Returns the path of the caller's own copy (a tempStem() file the
+  /// caller removes), or "" with \p Error filled.
+  static std::string compileExecutable(const std::string &CSource,
+                                       const std::string &ExtraFlags,
+                                       std::string *Error);
+
   KernelFn fn() const { return Fn; }
+
+  /// The shared object this module was loaded from.
+  const std::string &soPath() const { return SoPath; }
 
   /// The KernelCache::key() of the cached artifact this module was loaded
   /// from or inserted as; "" when the cache was off or the insert failed.
@@ -106,7 +125,7 @@ private:
                                                   bool OwnsSo,
                                                   std::string *Error);
 
-  /// The uncached compile path: write source, fork the compiler, load.
+  /// The uncached compile path: write source, spawn the compiler, load.
   static std::unique_ptr<NativeModule>
   compileFresh(const std::string &CSource, const std::string &FnName,
                std::string *Error, const std::string &ExtraFlags,

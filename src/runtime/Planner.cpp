@@ -486,7 +486,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
         K = perf::CompiledKernel::create(*Prog, &Err, BO);
       }
       if (K) {
-        // Every kernel is proven by a trial run in a forked guard that
+        // Every kernel is proven by a trial run in the trial runner, which
         // gets min(SPL_TRIAL_TIMEOUT_MS, remaining). An unproven kernel
         // never joins the plan, so a spent budget demotes to the VM tier
         // rather than skipping the proof.

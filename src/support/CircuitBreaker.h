@@ -9,7 +9,7 @@
 /// subprocess: after `Threshold` *consecutive* failures (nonzero exits,
 /// crashes, deadline kills) the breaker opens and every compile attempt
 /// fails fast for `CooldownMs`, so plans degrade straight to the VM tier
-/// instead of forking a sick compiler on every miss. After the cooldown one
+/// instead of spawning a sick compiler on every miss. After the cooldown one
 /// half-open probe is admitted; success closes the breaker, failure reopens
 /// it with a fresh cooldown.
 ///
@@ -21,7 +21,7 @@
 /// and the CLI tools pay one mutex-free enabled() check and nothing else.
 /// `spld` enables it via `--breaker-threshold`/`--breaker-cooldown-ms`, any
 /// process can via `SPL_BREAKER_K` / `SPL_BREAKER_COOLDOWN_MS`. Kernel-cache
-/// hits never consult the breaker — only real fork/exec compiles do.
+/// hits never consult the breaker — only real compiler runs do.
 ///
 /// Telemetry: `runtime.breaker.trips` (closed/half-open -> open),
 /// `runtime.breaker.open` (fail-fast rejections), `runtime.breaker.half_open`
@@ -97,7 +97,7 @@ private:
 };
 
 /// The process-wide breaker guarding `perf::NativeModule::compile`'s
-/// fork/exec path. Reads the SPL_BREAKER_* environment once on first use.
+/// compiler-run path. Reads the SPL_BREAKER_* environment once on first use.
 CircuitBreaker &compileBreaker();
 
 } // namespace support

@@ -9,7 +9,7 @@
 /// `CancelToken`, threaded through every layer that can take unbounded time
 /// (DP search, the native-compiler subprocess, batch execution, the service
 /// request path). Layers check `expired()` at safe points — between
-/// candidates, between batch vectors, before forking a compiler — and return
+/// candidates, between batch vectors, before spawning a compiler — and return
 /// best-so-far or a typed `DeadlineExceeded` instead of running on.
 ///
 /// Design points:

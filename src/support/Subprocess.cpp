@@ -15,8 +15,11 @@
 #include <csignal>
 #include <fcntl.h>
 #include <poll.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace spl;
 
@@ -27,16 +30,6 @@ std::string SubprocessResult::describe() const {
     return "timed out";
   if (Signal != 0)
     return "killed by signal " + std::to_string(Signal);
-  return "exit " + std::to_string(ExitCode);
-}
-
-std::string GuardedResult::describe() const {
-  if (SpawnFailed)
-    return "could not spawn guard process";
-  if (TimedOut)
-    return "timed out";
-  if (Signal != 0)
-    return "died on signal " + std::to_string(Signal);
   return "exit " + std::to_string(ExitCode);
 }
 
@@ -62,13 +55,15 @@ double spl::envTimeoutSeconds(const char *Name, double DefSeconds) {
 
 namespace {
 
-/// Forks a child in its own process group (so a timeout can kill its
-/// descendants too) joined to the parent by a fresh pipe. Returns the pid in
-/// the parent, 0 in the child, -1 on failure. \p Fd receives the read end in
-/// the parent and the write end in the child; the child's exit closes it.
-/// Both ends close on exec, so no other thread's child (a concurrent `cc`)
-/// inherits them; a dup2 onto fds 1 and 2 clears the flag on the copies.
-pid_t forkWithPipe(int &Fd) {
+/// Starts \p Argv (argv[0] resolved through PATH) in its own process group
+/// with stdout and stderr on a fresh pipe, stdin on /dev/null, an empty
+/// signal mask and \p Fd3 (when >= 0) as its fd 3. Returns the pid, or -1
+/// when the child could not be started; \p ReadFd receives the pipe's read
+/// end, whose only write end the child holds. Both ends close on exec, so
+/// no other thread's child inherits them; the dup2 onto fds 1 and 2 clears
+/// the flag on the child's copies.
+pid_t spawnWithPipe(const std::vector<std::string> &Argv, int Fd3,
+                    int &ReadFd) {
   int Pipe[2];
 #if defined(__linux__)
   if (::pipe2(Pipe, O_CLOEXEC) != 0)
@@ -79,37 +74,60 @@ pid_t forkWithPipe(int &Fd) {
   ::fcntl(Pipe[0], F_SETFD, FD_CLOEXEC);
   ::fcntl(Pipe[1], F_SETFD, FD_CLOEXEC);
 #endif
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(Pipe[0]);
-    ::close(Pipe[1]);
-    return -1;
-  }
-  if (Pid == 0) {
-    ::setpgid(0, 0);
-    ::close(Pipe[0]);
-    Fd = Pipe[1];
-    return 0;
-  }
-  ::setpgid(Pid, Pid); // Also from the parent: closes the startup race.
+  posix_spawn_file_actions_t Actions;
+  posix_spawnattr_t Attr;
+  posix_spawn_file_actions_init(&Actions);
+  posix_spawnattr_init(&Attr);
+  posix_spawn_file_actions_addopen(&Actions, STDIN_FILENO, "/dev/null",
+                                   O_RDONLY, 0);
+  posix_spawn_file_actions_adddup2(&Actions, Pipe[1], STDOUT_FILENO);
+  posix_spawn_file_actions_adddup2(&Actions, Pipe[1], STDERR_FILENO);
+  if (Fd3 >= 0)
+    posix_spawn_file_actions_adddup2(&Actions, Fd3, 3);
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 34)
+  // Whatever another part of the process left open without close-on-exec
+  // stays out of the child too.
+  posix_spawn_file_actions_addclosefrom_np(&Actions, Fd3 >= 0 ? 4 : 3);
+#endif
+  sigset_t Empty;
+  sigemptyset(&Empty);
+  posix_spawnattr_setsigmask(&Attr, &Empty);
+  posix_spawnattr_setpgroup(&Attr, 0);
+  posix_spawnattr_setflags(&Attr, POSIX_SPAWN_SETPGROUP |
+                                      POSIX_SPAWN_SETSIGMASK);
+
+  std::vector<char *> CArgv;
+  CArgv.reserve(Argv.size() + 1);
+  for (const std::string &A : Argv)
+    CArgv.push_back(const_cast<char *>(A.c_str()));
+  CArgv.push_back(nullptr);
+  pid_t Pid = -1;
+  if (::posix_spawnp(&Pid, CArgv[0], &Actions, &Attr, CArgv.data(),
+                     environ) != 0)
+    Pid = -1;
+  posix_spawn_file_actions_destroy(&Actions);
+  posix_spawnattr_destroy(&Attr);
   ::close(Pipe[1]);
-  Fd = Pipe[0];
+  if (Pid < 0)
+    ::close(Pipe[0]);
+  else
+    ReadFd = Pipe[0];
   return Pid;
 }
 
-/// Reads what \p Fd has ready into \p Output (capped at \p MaxOutputBytes;
-/// nullptr discards). Returns false on EOF or a read error.
-bool readChunk(int Fd, std::string *Output, std::size_t MaxOutputBytes) {
+/// Reads what \p Fd has ready into \p Output (capped at \p MaxOutputBytes).
+/// Returns false on EOF or a read error.
+bool readChunk(int Fd, std::string &Output, std::size_t MaxOutputBytes) {
   char Buf[4096];
   ssize_t N = ::read(Fd, Buf, sizeof(Buf));
   if (N < 0 && errno == EINTR)
     return true;
   if (N <= 0)
     return false;
-  if (Output && Output->size() < MaxOutputBytes)
-    Output->append(Buf, Buf + std::min<std::size_t>(
-                                  static_cast<std::size_t>(N),
-                                  MaxOutputBytes - Output->size()));
+  if (Output.size() < MaxOutputBytes)
+    Output.append(Buf, Buf + std::min<std::size_t>(
+                                 static_cast<std::size_t>(N),
+                                 MaxOutputBytes - Output.size()));
   return true;
 }
 
@@ -118,7 +136,7 @@ bool readChunk(int Fd, std::string *Output, std::size_t MaxOutputBytes) {
 /// On expiry kills the child's whole process group, reaps it, and reports
 /// TimedOut through \p TimedOut. Returns the waitpid status.
 int waitWithDeadline(pid_t Pid, double TimeoutSeconds, bool &TimedOut,
-                     int ReadFd, std::string *Output,
+                     int ReadFd, std::string &Output,
                      std::size_t MaxOutputBytes) {
   using Clock = std::chrono::steady_clock;
   TimedOut = false;
@@ -140,9 +158,9 @@ int waitWithDeadline(pid_t Pid, double TimeoutSeconds, bool &TimedOut,
   };
 
   // Drain the pipe until EOF (the child exited) or the deadline expires.
-  // poll() doubles as the timeout clock. A descendant or a concurrently
-  // forked sibling can hold a copy of the write end past the child's exit,
-  // so every quiet slice also probes the child itself.
+  // poll() doubles as the timeout clock. A descendant can hold a copy of
+  // the write end past the child's exit, so every quiet slice also probes
+  // the child itself.
   int Status = 0;
   for (;;) {
     const long Slice = SliceMs();
@@ -162,7 +180,7 @@ int waitWithDeadline(pid_t Pid, double TimeoutSeconds, bool &TimedOut,
     if (PR == 0 && ::waitpid(Pid, &Status, WNOHANG) == Pid) {
       // Reaped while the pipe is still held open elsewhere: keep what is
       // already buffered, then report the child's real status.
-      while (Output && Output->size() < MaxOutputBytes &&
+      while (Output.size() < MaxOutputBytes &&
              ::poll(&PFD, 1, 0) > 0 &&
              readChunk(ReadFd, Output, MaxOutputBytes)) {
       }
@@ -202,9 +220,8 @@ int waitWithDeadline(pid_t Pid, double TimeoutSeconds, bool &TimedOut,
   return Status;
 }
 
-/// Fills the exit fields shared by SubprocessResult and GuardedResult.
-template <typename ResultT>
-void decodeStatus(int Status, bool TimedOut, ResultT &Res) {
+/// Fills the exit fields of \p Res from a waitpid status.
+void decodeStatus(int Status, bool TimedOut, SubprocessResult &Res) {
   Res.TimedOut = TimedOut;
   if (TimedOut)
     return;
@@ -225,55 +242,15 @@ SubprocessResult spl::runSubprocess(const std::vector<std::string> &Argv,
   }
 
   int Fd = -1;
-  pid_t Pid = forkWithPipe(Fd);
+  pid_t Pid = spawnWithPipe(Argv, Opts.Fd3, Fd);
   if (Pid < 0) {
     Res.SpawnFailed = true;
     return Res;
-  }
-
-  if (Pid == 0) {
-    // Child: stdout+stderr into the pipe, stdin from /dev/null.
-    ::dup2(Fd, STDOUT_FILENO);
-    ::dup2(Fd, STDERR_FILENO);
-    ::close(Fd);
-    int DevNull = ::open("/dev/null", O_RDONLY);
-    if (DevNull >= 0) {
-      ::dup2(DevNull, STDIN_FILENO);
-      ::close(DevNull);
-    }
-    std::vector<char *> CArgv;
-    CArgv.reserve(Argv.size() + 1);
-    for (const std::string &A : Argv)
-      CArgv.push_back(const_cast<char *>(A.c_str()));
-    CArgv.push_back(nullptr);
-    ::execvp(CArgv[0], CArgv.data());
-    // exec failed; 127 mirrors the shell's "command not found".
-    ::_exit(127);
   }
 
   bool TimedOut = false;
   int Status = waitWithDeadline(Pid, Opts.TimeoutSeconds, TimedOut, Fd,
-                                &Res.Output, Opts.MaxOutputBytes);
-  ::close(Fd);
-  decodeStatus(Status, TimedOut, Res);
-  return Res;
-}
-
-GuardedResult spl::runGuarded(const std::function<int()> &Fn,
-                              double TimeoutSeconds) {
-  GuardedResult Res;
-  // The child writes nothing to the pipe: its exit alone wakes the parent.
-  int Fd = -1;
-  pid_t Pid = forkWithPipe(Fd);
-  if (Pid < 0) {
-    Res.SpawnFailed = true;
-    return Res;
-  }
-  if (Pid == 0)
-    ::_exit(Fn());
-
-  bool TimedOut = false;
-  int Status = waitWithDeadline(Pid, TimeoutSeconds, TimedOut, Fd, nullptr, 0);
+                                Res.Output, Opts.MaxOutputBytes);
   ::close(Fd);
   decodeStatus(Status, TimedOut, Res);
   return Res;

@@ -5,26 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bounded, observable child-process execution. The compile-time-search loop
-/// runs thousands of generated kernels through an external C compiler; a
-/// hanging or crashing invocation must cost a timeout, not a planner. This
-/// module replaces bare std::system() with fork/exec plus:
+/// Bounded, observable child-process execution: the one way `src/` starts
+/// a child. The planner shells out to an external C compiler and proves
+/// every kernel in a small trial runner; a hanging or crashing child must
+/// cost a timeout, not a planner. runSubprocess() starts the child with
+/// posix_spawn, whose cost does not grow with the caller's RSS (a fork
+/// copies the caller's page tables), and adds:
 ///
-///   - a wall-clock timeout with kill-on-expiry (the whole process group
-///     dies, so a compiler's own children cannot linger),
+///   - a wall-clock timeout with kill-on-expiry: the child starts in its
+///     own process group (POSIX_SPAWN_SETPGROUP), so the whole group dies
+///     and a compiler's own children cannot linger,
 ///   - captured, size-capped combined stdout/stderr,
+///   - stdin from /dev/null, an empty signal mask, and an optional fd the
+///     caller hands over as fd 3; on glibc >= 2.34 no other fd above 2 is
+///     inherited (elsewhere close-on-exec alone keeps them out),
 ///   - a typed result distinguishing exit status, terminating signal,
-///     timeout, and spawn failure.
+///     timeout, and spawn failure (a missing binary included).
 ///
-/// runGuarded() forks a child around an arbitrary callable so compiled
-/// kernels can be proven in isolation: a kernel that segfaults or spins
-/// takes down only the disposable child.
-///
-/// Both share one exit-driven wait. Every child holds the write end of a
-/// close-on-exec pipe (runSubprocess's carries the output; runGuarded's
-/// carries nothing), so the parent's poll() wakes when the child exits and
-/// closes it, not on a timer tick. A descendant or a concurrently forked
-/// sibling can keep a copy of that write end open, so each quiet poll
+/// The wait is exit-driven. The child holds the only write end of a
+/// close-on-exec pipe (it carries the output), so the parent's poll()
+/// wakes when the child exits and closes it, not on a timer tick. A
+/// descendant can keep a copy of that write end open, so each quiet poll
 /// slice (50 ms under a deadline, 200 ms without) also probes the child
 /// with waitpid(WNOHANG) and returns its real status once it is reaped.
 /// After EOF the child is reaped with a geometric backoff from 50 us, so a
@@ -35,7 +36,6 @@
 #ifndef SPL_SUPPORT_SUBPROCESS_H
 #define SPL_SUPPORT_SUBPROCESS_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,7 +46,7 @@ struct SubprocessResult {
   int ExitCode = -1;       ///< Valid when the child exited normally.
   int Signal = 0;          ///< Terminating signal; 0 when none.
   bool TimedOut = false;   ///< Killed because the deadline expired.
-  bool SpawnFailed = false;///< fork/exec itself failed (or no POSIX APIs).
+  bool SpawnFailed = false;///< posix_spawn failed (e.g. no such binary).
   std::string Output;      ///< Combined stdout+stderr, capped.
 
   /// True only for a clean, in-time exit 0.
@@ -68,31 +68,15 @@ struct SubprocessResult {
 struct SubprocessOptions {
   double TimeoutSeconds = 0;          ///< 0: no deadline.
   std::size_t MaxOutputBytes = 65536; ///< Output capture cap.
+  /// When >= 0, an open fd the child gets as its fd 3 (it may be
+  /// close-on-exec here; the child's copy is not). -1: none.
+  int Fd3 = -1;
 };
 
 /// Runs \p Argv (argv[0] resolved through PATH) with captured output and an
 /// optional deadline. Never throws; every failure mode is in the result.
 SubprocessResult runSubprocess(const std::vector<std::string> &Argv,
                                const SubprocessOptions &Opts = {});
-
-/// Outcome of runGuarded (no output capture; the child shares the parent's
-/// stdio).
-struct GuardedResult {
-  int ExitCode = -1;
-  int Signal = 0;
-  bool TimedOut = false;
-  bool SpawnFailed = false;
-
-  bool ok() const {
-    return !TimedOut && !SpawnFailed && Signal == 0 && ExitCode == 0;
-  }
-  std::string describe() const;
-};
-
-/// Runs \p Fn in a forked child bounded by \p TimeoutSeconds (0: none) and
-/// reports how the child died. The child's exit status is Fn's return value.
-GuardedResult runGuarded(const std::function<int()> &Fn,
-                         double TimeoutSeconds);
 
 /// Splits a command-line fragment on whitespace: "-O2 -fPIC" -> {-O2, -fPIC}.
 /// No quoting rules — this is for compiler-flag strings, not shell text.

@@ -81,11 +81,17 @@ private:
       return;
     }
 
-    // Row-major table over the used dimensions.
+    // Row-major table over the used dimensions. Inside an empty loop the
+    // operand never runs, so it needs no table. The expander bounded the
+    // table size of every non-empty nest.
     std::vector<std::int64_t> Strides(Dims.size());
     std::int64_t Total = 1;
     for (size_t D = Dims.size(); D-- > 0;) {
       Strides[D] = Total;
+      if (std::get<2>(Dims[D]) < std::get<1>(Dims[D])) {
+        O = Operand::fltConst(Cplx(0, 0));
+        return;
+      }
       Total *= std::get<2>(Dims[D]) - std::get<1>(Dims[D]) + 1;
     }
 

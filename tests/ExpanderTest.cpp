@@ -18,6 +18,7 @@
 #include "lower/Expander.h"
 #include "templates/Registry.h"
 #include "vm/Executor.h"
+#include "xform/IntrinEval.h"
 
 #include <gtest/gtest.h>
 
@@ -317,6 +318,52 @@ TEST(Expander, IntegerOverflowAndZeroDivisorsAreDiagnostics) {
       vm::Executor VM(*Prog);
       std::vector<Cplx> X = randomVector(8), Y;
       VM.run(X, Y);
+      continue;
+    }
+    EXPECT_FALSE(Prog);
+    ASSERT_FALSE(Diags.all().empty());
+    EXPECT_EQ(Diags.all().back().Message, C.Message);
+  }
+}
+
+TEST(Expander, IntrinsicOrdersMustBePositive) {
+  // An intrinsic's order is a divisor of its evaluation (W's k mod n): an
+  // order that is or can be 0 used to kill the compiler with SIGFPE in
+  // intrinsic evaluation. A table over more than 2^63 index combinations
+  // is an error too; an empty loop needs no table at all.
+  const struct {
+    const char *Loop;   ///< The loop header over $i0.
+    const char *Factor; ///< Multiplies $in($i0).
+    const char *Message; ///< The last diagnostic; "" when it expands.
+  } Cases[] = {
+      {"0, n_-1", "W(n_-1 $i0)", "the order of intrinsic 'W' must be positive"},
+      {"0, n_-1", "W(0 $i0)", "the order of intrinsic 'W' must be positive"},
+      {"0, n_-1", "W($i0 1)",
+       "the order of intrinsic 'W' can be nonpositive within the loop bounds"},
+      {"0, n_-1", "TW(4 n_-1 $i0)",
+       "the order of intrinsic 'TW' must be positive"},
+      {"0, n_-1", "DCT2E(-2 $i0 $i0)",
+       "the order of intrinsic 'DCT2E' must be positive"},
+      {"-4611686018427387904, 4611686018427387904", "W(8 $i0)",
+       "the table of intrinsic 'W' over its loops would exceed 2^63 entries"},
+      {"0, -5", "W(8 $i0)", ""},
+      {"0, n_-1", "W($i0 + 1 $i0)", ""},
+  };
+  for (const auto &C : Cases) {
+    std::string Source = std::string("(template (PQ n_) (do $i0 = ") + C.Loop +
+                         "\n $out(0) = " + C.Factor + " * $in(0)\n end))";
+    SCOPED_TRACE(Source);
+    Diagnostics Diags;
+    auto Registry = tpl::TemplateRegistry::withBuiltins();
+    Registry.addAll(parseTemplateString(Source, Diags));
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.dump();
+    lower::Expander Exp(Registry, Diags);
+    auto Prog = Exp.expand(parseFormulaString("(PQ 1)", Diags), {});
+    if (!*C.Message) {
+      ASSERT_TRUE(Prog) << Diags.dump();
+      // Intrinsic evaluation tables only loops that run.
+      icode::Program E = xform::evalIntrinsics(*Prog);
+      EXPECT_EQ(E.Tables.size(), std::string(C.Loop) == "0, -5" ? 0u : 1u);
       continue;
     }
     EXPECT_FALSE(Prog);

@@ -276,6 +276,43 @@ TEST_F(FaultTest, TrialHangIsBoundedByItsDeadline) {
   EXPECT_LT(T.seconds(), 30.0) << "the hung trial must be killed, not joined";
 }
 
+TEST_F(FaultTest, NonFiniteTrialOutputFailsTheTrial) {
+  if (!perf::NativeModule::available())
+    GTEST_SKIP() << "no system C compiler";
+  // y0 = tab0[0] * x0, y1 = x1: the trial runner must bind the table (on
+  // its fd 3) to run the kernel at all, and a NaN in it reaches y0.
+  auto Kernel = [](double Table) {
+    icode::Program P;
+    P.SubName = "nan_trial";
+    P.InSize = P.OutSize = 2;
+    P.Type = icode::DataType::Real;
+    P.Tables = {{Cplx(Table, 0)}};
+    using icode::Affine;
+    using icode::Operand;
+    P.Body.push_back(icode::Instr::bin(
+        icode::Op::Mul, Operand::vecElem(icode::VecOut, Affine(0)),
+        Operand::tableElem(0, Affine(0)),
+        Operand::vecElem(icode::VecIn, Affine(0))));
+    P.Body.push_back(
+        icode::Instr::copy(Operand::vecElem(icode::VecOut, Affine(1)),
+                           Operand::vecElem(icode::VecIn, Affine(1))));
+    perf::KernelError Err;
+    auto K = perf::CompiledKernel::create(P, &Err);
+    EXPECT_TRUE(K) << Err.str();
+    return K;
+  };
+  auto Finite = Kernel(2.0);
+  ASSERT_TRUE(Finite);
+  perf::CompiledKernel::TrialResult T = Finite->trial(5.0);
+  EXPECT_TRUE(T.Ok) << T.Reason;
+
+  auto NaN = Kernel(std::nan(""));
+  ASSERT_TRUE(NaN);
+  T = NaN->trial(5.0);
+  EXPECT_FALSE(T.Ok);
+  EXPECT_EQ(T.Reason, "trial execution produced non-finite output");
+}
+
 TEST_F(FaultTest, OracleBackendCanBeRequestedDirectly) {
   Diagnostics Diags;
   runtime::Planner Planner(Diags, chainOptions());

@@ -682,6 +682,34 @@ TEST_F(PlanRecordTest, LazyProgramIsBuiltOnceUnderConcurrentCallers) {
   EXPECT_EQ(S.optimize(), 1u);
 }
 
+TEST_F(PlanRecordTest, DeletedCacheDirectoryDoesNotDemotePlans) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!NativeModule::available())
+    GTEST_SKIP() << "no C compiler";
+  // The trial runner this process uses is its own copy, not the cache's
+  // artifact, so a cache directory removed (or evicted) mid-process costs
+  // recompiles, never a demotion.
+  runtime::PlanSpec Spec;
+  Spec.Size = 64;
+  auto C = plan(Spec);
+  ASSERT_TRUE(C);
+  ASSERT_EQ(C->backend(), runtime::Backend::Native) << C->fallbackReason();
+  const std::vector<double> Want = run(*C);
+
+  fs::remove_all(Dir);
+  std::remove(Wisdom.c_str());
+  for (std::int64_t N : {64, 128}) {
+    Spec.Size = N;
+    auto P = plan(Spec);
+    ASSERT_TRUE(P);
+    EXPECT_EQ(P->backend(), runtime::Backend::Native) << P->fallbackReason();
+    EXPECT_FALSE(P->usedFallback()) << P->fallbackReason();
+    if (N == 64) {
+      EXPECT_EQ(run(*P), Want);
+    }
+  }
+}
+
 TEST_F(PlanRecordTest, EveryKeyInputChangesThePlanKey) {
   KernelCache::PlanKeyInputs Base;
   Base.FormulaText = "(F 4)";

@@ -24,6 +24,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <random>
@@ -31,6 +32,9 @@
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SPL_SANITIZED_BUILD 1
@@ -416,46 +420,65 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-TEST(Subprocess, GuardedPropagatesExitCodeAndSignal) {
-  GuardedResult Ok = runGuarded([] { return 0; }, 5.0);
+TEST(Subprocess, PropagatesExitCodeAndSignal) {
+  SubprocessResult Ok = runSubprocess({"true"}, {5.0});
   EXPECT_TRUE(Ok.ok()) << Ok.describe();
 
-  GuardedResult Exit3 = runGuarded([] { return 3; }, 5.0);
+  SubprocessResult Exit3 = runSubprocess({"sh", "-c", "exit 3"}, {5.0});
   EXPECT_FALSE(Exit3.ok());
   EXPECT_EQ(Exit3.ExitCode, 3);
   EXPECT_EQ(Exit3.Signal, 0);
+  EXPECT_FALSE(Exit3.transient()) << "a real exit is not worth a retry";
 
-  // Exit 2 is how a trial reports non-finite output.
-  GuardedResult Exit2 = runGuarded([] { return 2; }, 5.0);
+  // Exit 2 is how the trial runner reports non-finite output.
+  SubprocessResult Exit2 = runSubprocess({"sh", "-c", "exit 2"}, {5.0});
   EXPECT_EQ(Exit2.ExitCode, 2);
   EXPECT_EQ(Exit2.describe(), "exit 2");
 
-  GuardedResult Killed = runGuarded(
-      [] {
-        ::raise(SIGKILL);
-        return 0;
-      },
-      5.0);
+  SubprocessResult Killed = runSubprocess({"sh", "-c", "kill -KILL $$"}, {5.0});
   EXPECT_FALSE(Killed.TimedOut);
   EXPECT_EQ(Killed.Signal, SIGKILL);
+  EXPECT_TRUE(Killed.transient());
 
-  GuardedResult Unbounded = runGuarded([] { return 4; }, 0);
+  SubprocessResult Unbounded = runSubprocess({"sh", "-c", "exit 4"}, {0});
   EXPECT_EQ(Unbounded.ExitCode, 4);
 }
 
-TEST(Subprocess, HungGuardTimesOut) {
+TEST(Subprocess, MissingBinaryIsASpawnFailure) {
+  SubprocessResult R =
+      runSubprocess({"/nonexistent/spl-no-such-binary", "x"}, {5.0});
+  EXPECT_TRUE(R.SpawnFailed);
+  EXPECT_FALSE(R.ok());
+  EXPECT_FALSE(R.transient());
+  EXPECT_EQ(R.describe(), "could not spawn process");
+  EXPECT_TRUE(runSubprocess({}, {5.0}).SpawnFailed);
+}
+
+TEST(Subprocess, TimeoutKillsTheWholeProcessGroup) {
+  // The shell prints its background child's pid, then waits on it; the
+  // deadline must take down both.
   auto T0 = std::chrono::steady_clock::now();
-  GuardedResult R = runGuarded(
-      [] {
-        std::this_thread::sleep_for(std::chrono::seconds(30));
-        return 0;
-      },
-      0.2);
+  SubprocessResult R =
+      runSubprocess({"sh", "-c", "sleep 30 & echo $!; wait"}, {0.2});
   const double S = secondsSince(T0);
   EXPECT_TRUE(R.TimedOut);
   EXPECT_FALSE(R.ok());
+  EXPECT_TRUE(R.transient());
   EXPECT_GE(S, 0.2);
   EXPECT_LE(S, 2.0);
+#if defined(__linux__)
+  const int Grandchild = std::atoi(R.Output.c_str());
+  ASSERT_GT(Grandchild, 0) << R.Output;
+  // Killed, so gone or a zombie awaiting its new parent's reap.
+  auto Alive = [&] {
+    std::ifstream Stat("/proc/" + std::to_string(Grandchild) + "/stat");
+    std::string Pid, Comm, State;
+    return Stat >> Pid >> Comm >> State && State != "Z";
+  };
+  for (int I = 0; I != 200 && Alive(); ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(Alive()) << "the background sleep outlived the group kill";
+#endif
 }
 
 TEST(Subprocess, CapturesOutputAndExitCode) {
@@ -476,26 +499,29 @@ TEST(Subprocess, DescendantHoldingThePipeDoesNotMaskExit) {
   EXPECT_LT(S, 1.0);
 }
 
-TEST(Subprocess, GuardWakesOnChildExit) {
+TEST(Subprocess, WakesOnChildExit) {
   std::vector<double> Ms;
   for (int I = 0; I < 11; ++I) {
     auto T0 = std::chrono::steady_clock::now();
-    GuardedResult R = runGuarded([] { return 0; }, 5.0);
+    SubprocessResult R = runSubprocess({"true"}, {5.0});
     Ms.push_back(secondsSince(T0) * 1e3);
     ASSERT_TRUE(R.ok()) << R.describe();
   }
   std::nth_element(Ms.begin(), Ms.begin() + 5, Ms.end());
 #if !defined(SPL_SANITIZED_BUILD)
-  EXPECT_LT(Ms[5], 10.0) << "median guard round trip in ms";
+  EXPECT_LT(Ms[5], 10.0) << "median spawn round trip in ms";
 #endif
 }
 
-#if defined(__linux__)
-TEST(Subprocess, ChildInheritsNoPipeFromAConcurrentGuard) {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 34)
+TEST(Subprocess, ChildInheritsNoFdAboveTwoButFd3) {
   // The fds above 2 that a runSubprocess child holds, read from `ls -l
   // /proc/self/fd` minus ls's own handle on that directory.
-  auto ChildFds = [] {
-    SubprocessResult R = runSubprocess({"ls", "-l", "/proc/self/fd"}, {5.0});
+  auto ChildFds = [](int Fd3) {
+    SubprocessOptions Opts;
+    Opts.TimeoutSeconds = 5.0;
+    Opts.Fd3 = Fd3;
+    SubprocessResult R = runSubprocess({"ls", "-l", "/proc/self/fd"}, Opts);
     EXPECT_TRUE(R.ok()) << R.describe() << R.Output;
     std::set<int> Fds;
     std::istringstream In(R.Output);
@@ -514,28 +540,32 @@ TEST(Subprocess, ChildInheritsNoPipeFromAConcurrentGuard) {
     }
     return Fds;
   };
-  // Whatever this test process itself inherited without close-on-exec;
-  // empty when it was started with only fds 0-2.
-  const std::set<int> Inherited = ChildFds();
 
+  // An fd this process leaks without close-on-exec, and another thread's
+  // child holding its output pipe: neither reaches the child.
+  const int Leaked = ::dup(STDERR_FILENO);
+  ASSERT_GE(Leaked, 0);
   std::atomic<bool> Started{false};
-  std::thread Guard([&] {
+  std::thread Sibling([&] {
     Started = true;
-    GuardedResult R = runGuarded(
-        [] {
-          std::this_thread::sleep_for(std::chrono::seconds(1));
-          return 0;
-        },
-        5.0);
+    SubprocessResult R = runSubprocess({"sleep", "1"}, {5.0});
     EXPECT_TRUE(R.ok()) << R.describe();
   });
   while (!Started)
     std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(ChildFds(), Inherited);
-  Guard.join();
+  EXPECT_EQ(ChildFds(-1), std::set<int>{});
+
+  // The one fd a caller hands over arrives as fd 3, whatever its number
+  // here and even when it is close-on-exec here.
+  const int Tables = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(Tables, 0);
+  EXPECT_EQ(ChildFds(Tables), std::set<int>{3});
+  ::close(Tables);
+  ::close(Leaked);
+  Sibling.join();
 }
-#endif // __linux__
+#endif // glibc 2.34
 
 #endif // __unix__ || __APPLE__
 

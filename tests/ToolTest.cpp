@@ -369,11 +369,28 @@ TEST(Splc, IntegerFaultsAreDiagnosticsNotSignals) {
       {"(template (PQ n_) [n_ * 4611686018427387904 == 0] (do $i0 = 0, "
        "n_-1\n $out($i0) = $in($i0)\n end))\n(PQ 4)",
        4, "no template matches user-defined matrix (PQ 4)"},
+      // An intrinsic of order 0 (SIGFPE before).
+      {"(template (PQ n_) [n_ >= 1] (do $i0 = 0, n_-1 $out($i0) = "
+       "W(n_-1 $i0) * $in($i0) end))\n(PQ 1)",
+       4, "1:63: the order of intrinsic 'W' must be positive"},
+      // A table over more index combinations than int64 counts
+      // (std::length_error, SIGABRT before).
+      {"(template (PQ n_) (do $i0 = -4611686018427387904, "
+       "4611686018427387904 $out(0) = W(8 $i0) * $in(0) end))\n(PQ 1)",
+       4, "the table of intrinsic 'W' over its loops would exceed 2^63"},
   };
   for (const auto &C : Cases) {
     auto R = runSplc("", C.Source);
     EXPECT_EQ(exitStatus(R), C.Exit) << C.Source << "\n" << R.Output;
     EXPECT_NE(R.Output.find(C.Message), std::string::npos) << R.Output;
+  }
+
+  // A loop empty by more than one iteration needs no table for an
+  // intrinsic over its index (std::length_error, SIGABRT before).
+  for (const char *Unroll : {"-B 0", "-B 16"}) {
+    auto R = runSplc(Unroll, "(template (PQ n_) (do $i0 = 0, -5 $out($i0) = "
+                             "W(8 $i0) * $in($i0) end))\n(PQ 1)");
+    EXPECT_EQ(exitStatus(R), 0) << Unroll << "\n" << R.Output;
   }
 }
 
@@ -625,7 +642,7 @@ TEST(Splrun, StatsJsonAndTraceJsonDumps) {
 
 // The docs/KERNEL_CACHE.md worked example, as a test: a cold run compiles
 // and populates, a warm run of the same process-external command maps the
-// cached kernel with zero compiler invocations.
+// cached kernel and trial runner with zero compiler invocations.
 TEST(Splrun, KernelCacheColdThenWarm) {
   if (faultsArmed())
     GTEST_SKIP() << "SPL_FAULT armed: native compiles are expected to fail";
@@ -665,11 +682,16 @@ TEST(Splrun, KernelCacheColdThenWarm) {
   EXPECT_GE(numberAfter(ColdStats, "\"native.compiles\":"), 1) << ColdStats;
   EXPECT_GE(numberAfter(ColdStats, "\"kernelcache.inserts\":"), 1)
       << ColdStats;
+  // The trial runner is built once, into the cache beside the kernels.
+  EXPECT_EQ(numberAfter(ColdStats, "\"native.runner_builds\":"), 1)
+      << ColdStats;
 
   auto Warm = runCommand(Common + WarmJson);
   EXPECT_EQ(exitStatus(Warm), 0) << Warm.Output;
   std::string WarmStats = slurpAndRemove(WarmJson);
   EXPECT_EQ(numberAfter(WarmStats, "\"native.compiles\":"), 0) << WarmStats;
+  EXPECT_EQ(numberAfter(WarmStats, "\"native.runner_builds\":"), 0)
+      << WarmStats;
   EXPECT_GE(numberAfter(WarmStats, "\"kernelcache.hits\":"), 1) << WarmStats;
 
   // --no-kernel-cache bypasses cleanly: compiles again, touches nothing.
