@@ -19,9 +19,10 @@
 /// A ballast arm then checks that planning cost does not grow with the
 /// process: it times warm plans of fft 256 and fft 1024 (median of 15)
 /// with 0 and with 256 MiB of touched heap ballast, and exits nonzero when
-/// a 256 MiB median exceeds 1.5x its 0 MiB median. Every warm plan proves
-/// its kernel in a spawned trial runner; a fork of the planning process
-/// would copy the ballast's page tables on every plan.
+/// a 256 MiB median exceeds 1.5x its 0 MiB median; beside each it prints
+/// and records the median plan.trial_ns. Every warm plan proves its kernel
+/// in a fresh child of the resident trial runner; a fork of the planning
+/// process would copy the ballast's page tables on every plan.
 ///
 /// Environment knobs (in addition to BenchUtil's):
 ///   SPL_KC_MAXLG=<k>   largest FFT size 2^k to plan (default 10)
@@ -154,46 +155,65 @@ int main() {
   constexpr int Reps = 15;
   constexpr std::size_t BallastMiB = 256;
   const std::int64_t BallastSizes[] = {256, 1024};
-  auto warmMedianMs = [&](std::int64_t N) {
+  /// Median wall ms and median plan.trial_ns (in ms) over Reps warm
+  /// plans of fft N; a wall of -1 when a plan was not native.
+  struct Medians {
+    double PlanMs = -1, TrialMs = -1;
+  };
+  auto warmMedians = [&](std::int64_t N) {
     runtime::PlanSpec Spec;
     Spec.Size = N;
-    std::vector<double> Ms;
+    std::vector<double> Ms, TrialMs;
+    auto median = [](std::vector<double> &V) {
+      std::nth_element(V.begin(), V.begin() + V.size() / 2, V.end());
+      return V[V.size() / 2];
+    };
     for (int R = 0; R != Reps; ++R) {
       Diagnostics Diags;
       runtime::PlannerOptions POpts;
       POpts.WisdomPath = WisdomPath;
       POpts.KernelCacheDir = CacheDir;
       runtime::Planner Planner(Diags, POpts);
+      const std::uint64_t Trial0 = telemetry::PlanTrialNs.snapshot().Sum;
       Timer Wall;
       auto Plan = Planner.plan(Spec);
       Ms.push_back(Wall.seconds() * 1e3);
+      TrialMs.push_back(
+          static_cast<double>(telemetry::PlanTrialNs.snapshot().Sum - Trial0) /
+          1e6);
       if (!Plan || Plan->backend() != runtime::Backend::Native)
-        return -1.0;
+        return Medians();
       Planner.saveWisdom();
     }
-    std::nth_element(Ms.begin(), Ms.begin() + Reps / 2, Ms.end());
-    return Ms[Reps / 2];
+    return Medians{median(Ms), median(TrialMs)};
   };
-  std::printf("\nwarm plan vs process size (median of %d, ms)\n", Reps);
-  std::printf("%8s  %12s  %12s  %8s\n", "N", "0 MiB", "256 MiB", "ratio");
+  std::printf("\nwarm plan vs process size (median of %d, ms; trial is the "
+              "median plan.trial_ns)\n",
+              Reps);
+  std::printf("%8s  %12s  %12s  %8s  %12s  %12s\n", "N", "0 MiB", "256 MiB",
+              "ratio", "trial 0", "trial 256");
   bool BallastFailed = false;
   for (std::int64_t N : BallastSizes) {
     // One cold plan writes the record if the sweep above did not.
-    const double Cold = warmMedianMs(N);
-    const double Bare = warmMedianMs(N);
-    double Heavy = -1;
+    const Medians Cold = warmMedians(N);
+    const Medians Bare = warmMedians(N);
+    Medians Heavy;
     {
       std::vector<char> Ballast(BallastMiB << 20, 1); // Touches every page.
-      Heavy = warmMedianMs(N);
-      std::printf("%8lld  %12.3f  %12.3f  %7.2fx%s\n",
-                  static_cast<long long>(N), Bare, Heavy,
-                  Bare > 0 ? Heavy / Bare : 0.0,
+      Heavy = warmMedians(N);
+      std::printf("%8lld  %12.3f  %12.3f  %7.2fx  %12.3f  %12.3f%s\n",
+                  static_cast<long long>(N), Bare.PlanMs, Heavy.PlanMs,
+                  Bare.PlanMs > 0 ? Heavy.PlanMs / Bare.PlanMs : 0.0,
+                  Bare.TrialMs, Heavy.TrialMs,
                   Ballast[Ballast.size() / 2] == 1 ? "" : " (ballast lost)");
     }
     const std::string Suffix = "_n" + std::to_string(N);
-    Report.num("warm_ballast0_ms" + Suffix, Bare);
-    Report.num("warm_ballast256_ms" + Suffix, Heavy);
-    if (Cold < 0 || Bare <= 0 || Heavy < 0 || Heavy > 1.5 * Bare) {
+    Report.num("warm_ballast0_ms" + Suffix, Bare.PlanMs);
+    Report.num("warm_ballast256_ms" + Suffix, Heavy.PlanMs);
+    Report.num("warm_ballast0_trial_ms" + Suffix, Bare.TrialMs);
+    Report.num("warm_ballast256_trial_ms" + Suffix, Heavy.TrialMs);
+    if (Cold.PlanMs < 0 || Bare.PlanMs <= 0 || Heavy.PlanMs < 0 ||
+        Heavy.PlanMs > 1.5 * Bare.PlanMs) {
       std::printf("GATE FAILED at N=%lld: the 256 MiB warm median is not "
                   "within 1.5x of the 0 MiB one (or a plan was not native)\n",
                   static_cast<long long>(N));

@@ -20,8 +20,8 @@
 /// pin emission output. A forced `neon` builds and runs on any GCC/clang
 /// host (2-lane vectors need no NEON header; x86 runs them as SSE2).
 /// Forcing an ISA the hardware lacks is caught by the planner's guarded
-/// trial execution (the kernel dies on SIGILL in the spawned trial runner
-/// and the plan demotes to scalar). See docs/VECTORIZATION.md.
+/// trial execution (the kernel dies on SIGILL in its trial child and the
+/// plan demotes to scalar). See docs/VECTORIZATION.md.
 ///
 //===----------------------------------------------------------------------===//
 

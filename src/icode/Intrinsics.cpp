@@ -17,7 +17,9 @@ IntrinsicRegistry::IntrinsicRegistry() {
   }, 1);
   add("TW", 3, [](const std::vector<std::int64_t> &A) {
     return twiddleEntry(A[0], A[1], A[2]);
-  }, 2);
+  }, 2, {"n to divide mn", [](const std::int64_t *O) {
+           return O[0] % O[1] == 0;
+         }});
   add("DCT2E", 3, [](const std::vector<std::int64_t> &A) {
     return Cplx(dct2Entry(A[0], A[1], A[2]), 0);
   }, 1);
@@ -26,7 +28,9 @@ IntrinsicRegistry::IntrinsicRegistry() {
   }, 1);
   add("WHTE", 3, [](const std::vector<std::int64_t> &A) {
     return Cplx(whtEntry(A[0], A[1], A[2]), 0);
-  }, 1);
+  }, 1, {"n to be a power of two", [](const std::int64_t *O) {
+           return (O[0] & (O[0] - 1)) == 0;
+         }});
 }
 
 const IntrinsicRegistry &IntrinsicRegistry::builtins() {
@@ -35,14 +39,14 @@ const IntrinsicRegistry &IntrinsicRegistry::builtins() {
 }
 
 void IntrinsicRegistry::add(std::string Name, unsigned Arity, IntrinsicFn Fn,
-                            unsigned Orders) {
+                            unsigned Orders, OrderRule Rule) {
   for (auto &[N, E] : Entries) {
     if (N == Name) {
-      E = {Arity, std::move(Fn), Orders};
+      E = {Arity, std::move(Fn), Orders, Rule};
       return;
     }
   }
-  Entries.push_back({std::move(Name), {Arity, std::move(Fn), Orders}});
+  Entries.push_back({std::move(Name), {Arity, std::move(Fn), Orders, Rule}});
 }
 
 const IntrinsicRegistry::Entry *
@@ -67,6 +71,12 @@ unsigned IntrinsicRegistry::orders(const std::string &Name) const {
   const Entry *E = find(Name);
   assert(E && "unknown intrinsic");
   return E->Orders;
+}
+
+const OrderRule &IntrinsicRegistry::orderRule(const std::string &Name) const {
+  const Entry *E = find(Name);
+  assert(E && "unknown intrinsic");
+  return E->Rule;
 }
 
 Cplx IntrinsicRegistry::eval(const std::string &Name,

@@ -30,6 +30,13 @@ namespace icode {
 /// Evaluator for one intrinsic function: maps integer arguments to a scalar.
 using IntrinsicFn = std::function<Cplx(const std::vector<std::int64_t> &)>;
 
+/// A condition an intrinsic's orders must meet beyond being positive, and
+/// its words for the expander's diagnostic ("n to divide mn").
+struct OrderRule {
+  const char *Need = nullptr;                        ///< Null: no rule.
+  bool (*Holds)(const std::int64_t *Orders) = nullptr; ///< On the orders.
+};
+
 /// Name-indexed table of intrinsic functions.
 class IntrinsicRegistry {
 public:
@@ -45,9 +52,10 @@ public:
 
   /// Registers (or replaces) an intrinsic. \p Arity is checked at
   /// evaluation time. Its first \p Orders arguments are orders (W's n,
-  /// TW's mn and n), which the expander requires to be positive.
+  /// TW's mn and n), which the expander requires to be positive and, when
+  /// there is a \p Rule, to meet it (TW's n | mn, WHTE's power-of-two n).
   void add(std::string Name, unsigned Arity, IntrinsicFn Fn,
-           unsigned Orders = 0);
+           unsigned Orders = 0, OrderRule Rule = {});
 
   /// True when \p Name is a registered intrinsic.
   bool contains(const std::string &Name) const;
@@ -59,6 +67,10 @@ public:
   /// intrinsic exists.
   unsigned orders(const std::string &Name) const;
 
+  /// The rule on \p Name's orders (no Holds when there is none); asserts
+  /// that the intrinsic exists.
+  const OrderRule &orderRule(const std::string &Name) const;
+
   /// Evaluates \p Name on \p Args; asserts on unknown name or wrong arity.
   Cplx eval(const std::string &Name,
             const std::vector<std::int64_t> &Args) const;
@@ -68,6 +80,7 @@ private:
     unsigned Arity;
     IntrinsicFn Fn;
     unsigned Orders;
+    OrderRule Rule;
   };
   std::vector<std::pair<std::string, Entry>> Entries;
 

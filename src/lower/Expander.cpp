@@ -416,6 +416,30 @@ std::optional<Operand> Expander::flattenOperand(Scope &S,
   }
 }
 
+/// True when \p Rule holds at every point of the box the orders' ranges
+/// span. Positive orders only; a box of more than 4096 points is not
+/// searched, so it does not prove the rule.
+static bool orderRuleHolds(const icode::OrderRule &Rule,
+                           const std::vector<IntValue> &Orders) {
+  std::int64_t Points = 1;
+  for (const IntValue &O : Orders)
+    if (O.Hi - O.Lo >= 4096 || (Points *= O.Hi - O.Lo + 1) > 4096)
+      return false;
+  std::vector<std::int64_t> At;
+  for (const IntValue &O : Orders)
+    At.push_back(O.Lo);
+  for (;;) {
+    if (!Rule.Holds(At.data()))
+      return false;
+    std::size_t I = 0;
+    while (I != At.size() && At[I] == Orders[I].Hi)
+      At[I] = Orders[I].Lo, ++I;
+    if (I == At.size())
+      return true;
+    ++At[I];
+  }
+}
+
 std::optional<Operand> Expander::floatOperand(Scope &S,
                                               const tpl::TExprRef &E) {
   switch (E->K) {
@@ -457,20 +481,33 @@ std::optional<Operand> Expander::floatOperand(Scope &S,
     }
     std::vector<IntExprRef> Args;
     std::vector<int> Vars;
+    std::vector<IntValue> Orders;
     for (const tpl::TExprRef &A : E->Args) {
       auto IA = lowerInt(S, A);
       if (!IA)
         return std::nullopt;
       // An order is a divisor of the intrinsic (W's k mod n, ...).
-      if (Args.size() < Intrinsics.orders(E->Name) && IA->Lo <= 0) {
-        fail(A->Loc, "the order of intrinsic '" + E->Name +
-                         (IA->isConst() ? "' must be positive"
-                                        : "' can be nonpositive within the "
-                                          "loop bounds"));
-        return std::nullopt;
+      if (Args.size() < Intrinsics.orders(E->Name)) {
+        if (IA->Lo <= 0) {
+          fail(A->Loc, "the order of intrinsic '" + E->Name +
+                           (IA->isConst() ? "' must be positive"
+                                          : "' can be nonpositive within the "
+                                            "loop bounds"));
+          return std::nullopt;
+        }
+        Orders.push_back(*IA);
       }
       Args.push_back(IA->expr());
       Args.back()->collectVars(Vars);
+    }
+    const icode::OrderRule &Rule = Intrinsics.orderRule(E->Name);
+    if (Rule.Holds && !orderRuleHolds(Rule, Orders)) {
+      const bool Const =
+          std::all_of(Orders.begin(), Orders.end(),
+                      [](const IntValue &O) { return O.isConst(); });
+      fail(E->Loc, "intrinsic '" + E->Name + "' needs " + Rule.Need +
+                       (Const ? "" : ", which the loop bounds do not prove"));
+      return std::nullopt;
     }
     // Intrinsic evaluation tables the call over its loops' index ranges.
     std::sort(Vars.begin(), Vars.end());

@@ -15,10 +15,15 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <random>
 
 #include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace spl;
@@ -26,72 +31,83 @@ using namespace spl::perf;
 
 namespace {
 
-/// The trial runner: a libc-only C program that proves one kernel in its
-/// own process. Arguments: the module's path, the kernel's symbol, the
-/// input and output lengths in doubles, the tables (a KernelCache tables
-/// artifact path, "@3" for one on fd 3, or "-" for none), and optionally
-/// "crash" or "hang" (the trial-crash and trial-hang fault sites). It runs
-/// the kernel once on data from a seeded 64-bit LCG in [-1, 1) and exits
-/// 0, 2 on a non-finite output, or 3 with a message when it cannot set
-/// the kernel up.
+/// The trial runner: a libc-only C program that serves trials over the
+/// SOCK_SEQPACKET channel on its fd 3 until the channel closes. A request
+/// is one message of NUL-terminated fields: the module's path, the
+/// kernel's symbol, the input and output lengths in doubles, and "",
+/// "crash" or "hang" (the trial-crash and trial-hang fault sites); the
+/// tables, when the kernel has any, ride along as an fd (SCM_RIGHTS). For
+/// each request the runner forks a fresh child, which dlopens the kernel,
+/// maps the tables, runs the kernel once on data from a seeded 64-bit LCG
+/// in [-1, 1) and exits 0, 2 on a non-finite output, or 3 with a message
+/// when it cannot set the kernel up. The runner itself never loads a
+/// kernel. Its reply is one message: the child's wait status (an int32,
+/// -1 when no child could start) and the start of the child's output. A
+/// channel that closes mid-trial (the owner died) makes the
+/// runner kill and reap its child and exit.
 constexpr const char *TrialRunnerSource = R"(#include <dlfcn.h>
+#include <errno.h>
 #include <fcntl.h>
 #include <math.h>
+#include <poll.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+enum { CHANNEL = 3 };
 
 static int fail(const char *what, const char *detail) {
   fprintf(stderr, "%s: %s\n", what, detail ? detail : "?");
   return 3;
 }
 
-int main(int argc, char **argv) {
-  if (argc < 6)
-    return fail("usage", "runner so symbol in-len out-len tables [crash|hang]");
-  void *h = dlopen(argv[1], RTLD_NOW | RTLD_LOCAL);
+/* The trial child's work: prove the kernel once. */
+static int prove(const char *so, const char *sym, long in_len, long out_len,
+                 int tables, const char *mode) {
+  void *h = dlopen(so, RTLD_NOW | RTLD_LOCAL);
   if (!h)
     return fail("dlopen failed", dlerror());
   void (*fn)(double *, const double *) =
-      (void (*)(double *, const double *))dlsym(h, argv[2]);
+      (void (*)(double *, const double *))dlsym(h, sym);
   if (!fn)
-    return fail("symbol not found", argv[2]);
-  const long in_len = atol(argv[3]), out_len = atol(argv[4]);
-  if (strcmp(argv[5], "-") != 0) {
-    int fd = strcmp(argv[5], "@3") == 0 ? 3 : open(argv[5], O_RDONLY);
+    return fail("symbol not found", sym);
+  if (tables >= 0) {
     struct stat st;
-    if (fd < 0 || fstat(fd, &st) != 0)
-      return fail("cannot open tables", argv[5]);
+    if (fstat(tables, &st) != 0)
+      return fail("cannot read tables", sym);
     const size_t size = (size_t)st.st_size;
-    const char *b = size >= 16 ? mmap(0, size, PROT_READ, MAP_PRIVATE, fd, 0)
-                               : MAP_FAILED;
+    const char *b = size >= 16
+                        ? mmap(0, size, PROT_READ, MAP_PRIVATE, tables, 0)
+                        : MAP_FAILED;
     uint64_t count = 0;
     if (b == MAP_FAILED || memcmp(b, "spltab01", 8) != 0)
-      return fail("bad tables", argv[5]);
+      return fail("bad tables", sym);
     memcpy(&count, b + 8, 8);
     if (count > size / 8)
-      return fail("bad tables", argv[5]);
+      return fail("bad tables", sym);
     const double **tabs = malloc((count + 1) * sizeof *tabs);
     size_t pos = 16;
     for (uint64_t t = 0; t != count; ++t) {
       uint64_t len = 0;
       if (size - pos < 8)
-        return fail("bad tables", argv[5]);
+        return fail("bad tables", sym);
       memcpy(&len, b + pos, 8);
       pos += 8;
       if (len > (size - pos) / 8)
-        return fail("bad tables", argv[5]);
+        return fail("bad tables", sym);
       tabs[t] = (const double *)(b + pos);
       pos += len * 8;
     }
     if (count) {
       char name[512];
-      snprintf(name, sizeof name, "%s_set_tables", argv[2]);
+      snprintf(name, sizeof name, "%s_set_tables", sym);
       void (*set)(const double *const *) =
           (void (*)(const double *const *))dlsym(h, name);
       if (!set)
@@ -106,17 +122,121 @@ int main(int argc, char **argv) {
     s = s * 6364136223846793005ULL + 1442695040888963407ULL;
     x[i] = (double)(s >> 11) * 0x1p-52 - 1.0;
   }
-  if (argc > 6 && strcmp(argv[6], "crash") == 0) {
+  if (strcmp(mode, "crash") == 0) {
     signal(SIGSEGV, SIG_DFL);
     raise(SIGSEGV);
   }
-  if (argc > 6 && strcmp(argv[6], "hang") == 0)
+  if (strcmp(mode, "hang") == 0)
     sleep(600);
   fn(y, x);
   for (long i = 0; i < out_len; ++i)
     if (!isfinite(y[i]))
       return 2;
   return 0;
+}
+
+static void reply(int32_t status, const char *text, size_t len) {
+  char out[4 + 512];
+  if (len > sizeof out - 4)
+    len = sizeof out - 4;
+  memcpy(out, &status, 4);
+  memcpy(out + 4, text, len);
+  send(CHANNEL, out, 4 + len, 0);
+}
+
+/* Runs one trial in a fresh child and replies; exits when the channel
+   closes before the child is done. */
+static void trial(char **f, int tables) {
+  int p[2] = {-1, -1};
+  const pid_t pid = pipe(p) == 0 ? fork() : -1;
+  if (pid == 0) {
+    close(CHANNEL);
+    close(p[0]);
+    dup2(p[1], 1);
+    dup2(p[1], 2);
+    close(p[1]);
+    signal(SIGPIPE, SIG_DFL);
+    _exit(prove(f[0], f[1], atol(f[2]), atol(f[3]), tables, f[4]));
+  }
+  close(p[1]);
+  if (tables >= 0)
+    close(tables);
+  if (pid < 0) {
+    close(p[0]);
+    reply(-1, "no pipe or fork", 15);
+    return;
+  }
+  char text[512];
+  size_t len = 0;
+  for (;;) {
+    struct pollfd fds[2] = {{CHANNEL, POLLIN, 0}, {p[0], POLLIN, 0}};
+    if (poll(fds, 2, -1) < 0)
+      continue;
+    if (fds[0].revents) {
+      kill(pid, SIGKILL);
+      waitpid(pid, 0, 0);
+      exit(0);
+    }
+    if (fds[1].revents) {
+      char buf[512];
+      const ssize_t n = read(p[0], buf, sizeof buf);
+      if (n < 0 && errno == EINTR)
+        continue;
+      if (n <= 0)
+        break; /* EOF: the child is exiting. */
+      const size_t keep = (size_t)n < sizeof text - len ? (size_t)n
+                                                        : sizeof text - len;
+      memcpy(text + len, buf, keep);
+      len += keep;
+    }
+  }
+  close(p[0]);
+  int st = 0;
+  while (waitpid(pid, &st, 0) < 0 && errno == EINTR) {
+  }
+  reply(st, text, len);
+}
+
+int main(void) {
+  signal(SIGPIPE, SIG_IGN);
+  for (;;) {
+    char req[8192];
+    union {
+      struct cmsghdr h;
+      char b[CMSG_SPACE(sizeof(int))];
+    } ctl;
+    struct iovec iov = {req, sizeof req - 1};
+    struct msghdr mh;
+    memset(&mh, 0, sizeof mh);
+    mh.msg_iov = &iov;
+    mh.msg_iovlen = 1;
+    mh.msg_control = ctl.b;
+    mh.msg_controllen = sizeof ctl.b;
+    const ssize_t n = recvmsg(CHANNEL, &mh, 0);
+    if (n < 0 && errno == EINTR)
+      continue;
+    if (n <= 0)
+      return 0; /* The owner closed the channel. */
+    int tables = -1;
+    struct cmsghdr *c = CMSG_FIRSTHDR(&mh);
+    if (c && c->cmsg_level == SOL_SOCKET && c->cmsg_type == SCM_RIGHTS)
+      memcpy(&tables, CMSG_DATA(c), sizeof tables);
+    req[n] = 0;
+    char *f[5];
+    size_t pos = 0;
+    int k = 0;
+    for (; k < 5 && pos < (size_t)n; ++k) {
+      f[k] = req + pos;
+      pos += strlen(req + pos) + 1;
+    }
+    if (k < 5 || (mh.msg_flags & (MSG_TRUNC | MSG_CTRUNC))) {
+      if (tables >= 0)
+        close(tables);
+      reply(-1, "bad request", 11);
+      continue;
+    }
+    trial(f, tables);
+  }
 }
 )";
 
@@ -139,7 +259,7 @@ std::string trialRunner(std::string &Error) {
   return Runner.Path;
 }
 
-/// \p Tables in an unlinked, close-on-exec temp file for the runner's fd 3;
+/// \p Tables in an unlinked, close-on-exec temp file for a trial request;
 /// -1 when it cannot be written. The tables go out without a copy.
 int tablesFd(const std::vector<std::vector<double>> &Tables) {
   const std::string Path = tempStem() + ".tables";
@@ -164,6 +284,177 @@ int tablesFd(const std::vector<std::vector<double>> &Tables) {
   });
   return Fd;
 }
+
+/// One resident trial runner: its pid and this side of its channel.
+struct Runner {
+  pid_t Pid = -1;
+  int Fd = -1;
+};
+
+/// What one trial request came to.
+struct Exchange {
+  enum { Replied, TimedOut, Failed } Kind = Failed;
+  int Status = 0;   ///< The trial child's wait status, -1 when none ran.
+  std::string Text; ///< The child's output, or why no reply came.
+};
+
+/// The process's trial runners. Each serves one trial at a time; idle ones
+/// wait in a free list, and a trial that finds none starts one. A runner
+/// whose trial timed out or whose channel broke is retired, never reused.
+class RunnerPool {
+public:
+  /// Runs \p Request (with \p TablesFd, when >= 0, passed along) on a
+  /// runner, waiting at most \p TimeoutSeconds (0: no limit) for the reply.
+  Exchange run(const std::string &Request, int TablesFd,
+               double TimeoutSeconds) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point Deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(TimeoutSeconds));
+    Exchange X;
+    // A runner that died while idle shows up as a broken channel before
+    // any trial ran in it, so the request is retried once on a new runner.
+    for (int Attempt = 0; Attempt != 2; ++Attempt) {
+      Runner R;
+      if (!acquire(R, /*Fresh=*/Attempt != 0, X.Text))
+        return X;
+      if (!send(R.Fd, Request, TablesFd)) {
+        retire(R);
+        continue;
+      }
+      for (;;) {
+        long Ms = -1;
+        if (TimeoutSeconds > 0) {
+          Ms = static_cast<long>(std::chrono::ceil<std::chrono::milliseconds>(
+                                     Deadline - Clock::now())
+                                     .count());
+          if (Ms <= 0) {
+            retire(R);
+            X.Kind = Exchange::TimedOut;
+            return X;
+          }
+        }
+        struct pollfd PFD = {R.Fd, POLLIN, 0};
+        const int PR = ::poll(&PFD, 1, static_cast<int>(Ms));
+        if (PR == 0 || (PR < 0 && errno == EINTR))
+          continue;
+        char Buf[1024];
+        ssize_t N = PR > 0 ? ::recv(R.Fd, Buf, sizeof Buf, 0) : -1;
+        if (N < 0 && errno == EINTR)
+          continue;
+        if (N < 4)
+          break; // The channel broke before the reply.
+        std::int32_t Status;
+        std::memcpy(&Status, Buf, 4);
+        X = {Exchange::Replied, Status, std::string(Buf + 4, Buf + N)};
+        release(R);
+        return X;
+      }
+      retire(R);
+    }
+    X.Text = "trial execution failed: the trial runner died before it replied";
+    return X;
+  }
+
+  /// Retires every idle runner.
+  void closeIdle() {
+    std::vector<Runner> Closing;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Closing.swap(Idle);
+    }
+    for (const Runner &R : Closing)
+      retire(R);
+  }
+
+private:
+  /// An idle runner, or (always when \p Fresh) a newly started one.
+  bool acquire(Runner &R, bool Fresh, std::string &Error) {
+    if (!Fresh) {
+      std::lock_guard<std::mutex> Lock(M);
+      if (!Idle.empty()) {
+        R = Idle.back();
+        Idle.pop_back();
+        return true;
+      }
+    }
+    const std::string Path = trialRunner(Error);
+    if (Path.empty()) {
+      Error = "trial runner unavailable: " + Error;
+      return false;
+    }
+    int Sv[2];
+    if (::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, Sv) != 0) {
+      Error = "trial runner unavailable: no channel: " +
+              std::string(std::strerror(errno));
+      return false;
+    }
+    R.Pid = spawnWithChannel({Path}, Sv[1]);
+    ::close(Sv[1]);
+    if (R.Pid < 0) {
+      ::close(Sv[0]);
+      Error = "trial runner unavailable: it could not be started";
+      return false;
+    }
+    R.Fd = Sv[0];
+    telemetry::NativeRunnerStarts.add();
+    return true;
+  }
+
+  void release(const Runner &R) {
+    std::lock_guard<std::mutex> Lock(M);
+    Idle.push_back(R);
+  }
+
+  /// Kills the runner with its process group, which holds any trial in
+  /// flight, and reaps it; the killed trial child is an orphan the system
+  /// reaps.
+  static void retire(const Runner &R) {
+    ::kill(-R.Pid, SIGKILL);
+    ::close(R.Fd);
+    while (::waitpid(R.Pid, nullptr, 0) < 0 && errno == EINTR) {
+    }
+  }
+
+  static bool send(int Fd, const std::string &Request, int TablesFd) {
+    struct iovec Iov = {const_cast<char *>(Request.data()), Request.size()};
+    struct msghdr Msg = {};
+    Msg.msg_iov = &Iov;
+    Msg.msg_iovlen = 1;
+    union {
+      struct cmsghdr Header;
+      char Bytes[CMSG_SPACE(sizeof(int))];
+    } Control = {};
+    if (TablesFd >= 0) {
+      Msg.msg_control = Control.Bytes;
+      Msg.msg_controllen = sizeof Control.Bytes;
+      struct cmsghdr *C = CMSG_FIRSTHDR(&Msg);
+      C->cmsg_level = SOL_SOCKET;
+      C->cmsg_type = SCM_RIGHTS;
+      C->cmsg_len = CMSG_LEN(sizeof(int));
+      std::memcpy(CMSG_DATA(C), &TablesFd, sizeof(int));
+    }
+    ssize_t N;
+    do
+      N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
+    while (N < 0 && errno == EINTR);
+    return N == static_cast<ssize_t>(Request.size());
+  }
+
+  std::mutex M;
+  std::vector<Runner> Idle;
+};
+
+/// The pool outlives every static destructor (a trial on another thread
+/// may still reach it); its idle runners are retired when the process
+/// exits normally, and any runner sees EOF when the process dies.
+RunnerPool &runnerPool() {
+  static RunnerPool *Pool = new RunnerPool;
+  return *Pool;
+}
+const struct RunnerCloser {
+  ~RunnerCloser() { runnerPool().closeIdle(); }
+} CloseRunnersAtExit;
 
 } // namespace
 
@@ -338,17 +629,6 @@ CompiledKernel::trial(double TimeoutSeconds) const {
   const bool InjectCrash = fault::at("trial-crash");
   const bool InjectHang = fault::at("trial-hang");
   TrialResult T;
-  std::string Error;
-  const std::string Runner = trialRunner(Error);
-  if (Runner.empty()) {
-    T.Reason = "trial runner unavailable: " + Error;
-    return T;
-  }
-  std::vector<std::string> Argv = {Runner, Mod->soPath(), FnName,
-                                   std::to_string(InLen),
-                                   std::to_string(OutLen), "-"};
-  SubprocessOptions Opts;
-  Opts.TimeoutSeconds = TimeoutSeconds;
   struct FdGuard {
     int Fd = -1;
     ~FdGuard() {
@@ -356,39 +636,46 @@ CompiledKernel::trial(double TimeoutSeconds) const {
         ::close(Fd);
     }
   } TablesFd; // Closed on every path out of the trial.
-  if (!Tables.empty() && !TablesPath.empty()) {
-    Argv[5] = TablesPath; // A plan record's: mapped, never rewritten.
-  } else if (!Tables.empty()) {
-    Opts.Fd3 = TablesFd.Fd = tablesFd(Tables);
-    if (Opts.Fd3 < 0) {
-      T.Reason = "trial execution failed: cannot write its tables";
+  if (!Tables.empty()) {
+    // A plan record's tables artifact is mapped, never rewritten; a fresh
+    // kernel's tables go out in an unlinked temp file.
+    TablesFd.Fd = TablesPath.empty()
+                      ? tablesFd(Tables)
+                      : ::open(TablesPath.c_str(), O_RDONLY | O_CLOEXEC);
+    if (TablesFd.Fd < 0) {
+      T.Reason = std::string("trial execution failed: cannot ") +
+                 (TablesPath.empty() ? "write" : "open") + " its tables";
       return T;
     }
-    Argv[5] = "@3";
   }
-  if (InjectCrash)
-    Argv.push_back("crash");
-  else if (InjectHang)
-    Argv.push_back("hang");
+  std::string Request;
+  for (const std::string &Field :
+       {Mod->soPath(), FnName, std::to_string(InLen), std::to_string(OutLen),
+        std::string(InjectCrash ? "crash" : InjectHang ? "hang" : "")})
+    Request.append(Field).push_back('\0');
 
-  SubprocessResult R = runSubprocess(Argv, Opts);
-  if (R.ok()) {
-    T.Ok = true;
-    return T;
-  }
-  if (R.TimedOut)
+  const Exchange X = runnerPool().run(Request, TablesFd.Fd, TimeoutSeconds);
+  if (X.Kind == Exchange::TimedOut) {
     T.Reason = "trial execution timed out after " +
                std::to_string(TimeoutSeconds) +
                " s (see SPL_TRIAL_TIMEOUT_MS)";
-  else if (R.Signal != 0)
-    T.Reason = "trial execution died on signal " + std::to_string(R.Signal);
-  else if (R.ExitCode == 2)
+  } else if (X.Kind == Exchange::Failed) {
+    T.Reason = X.Text;
+  } else if (X.Status < 0) {
+    T.Reason = "trial execution failed (could not start it): " + X.Text;
+  } else if (WIFSIGNALED(X.Status)) {
+    T.Reason =
+        "trial execution died on signal " + std::to_string(WTERMSIG(X.Status));
+  } else if (WEXITSTATUS(X.Status) == 0) {
+    T.Ok = true;
+  } else if (WEXITSTATUS(X.Status) == 2) {
     T.Reason = "trial execution produced non-finite output";
-  else
-    T.Reason = "trial execution failed (" + R.describe() + ")" +
-               (R.Output.empty()
-                    ? ""
-                    : ": " + R.Output.substr(0, R.Output.find('\n')));
+  } else {
+    T.Reason = "trial execution failed (exit " +
+               std::to_string(WEXITSTATUS(X.Status)) + ")" +
+               (X.Text.empty() ? ""
+                               : ": " + X.Text.substr(0, X.Text.find('\n')));
+  }
   return T;
 }
 

@@ -138,14 +138,16 @@ public:
     std::string Reason; ///< "died on signal 11", "timed out", ... when !Ok.
   };
 
-  /// Proves the kernel once in the trial runner, a small C program built
-  /// once per process (an ordinary kernel-cache artifact when the cache is
-  /// on) and spawned per trial, bounded by \p TimeoutSeconds: it dlopens
-  /// this kernel's module, binds its tables (a plan record's tables
-  /// artifact, or an unlinked temp file on fd 3), runs it on deterministic
-  /// random data and checks every output is finite. A kernel that
-  /// crashes, hangs, or emits NaN/Inf fails the trial without harming
-  /// this process, and the cost does not grow with this process's RSS.
+  /// Proves the kernel once, bounded by \p TimeoutSeconds, in a fresh
+  /// child of a resident trial runner: a small C program built once per
+  /// process (an ordinary kernel-cache artifact when the cache is on),
+  /// started on first use and kept for later trials. The child dlopens this
+  /// kernel's module, binds its tables (a plan record's tables artifact, or
+  /// an unlinked temp file, passed as an fd), runs it on deterministic
+  /// random data and checks every output is finite. A kernel that crashes,
+  /// hangs, or emits NaN/Inf fails the trial without harming this process,
+  /// and the cost does not grow with this process's RSS. A runner whose
+  /// trial timed out is retired; every runner is reaped at exit.
   TrialResult trial(double TimeoutSeconds) const;
 
 private:

@@ -55,39 +55,34 @@ double spl::envTimeoutSeconds(const char *Name, double DefSeconds) {
 
 namespace {
 
-/// Starts \p Argv (argv[0] resolved through PATH) in its own process group
-/// with stdout and stderr on a fresh pipe, stdin on /dev/null, an empty
-/// signal mask and \p Fd3 (when >= 0) as its fd 3. Returns the pid, or -1
-/// when the child could not be started; \p ReadFd receives the pipe's read
-/// end, whose only write end the child holds. Both ends close on exec, so
-/// no other thread's child inherits them; the dup2 onto fds 1 and 2 clears
-/// the flag on the child's copies.
-pid_t spawnWithPipe(const std::vector<std::string> &Argv, int Fd3,
-                    int &ReadFd) {
-  int Pipe[2];
-#if defined(__linux__)
-  if (::pipe2(Pipe, O_CLOEXEC) != 0)
-    return -1;
-#else
-  if (::pipe(Pipe) != 0)
-    return -1;
-  ::fcntl(Pipe[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(Pipe[1], F_SETFD, FD_CLOEXEC);
-#endif
+/// Starts \p Argv (argv[0] resolved through PATH) the one way `src/`
+/// starts a child: in its own process group, with an empty signal mask,
+/// stdin on /dev/null, stdout and stderr on \p OutFd (/dev/null when < 0)
+/// and \p ChannelFd (when >= 0) as its fd 3. On glibc >= 2.34 no other fd
+/// above 2 is inherited; elsewhere close-on-exec alone keeps them out, and
+/// the dup2s clear the flag on the child's copies. Returns the pid, or -1.
+pid_t spawnChild(const std::vector<std::string> &Argv, int OutFd,
+                 int ChannelFd) {
   posix_spawn_file_actions_t Actions;
   posix_spawnattr_t Attr;
   posix_spawn_file_actions_init(&Actions);
   posix_spawnattr_init(&Attr);
   posix_spawn_file_actions_addopen(&Actions, STDIN_FILENO, "/dev/null",
                                    O_RDONLY, 0);
-  posix_spawn_file_actions_adddup2(&Actions, Pipe[1], STDOUT_FILENO);
-  posix_spawn_file_actions_adddup2(&Actions, Pipe[1], STDERR_FILENO);
-  if (Fd3 >= 0)
-    posix_spawn_file_actions_adddup2(&Actions, Fd3, 3);
+  if (OutFd >= 0) {
+    posix_spawn_file_actions_adddup2(&Actions, OutFd, STDOUT_FILENO);
+    posix_spawn_file_actions_adddup2(&Actions, OutFd, STDERR_FILENO);
+  } else {
+    posix_spawn_file_actions_addopen(&Actions, STDOUT_FILENO, "/dev/null",
+                                     O_WRONLY, 0);
+    posix_spawn_file_actions_adddup2(&Actions, STDOUT_FILENO, STDERR_FILENO);
+  }
+  if (ChannelFd >= 0)
+    posix_spawn_file_actions_adddup2(&Actions, ChannelFd, 3);
 #if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 34)
   // Whatever another part of the process left open without close-on-exec
   // stays out of the child too.
-  posix_spawn_file_actions_addclosefrom_np(&Actions, Fd3 >= 0 ? 4 : 3);
+  posix_spawn_file_actions_addclosefrom_np(&Actions, ChannelFd >= 0 ? 4 : 3);
 #endif
   sigset_t Empty;
   sigemptyset(&Empty);
@@ -102,11 +97,29 @@ pid_t spawnWithPipe(const std::vector<std::string> &Argv, int Fd3,
     CArgv.push_back(const_cast<char *>(A.c_str()));
   CArgv.push_back(nullptr);
   pid_t Pid = -1;
-  if (::posix_spawnp(&Pid, CArgv[0], &Actions, &Attr, CArgv.data(),
-                     environ) != 0)
+  if (CArgv.size() < 2 || ::posix_spawnp(&Pid, CArgv[0], &Actions, &Attr,
+                                         CArgv.data(), environ) != 0)
     Pid = -1;
   posix_spawn_file_actions_destroy(&Actions);
   posix_spawnattr_destroy(&Attr);
+  return Pid;
+}
+
+/// spawnChild with stdout and stderr on a fresh pipe. \p ReadFd receives
+/// the pipe's read end, whose only write end the child holds. Both ends
+/// close on exec, so no other thread's child inherits them.
+pid_t spawnWithPipe(const std::vector<std::string> &Argv, int &ReadFd) {
+  int Pipe[2];
+#if defined(__linux__)
+  if (::pipe2(Pipe, O_CLOEXEC) != 0)
+    return -1;
+#else
+  if (::pipe(Pipe) != 0)
+    return -1;
+  ::fcntl(Pipe[0], F_SETFD, FD_CLOEXEC);
+  ::fcntl(Pipe[1], F_SETFD, FD_CLOEXEC);
+#endif
+  const pid_t Pid = spawnChild(Argv, Pipe[1], -1);
   ::close(Pipe[1]);
   if (Pid < 0)
     ::close(Pipe[0]);
@@ -236,13 +249,8 @@ void decodeStatus(int Status, bool TimedOut, SubprocessResult &Res) {
 SubprocessResult spl::runSubprocess(const std::vector<std::string> &Argv,
                                     const SubprocessOptions &Opts) {
   SubprocessResult Res;
-  if (Argv.empty()) {
-    Res.SpawnFailed = true;
-    return Res;
-  }
-
   int Fd = -1;
-  pid_t Pid = spawnWithPipe(Argv, Opts.Fd3, Fd);
+  pid_t Pid = spawnWithPipe(Argv, Fd);
   if (Pid < 0) {
     Res.SpawnFailed = true;
     return Res;
@@ -254,4 +262,9 @@ SubprocessResult spl::runSubprocess(const std::vector<std::string> &Argv,
   ::close(Fd);
   decodeStatus(Status, TimedOut, Res);
   return Res;
+}
+
+pid_t spl::spawnWithChannel(const std::vector<std::string> &Argv,
+                            int ChannelFd) {
+  return spawnChild(Argv, -1, ChannelFd);
 }

@@ -16,9 +16,9 @@
 ///     own process group (POSIX_SPAWN_SETPGROUP), so the whole group dies
 ///     and a compiler's own children cannot linger,
 ///   - captured, size-capped combined stdout/stderr,
-///   - stdin from /dev/null, an empty signal mask, and an optional fd the
-///     caller hands over as fd 3; on glibc >= 2.34 no other fd above 2 is
-///     inherited (elsewhere close-on-exec alone keeps them out),
+///   - stdin from /dev/null and an empty signal mask; on glibc >= 2.34 no
+///     fd above 2 is inherited (elsewhere close-on-exec alone keeps them
+///     out),
 ///   - a typed result distinguishing exit status, terminating signal,
 ///     timeout, and spawn failure (a missing binary included).
 ///
@@ -31,6 +31,10 @@
 /// After EOF the child is reaped with a geometric backoff from 50 us, so a
 /// prompt exit costs microseconds rather than a sleep.
 ///
+/// spawnWithChannel() starts a resident helper the same way but does not
+/// wait: the caller talks to it over the one fd it hands over as fd 3, and
+/// reaps it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPL_SUPPORT_SUBPROCESS_H
@@ -38,6 +42,8 @@
 
 #include <string>
 #include <vector>
+
+#include <sys/types.h>
 
 namespace spl {
 
@@ -68,15 +74,19 @@ struct SubprocessResult {
 struct SubprocessOptions {
   double TimeoutSeconds = 0;          ///< 0: no deadline.
   std::size_t MaxOutputBytes = 65536; ///< Output capture cap.
-  /// When >= 0, an open fd the child gets as its fd 3 (it may be
-  /// close-on-exec here; the child's copy is not). -1: none.
-  int Fd3 = -1;
 };
 
 /// Runs \p Argv (argv[0] resolved through PATH) with captured output and an
 /// optional deadline. Never throws; every failure mode is in the result.
 SubprocessResult runSubprocess(const std::vector<std::string> &Argv,
                                const SubprocessOptions &Opts = {});
+
+/// Starts \p Argv as runSubprocess() does (own process group, empty signal
+/// mask, stdin from /dev/null, no other fd above 2), with stdout and stderr
+/// on /dev/null and \p ChannelFd as its fd 3 (it may be close-on-exec
+/// here; the child's copy is not), and returns without waiting. Returns the
+/// pid, which the caller must reap, or -1 when the child could not start.
+pid_t spawnWithChannel(const std::vector<std::string> &Argv, int ChannelFd);
 
 /// Splits a command-line fragment on whitespace: "-O2 -fPIC" -> {-O2, -fPIC}.
 /// No quoting rules — this is for compiler-flag strings, not shell text.

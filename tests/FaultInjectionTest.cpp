@@ -34,7 +34,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -276,41 +278,135 @@ TEST_F(FaultTest, TrialHangIsBoundedByItsDeadline) {
   EXPECT_LT(T.seconds(), 30.0) << "the hung trial must be killed, not joined";
 }
 
+/// y0 = tab0[0] * x0, y1 = x1: a trial must bind the table (its fd rides
+/// along with the request) to run the kernel at all, and a NaN in it
+/// reaches y0.
+std::unique_ptr<perf::CompiledKernel> tableKernel(double Table) {
+  icode::Program P;
+  P.SubName = "nan_trial";
+  P.InSize = P.OutSize = 2;
+  P.Type = icode::DataType::Real;
+  P.Tables = {{Cplx(Table, 0)}};
+  using icode::Affine;
+  using icode::Operand;
+  P.Body.push_back(icode::Instr::bin(
+      icode::Op::Mul, Operand::vecElem(icode::VecOut, Affine(0)),
+      Operand::tableElem(0, Affine(0)),
+      Operand::vecElem(icode::VecIn, Affine(0))));
+  P.Body.push_back(
+      icode::Instr::copy(Operand::vecElem(icode::VecOut, Affine(1)),
+                         Operand::vecElem(icode::VecIn, Affine(1))));
+  perf::KernelError Err;
+  auto K = perf::CompiledKernel::create(P, &Err);
+  EXPECT_TRUE(K) << Err.str();
+  return K;
+}
+
 TEST_F(FaultTest, NonFiniteTrialOutputFailsTheTrial) {
   if (!perf::NativeModule::available())
     GTEST_SKIP() << "no system C compiler";
-  // y0 = tab0[0] * x0, y1 = x1: the trial runner must bind the table (on
-  // its fd 3) to run the kernel at all, and a NaN in it reaches y0.
-  auto Kernel = [](double Table) {
-    icode::Program P;
-    P.SubName = "nan_trial";
-    P.InSize = P.OutSize = 2;
-    P.Type = icode::DataType::Real;
-    P.Tables = {{Cplx(Table, 0)}};
-    using icode::Affine;
-    using icode::Operand;
-    P.Body.push_back(icode::Instr::bin(
-        icode::Op::Mul, Operand::vecElem(icode::VecOut, Affine(0)),
-        Operand::tableElem(0, Affine(0)),
-        Operand::vecElem(icode::VecIn, Affine(0))));
-    P.Body.push_back(
-        icode::Instr::copy(Operand::vecElem(icode::VecOut, Affine(1)),
-                           Operand::vecElem(icode::VecIn, Affine(1))));
-    perf::KernelError Err;
-    auto K = perf::CompiledKernel::create(P, &Err);
-    EXPECT_TRUE(K) << Err.str();
-    return K;
-  };
-  auto Finite = Kernel(2.0);
+  auto Finite = tableKernel(2.0);
   ASSERT_TRUE(Finite);
   perf::CompiledKernel::TrialResult T = Finite->trial(5.0);
   EXPECT_TRUE(T.Ok) << T.Reason;
 
-  auto NaN = Kernel(std::nan(""));
+  auto NaN = tableKernel(std::nan(""));
   ASSERT_TRUE(NaN);
   T = NaN->trial(5.0);
   EXPECT_FALSE(T.Ok);
   EXPECT_EQ(T.Reason, "trial execution produced non-finite output");
+}
+
+/// The resident trial runners: which trials keep a runner, which retire it,
+/// and what replaces a dead one. Each test starts from one healthy trial,
+/// so an idle runner is waiting.
+class TrialRunnerTest : public FaultTest {
+protected:
+  void SetUp() override {
+    FaultTest::SetUp();
+    if (!perf::NativeModule::available())
+      GTEST_SKIP() << "no system C compiler";
+    telemetry::setMetricsEnabled(true);
+    K = tableKernel(2.0);
+    ASSERT_TRUE(K);
+    ASSERT_TRUE(K->trial(5.0).Ok);
+    Starts0 = starts();
+  }
+
+  void TearDown() override {
+    telemetry::setMetricsEnabled(false);
+    FaultTest::TearDown();
+  }
+
+  static std::uint64_t starts() {
+    return telemetry::NativeRunnerStarts.value();
+  }
+
+  std::unique_ptr<perf::CompiledKernel> K;
+  std::uint64_t Starts0 = 0;
+};
+
+TEST_F(TrialRunnerTest, CrashedTrialKeepsItsRunner) {
+  arm("trial-crash");
+  auto T = K->trial(5.0);
+  EXPECT_FALSE(T.Ok);
+  EXPECT_EQ(T.Reason, "trial execution died on signal 11");
+  arm(nullptr);
+  EXPECT_TRUE(K->trial(5.0).Ok);
+  EXPECT_EQ(starts(), Starts0) << "a crash in the trial child is not the "
+                                  "runner's: it serves the next trial";
+}
+
+TEST_F(TrialRunnerTest, HungTrialRetiresItsRunner) {
+  arm("trial-hang");
+  Timer Clock;
+  auto T = K->trial(0.3);
+  EXPECT_LT(Clock.seconds(), 10.0) << "the hung trial must be killed";
+  EXPECT_FALSE(T.Ok);
+  EXPECT_EQ(T.Reason, "trial execution timed out after 0.300000 s (see "
+                      "SPL_TRIAL_TIMEOUT_MS)");
+  arm(nullptr);
+  EXPECT_TRUE(K->trial(5.0).Ok);
+  EXPECT_EQ(starts(), Starts0 + 1) << "a timed-out runner is never reused";
+}
+
+TEST_F(TrialRunnerTest, KilledRunnerIsReplaced) {
+  const std::vector<int> Pids = trialRunnerPids();
+  ASSERT_FALSE(Pids.empty());
+  for (int Pid : Pids)
+    ::kill(Pid, SIGKILL);
+  auto T = K->trial(5.0);
+  EXPECT_TRUE(T.Ok) << T.Reason;
+  EXPECT_EQ(starts(), Starts0 + 1);
+  EXPECT_TRUE(K->trial(5.0).Ok);
+  EXPECT_EQ(starts(), Starts0 + 1) << "the replacement serves later trials";
+}
+
+TEST_F(TrialRunnerTest, HungTrialDoesNotDelayAHealthyOne) {
+  arm("trial-hang:1"); // Only the first trial hangs.
+  std::atomic<bool> HungDone{false};
+  perf::CompiledKernel::TrialResult Hung;
+  std::thread Other([&] {
+    Hung = K->trial(3.0);
+    HungDone = true;
+  });
+  // Let the hanging trial's child start before the healthy trial does.
+  auto Hanging = [] {
+    for (int Runner : trialRunnerPids())
+      if (!trialRunnerPids(Runner).empty())
+        return true;
+    return false;
+  };
+  while (!Hanging() && !HungDone)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Timer Clock;
+  auto T = K->trial(5.0);
+  EXPECT_TRUE(T.Ok) << T.Reason;
+  EXPECT_LT(Clock.seconds(), 2.5);
+  EXPECT_FALSE(HungDone) << "the healthy trial waited for the hung one";
+  Other.join();
+  EXPECT_FALSE(Hung.Ok);
+  EXPECT_NE(Hung.Reason.find("timed out"), std::string::npos) << Hung.Reason;
 }
 
 TEST_F(FaultTest, OracleBackendCanBeRequestedDirectly) {

@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -680,6 +681,41 @@ TEST_F(PlanRecordTest, LazyProgramIsBuiltOnceUnderConcurrentCallers) {
   for (const std::string &G : Got)
     EXPECT_EQ(G, Want);
   EXPECT_EQ(S.optimize(), 1u);
+}
+
+TEST_F(PlanRecordTest, WarmPlansShareOneTrialRunner) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!NativeModule::available() || KernelCache::buildId().empty())
+    GTEST_SKIP() << "needs a C compiler and a build-id";
+  auto Starts = [] { return telemetry::NativeRunnerStarts.value(); };
+  runtime::PlanSpec Spec;
+  Spec.Size = 64;
+  const std::uint64_t Before = Starts();
+  auto C = plan(Spec);
+  ASSERT_TRUE(C);
+  ASSERT_EQ(C->backend(), runtime::Backend::Native) << C->fallbackReason();
+  const std::uint64_t Cold = Starts();
+  EXPECT_LE(Cold - Before, 1u) << "at most one runner for the cold plan";
+
+  // Every warm plan's trial is a request to the runner already running.
+  Samples S;
+  for (int I = 0; I != 20; ++I) {
+    auto W = plan(Spec);
+    ASSERT_TRUE(W);
+    EXPECT_EQ(W->backend(), runtime::Backend::Native) << W->fallbackReason();
+  }
+  EXPECT_EQ(S.trial(), 20u);
+  EXPECT_EQ(Starts(), Cold) << "20 warm plans started a runner";
+
+  // A runner killed between plans is replaced; the next plan still proves
+  // its kernel and stays native.
+  for (int Pid : test::trialRunnerPids())
+    ::kill(Pid, SIGKILL);
+  auto W = plan(Spec);
+  ASSERT_TRUE(W);
+  EXPECT_EQ(W->backend(), runtime::Backend::Native) << W->fallbackReason();
+  EXPECT_FALSE(W->usedFallback()) << W->fallbackReason();
+  EXPECT_EQ(Starts(), Cold + 1);
 }
 
 TEST_F(PlanRecordTest, DeletedCacheDirectoryDoesNotDemotePlans) {

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -514,33 +515,28 @@ TEST(Subprocess, WakesOnChildExit) {
 }
 
 #if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 34)
-TEST(Subprocess, ChildInheritsNoFdAboveTwoButFd3) {
-  // The fds above 2 that a runSubprocess child holds, read from `ls -l
-  // /proc/self/fd` minus ls's own handle on that directory.
-  auto ChildFds = [](int Fd3) {
-    SubprocessOptions Opts;
-    Opts.TimeoutSeconds = 5.0;
-    Opts.Fd3 = Fd3;
-    SubprocessResult R = runSubprocess({"ls", "-l", "/proc/self/fd"}, Opts);
-    EXPECT_TRUE(R.ok()) << R.describe() << R.Output;
-    std::set<int> Fds;
-    std::istringstream In(R.Output);
-    for (std::string Line; std::getline(In, Line);) {
-      const std::size_t Arrow = Line.find(" -> ");
-      if (Arrow == std::string::npos)
-        continue;
-      const std::string Target = Line.substr(Arrow + 4);
-      if (Target.rfind("/proc/", 0) == 0 &&
-          Target.size() >= 3 && Target.compare(Target.size() - 3, 3, "/fd") == 0)
-        continue;
-      const std::size_t Space = Line.rfind(' ', Arrow - 1);
-      const int Fd = std::stoi(Line.substr(Space + 1, Arrow - Space - 1));
-      if (Fd > 2)
-        Fds.insert(Fd);
-    }
-    return Fds;
-  };
+/// The fds above 2 in \p Listing, the `ls -l /proc/self/fd` of a child,
+/// minus ls's own handle on that directory.
+std::set<int> fdsAboveTwo(const std::string &Listing) {
+  std::set<int> Fds;
+  std::istringstream In(Listing);
+  for (std::string Line; std::getline(In, Line);) {
+    const std::size_t Arrow = Line.find(" -> ");
+    if (Arrow == std::string::npos)
+      continue;
+    const std::string Target = Line.substr(Arrow + 4);
+    if (Target.rfind("/proc/", 0) == 0 && Target.size() >= 3 &&
+        Target.compare(Target.size() - 3, 3, "/fd") == 0)
+      continue;
+    const std::size_t Space = Line.rfind(' ', Arrow - 1);
+    const int Fd = std::stoi(Line.substr(Space + 1, Arrow - Space - 1));
+    if (Fd > 2)
+      Fds.insert(Fd);
+  }
+  return Fds;
+}
 
+TEST(Subprocess, ChildInheritsNoFdAboveTwo) {
   // An fd this process leaks without close-on-exec, and another thread's
   // child holding its output pipe: neither reaches the child.
   const int Leaked = ::dup(STDERR_FILENO);
@@ -554,16 +550,36 @@ TEST(Subprocess, ChildInheritsNoFdAboveTwoButFd3) {
   while (!Started)
     std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(ChildFds(-1), std::set<int>{});
-
-  // The one fd a caller hands over arrives as fd 3, whatever its number
-  // here and even when it is close-on-exec here.
-  const int Tables = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  ASSERT_GE(Tables, 0);
-  EXPECT_EQ(ChildFds(Tables), std::set<int>{3});
-  ::close(Tables);
+  SubprocessResult R = runSubprocess({"ls", "-l", "/proc/self/fd"}, {5.0});
+  EXPECT_TRUE(R.ok()) << R.describe() << R.Output;
+  EXPECT_EQ(fdsAboveTwo(R.Output), std::set<int>{});
   ::close(Leaked);
   Sibling.join();
+}
+
+TEST(Subprocess, ChannelChildHoldsOnlyItsChannel) {
+  // spawnWithChannel hands over one fd as fd 3, whatever its number here
+  // and even when it is close-on-exec here; a leaked fd stays out.
+  const int Leaked = ::dup(STDERR_FILENO);
+  ASSERT_GE(Leaked, 0);
+  int Pipe[2];
+  ASSERT_EQ(::pipe2(Pipe, O_CLOEXEC), 0);
+  const pid_t Pid = spawnWithChannel(
+      {"sh", "-c", "exec ls -l /proc/self/fd >&3"}, Pipe[1]);
+  ::close(Pipe[1]);
+  ASSERT_GT(Pid, 0);
+  std::string Listing;
+  char Buf[4096];
+  for (ssize_t N; (N = ::read(Pipe[0], Buf, sizeof Buf)) > 0;)
+    Listing.append(Buf, static_cast<std::size_t>(N));
+  ::close(Pipe[0]);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0) << Status;
+  EXPECT_EQ(fdsAboveTwo(Listing), std::set<int>{3}) << Listing;
+  ::close(Leaked);
+
+  EXPECT_EQ(spawnWithChannel({"/nonexistent/spl-no-such-binary"}, 0), -1);
 }
 #endif // glibc 2.34
 

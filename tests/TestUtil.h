@@ -18,9 +18,14 @@
 #include "ir/Formula.h"
 #include "support/FaultInjection.h"
 
+#include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 /// Skips the current test when an externally imposed SPL_FAULT matrix is
 /// armed (the CI fault job runs the whole suite that way): tests that
@@ -66,6 +71,29 @@ inline double maxAbsDiff(const std::vector<Cplx> &A,
   for (size_t I = 0; I != A.size(); ++I)
     M = std::max(M, std::abs(A[I] - B[I]));
   return M;
+}
+
+/// The live trial runners of this process (perf/KernelRunner.cpp): its
+/// children that run a `spl-native-*` executable, read from /proc. Given a
+/// runner's pid as \p Parent, the trial children of that runner.
+inline std::vector<int> trialRunnerPids(int Parent = ::getpid()) {
+  std::vector<int> Pids;
+  std::error_code EC;
+  for (const auto &E : std::filesystem::directory_iterator("/proc", EC)) {
+    std::ifstream Stat(E.path() / "stat");
+    std::string Line;
+    if (!std::getline(Stat, Line) || Line.rfind(')') == std::string::npos)
+      continue;
+    std::istringstream Rest(Line.substr(Line.rfind(')') + 1));
+    char State = 0;
+    int PPid = 0;
+    if (!(Rest >> State >> PPid) || PPid != Parent || State == 'Z')
+      continue;
+    const auto Exe = std::filesystem::read_symlink(E.path() / "exe", EC);
+    if (!EC && Exe.filename().string().rfind("spl-native-", 0) == 0)
+      Pids.push_back(std::stoi(E.path().filename().string()));
+  }
+  return Pids;
 }
 
 } // namespace test

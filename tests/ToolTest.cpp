@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -23,6 +25,8 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <thread>
+#include <vector>
 
 namespace {
 
@@ -378,11 +382,30 @@ TEST(Splc, IntegerFaultsAreDiagnosticsNotSignals) {
       {"(template (PQ n_) (do $i0 = -4611686018427387904, "
        "4611686018427387904 $out(0) = W(8 $i0) * $in(0) end))\n(PQ 1)",
        4, "the table of intrinsic 'W' over its loops would exceed 2^63"},
+      // Orders that break the intrinsic's own rule (a wrong matrix before,
+      // in builds without assertions).
+      {Loop + std::string("TW(6 4 $i0) * $in($i0)\n end))\n(PQ 8)"), 4,
+       "intrinsic 'TW' needs n to divide mn"},
+      {Loop + std::string("WHTE(6 $i0 $i0) * $in($i0)\n end))\n(PQ 8)"), 4,
+       "intrinsic 'WHTE' needs n to be a power of two"},
+      {Loop + std::string("TW(8 $i0+1 $i0) * $in($i0)\n end))\n(PQ 8)"), 4,
+       "intrinsic 'TW' needs n to divide mn, which the loop bounds do not "
+       "prove"},
   };
   for (const auto &C : Cases) {
     auto R = runSplc("", C.Source);
     EXPECT_EQ(exitStatus(R), C.Exit) << C.Source << "\n" << R.Output;
     EXPECT_NE(R.Output.find(C.Message), std::string::npos) << R.Output;
+  }
+
+  // Orders that meet the rule still compile, loop-dependent ones too
+  // when their range proves it ($i0+1 is 1 or 2, and both divide 8).
+  for (const char *Valid :
+       {"TW(8 4 $i0) * $in($i0)\n end))\n(PQ 8)",
+        "WHTE(8 $i0 $i0) * $in($i0)\n end))\n(PQ 8)",
+        "TW(8 $i0+1 $i0) * $in($i0)\n end))\n(PQ 2)"}) {
+    auto R = runSplc("", Loop + std::string(Valid));
+    EXPECT_EQ(exitStatus(R), 0) << Valid << "\n" << R.Output;
   }
 
   // A loop empty by more than one iteration needs no table for an
@@ -682,8 +705,11 @@ TEST(Splrun, KernelCacheColdThenWarm) {
   EXPECT_GE(numberAfter(ColdStats, "\"native.compiles\":"), 1) << ColdStats;
   EXPECT_GE(numberAfter(ColdStats, "\"kernelcache.inserts\":"), 1)
       << ColdStats;
-  // The trial runner is built once, into the cache beside the kernels.
+  // The trial runner is built once, into the cache beside the kernels,
+  // and started once: every trial is a request to the same runner.
   EXPECT_EQ(numberAfter(ColdStats, "\"native.runner_builds\":"), 1)
+      << ColdStats;
+  EXPECT_EQ(numberAfter(ColdStats, "\"native.runner_starts\":"), 1)
       << ColdStats;
 
   auto Warm = runCommand(Common + WarmJson);
@@ -691,6 +717,8 @@ TEST(Splrun, KernelCacheColdThenWarm) {
   std::string WarmStats = slurpAndRemove(WarmJson);
   EXPECT_EQ(numberAfter(WarmStats, "\"native.compiles\":"), 0) << WarmStats;
   EXPECT_EQ(numberAfter(WarmStats, "\"native.runner_builds\":"), 0)
+      << WarmStats;
+  EXPECT_EQ(numberAfter(WarmStats, "\"native.runner_starts\":"), 1)
       << WarmStats;
   EXPECT_GE(numberAfter(WarmStats, "\"kernelcache.hits\":"), 1) << WarmStats;
 
@@ -707,6 +735,64 @@ TEST(Splrun, KernelCacheColdThenWarm) {
 
   std::filesystem::remove_all(CacheDir);
   std::remove(Wisdom.c_str());
+}
+
+/// "<pid> <exe>" of every process whose executable lies in \p Dir.
+std::vector<std::string> processesRunningFrom(const std::string &Dir) {
+  std::vector<std::string> Found;
+  for (const auto &E : std::filesystem::directory_iterator("/proc")) {
+    std::error_code EC;
+    const auto Exe = std::filesystem::read_symlink(E.path() / "exe", EC);
+    if (!EC && Exe.string().rfind(Dir + "/", 0) == 0)
+      Found.push_back(E.path().filename().string() + " " + Exe.string());
+  }
+  return Found;
+}
+
+// The resident trial runner lives in TMPDIR and is reaped before splrun's
+// exit returns: once splrun is gone, no process runs from that directory.
+TEST(Splrun, TrialRunnerDoesNotOutliveSplrun) {
+  if (faultsArmed())
+    GTEST_SKIP() << "SPL_FAULT armed: native compiles are expected to fail";
+  const std::string Tmp = "/tmp/splrun-tmpdir-" + std::to_string(getpid());
+  std::filesystem::create_directories(Tmp);
+  auto R = runCommand("TMPDIR=" + Tmp + " " + splrunPath() +
+                      " --transform fft --size 16 --batch 2 --no-wisdom "
+                      "--no-kernel-cache");
+  EXPECT_EQ(exitStatus(R), 0) << R.Output;
+  EXPECT_NE(R.Output.find("native"), std::string::npos) << R.Output;
+  const auto Left = processesRunningFrom(Tmp);
+  EXPECT_TRUE(Left.empty()) << ::testing::PrintToString(Left);
+  EXPECT_TRUE(std::filesystem::is_empty(Tmp)) << "temp files left in " << Tmp;
+  std::filesystem::remove_all(Tmp);
+}
+
+// A runner whose owner is killed mid-trial sees its channel close, kills
+// its hung trial child and exits.
+TEST(Splrun, KilledSplrunTakesItsTrialRunnerDown) {
+  if (faultsArmed())
+    GTEST_SKIP() << "SPL_FAULT armed: native compiles are expected to fail";
+  const std::string Tmp = "/tmp/splrun-killed-" + std::to_string(getpid());
+  std::filesystem::create_directories(Tmp);
+  auto Started = runCommand(
+      "TMPDIR=" + Tmp + " SPL_FAULT=trial-hang SPL_TRIAL_TIMEOUT_MS=60000 " +
+      splrunPath() +
+      " --transform fft --size 16 --no-wisdom --no-kernel-cache "
+      ">/dev/null 2>&1 & echo $!");
+  const pid_t Splrun = std::atoi(Started.Output.c_str());
+  ASSERT_GT(Splrun, 0) << Started.Output;
+  // The hung trial: the runner and its child both run from Tmp.
+  auto waitFor = [&](auto Done) {
+    for (int I = 0; I != 600 && !Done(processesRunningFrom(Tmp).size()); ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return processesRunningFrom(Tmp).size();
+  };
+  const std::size_t Hung = waitFor([](std::size_t N) { return N >= 2; });
+  ::kill(Splrun, SIGKILL);
+  ASSERT_GE(Hung, 2u) << "no hung trial to interrupt";
+  const std::size_t Left = waitFor([](std::size_t N) { return N == 0; });
+  EXPECT_EQ(Left, 0u) << ::testing::PrintToString(processesRunningFrom(Tmp));
+  std::filesystem::remove_all(Tmp);
 }
 
 } // namespace
