@@ -35,20 +35,20 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// v1: "kernel <line-checksum> <key> <so-checksum> <so-bytes>" records. An
-// unknown version header invalidates the whole index; the artifacts it
-// described become orphans and are reclaimed by the next insert's sweep.
-// The cache only ever degrades to recompilation, so dropping it is cheap.
-constexpr const char *IndexVersionHeader = "spl-kernelcache v1";
+// v2: both record kinds in one record file, every line
+// "entry <line-checksum> <kind> <key> <file-checksum> <file-bytes> ...":
+//   kernel <key> <so-checksum> <so-bytes>
+//   plan <plan-key> <tables-checksum> <tables-bytes> <so-key> <cost|->
+// (docs/KERNEL_CACHE.md). v1 kept its plan records in a second file,
+// `plans`. An unknown version header invalidates the whole index; the
+// artifacts it described become orphans and are reclaimed by the next
+// insert's sweep, v1's `plans` file with them. The cache only ever
+// degrades to recompilation, so dropping it is cheap.
+constexpr const char *IndexVersionHeader = "spl-kernelcache v2";
+constexpr const char *IndexTag = "entry";
 
-// v1: "plan <line-checksum> <plan-key> <so-key> <tables-checksum>
-// <tables-bytes> <cost|->" records, one per plan key (docs/KERNEL_CACHE.md
-// § Plan records). An unknown header drops every record; the next plan of
-// each spec takes the full path and writes its record again.
-constexpr const char *PlansVersionHeader = "spl-kernelcache-plans v1";
-
-/// The tables artifact's magic (KernelCache::writeTables; the host
-/// fingerprint is part of the plan key, so host byte order is safe).
+/// The tables blob's magic (KernelCache::tablesBlob; the host fingerprint
+/// is part of the plan key, so host byte order is safe).
 constexpr char TablesMagic[8] = {'s', 'p', 'l', 't', 'a', 'b', '0', '1'};
 
 std::mutex ConfigM;
@@ -74,22 +74,27 @@ void resolveEnvLocked() {
   }
 }
 
-/// One index record: what the artifact must hash to, and its size.
-struct IndexEntry {
-  std::string SoCksum;
-  std::uint64_t SoBytes = 0;
+/// What a record vouches for its file (`<key>.so` or `<plan-key>.tables`):
+/// the file's checksum and size.
+struct Vouched {
+  std::string Cksum;
+  std::uint64_t Bytes = 0;
 };
 
-/// One plan record: the artifact it runs, its tables, and a rule cost.
+/// One plan record: its tables file, the artifact it runs, a rule cost.
 struct PlanEntry {
+  Vouched Tables;
   std::string SoKey;
-  std::string TablesCksum;
-  std::uint64_t TablesBytes = 0;
   std::optional<double> Cost;
 };
 
+/// The index: both record kinds, each by its key.
+struct Index {
+  std::map<std::string, Vouched> Kernels;
+  std::map<std::string, PlanEntry> Plans;
+};
+
 std::string indexPath(const std::string &Dir) { return Dir + "/index"; }
-std::string plansPath(const std::string &Dir) { return Dir + "/plans"; }
 std::string soPath(const std::string &Dir, const std::string &Key) {
   return Dir + "/" + Key + ".so";
 }
@@ -97,75 +102,51 @@ std::string tablesPath(const std::string &Dir, const std::string &PlanKey) {
   return Dir + "/" + PlanKey + ".tables";
 }
 
-bool endsWith(const std::string &S, const char *Suffix) {
-  const std::size_t N = std::strlen(Suffix);
-  return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
-}
-
-/// Parses the index into \p Into and returns the number of corrupt or
-/// checksum-failing lines skipped. A missing index is an empty cache; a
-/// wrong version header invalidates everything.
-std::size_t loadIndex(const support::RecordFile &File,
-                      std::map<std::string, IndexEntry> &Into) {
-  support::RecordFile::Contents C = File.read(IndexVersionHeader, "kernel");
+/// Parses the index. A missing index is an empty cache; a wrong version
+/// header invalidates everything. Corrupt or checksum-failing lines are
+/// skipped, and counted when \p CountCorrupt (an exclusive writer, which
+/// rewrites them away).
+Index loadIndex(const support::RecordFile &File, bool CountCorrupt) {
+  support::RecordFile::Contents C = File.read(IndexVersionHeader, IndexTag);
+  Index Into;
   std::size_t Corrupt = C.Rejected.size();
   for (const support::RecordFile::Record &R : C.Records) {
     std::istringstream PS(R.Payload);
-    std::string Key, SoCksum;
+    std::string Kind, Key, Cksum, SoKey, Cost;
     long long Bytes = 0;
-    if (!(PS >> Key >> SoCksum >> Bytes) || Key.empty() ||
-        SoCksum.size() != 16 || Bytes <= 0) {
-      ++Corrupt;
+    const bool Ok = (PS >> Kind >> Key >> Cksum >> Bytes) &&
+                    Cksum.size() == 16 && Bytes > 0;
+    const Vouched V{Cksum, static_cast<std::uint64_t>(Bytes)};
+    if (Ok && Kind == "kernel") {
+      Into.Kernels[Key] = V;
       continue;
     }
-    Into[Key] = IndexEntry{SoCksum, static_cast<std::uint64_t>(Bytes)};
-  }
-  return Corrupt;
-}
-
-/// Rewrites the index. False on write failure.
-bool writeIndex(const support::RecordFile &File,
-                const std::map<std::string, IndexEntry> &Index) {
-  std::vector<std::string> Payloads;
-  for (const auto &[Key, E] : Index)
-    Payloads.push_back(Key + ' ' + E.SoCksum + ' ' +
-                       std::to_string(E.SoBytes));
-  return File.write(IndexVersionHeader, "kernel", Payloads);
-}
-
-/// Parses the plan records into \p Into; returns the number of lines
-/// skipped as corrupt.
-std::size_t loadPlans(const support::RecordFile &File,
-                      std::map<std::string, PlanEntry> &Into) {
-  support::RecordFile::Contents C = File.read(PlansVersionHeader, "plan");
-  std::size_t Corrupt = C.Rejected.size();
-  for (const support::RecordFile::Record &R : C.Records) {
-    std::istringstream PS(R.Payload);
-    std::string Key, SoKey, Cksum, Cost;
-    long long Bytes = 0;
-    if (!(PS >> Key >> SoKey >> Cksum >> Bytes >> Cost) || Key.empty() ||
-        SoKey.empty() || Cksum.size() != 16 || Bytes <= 0) {
-      ++Corrupt;
-      continue;
-    }
-    PlanEntry E{SoKey, Cksum, static_cast<std::uint64_t>(Bytes), {}};
-    if (Cost != "-") {
+    if (Ok && Kind == "plan" && (PS >> SoKey >> Cost)) {
+      PlanEntry E{V, SoKey, {}};
       char *End = nullptr;
-      E.Cost = std::strtod(Cost.c_str(), &End);
-      if (End == Cost.c_str() || *End != '\0') {
-        ++Corrupt;
+      if (Cost != "-")
+        E.Cost = std::strtod(Cost.c_str(), &End);
+      if (!E.Cost || (End != Cost.c_str() && *End == '\0')) {
+        Into.Plans[Key] = std::move(E);
         continue;
       }
     }
-    Into[Key] = std::move(E);
+    ++Corrupt;
   }
-  return Corrupt;
+  if (CountCorrupt && Corrupt)
+    telemetry::KernelcacheCorruptEntries.add(Corrupt);
+  return Into;
 }
 
-bool writePlans(const support::RecordFile &File,
-                const std::map<std::string, PlanEntry> &Plans) {
+/// Rewrites the index. False on write failure.
+bool writeIndex(const support::RecordFile &File, const Index &I) {
+  auto Fields = [](const std::string &Key, const Vouched &V) {
+    return Key + ' ' + V.Cksum + ' ' + std::to_string(V.Bytes);
+  };
   std::vector<std::string> Payloads;
-  for (const auto &[Key, E] : Plans) {
+  for (const auto &[Key, V] : I.Kernels)
+    Payloads.push_back("kernel " + Fields(Key, V));
+  for (const auto &[Key, E] : I.Plans) {
     std::string Cost = "-";
     if (E.Cost) {
       // Hex floats round-trip exactly through strtod.
@@ -173,18 +154,19 @@ bool writePlans(const support::RecordFile &File,
       std::snprintf(Buf, sizeof Buf, "%a", *E.Cost);
       Cost = Buf;
     }
-    Payloads.push_back(Key + ' ' + E.SoKey + ' ' + E.TablesCksum + ' ' +
-                       std::to_string(E.TablesBytes) + ' ' + Cost);
+    Payloads.push_back("plan " + Fields(Key, E.Tables) + ' ' + E.SoKey + ' ' +
+                       Cost);
   }
-  return File.write(PlansVersionHeader, "plan", Payloads);
+  return File.write(IndexVersionHeader, IndexTag, Payloads);
 }
 
-/// The tables artifact's checksum: FNV-1a over 64-bit words, then the tail
-/// bytes, as 16 hex digits. Byte-wise FNV-1a (fnv1aHex) spends ~1.6 ms per
-/// MiB, as much as the rest of a warm fft 2^16 probe; one multiply per word
-/// keeps the property that matters here: changing any one word always
-/// changes the sum (each step is a bijection of the running state).
-std::string tablesChecksum(const std::string &Bytes) {
+/// The one artifact checksum, for `.so` and `.tables` files alike: FNV-1a
+/// over 64-bit words, then the tail bytes, as 16 hex digits. Byte-wise
+/// FNV-1a (fnv1aHex, which hashes keys and record lines) spends ~1.6 ms
+/// per MiB, as much as the rest of a warm fft 2^16 probe; one multiply per
+/// word keeps the property that matters here: changing any one word
+/// always changes the sum (each step is a bijection of the running state).
+std::string checksum(const std::string &Bytes) {
   std::uint64_t H = 1469598103934665603ULL;
   const std::size_t Words = Bytes.size() / 8;
   for (std::size_t I = 0; I != Words; ++I) {
@@ -199,51 +181,22 @@ std::string tablesChecksum(const std::string &Bytes) {
   return Hex;
 }
 
-/// Inverse of writeTables; nullopt when the bytes do not parse exactly.
-std::optional<std::vector<std::vector<double>>>
-decodeTables(const std::string &Bytes) {
-  std::size_t Pos = 0;
-  auto Get = [&](void *P, std::size_t N) {
-    if (N > Bytes.size() - Pos)
-      return false;
-    std::memcpy(P, Bytes.data() + Pos, N);
-    Pos += N;
-    return true;
-  };
-  char Magic[sizeof TablesMagic];
-  std::uint64_t Count = 0;
-  if (!Get(Magic, sizeof Magic) ||
-      std::memcmp(Magic, TablesMagic, sizeof Magic) != 0 ||
-      !Get(&Count, sizeof Count) || Count > Bytes.size())
-    return std::nullopt;
-  std::vector<std::vector<double>> Tables(Count);
-  for (std::vector<double> &T : Tables) {
-    std::uint64_t Len = 0;
-    if (!Get(&Len, sizeof Len) || Len > (Bytes.size() - Pos) / sizeof(double))
-      return std::nullopt;
-    T.resize(Len);
-    Get(T.data(), Len * sizeof(double));
-  }
-  if (Pos != Bytes.size())
-    return std::nullopt;
-  return Tables;
+/// True when \p Bytes are the file \p V vouches for.
+bool vouches(const Vouched &V, const std::optional<std::string> &Bytes) {
+  return Bytes && Bytes->size() == V.Bytes && checksum(*Bytes) == V.Cksum;
 }
 
 enum class ArtifactState { Unindexed, Corrupt, Ok };
 
-/// Checks \p Key's artifact against its index entry: size and checksum of
-/// the full .so bytes.
-ArtifactState verifyArtifact(const std::string &Dir,
-                             const std::map<std::string, IndexEntry> &Index,
+/// Checks \p Key's artifact against its index record.
+ArtifactState verifyArtifact(const std::string &Dir, const Index &I,
                              const std::string &Key) {
-  auto It = Index.find(Key);
-  if (It == Index.end())
+  auto It = I.Kernels.find(Key);
+  if (It == I.Kernels.end())
     return ArtifactState::Unindexed;
-  std::optional<std::string> Bytes = support::readFile(soPath(Dir, Key));
-  if (!Bytes || Bytes->size() != It->second.SoBytes ||
-      fnv1aHex(*Bytes) != It->second.SoCksum)
-    return ArtifactState::Corrupt;
-  return ArtifactState::Ok;
+  return vouches(It->second, support::readFile(soPath(Dir, Key)))
+             ? ArtifactState::Ok
+             : ArtifactState::Corrupt;
 }
 
 /// Refreshes the artifact's mtime so LRU eviction sees the hit (best
@@ -252,33 +205,31 @@ void touchArtifact(const std::string &Path) {
   ::utimensat(AT_FDCWD, Path.c_str(), nullptr, 0);
 }
 
-/// Brings the directory to what the index and the plan records vouch for
-/// (call holding both files' exclusive locks): drops index entries whose
-/// artifact vanished and plan records whose artifact left the index,
-/// evicts least-recently-used artifacts and tables past \p MaxBytes, and
-/// removes every unreferenced artifact, tables file and temp file. \p
-/// KeepSo and \p KeepPlan, just inserted, always survive.
-void settle(const std::string &Dir, std::uint64_t MaxBytes,
-            std::map<std::string, IndexEntry> &Index,
-            std::map<std::string, PlanEntry> &Plans,
+/// Brings the directory to what the index vouches for (call holding its
+/// exclusive lock): drops kernel records whose artifact vanished and plan
+/// records whose artifact left the index, evicts least-recently-used
+/// artifacts and tables past \p MaxBytes, and removes every unreferenced
+/// artifact, tables file and temp file. \p KeepSo and \p KeepPlan, just
+/// inserted, always survive.
+void settle(const std::string &Dir, std::uint64_t MaxBytes, Index &I,
             const std::string &KeepSo, const std::string &KeepPlan) {
   std::error_code EC;
-  for (auto It = Index.begin(); It != Index.end();) {
+  for (auto It = I.Kernels.begin(); It != I.Kernels.end();) {
     if (It->first != KeepSo && !fs::exists(soPath(Dir, It->first), EC))
-      It = Index.erase(It);
+      It = I.Kernels.erase(It);
     else
       ++It;
   }
   // Drops the plan records whose artifact left the index; their bytes.
   auto DropUnbacked = [&] {
     std::uint64_t Bytes = 0;
-    for (auto It = Plans.begin(); It != Plans.end();) {
-      if (Index.count(It->second.SoKey)) {
+    for (auto It = I.Plans.begin(); It != I.Plans.end();) {
+      if (I.Kernels.count(It->second.SoKey)) {
         ++It;
         continue;
       }
-      Bytes += It->second.TablesBytes;
-      It = Plans.erase(It);
+      Bytes += It->second.Tables.Bytes;
+      It = I.Plans.erase(It);
     }
     return Bytes;
   };
@@ -289,10 +240,10 @@ void settle(const std::string &Dir, std::uint64_t MaxBytes,
   // records with it. The just-inserted entries always survive, so one
   // oversized kernel degrades the bound rather than thrashing forever.
   std::uint64_t Total = 0;
-  for (const auto &[K, E] : Index)
-    Total += E.SoBytes;
-  for (const auto &[K, E] : Plans)
-    Total += E.TablesBytes;
+  for (const auto &[K, V] : I.Kernels)
+    Total += V.Bytes;
+  for (const auto &[K, E] : I.Plans)
+    Total += E.Tables.Bytes;
   if (Total > MaxBytes) {
     struct Victim {
       fs::file_time_type MTime;
@@ -305,12 +256,13 @@ void settle(const std::string &Dir, std::uint64_t MaxBytes,
       fs::file_time_type M = fs::last_write_time(Path, EC);
       Victims.push_back({EC ? fs::file_time_type::min() : M, K, IsPlan});
     };
+    const auto Kept = I.Plans.find(KeepPlan);
     const std::string KeepPlanSo =
-        Plans.count(KeepPlan) ? Plans[KeepPlan].SoKey : std::string();
-    for (const auto &[K, E] : Index)
+        Kept != I.Plans.end() ? Kept->second.SoKey : std::string();
+    for (const auto &[K, V] : I.Kernels)
       if (K != KeepSo && K != KeepPlanSo)
         AddVictim(soPath(Dir, K), K, false);
-    for (const auto &[K, E] : Plans)
+    for (const auto &[K, E] : I.Plans)
       if (K != KeepPlan)
         AddVictim(tablesPath(Dir, K), K, true);
     std::sort(Victims.begin(), Victims.end(),
@@ -322,14 +274,14 @@ void settle(const std::string &Dir, std::uint64_t MaxBytes,
       if (Total <= MaxBytes)
         break;
       if (V.IsPlan) {
-        auto It = Plans.find(V.Key);
-        if (It == Plans.end())
+        auto It = I.Plans.find(V.Key);
+        if (It == I.Plans.end())
           continue; // Went with its artifact.
-        Total -= It->second.TablesBytes;
-        Plans.erase(It);
+        Total -= It->second.Tables.Bytes;
+        I.Plans.erase(It);
       } else {
-        Total -= Index[V.Key].SoBytes;
-        Index.erase(V.Key);
+        Total -= I.Kernels[V.Key].Bytes;
+        I.Kernels.erase(V.Key);
         std::remove((Dir + "/" + V.Key + ".lock").c_str());
         Total -= DropUnbacked();
       }
@@ -338,30 +290,37 @@ void settle(const std::string &Dir, std::uint64_t MaxBytes,
   }
 
   // Orphan sweep: artifacts and tables nothing vouches for (evicted, crash
-  // leftovers, alien files, entries of a discarded corrupt index) and
-  // stale temp files are reclaimed. All writers hold the exclusive locks,
-  // so anything unreferenced here is garbage.
+  // leftovers, alien files, entries of a discarded corrupt index), stale
+  // temp files and v1's retired `plans` file are reclaimed. All writers
+  // hold the exclusive lock, so anything unreferenced here is garbage.
   for (const auto &Entry : fs::directory_iterator(Dir, EC)) {
-    std::string Name = Entry.path().filename().string();
+    const std::string Name = Entry.path().filename().string();
+    const std::string Ext = Entry.path().extension().string();
+    const std::string Key = Entry.path().stem().string();
     bool Garbage = Name.find(".so.tmp") != std::string::npos ||
-                   Name.find(".tables.tmp") != std::string::npos;
-    if (endsWith(Name, ".so"))
-      Garbage = !Index.count(Name.substr(0, Name.size() - 3));
-    else if (endsWith(Name, ".tables"))
-      Garbage = !Plans.count(Name.substr(0, Name.size() - 7));
+                   Name.find(".tables.tmp") != std::string::npos ||
+                   Name == "plans" || Name == "plans.lock";
+    if (Ext == ".so")
+      Garbage = !I.Kernels.count(Key);
+    else if (Ext == ".tables")
+      Garbage = !I.Plans.count(Key);
     if (Garbage)
       std::remove(Entry.path().c_str());
   }
 }
 
-/// Drops \p PlanKey's record and tables artifact (takes the plans lock).
-void removePlan(const std::string &Dir, const std::string &PlanKey) {
-  support::RecordFile PlansFile(plansPath(Dir), LOCK_EX);
-  std::map<std::string, PlanEntry> Plans;
-  loadPlans(PlansFile, Plans);
-  if (Plans.erase(PlanKey))
-    writePlans(PlansFile, Plans);
-  std::remove(tablesPath(Dir, PlanKey).c_str());
+/// Drops \p SoKey's record and artifact and \p PlanKey's record and tables
+/// (either key may be "") under the exclusive lock.
+void drop(const std::string &Dir, const std::string &SoKey,
+          const std::string &PlanKey) {
+  support::RecordFile File(indexPath(Dir), LOCK_EX);
+  Index I = loadIndex(File, false);
+  if (I.Kernels.erase(SoKey) + I.Plans.erase(PlanKey))
+    writeIndex(File, I);
+  if (!SoKey.empty())
+    std::remove(soPath(Dir, SoKey).c_str());
+  if (!PlanKey.empty())
+    std::remove(tablesPath(Dir, PlanKey).c_str());
 }
 
 /// Finds the GNU build-id note of the loaded object holding Addr.
@@ -480,9 +439,7 @@ std::optional<std::string> KernelCache::probe(const std::string &Key) {
   {
     // Shared lock: never read the index or an artifact mid-replacement.
     support::RecordFile File(indexPath(C.Dir), LOCK_SH);
-    std::map<std::string, IndexEntry> Index;
-    loadIndex(File, Index);
-    State = verifyArtifact(C.Dir, Index, Key);
+    State = verifyArtifact(C.Dir, loadIndex(File, false), Key);
   }
   if (State != ArtifactState::Ok) {
     telemetry::KernelcacheMisses.add();
@@ -512,17 +469,10 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
   if (!Bytes || Bytes->empty())
     return std::nullopt;
 
-  // Exclusive locks, index first then plans (every path takes them in that
-  // order), across read-rewrite-rename: inserts, evictions, and the orphan
-  // sweep all serialize here.
+  // The exclusive lock across read-rewrite-rename: inserts, evictions, and
+  // the orphan sweep all serialize here.
   support::RecordFile File(indexPath(C.Dir), LOCK_EX);
-  support::RecordFile PlansFile(plansPath(C.Dir), LOCK_EX);
-
-  std::map<std::string, IndexEntry> Index;
-  std::map<std::string, PlanEntry> Plans;
-  if (std::size_t CorruptLines =
-          loadIndex(File, Index) + loadPlans(PlansFile, Plans))
-    telemetry::KernelcacheCorruptEntries.add(CorruptLines);
+  Index I = loadIndex(File, true);
 
   // Artifact first, then the index that vouches for it: a crash between
   // the two leaves an orphan, never an index entry pointing at garbage.
@@ -531,12 +481,9 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
   // artifact too.
   if (!support::replaceFile(Dest, *Bytes) || ::chmod(Dest.c_str(), 0755) != 0)
     return std::nullopt;
-  Index[Key] = IndexEntry{fnv1aHex(*Bytes), Bytes->size()};
-  settle(C.Dir, C.MaxBytes, Index, Plans, Key, "");
-
-  if (!writeIndex(File, Index) ||
-      ((!Plans.empty() || fs::exists(plansPath(C.Dir), EC)) &&
-       !writePlans(PlansFile, Plans)))
+  I.Kernels[Key] = Vouched{checksum(*Bytes), Bytes->size()};
+  settle(C.Dir, C.MaxBytes, I, Key, "");
+  if (!writeIndex(File, I))
     return std::nullopt;
   telemetry::KernelcacheInserts.add();
   return Dest;
@@ -544,14 +491,8 @@ std::optional<std::string> KernelCache::insert(const std::string &Key,
 
 void KernelCache::remove(const std::string &Key) {
   Config C = config();
-  if (!C.Enabled)
-    return;
-  support::RecordFile File(indexPath(C.Dir), LOCK_EX);
-  std::map<std::string, IndexEntry> Index;
-  loadIndex(File, Index);
-  if (Index.erase(Key))
-    writeIndex(File, Index);
-  std::remove(soPath(C.Dir, Key).c_str());
+  if (C.Enabled)
+    drop(C.Dir, Key, "");
 }
 
 std::string KernelCache::planKey(const PlanKeyInputs &In) {
@@ -597,30 +538,27 @@ KernelCache::probePlan(const std::string &PlanKey) {
   ArtifactState State = ArtifactState::Unindexed;
   bool TablesOk = false;
   {
-    // Shared locks in the writers' order: index, then plans.
     support::RecordFile File(indexPath(C.Dir), LOCK_SH);
-    support::RecordFile PlansFile(plansPath(C.Dir), LOCK_SH);
-    std::map<std::string, PlanEntry> Plans;
-    loadPlans(PlansFile, Plans);
-    auto It = Plans.find(PlanKey);
-    if (It == Plans.end())
+    const Index I = loadIndex(File, false);
+    auto It = I.Plans.find(PlanKey);
+    if (It == I.Plans.end())
       return std::nullopt;
-    std::map<std::string, IndexEntry> Index;
-    loadIndex(File, Index);
     const PlanEntry &E = It->second;
-    State = verifyArtifact(C.Dir, Index, E.SoKey);
-    if (State == ArtifactState::Ok) {
-      std::optional<std::string> Bytes =
-          support::readFile(tablesPath(C.Dir, PlanKey));
-      if (Bytes && Bytes->size() == E.TablesBytes &&
-          tablesChecksum(*Bytes) == E.TablesCksum)
-        if (auto Tables = decodeTables(*Bytes)) {
-          Hit.Tables = std::move(*Tables);
-          TablesOk = true;
-        }
-    }
     Hit.SoKey = E.SoKey;
     Hit.Cost = E.Cost;
+    State = verifyArtifact(C.Dir, I, E.SoKey);
+    if (State == ArtifactState::Ok) {
+      // The tables are read once, through the descriptor the trial hands
+      // on, so the trial child maps the bytes checked here.
+      Hit.TablesFd.reset(::open(tablesPath(C.Dir, PlanKey).c_str(),
+                                O_RDONLY | O_CLOEXEC));
+      std::optional<std::string> Bytes;
+      if (Hit.TablesFd.get() >= 0)
+        Bytes = support::readAll(Hit.TablesFd.get());
+      TablesOk = vouches(E.Tables, Bytes) && tablePointers(*Bytes);
+      if (TablesOk)
+        Hit.Tables = std::move(*Bytes);
+    }
   }
   if (State != ArtifactState::Ok || !TablesOk) {
     // A record whose artifact left the index is stale, not corrupt; a
@@ -628,60 +566,90 @@ KernelCache::probePlan(const std::string &PlanKey) {
     // way the caller's full path writes the record again.
     if (State != ArtifactState::Unindexed)
       telemetry::KernelcacheCorruptEntries.add();
-    if (State == ArtifactState::Corrupt)
-      remove(Hit.SoKey);
-    removePlan(C.Dir, PlanKey);
+    drop(C.Dir, State == ArtifactState::Corrupt ? Hit.SoKey : "", PlanKey);
     return std::nullopt;
   }
   telemetry::KernelcacheHits.add();
   Hit.SoPath = soPath(C.Dir, Hit.SoKey);
-  Hit.TablesPath = tablesPath(C.Dir, PlanKey);
   touchArtifact(Hit.SoPath);
-  touchArtifact(Hit.TablesPath);
+  ::futimens(Hit.TablesFd.get(), nullptr);
   return Hit;
 }
 
 void KernelCache::insertPlan(const std::string &PlanKey,
                              const std::string &SoKey,
-                             const std::vector<std::vector<double>> &Tables,
+                             const std::string &Tables,
                              std::optional<double> Cost) {
   Config C = config();
   if (!C.Enabled || PlanKey.empty() || SoKey.empty())
     return;
   support::RecordFile File(indexPath(C.Dir), LOCK_EX);
-  support::RecordFile PlansFile(plansPath(C.Dir), LOCK_EX);
-  std::map<std::string, IndexEntry> Index;
-  std::map<std::string, PlanEntry> Plans;
-  if (std::size_t CorruptLines =
-          loadIndex(File, Index) + loadPlans(PlansFile, Plans))
-    telemetry::KernelcacheCorruptEntries.add(CorruptLines);
-  if (!Index.count(SoKey))
+  Index I = loadIndex(File, true);
+  if (!I.Kernels.count(SoKey))
     return; // Evicted or dropped since the caller loaded it.
 
   // Tables first, then the record that vouches for them.
-  std::string Bytes;
-  writeTables(Tables, [&](const void *P, std::size_t N) {
-    Bytes.append(static_cast<const char *>(P), N);
-  });
-  if (!support::replaceFile(tablesPath(C.Dir, PlanKey), Bytes))
+  if (!support::replaceFile(tablesPath(C.Dir, PlanKey), Tables))
     return;
-  Plans[PlanKey] = PlanEntry{SoKey, tablesChecksum(Bytes), Bytes.size(), Cost};
-  settle(C.Dir, C.MaxBytes, Index, Plans, SoKey, PlanKey);
-  if (writeIndex(File, Index))
-    writePlans(PlansFile, Plans);
+  I.Plans[PlanKey] = PlanEntry{Vouched{checksum(Tables), Tables.size()},
+                               SoKey, Cost};
+  settle(C.Dir, C.MaxBytes, I, SoKey, PlanKey);
+  writeIndex(File, I);
 }
 
-void KernelCache::writeTables(
-    const std::vector<std::vector<double>> &Tables,
-    const std::function<void(const void *, std::size_t)> &Put) {
+std::string KernelCache::tablesBlob(
+    const std::vector<std::vector<std::complex<double>>> &Tables) {
+  std::size_t Size = sizeof TablesMagic + 8;
+  for (const auto &T : Tables)
+    Size += 8 + T.size() * sizeof(double);
+  std::string Blob;
+  Blob.reserve(Size);
+  auto Put = [&](const void *P, std::size_t N) {
+    Blob.append(static_cast<const char *>(P), N);
+  };
   Put(TablesMagic, sizeof TablesMagic);
   const std::uint64_t Count = Tables.size();
   Put(&Count, sizeof Count);
-  for (const std::vector<double> &T : Tables) {
+  for (const auto &T : Tables) {
     const std::uint64_t Len = T.size();
     Put(&Len, sizeof Len);
-    Put(T.data(), T.size() * sizeof(double));
+    for (const std::complex<double> &V : T) {
+      const double Re = V.real();
+      Put(&Re, sizeof Re);
+    }
   }
+  return Blob;
+}
+
+std::optional<std::vector<const double *>>
+KernelCache::tablePointers(const std::string &Blob) {
+  // Every table starts a multiple of 8 bytes into the blob, whose buffer
+  // (at least 16 bytes, so never inline in the string) comes from
+  // operator new: every pointer is aligned for a double.
+  std::size_t Pos = sizeof TablesMagic;
+  auto Get = [&](std::uint64_t &V) {
+    if (Blob.size() - Pos < sizeof V)
+      return false;
+    std::memcpy(&V, Blob.data() + Pos, sizeof V);
+    Pos += sizeof V;
+    return true;
+  };
+  std::uint64_t Count = 0;
+  if (Blob.compare(0, sizeof TablesMagic, TablesMagic, sizeof TablesMagic) ||
+      !Get(Count) || Count > Blob.size() / 8)
+    return std::nullopt;
+  std::vector<const double *> Tables;
+  Tables.reserve(Count);
+  for (std::uint64_t T = 0; T != Count; ++T) {
+    std::uint64_t Len = 0;
+    if (!Get(Len) || Len > (Blob.size() - Pos) / sizeof(double))
+      return std::nullopt;
+    Tables.push_back(reinterpret_cast<const double *>(Blob.data() + Pos));
+    Pos += Len * sizeof(double);
+  }
+  if (Pos != Blob.size())
+    return std::nullopt;
+  return Tables;
 }
 
 std::string KernelCache::populationLockPath(const std::string &Key) {

@@ -26,14 +26,15 @@
 /// never double-compile the same kernel. Eviction is LRU by artifact mtime
 /// (refreshed on every hit), bounded by a configurable byte budget.
 ///
-/// Beside the index, a `plans` record file maps a *plan key* — the winner's
-/// formula text and everything else a plan's kernel depends on, known
-/// before lowering, including the GNU build-id of the object holding libspl
-/// — to the C-source-keyed artifact, a checksummed raw-binary tables
-/// artifact `<plan-key>.tables`, and for rule-planned specs the evaluator
-/// cost. A planner that hits one loads the kernel without lowering,
-/// optimizing or rendering the formula. Artifacts stay shared by every
-/// build; plan records are per build.
+/// The same index holds `plan` records. Each maps a *plan key* — the
+/// winner's formula text and everything else a plan's kernel depends on,
+/// known before lowering, including the GNU build-id of the object holding
+/// libspl — to the C-source-keyed artifact, a checksummed tables artifact
+/// `<plan-key>.tables`, and for rule-planned specs the evaluator cost. A
+/// planner that hits one loads the kernel without lowering, optimizing or
+/// rendering the formula. Artifacts stay shared by every build; plan
+/// records are per build. Every probe, insert and removal takes the one
+/// `index.lock`, and both artifact kinds are checked by one checksum.
 ///
 /// The full contract — key derivation, layout, invalidation, locking, the
 /// flag/env reference, and a worked cold-vs-warm example — is documented in
@@ -50,8 +51,10 @@
 #ifndef SPL_PERF_KERNELCACHE_H
 #define SPL_PERF_KERNELCACHE_H
 
+#include "support/FileLock.h"
+
+#include <complex>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -145,11 +148,11 @@ public:
   /// A verified plan record: the artifact is checksum-valid and its recency
   /// refreshed, and the tables passed their recorded checksum.
   struct PlanRecord {
-    std::string SoKey;                       ///< The artifact's key().
-    std::string SoPath;                      ///< Ready to dlopen.
-    std::vector<std::vector<double>> Tables; ///< The kernel's tables.
-    std::string TablesPath; ///< Their verified artifact (writeTables form).
-    std::optional<double> Cost;              ///< Rule-planned specs only.
+    std::string SoKey;          ///< The artifact's key().
+    std::string SoPath;         ///< Ready to dlopen.
+    std::string Tables;         ///< The kernel's tablesBlob(), as verified.
+    UniqueFd TablesFd;          ///< The open `.tables` file they came from.
+    std::optional<double> Cost; ///< Rule-planned specs only.
   };
 
   /// Looks up \p PlanKey. A hit counts in kernelcache.hits. A record whose
@@ -160,19 +163,23 @@ public:
   static std::optional<PlanRecord> probePlan(const std::string &PlanKey);
 
   /// Records that \p PlanKey's kernel is the cached artifact \p SoKey with
-  /// \p Tables (and \p Cost). Sweeps and evicts like insert(). A no-op
-  /// when disabled or when \p SoKey is not in the index.
+  /// the tablesBlob() \p Tables (and \p Cost). Sweeps and evicts like
+  /// insert(). A no-op when disabled or when \p SoKey is not in the index.
   static void insertPlan(const std::string &PlanKey, const std::string &SoKey,
-                         const std::vector<std::vector<double>> &Tables,
-                         std::optional<double> Cost);
+                         const std::string &Tables, std::optional<double> Cost);
 
-  /// Hands \p Put the bytes of \p Tables' tables artifact, piece by
-  /// piece: the magic `spltab01`, a u64 table count, then per table a u64
-  /// length and that many doubles, all in host byte order. The trial
-  /// runner maps this format.
-  static void
-  writeTables(const std::vector<std::vector<double>> &Tables,
-              const std::function<void(const void *, std::size_t)> &Put);
+  /// A kernel's tables in the one form they keep from the kernel that binds
+  /// them to the `.tables` artifact and the trial child that maps them: the
+  /// magic `spltab01`, a u64 table count, then per table a u64 length and
+  /// that many doubles (the real parts of \p Tables; a lowered program's
+  /// tables are real), all in host byte order.
+  static std::string
+  tablesBlob(const std::vector<std::vector<std::complex<double>>> &Tables);
+
+  /// The first double of each table in \p Blob, or nullopt unless \p Blob
+  /// is exactly one tablesBlob(). The pointers point into \p Blob.
+  static std::optional<std::vector<const double *>>
+  tablePointers(const std::string &Blob);
 
   /// The population lock file of one key, `<dir>/<key>.lock`, after
   /// creating the cache directory ("" when the cache is disabled). An

@@ -36,7 +36,7 @@ namespace {
 /// is one message of NUL-terminated fields: the module's path, the
 /// kernel's symbol, the input and output lengths in doubles, and "",
 /// "crash" or "hang" (the trial-crash and trial-hang fault sites); the
-/// tables, when the kernel has any, ride along as an fd (SCM_RIGHTS). For
+/// kernel's tables blob rides along as an fd (SCM_RIGHTS). For
 /// each request the runner forks a fresh child, which dlopens the kernel,
 /// maps the tables, runs the kernel once on data from a seeded 64-bit LCG
 /// in [-1, 1) and exits 0, 2 on a non-finite output, or 3 with a message
@@ -259,29 +259,23 @@ std::string trialRunner(std::string &Error) {
   return Runner.Path;
 }
 
-/// \p Tables in an unlinked, close-on-exec temp file for a trial request;
-/// -1 when it cannot be written. The tables go out without a copy.
-int tablesFd(const std::vector<std::vector<double>> &Tables) {
+/// The tables blob \p Tables in an unlinked, close-on-exec temp file for a
+/// trial request; -1 when it cannot be written.
+UniqueFd tablesFd(const std::string &Tables) {
   const std::string Path = tempStem() + ".tables";
-  int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
-  if (Fd < 0)
-    return -1;
+  UniqueFd Fd(
+      ::open(Path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600));
+  if (Fd.get() < 0)
+    return Fd;
   ::unlink(Path.c_str());
-  KernelCache::writeTables(Tables, [&](const void *P, std::size_t N) {
-    const char *Bytes = static_cast<const char *>(P);
-    while (Fd >= 0 && N > 0) {
-      const ssize_t W = ::write(Fd, Bytes, N);
-      if (W < 0 && errno == EINTR)
-        continue;
-      if (W <= 0) {
-        ::close(Fd);
-        Fd = -1;
-        return;
-      }
-      Bytes += W;
-      N -= static_cast<std::size_t>(W);
-    }
-  });
+  for (std::size_t Done = 0; Done != Tables.size();) {
+    const ssize_t W =
+        ::write(Fd.get(), Tables.data() + Done, Tables.size() - Done);
+    if (W > 0)
+      Done += static_cast<std::size_t>(W);
+    else if (W == 0 || errno != EINTR)
+      return UniqueFd();
+  }
   return Fd;
 }
 
@@ -303,8 +297,8 @@ struct Exchange {
 /// whose trial timed out or whose channel broke is retired, never reused.
 class RunnerPool {
 public:
-  /// Runs \p Request (with \p TablesFd, when >= 0, passed along) on a
-  /// runner, waiting at most \p TimeoutSeconds (0: no limit) for the reply.
+  /// Runs \p Request (with \p TablesFd passed along) on a runner, waiting
+  /// at most \p TimeoutSeconds (0: no limit) for the reply.
   Exchange run(const std::string &Request, int TablesFd,
                double TimeoutSeconds) {
     using Clock = std::chrono::steady_clock;
@@ -425,15 +419,13 @@ private:
       struct cmsghdr Header;
       char Bytes[CMSG_SPACE(sizeof(int))];
     } Control = {};
-    if (TablesFd >= 0) {
-      Msg.msg_control = Control.Bytes;
-      Msg.msg_controllen = sizeof Control.Bytes;
-      struct cmsghdr *C = CMSG_FIRSTHDR(&Msg);
-      C->cmsg_level = SOL_SOCKET;
-      C->cmsg_type = SCM_RIGHTS;
-      C->cmsg_len = CMSG_LEN(sizeof(int));
-      std::memcpy(CMSG_DATA(C), &TablesFd, sizeof(int));
-    }
+    Msg.msg_control = Control.Bytes;
+    Msg.msg_controllen = sizeof Control.Bytes;
+    struct cmsghdr *C = CMSG_FIRSTHDR(&Msg);
+    C->cmsg_level = SOL_SOCKET;
+    C->cmsg_type = SCM_RIGHTS;
+    C->cmsg_len = CMSG_LEN(sizeof(int));
+    std::memcpy(CMSG_DATA(C), &TablesFd, sizeof(int));
     ssize_t N;
     do
       N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
@@ -495,14 +487,21 @@ std::string CompiledKernel::compilerFlags(const KernelBuildOptions &BuildOpts) {
 
 std::unique_ptr<CompiledKernel>
 CompiledKernel::bind(std::unique_ptr<NativeModule> Mod,
-                     const std::string &FnName,
-                     std::vector<std::vector<double>> Tables,
+                     const std::string &FnName, std::string Tables,
                      KernelError *Err) {
   auto K = std::unique_ptr<CompiledKernel>(new CompiledKernel());
   K->Fn = Mod->fn();
   K->FnName = FnName;
   K->Tables = std::move(Tables);
-  if (!K->Tables.empty()) {
+  // Pointers into the kernel's own blob, which lives as long as it does.
+  const std::optional<std::vector<const double *>> Ptrs =
+      KernelCache::tablePointers(K->Tables);
+  if (!Ptrs) {
+    if (Err)
+      *Err = KernelError{KernelErrorKind::CompileFailed, "malformed tables"};
+    return nullptr;
+  }
+  if (!Ptrs->empty()) {
     using SetFn = void (*)(const double *const *);
     std::string SetName = FnName + "_set_tables";
     auto Set = reinterpret_cast<SetFn>(Mod->symbol(SetName.c_str()));
@@ -512,10 +511,7 @@ CompiledKernel::bind(std::unique_ptr<NativeModule> Mod,
                            "generated module lacks " + SetName};
       return nullptr;
     }
-    std::vector<const double *> Ptrs;
-    for (const auto &T : K->Tables)
-      Ptrs.push_back(T.data());
-    Set(Ptrs.data());
+    Set(Ptrs->data());
   }
   K->Mod = std::move(Mod);
   return K;
@@ -571,14 +567,8 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
                          : KernelErrorKind::CompileFailed,
                 CompileError);
 
-  std::vector<std::vector<double>> Tables;
-  for (const auto &T : Final.Tables) {
-    std::vector<double> Flat(T.size());
-    for (size_t I = 0; I != T.size(); ++I)
-      Flat[I] = T[I].real();
-    Tables.push_back(std::move(Flat));
-  }
-  auto K = bind(std::move(Mod), Final.SubName, std::move(Tables), Err);
+  auto K = bind(std::move(Mod), Final.SubName,
+                KernelCache::tablesBlob(Final.Tables), Err);
   if (!K)
     return nullptr;
   K->Lanes = Lanes;
@@ -619,34 +609,25 @@ CompiledKernel::load(KernelCache::PlanRecord Record, const std::string &FnName,
                                        : codegen::VectorISA::Scalar);
   K->Variant = Variant;
   K->InLen = K->OutLen = VectorLen * K->Lanes;
-  K->TablesPath = std::move(Record.TablesPath);
+  K->TablesFd = std::move(Record.TablesFd);
   return K;
 }
 
 CompiledKernel::TrialResult
-CompiledKernel::trial(double TimeoutSeconds) const {
+CompiledKernel::trial(double TimeoutSeconds) {
   // Both sites are consulted on every trial, so their budgets count trials.
   const bool InjectCrash = fault::at("trial-crash");
   const bool InjectHang = fault::at("trial-hang");
   TrialResult T;
-  struct FdGuard {
-    int Fd = -1;
-    ~FdGuard() {
-      if (Fd >= 0)
-        ::close(Fd);
-    }
-  } TablesFd; // Closed on every path out of the trial.
-  if (!Tables.empty()) {
-    // A plan record's tables artifact is mapped, never rewritten; a fresh
-    // kernel's tables go out in an unlinked temp file.
-    TablesFd.Fd = TablesPath.empty()
-                      ? tablesFd(Tables)
-                      : ::open(TablesPath.c_str(), O_RDONLY | O_CLOEXEC);
-    if (TablesFd.Fd < 0) {
-      T.Reason = std::string("trial execution failed: cannot ") +
-                 (TablesPath.empty() ? "write" : "open") + " its tables";
-      return T;
-    }
+  // A plan record's descriptor goes out as its probe verified it, once; a
+  // fresh kernel's blob goes out in an unlinked temp file. Either is
+  // closed on every path out of the trial.
+  UniqueFd Fd = std::move(TablesFd);
+  if (Fd.get() < 0)
+    Fd = tablesFd(Tables);
+  if (Fd.get() < 0) {
+    T.Reason = "trial execution failed: cannot write its tables";
+    return T;
   }
   std::string Request;
   for (const std::string &Field :
@@ -654,7 +635,7 @@ CompiledKernel::trial(double TimeoutSeconds) const {
         std::string(InjectCrash ? "crash" : InjectHang ? "hang" : "")})
     Request.append(Field).push_back('\0');
 
-  const Exchange X = runnerPool().run(Request, TablesFd.Fd, TimeoutSeconds);
+  const Exchange X = runnerPool().run(Request, Fd.get(), TimeoutSeconds);
   if (X.Kind == Exchange::TimedOut) {
     T.Reason = "trial execution timed out after " +
                std::to_string(TimeoutSeconds) +

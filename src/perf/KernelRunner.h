@@ -93,9 +93,10 @@ public:
 
   /// Loads the kernel a kernel-cache plan record names, without its
   /// program: dlopens the artifact as entry point \p FnName, binds the
-  /// record's tables, and sizes the buffers from \p VectorLen doubles per
-  /// transform. An artifact that fails to load is dropped from the cache
-  /// and counted in kernelcache.corrupt_entries; null with \p Err filled.
+  /// record's tables and keeps their descriptor for the trial, and sizes
+  /// the buffers from \p VectorLen doubles per transform. An artifact that
+  /// fails to load is dropped from the cache and counted in
+  /// kernelcache.corrupt_entries; null with \p Err filled.
   static std::unique_ptr<CompiledKernel>
   load(KernelCache::PlanRecord Record, const std::string &FnName,
        std::int64_t VectorLen, codegen::CodegenVariant Variant,
@@ -118,8 +119,9 @@ public:
   /// The variant this kernel was built with.
   codegen::CodegenVariant variant() const { return Variant; }
 
-  /// The tables bound into the kernel, one flat array per program table.
-  const std::vector<std::vector<double>> &tables() const { return Tables; }
+  /// The KernelCache::tablesBlob() bound into the kernel: its
+  /// <FnName>_set_tables pointers point into it.
+  const std::string &tables() const { return Tables; }
 
   /// The kernel-cache key of the artifact behind the kernel; "" when it is
   /// not in the cache.
@@ -142,28 +144,31 @@ public:
   /// child of a resident trial runner: a small C program built once per
   /// process (an ordinary kernel-cache artifact when the cache is on),
   /// started on first use and kept for later trials. The child dlopens this
-  /// kernel's module, binds its tables (a plan record's tables artifact, or
-  /// an unlinked temp file, passed as an fd), runs it on deterministic
-  /// random data and checks every output is finite. A kernel that crashes,
-  /// hangs, or emits NaN/Inf fails the trial without harming this process,
-  /// and the cost does not grow with this process's RSS. A runner whose
-  /// trial timed out is retired; every runner is reaped at exit.
-  TrialResult trial(double TimeoutSeconds) const;
+  /// kernel's module, maps and binds its tables (passed as an fd: a plan
+  /// record kernel's first trial spends the descriptor of the `.tables`
+  /// file its probe verified; any other trial writes the blob to an
+  /// unlinked temp file), runs it on deterministic random data and checks
+  /// every output is finite. A kernel that crashes, hangs, or emits
+  /// NaN/Inf fails the trial without harming this process, and the cost
+  /// does not grow with this process's RSS. A runner whose trial timed out
+  /// is retired; every runner is reaped at exit.
+  TrialResult trial(double TimeoutSeconds);
 
 private:
   CompiledKernel() = default;
 
-  /// Takes \p Mod and \p Tables and hands the tables to the module's
-  /// <FnName>_set_tables hook (when there are any).
+  /// Takes \p Mod and the tablesBlob() \p Tables and hands pointers into
+  /// the blob to the module's <FnName>_set_tables hook (when there are
+  /// any tables).
   static std::unique_ptr<CompiledKernel>
   bind(std::unique_ptr<NativeModule> Mod, const std::string &FnName,
-       std::vector<std::vector<double>> Tables, KernelError *Err);
+       std::string Tables, KernelError *Err);
 
   std::unique_ptr<NativeModule> Mod;
   NativeModule::KernelFn Fn = nullptr;
-  std::vector<std::vector<double>> Tables; ///< Must outlive the module use.
-  std::string FnName;     ///< The kernel's entry point.
-  std::string TablesPath; ///< The plan record's tables artifact, if any.
+  std::string Tables; ///< The tablesBlob(); outlives the module use.
+  UniqueFd TablesFd;  ///< A plan record's verified `.tables` file.
+  std::string FnName; ///< The kernel's entry point.
   std::int64_t InLen = 0, OutLen = 0;
   int Lanes = 1;
   codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;

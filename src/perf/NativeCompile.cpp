@@ -216,6 +216,28 @@ std::string compileToTemp(const std::string &CSource, bool Shared,
   return OutPath;
 }
 
+/// The one cached compile, for kernels and the trial runner alike: probes
+/// \p Key, and on a miss takes the key's population lock, probes again,
+/// builds and inserts. Concurrent builders of one cold key (threads or
+/// processes) block on the lock, and all but one \p Use the winner's
+/// artifact. \p Use makes the result of a verified artifact's path (false:
+/// unusable, build instead); \p Build returns the built artifact's path
+/// ("" on failure). True when the result is in the cache under \p Key.
+template <typename UseFn, typename BuildFn>
+bool throughCache(const std::string &Key, UseFn Use, BuildFn Build) {
+  auto Hit = [&] {
+    std::optional<std::string> Path = KernelCache::probe(Key);
+    return Path && Use(*Path);
+  };
+  if (Hit())
+    return true;
+  FileLock PL(KernelCache::populationLockPath(Key), LOCK_EX);
+  if (Hit())
+    return true;
+  const std::string Built = Build();
+  return !Built.empty() && KernelCache::insert(Key, Built);
+}
+
 } // namespace
 
 std::string perf::tempStem() {
@@ -301,25 +323,27 @@ NativeModule::compileFresh(const std::string &CSource,
 std::string NativeModule::compileExecutable(const std::string &CSource,
                                             const std::string &ExtraFlags,
                                             std::string *Error) {
-  const std::string Key =
-      KernelCache::enabled() ? KernelCache::key(CSource, "main", ExtraFlags)
-                             : std::string();
+  std::string Path;
+  auto Build = [&] {
+    Path = compileToTemp(CSource, /*Shared=*/false, ExtraFlags,
+                         telemetry::NativeRunnerBuilds, Error, nullptr,
+                         support::Deadline());
+    return Path;
+  };
+  if (!KernelCache::enabled())
+    return Build();
   // A cached build is copied out: the caller's copy outlives the cache.
-  if (!Key.empty())
-    if (std::optional<std::string> Hit = KernelCache::probe(Key)) {
-      std::optional<std::string> Bytes = support::readFile(*Hit);
-      const std::string Path = tempStem();
-      if (Bytes && support::replaceFile(Path, *Bytes) &&
-          ::chmod(Path.c_str(), 0755) == 0)
-        return Path;
-      std::remove(Path.c_str());
-    }
-  std::string Path =
-      compileToTemp(CSource, /*Shared=*/false, ExtraFlags,
-                    telemetry::NativeRunnerBuilds, Error, nullptr,
-                    support::Deadline());
-  if (!Path.empty() && !Key.empty())
-    KernelCache::insert(Key, Path);
+  auto CopyOut = [&](const std::string &Hit) {
+    std::optional<std::string> Bytes = support::readFile(Hit);
+    Path = tempStem();
+    if (Bytes && support::replaceFile(Path, *Bytes) &&
+        ::chmod(Path.c_str(), 0755) == 0)
+      return true;
+    std::remove(Path.c_str());
+    Path.clear();
+    return false;
+  };
+  throughCache(KernelCache::key(CSource, "main", ExtraFlags), CopyOut, Build);
   return Path;
 }
 
@@ -333,34 +357,22 @@ NativeModule::compile(const std::string &CSource, const std::string &FnName,
     return compileFresh(CSource, FnName, Error, ExtraFlags, TimedOut,
                         Deadline);
 
-  std::string Key = KernelCache::key(CSource, FnName, ExtraFlags);
-  auto LoadHit = [&]() -> std::unique_ptr<NativeModule> {
-    std::optional<std::string> Hit = KernelCache::probe(Key);
-    if (!Hit)
-      return nullptr;
-    auto M = loadCached(*Hit, FnName, Error);
-    if (M)
-      M->CacheKey = Key;
-    else // Checksum-valid but unloadable (e.g. an alien file of the
-         // right bytes): drop the entry and recompile.
+  const std::string Key = KernelCache::key(CSource, FnName, ExtraFlags);
+  std::unique_ptr<NativeModule> M;
+  auto Load = [&](const std::string &Hit) {
+    M = loadCached(Hit, FnName, Error);
+    if (!M) // Checksum-valid but unloadable (e.g. an alien file of the
+            // right bytes): drop the entry and recompile.
       KernelCache::remove(Key);
-    return M;
+    return M != nullptr;
   };
-  if (auto M = LoadHit())
-    return M;
-
-  // Per-key population lock across re-probe + compile + insert: concurrent
-  // planners (threads or processes) racing on a cold key block here and
-  // all but one load the winner's artifact instead of recompiling.
-  FileLock PL(KernelCache::populationLockPath(Key), LOCK_EX);
-  if (auto M = LoadHit())
-    return M;
-
-  auto M = compileFresh(CSource, FnName, Error, ExtraFlags, TimedOut,
-                        Deadline);
   // The module keeps (and owns) its temp copy; the cache gets its own.
   // A failed insert just means the next process compiles cold again.
-  if (M && KernelCache::insert(Key, M->SoPath))
+  auto Build = [&] {
+    M = compileFresh(CSource, FnName, Error, ExtraFlags, TimedOut, Deadline);
+    return M ? M->SoPath : std::string();
+  };
+  if (throughCache(Key, Load, Build))
     M->CacheKey = Key;
   return M;
 }

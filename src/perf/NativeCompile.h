@@ -88,8 +88,9 @@ public:
   /// invocation compile() uses (SPL_CC, \p ExtraFlags, the breaker, the
   /// retry and the fault sites), counted in native.runner_builds rather
   /// than native.compiles. With the kernel cache on, the executable is an
-  /// ordinary artifact under key(\p CSource, "main", \p ExtraFlags): a hit
-  /// is copied out instead of compiled, and a fresh build is inserted.
+  /// ordinary artifact under key(\p CSource, "main", \p ExtraFlags), cached
+  /// through the same probe, population lock, re-probe and insert as
+  /// compile(): a hit is copied out instead of compiled.
   /// Returns the path of the caller's own copy (a tempStem() file the
   /// caller removes), or "" with \p Error filled.
   static std::string compileExecutable(const std::string &CSource,

@@ -457,12 +457,6 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
     // itself gets its record written.
     auto Build = [&](codegen::CodegenVariant V, perf::KernelError &Err)
         -> std::unique_ptr<perf::CompiledKernel> {
-      if (Opts.ForceNativeFail) {
-        Err = perf::KernelError{perf::KernelErrorKind::CompileFailed,
-                                "forced failure "
-                                "(PlannerOptions::ForceNativeFail)"};
-        return nullptr;
-      }
       perf::KernelBuildOptions BO;
       BO.ThreadSafe = true; // Batch dispatch runs one kernel on many threads.
       BO.Variant = V;

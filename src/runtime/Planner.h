@@ -65,10 +65,6 @@ struct PlannerOptions {
   /// KernelCacheDir (the --no-kernel-cache flag).
   bool DisableKernelCache = false;
 
-  /// Test hook: pretend every native kernel build fails, exercising the
-  /// VM fallback path deterministically.
-  bool ForceNativeFail = false;
-
   /// Default wall-clock budget per plan() call in milliseconds (0:
   /// unbounded). ~70% of the remaining budget goes to the search slice
   /// (which returns best-so-far on expiry), the rest bounds the compile +

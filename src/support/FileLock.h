@@ -12,7 +12,8 @@
 /// lock file cannot be created the caller proceeds unlocked. flock locks
 /// attach to the open file description, so two threads of one process
 /// contending on the same path serialize just like two processes, and a
-/// dying process releases its locks automatically.
+/// dying process releases its locks automatically. UniqueFd, the owned
+/// descriptor a FileLock holds, also carries a kernel's tables to its trial.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #define SPL_SUPPORT_FILELOCK_H
 
 #include <string>
+#include <utility>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -27,33 +29,52 @@
 
 namespace spl {
 
+/// An owned file descriptor, closed with its owner; -1 owns nothing.
+class UniqueFd {
+public:
+  explicit UniqueFd(int Fd = -1) : Fd(Fd) {}
+  UniqueFd(UniqueFd &&O) noexcept : Fd(std::exchange(O.Fd, -1)) {}
+  UniqueFd &operator=(UniqueFd &&O) noexcept {
+    reset(std::exchange(O.Fd, -1));
+    return *this;
+  }
+  ~UniqueFd() { reset(); }
+
+  int get() const { return Fd; }
+  void reset(int NewFd = -1) {
+    if (Fd >= 0)
+      ::close(Fd);
+    Fd = NewFd;
+  }
+
+private:
+  int Fd;
+};
+
 /// Holds an advisory flock on \p LockPath for the object's lifetime.
 /// \p Operation is LOCK_SH or LOCK_EX (blocking). held() reports whether
 /// the lock was actually acquired.
 class FileLock {
 public:
-  FileLock(const std::string &LockPath, int Operation) {
-    Fd = ::open(LockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (Fd >= 0 && ::flock(Fd, Operation) != 0) {
-      ::close(Fd);
-      Fd = -1;
-    }
+  FileLock(const std::string &LockPath, int Operation)
+      : Fd(::open(LockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644)) {
+    if (Fd.get() >= 0 && ::flock(Fd.get(), Operation) != 0)
+      Fd.reset();
   }
 
+  /// Unlocks explicitly: a child mid-spawn may still share the descriptor.
   ~FileLock() {
-    if (Fd >= 0) {
-      ::flock(Fd, LOCK_UN);
-      ::close(Fd);
-    }
+    if (held())
+      ::flock(Fd.get(), LOCK_UN);
   }
 
   FileLock(const FileLock &) = delete;
   FileLock &operator=(const FileLock &) = delete;
 
-  bool held() const { return Fd >= 0; }
+  bool held() const { return Fd.get() >= 0; }
 
 private:
-  int Fd = -1;
+  UniqueFd Fd;
 };
 
 } // namespace spl

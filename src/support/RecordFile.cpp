@@ -8,31 +8,41 @@
 
 #include "support/StrUtil.h"
 
+#include <cerrno>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include <sys/stat.h>
 
 using namespace spl;
 using namespace spl::support;
 
-std::optional<std::string> support::readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return std::nullopt;
+std::optional<std::string> support::readAll(int Fd) {
   // Straight into a result sized up front (only regular files have a
   // size), in large blocks: a stream copy through an ostringstream costs
   // ~1.5 ms per MiB, which a warm plan's tables artifact pays per probe.
   std::string Bytes;
-  std::error_code EC;
-  if (const std::uintmax_t Size = std::filesystem::file_size(Path, EC); !EC)
-    Bytes.reserve(Size);
+  struct stat St;
+  if (::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode))
+    Bytes.reserve(static_cast<std::size_t>(St.st_size));
   char Block[1 << 16];
-  while (In.read(Block, sizeof Block) || In.gcount() > 0)
-    Bytes.append(Block, static_cast<std::size_t>(In.gcount()));
-  if (In.bad())
+  for (;;) {
+    const ssize_t N = ::read(Fd, Block, sizeof Block);
+    if (N == 0)
+      return Bytes;
+    if (N > 0)
+      Bytes.append(Block, static_cast<std::size_t>(N));
+    else if (errno != EINTR)
+      return std::nullopt;
+  }
+}
+
+std::optional<std::string> support::readFile(const std::string &Path) {
+  UniqueFd Fd(::open(Path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (Fd.get() < 0)
     return std::nullopt;
-  return Bytes;
+  return readAll(Fd.get());
 }
 
 bool support::replaceFile(const std::string &Path, const std::string &Bytes) {

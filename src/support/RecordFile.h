@@ -29,7 +29,10 @@
 namespace spl {
 namespace support {
 
-/// The whole of \p Path (binary); nullopt when it cannot be opened.
+/// The rest of the open file \p Fd (binary); nullopt on a read error.
+std::optional<std::string> readAll(int Fd);
+
+/// The whole of \p Path (binary); nullopt when it cannot be read.
 std::optional<std::string> readFile(const std::string &Path);
 
 /// Replaces \p Path with \p Bytes: writes `<path>.tmp`, then renames it

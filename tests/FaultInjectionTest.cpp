@@ -203,7 +203,7 @@ TEST_F(FaultTest, WisdomIOFaultsAreSoftFailures) {
   arm(nullptr);
   EXPECT_TRUE(Cache.save(Path));
   EXPECT_TRUE(Cache.load(Path));
-  std::remove(Path.c_str());
+  removeRecordFile(Path);
   // Soft failures: warnings only, never errors.
   EXPECT_EQ(Diags.errorCount(), 0u) << Diags.dump();
 }
@@ -582,14 +582,21 @@ TEST_F(PlanRecordFaultTest, TrialHangOnARecordHitDemotesToVm) {
 }
 
 TEST_F(PlanRecordFaultTest, ForcedFailureAndSpentDeadlineIgnoreTheRecord) {
-  runtime::PlannerOptions Forced = options();
-  Forced.ForceNativeFail = true;
-  auto F = plan(Forced);
+  // A recorded kernel that fails its trial demotes the plan and leaves the
+  // record as it was.
+  arm("trial-crash");
+  auto F = plan(options());
+  arm(nullptr);
   ASSERT_TRUE(F);
   EXPECT_EQ(F->backend(), runtime::Backend::VM);
-  EXPECT_NE(F->fallbackReason().find("ForceNativeFail"), std::string::npos)
+  EXPECT_NE(F->fallbackReason().find("trial-failed"), std::string::npos)
       << F->fallbackReason();
   EXPECT_LT(oracleError(*F), 1e-10);
+  const std::uint64_t Hits0 = hits();
+  auto Healthy = plan(options());
+  ASSERT_TRUE(Healthy);
+  EXPECT_GE(hits() - Hits0, 1u) << "the record must survive the failed trial";
+  EXPECT_EQ(Healthy->backend(), runtime::Backend::Native);
 
   // A spent budget loads the recorded kernel (a map is free) but cannot
   // prove it, so the plan demotes rather than skipping the trial.

@@ -16,7 +16,9 @@
 /// Plan records: a warm plan that hits one skips lowering and matches its
 /// cold plan bit for bit; every plan-key input re-keys it; and a damaged
 /// tables artifact, a deleted artifact or an unloadable one falls back to
-/// the full path, is counted, and is rewritten by that path's insert.
+/// the full path, is counted, and is rewritten by that path's insert. A v1
+/// directory (two record files) costs one cold plan, and a trial maps the
+/// tables descriptor its probe verified, whatever happens to the path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +27,11 @@
 #include "codegen/CEmitter.h"
 #include "driver/Compiler.h"
 #include "perf/KernelCache.h"
+#include "perf/KernelRunner.h"
 #include "perf/NativeCompile.h"
 #include "runtime/Planner.h"
+#include "support/RecordFile.h"
+#include "support/StrUtil.h"
 #include "telemetry/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -39,6 +44,7 @@
 #include <unistd.h>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -505,11 +511,11 @@ protected:
   void SetUp() override {
     KernelCacheTest::SetUp();
     Wisdom = Dir + ".wisdom";
-    std::remove(Wisdom.c_str());
+    test::removeRecordFile(Wisdom);
   }
 
   void TearDown() override {
-    std::remove(Wisdom.c_str());
+    test::removeRecordFile(Wisdom);
     KernelCacheTest::TearDown();
   }
 
@@ -538,18 +544,30 @@ protected:
     return Y;
   }
 
-  /// The one plan record's fields: plan key, artifact key.
+  /// The fields of the index's one plan record: "entry", the line
+  /// checksum, "plan", the plan key, the tables checksum and size, the
+  /// artifact key and the cost.
+  std::vector<std::string> planRecord() {
+    std::istringstream In(slurp(Dir + "/index"));
+    std::string Line;
+    std::vector<std::vector<std::string>> Plans;
+    while (std::getline(In, Line)) {
+      std::istringstream Fields(Line);
+      std::vector<std::string> F{std::istream_iterator<std::string>(Fields),
+                                 std::istream_iterator<std::string>()};
+      if (F.size() > 2 && F[2] == "plan")
+        Plans.push_back(F);
+    }
+    EXPECT_EQ(Plans.size(), 1u) << slurp(Dir + "/index");
+    if (Plans.empty() || Plans.front().size() != 8)
+      return std::vector<std::string>(8);
+    return Plans.front();
+  }
+
+  /// The one plan record's plan key and artifact key.
   std::pair<std::string, std::string> onlyRecord() {
-    std::istringstream In(slurp(Dir + "/plans"));
-    std::string Line, Tag, Cksum, PlanKey, SoKey;
-    std::getline(In, Line); // Header.
-    std::vector<std::string> Records;
-    while (std::getline(In, Line))
-      Records.push_back(Line);
-    EXPECT_EQ(Records.size(), 1u) << slurp(Dir + "/plans");
-    if (!Records.empty())
-      std::istringstream(Records.front()) >> Tag >> Cksum >> PlanKey >> SoKey;
-    return {PlanKey, SoKey};
+    const std::vector<std::string> R = planRecord();
+    return {R[3], R[6]};
   }
 
   /// Every tables artifact in the directory has a record and vice versa.
@@ -558,7 +576,7 @@ protected:
     for (const auto &E : fs::directory_iterator(Dir))
       if (E.path().extension() == ".tables") {
         ++Files;
-        EXPECT_NE(slurp(Dir + "/plans").find(E.path().stem().string()),
+        EXPECT_NE(slurp(Dir + "/index").find(E.path().stem().string()),
                   std::string::npos)
             << E.path() << " has no plan record";
       }
@@ -733,7 +751,7 @@ TEST_F(PlanRecordTest, DeletedCacheDirectoryDoesNotDemotePlans) {
   const std::vector<double> Want = run(*C);
 
   fs::remove_all(Dir);
-  std::remove(Wisdom.c_str());
+  test::removeRecordFile(Wisdom);
   for (std::int64_t N : {64, 128}) {
     Spec.Size = N;
     auto P = plan(Spec);
@@ -744,6 +762,85 @@ TEST_F(PlanRecordTest, DeletedCacheDirectoryDoesNotDemotePlans) {
       EXPECT_EQ(run(*P), Want);
     }
   }
+}
+
+TEST_F(PlanRecordTest, V1DirectoryUpgradesAfterOneColdPlan) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!NativeModule::available() || KernelCache::buildId().empty())
+    GTEST_SKIP() << "needs a C compiler and a build-id";
+  runtime::PlanSpec Spec;
+  Spec.Size = 64;
+  auto C = plan(Spec);
+  ASSERT_TRUE(C);
+  ASSERT_EQ(C->backend(), runtime::Backend::Native) << C->fallbackReason();
+  const std::vector<double> Want = run(*C);
+
+  // The same artifact and tables under v1's two record files: `index` with
+  // byte-wise artifact checksums, `plans` with the plan records.
+  const std::vector<std::string> R = planRecord();
+  const std::string PlanKey = R[3], SoKey = R[6];
+  const std::string So = slurp(Dir + "/" + SoKey + ".so");
+  ASSERT_FALSE(So.empty());
+  ASSERT_TRUE(support::RecordFile(Dir + "/index", LOCK_EX)
+                  .write("spl-kernelcache v1", "kernel",
+                         {SoKey + ' ' + fnv1aHex(So) + ' ' +
+                          std::to_string(So.size())}));
+  ASSERT_TRUE(support::RecordFile(Dir + "/plans", LOCK_EX)
+                  .write("spl-kernelcache-plans v1", "plan",
+                         {PlanKey + ' ' + SoKey + ' ' + R[4] + ' ' + R[5] +
+                          ' ' + R[7]}));
+  ASSERT_TRUE(fs::exists(Dir + "/" + PlanKey + ".tables"));
+
+  // v1 reads as empty: one cold plan, which rewrites the index as v2 and
+  // sweeps what v1 left behind.
+  Deltas D;
+  Samples S;
+  auto First = plan(Spec);
+  ASSERT_TRUE(First);
+  EXPECT_EQ(First->backend(), runtime::Backend::Native);
+  EXPECT_GE(S.optimize(), 1u);
+  EXPECT_EQ(D.hits(), 0u);
+  EXPECT_EQ(D.compiles(), 1u);
+  EXPECT_EQ(D.corrupt(), 0u);
+  EXPECT_FALSE(fs::exists(Dir + "/plans"));
+  EXPECT_FALSE(fs::exists(Dir + "/plans.lock"));
+  EXPECT_EQ(slurp(Dir + "/index").rfind("spl-kernelcache v2\n", 0), 0u);
+
+  Deltas D2;
+  Samples S2;
+  auto Second = plan(Spec);
+  ASSERT_TRUE(Second);
+  EXPECT_EQ(S2.optimize(), 0u);
+  EXPECT_EQ(D2.hits(), 1u);
+  EXPECT_EQ(D2.compiles(), 0u);
+  EXPECT_EQ(run(*First), Want);
+  EXPECT_EQ(run(*Second), Want);
+  expectTablesMatchRecords();
+}
+
+TEST_F(PlanRecordTest, TrialMapsTheTablesItsProbeVerified) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!NativeModule::available() || KernelCache::buildId().empty())
+    GTEST_SKIP() << "needs a C compiler and a build-id";
+  runtime::PlanSpec Spec;
+  Spec.Size = 64;
+  auto C = plan(Spec);
+  ASSERT_TRUE(C);
+  ASSERT_EQ(C->backend(), runtime::Backend::Native) << C->fallbackReason();
+  const std::string PlanKey = onlyRecord().first;
+
+  // The tables file goes away after the probe read it: the trial child
+  // maps the descriptor the probe verified, not the path.
+  std::optional<KernelCache::PlanRecord> Record =
+      KernelCache::probePlan(PlanKey);
+  ASSERT_TRUE(Record);
+  ASSERT_TRUE(fs::remove(Dir + "/" + PlanKey + ".tables"));
+  KernelError Err;
+  auto K = CompiledKernel::load(std::move(*Record), C->program().SubName,
+                                C->vectorLen(), C->codegenVariant(), &Err);
+  ASSERT_TRUE(K) << Err.str();
+  const CompiledKernel::TrialResult T = K->trial(10.0);
+  EXPECT_TRUE(T.Ok) << T.Reason;
 }
 
 TEST_F(PlanRecordTest, EveryKeyInputChangesThePlanKey) {

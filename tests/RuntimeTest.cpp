@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -49,6 +50,30 @@ runtime::PlannerOptions testOptions() {
   Opts.UseWisdom = false;
   return Opts;
 }
+
+/// Arms SPL_FAULT with one spec for the object's lifetime, then restores
+/// whatever was armed before (FaultInjectionTest's fixture does the same).
+class ScopedFault {
+public:
+  explicit ScopedFault(const char *Spec) {
+    if (const char *Old = std::getenv("SPL_FAULT"))
+      Saved = Old;
+    ::setenv("SPL_FAULT", Spec, 1);
+    fault::reset();
+  }
+  ~ScopedFault() {
+    if (Saved)
+      ::setenv("SPL_FAULT", Saved->c_str(), 1);
+    else
+      ::unsetenv("SPL_FAULT");
+    fault::reset();
+  }
+  ScopedFault(const ScopedFault &) = delete;
+  ScopedFault &operator=(const ScopedFault &) = delete;
+
+private:
+  std::optional<std::string> Saved;
+};
 
 /// Interleaves a complex vector into (re,im) pairs as the lowered plans
 /// expect.
@@ -394,10 +419,9 @@ TEST(Plan, StridedBatchTouchesOnlyItsLanes) {
 }
 
 TEST(Plan, ForcedNativeFailureFallsBackToVm) {
+  ScopedFault Fault("native-compile");
   Diagnostics Diags;
-  auto Opts = testOptions();
-  Opts.ForceNativeFail = true;
-  runtime::Planner Planner(Diags, Opts);
+  runtime::Planner Planner(Diags, testOptions());
 
   runtime::PlanSpec Spec;
   Spec.Size = 16;
@@ -466,7 +490,7 @@ TEST(Planner, WisdomRoundTripSkipsResearch) {
     P->execute(YR.data(), XR.data());
     EXPECT_LT(maxAbsDiff(deinterleave(YR), dftMatrix(32).apply(X)), 1e-10);
   }
-  std::remove(Path.c_str());
+  removeRecordFile(Path);
 }
 
 TEST(Plan, VectorPlanMatchesDenseOracle) {
@@ -662,7 +686,7 @@ TEST(Planner, NativeTimeSearchWinnerRoundTripsThroughWisdom) {
 
   std::string Path =
       "/tmp/spl-runtime-native-wisdom-" + std::to_string(getpid());
-  std::remove(Path.c_str());
+  removeRecordFile(Path);
   driver::CompilerOptions CO;
   CO.UnrollThreshold = 16;
   search::SearchOptions SO;
@@ -695,7 +719,7 @@ TEST(Planner, NativeTimeSearchWinnerRoundTripsThroughWisdom) {
     EXPECT_EQ(Best->Formula->print(), Cold);
     EXPECT_EQ(Eval.evaluations(), 0u) << "warm search re-timed candidates";
   }
-  std::remove(Path.c_str());
+  removeRecordFile(Path);
 }
 
 TEST(Plan, ExecuteBatchHonorsDeadlineWithoutTouchingOutput) {
@@ -923,10 +947,9 @@ TEST(Plan, RegistryTransformsDegradeUnderForcedNativeFailure) {
   // The degradation chain must carry every new transform kind down to a
   // working tier — including the halfcomplex layout adapter — and the
   // demoted plan still matches the oracle.
+  ScopedFault Fault("native-compile");
   Diagnostics Diags;
-  auto Opts = testOptions();
-  Opts.ForceNativeFail = true;
-  runtime::Planner Planner(Diags, Opts);
+  runtime::Planner Planner(Diags, testOptions());
   for (const char *Name : {"rdft", "dct2", "dct3", "dct4"}) {
     runtime::PlanSpec Spec;
     Spec.Transform = Name;
@@ -1180,7 +1203,7 @@ TEST(Planner, WisdomKeysDistinguishRdftFromFft) {
         Line.find("rdft") == std::string::npos)
       SawPlainFft = true;
   EXPECT_TRUE(SawPlainFft) << Text;
-  ::unlink(Path.c_str());
+  removeRecordFile(Path);
 }
 
 TEST(PlanRegistry, PressuredPlansAreNotMemoized) {

@@ -537,7 +537,7 @@ TEST_F(ServiceTest, WisdomSurvivesShutdown) {
   ASSERT_TRUE(Reloaded.load(Wisdom));
   EXPECT_GE(Reloaded.size(), Held) << "wisdom entries lost across shutdown";
   EXPECT_EQ(Reloaded.stats().Skipped, 0u);
-  ::unlink(Wisdom.c_str());
+  test::removeRecordFile(Wisdom);
 }
 
 TEST_F(ServiceTest, TruncatedDeadlineFieldGetsTypedError) {

@@ -279,8 +279,9 @@ TEST(RecordFile, BadLinesAreRejectedByLineNumber) {
 
 TEST(RecordFile, GoldenFilesRewriteByteForByte) {
   // Files written by the wisdom and kernel-cache writers before both moved
-  // onto RecordFile: reading them and writing their payloads back must
-  // reproduce every byte, so old caches stay valid.
+  // onto RecordFile, and an index of both record kinds written by the
+  // kernel cache's one-index writer: reading them and writing their
+  // payloads back must reproduce every byte, so the formats cannot drift.
   struct Golden {
     const char *File, *Header, *Tag;
     std::size_t Records;
@@ -288,7 +289,9 @@ TEST(RecordFile, GoldenFilesRewriteByteForByte) {
   for (const Golden &G :
        {Golden{"wisdom-v4.txt", "spl-wisdom v4", "plan", 10},
         Golden{"kernelcache-index-v1.txt", "spl-kernelcache v1", "kernel",
-               2}}) {
+               2},
+        Golden{"kernelcache-index-v2.txt", "spl-kernelcache v2", "entry",
+               3}}) {
     SCOPED_TRACE(G.File);
     std::optional<std::string> Bytes =
         support::readFile(std::string(SPL_GOLDEN_DIR) + "/" + G.File);

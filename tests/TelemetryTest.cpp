@@ -461,7 +461,7 @@ TEST(PlanTelemetry, WarmNativePlanRecordsOneSampleOfEachStage) {
 
   perf::KernelCache::configure(Saved);
   std::filesystem::remove_all(Stem + ".cache");
-  std::remove((Stem + ".wisdom").c_str());
+  test::removeRecordFile(Stem + ".wisdom");
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "ir/Formula.h"
 #include "support/FaultInjection.h"
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -71,6 +72,13 @@ inline double maxAbsDiff(const std::vector<Cplx> &A,
   for (size_t I = 0; I != A.size(); ++I)
     M = std::max(M, std::abs(A[I] - B[I]));
   return M;
+}
+
+/// Removes the record file \p Path (a wisdom file, say) together with the
+/// `<Path>.lock` its support::RecordFile locks.
+inline void removeRecordFile(const std::string &Path) {
+  std::remove(Path.c_str());
+  std::remove((Path + ".lock").c_str());
 }
 
 /// The live trial runners of this process (perf/KernelRunner.cpp): its

@@ -14,8 +14,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -417,6 +420,41 @@ TEST(Splc, IntegerFaultsAreDiagnosticsNotSignals) {
   }
 }
 
+TEST(Splc, FormulasTooLargeToExpandAreDiagnostics) {
+  // Under an address-space limit, a formula too large to expand ends in a
+  // one-line diagnostic and the compile exit (std::length_error and
+  // std::bad_alloc aborted the tools before, exit 134). Sanitizer runtimes
+  // reserve more address space than the limit leaves.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes do not start under the limit";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer runtimes do not start under the limit";
+#endif
+#endif
+  const std::string Limit = "ulimit -v 1048576 && ";
+  const std::string In =
+      "/tmp/splc-test-large-" + std::to_string(getpid()) + ".spl";
+  auto ExpectOneLine = [](const RunResult &R, const char *Tool) {
+    EXPECT_EQ(exitStatus(R), 4) << R.Output;
+    EXPECT_EQ(R.Output.rfind(std::string(Tool) +
+                                 ": error: too large to compile in memory",
+                             0),
+              0u)
+        << R.Output;
+    EXPECT_EQ(std::count(R.Output.begin(), R.Output.end(), '\n'), 1)
+        << R.Output;
+  };
+  for (const char *Source : {"(WHT 2147483648)", "(F 1073741824)"}) {
+    std::ofstream(In) << Source << "\n";
+    ExpectOneLine(runCommand(Limit + splcPath() + " " + In), "splc");
+  }
+  std::remove(In.c_str());
+  ExpectOneLine(runCommand(Limit + splrunPath() +
+                           " --transform fft --size 1073741824 --no-wisdom"),
+                "splrun");
+}
+
 TEST(Splrun, DegradationChainSurvivesInjectedFaults) {
   // Acceptance criterion: with the native compile *and* the VM tier both
   // forced to fail, splrun must fall through to the dense-matrix oracle
@@ -492,8 +530,7 @@ TEST(Splc, LowOptSearchDoesNotPoisonWisdom) {
     ASSERT_EQ(exitStatus(R), 0) << Level << ": " << R.Output;
     EXPECT_EQ(Cost(R.Output), Cost(Fresh.Output)) << Level << ": " << R.Output;
   }
-  std::remove(W.c_str());
-  std::remove((W + ".lock").c_str());
+  spl::test::removeRecordFile(W);
 }
 
 TEST(Splrun, RegistryTransformsVerifyAgainstOracles) {
@@ -699,7 +736,7 @@ TEST(Splrun, KernelCacheColdThenWarm) {
   // A run that demoted to the VM (no compiler) proves nothing; skip then.
   if (numberAfter(ColdStats, "\"runtime.demote.native\":") > 0) {
     std::filesystem::remove_all(CacheDir);
-    std::remove(Wisdom.c_str());
+    spl::test::removeRecordFile(Wisdom);
     GTEST_SKIP() << "native backend unavailable; cache has nothing to hold";
   }
   EXPECT_GE(numberAfter(ColdStats, "\"native.compiles\":"), 1) << ColdStats;
@@ -722,6 +759,17 @@ TEST(Splrun, KernelCacheColdThenWarm) {
       << WarmStats;
   EXPECT_GE(numberAfter(WarmStats, "\"kernelcache.hits\":"), 1) << WarmStats;
 
+  // One record file and its lock, the artifacts, the tables files and the
+  // population locks, and nothing else.
+  for (const auto &E : std::filesystem::directory_iterator(CacheDir)) {
+    const std::string Ext = E.path().extension().string();
+    EXPECT_TRUE(E.path().filename() == "index" || Ext == ".so" ||
+                Ext == ".tables" || Ext == ".lock")
+        << E.path();
+  }
+  EXPECT_TRUE(std::filesystem::exists(CacheDir + "/index"));
+  EXPECT_TRUE(std::filesystem::exists(CacheDir + "/index.lock"));
+
   // --no-kernel-cache bypasses cleanly: compiles again, touches nothing.
   std::string OffJson = Stem + ".off.json";
   auto Off = runCommand(splrunPath() +
@@ -734,7 +782,7 @@ TEST(Splrun, KernelCacheColdThenWarm) {
   EXPECT_EQ(numberAfter(OffStats, "\"kernelcache.hits\":"), 0) << OffStats;
 
   std::filesystem::remove_all(CacheDir);
-  std::remove(Wisdom.c_str());
+  spl::test::removeRecordFile(Wisdom);
 }
 
 /// "<pid> <exe>" of every process whose executable lies in \p Dir.

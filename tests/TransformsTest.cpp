@@ -295,7 +295,7 @@ TEST(Transforms, RdftWisdomOfFullSizeDftsStillPlans) {
     }
     EXPECT_LT(MaxDiff, 1e-12) << "rdft " << N;
   }
-  std::remove(Path.c_str());
+  test::removeRecordFile(Path);
 }
 
 TEST(Registry, OracleMatrixKronsPerDimension) {

@@ -23,6 +23,10 @@
 #ifndef SPL_TOOLS_EXITCODES_H
 #define SPL_TOOLS_EXITCODES_H
 
+#include <cstdio>
+#include <new>
+#include <stdexcept>
+
 namespace spl {
 namespace tools {
 
@@ -34,6 +38,28 @@ enum ExitCode {
   ExitExec = 5,
   ExitDeadline = 6,
 };
+
+/// Runs \p Stage, a tool's compile or plan step, and turns a program too
+/// large for memory into a one-line diagnostic and ExitCompile rather than
+/// an abort: a std::vector asked to outgrow max_size() throws
+/// std::length_error, and an allocation refused under an address-space
+/// limit throws std::bad_alloc. Without such a limit, overcommit may let
+/// the kernel kill the process before any allocation fails.
+template <typename StageFn>
+int runCompileStage(const char *Tool, StageFn Stage) {
+  auto TooLarge = [Tool](const std::exception &E) {
+    std::fprintf(stderr, "%s: error: too large to compile in memory (%s)\n",
+                 Tool, E.what());
+    return static_cast<int>(ExitCompile);
+  };
+  try {
+    return Stage();
+  } catch (const std::bad_alloc &E) {
+    return TooLarge(E);
+  } catch (const std::length_error &E) {
+    return TooLarge(E);
+  }
+}
 
 } // namespace tools
 } // namespace spl

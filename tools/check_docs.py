@@ -22,9 +22,9 @@ Five checks over README.md and docs/*.md:
 
 4. Every record-file dump is current: each `spl-wisdom vN` header line
    in a fenced block equals VersionHeader in src/search/PlanCache.cpp,
-   and each `spl-kernelcache vN` / `spl-kernelcache-plans vN` line equals
-   IndexVersionHeader / PlansVersionHeader in src/perf/KernelCache.cpp,
-   so a format bump cannot leave stale example files behind.
+   and each `spl-kernelcache vN` line equals IndexVersionHeader in
+   src/perf/KernelCache.cpp, so a format bump cannot leave stale example
+   files behind.
 
 5. Every source path resolves: `src/x/Y.{h,cpp}` needs every listed
    file, a bare stem `src/x/Y` a Y.h or a Y.cpp, `src/x/` a directory,
@@ -83,10 +83,8 @@ ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 RECORD_FORMATS = {
     "spl-wisdom": os.path.join("src", "search", "PlanCache.cpp"),
     "spl-kernelcache": os.path.join("src", "perf", "KernelCache.cpp"),
-    "spl-kernelcache-plans": os.path.join("src", "perf", "KernelCache.cpp"),
 }
-RECORD_HEADER_RE = re.compile(
-    r"^(spl-wisdom|spl-kernelcache|spl-kernelcache-plans) v\d+$")
+RECORD_HEADER_RE = re.compile(r"^(spl-wisdom|spl-kernelcache) v\d+$")
 VERSION_HEADER_RE = re.compile(r'VersionHeader = "([^"]+)"')
 
 # A source path: src/x/Y.h, src/x/Y.{h,cpp}, a stem src/x/Y, a dir src/x/.

@@ -108,7 +108,7 @@ void renderVector(driver::CompiledUnit &Unit, const std::string &Comment) {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
+static int run(int Argc, char **Argv) {
   driver::CompilerOptions Opts;
   runtime::PlannerOptions POpts; // The --best-fft search's knobs.
   std::string InputPath;
@@ -417,4 +417,8 @@ int main(int Argc, char **Argv) {
   if (Profile)
     std::fprintf(stderr, "profile:\n%s", telemetry::profileTable().c_str());
   return tools::ExitOK;
+}
+
+int main(int Argc, char **Argv) {
+  return tools::runCompileStage("splc", [&] { return run(Argc, Argv); });
 }

@@ -457,7 +457,12 @@ int main(int Argc, char **Argv) {
 
   Timer PlanWall;
   runtime::PlanError PErr = runtime::PlanError::None;
-  auto Plan = Registry.acquire(Spec, DL, &PErr);
+  std::shared_ptr<runtime::Plan> Plan;
+  if (int Code = tools::runCompileStage("splrun", [&] {
+        Plan = Registry.acquire(Spec, DL, &PErr);
+        return 0;
+      }))
+    return Code;
   double PlanSeconds = PlanWall.seconds();
   if (!Plan) {
     std::fputs(Diags.dump().c_str(), stderr);
