@@ -315,7 +315,7 @@ FormulaRef Parser::parseParenFormula(bool PatternMode) {
 
   // One-parameter square matrices.
   if (Name == "I" || Name == "F" || Name == "WHT" || Name == "DCT2" ||
-      Name == "DCT4") {
+      Name == "DCT4" || Name == "S") {
     auto N = parseIntArg(PatternMode);
     if (!N || !CloseParen())
       return nullptr;
@@ -336,6 +336,8 @@ FormulaRef Parser::parseParenFormula(bool PatternMode) {
     }
     if (Name == "DCT2")
       return makeDCT2(*N, Loc, &Diags);
+    if (Name == "S")
+      return makeSplit(*N, Loc, &Diags);
     return makeDCT4(*N, Loc, &Diags);
   }
 
@@ -389,6 +391,17 @@ FormulaRef Parser::parseParenFormula(bool PatternMode) {
     if (Name == "tensor")
       return makeTensor(std::move(Fs), Loc, &Diags);
     return makeDirectSum(std::move(Fs), Loc, &Diags);
+  }
+
+  if (Name == "realify") {
+    std::vector<FormulaRef> Fs;
+    if (!parseFormulaList(PatternMode, Fs) || !CloseParen())
+      return nullptr;
+    if (Fs.size() != 1) {
+      Diags.error(Loc, "'realify' takes exactly one operand");
+      return nullptr;
+    }
+    return makeRealify(std::move(Fs[0]), Loc, &Diags);
   }
 
   if (Name == "matrix")

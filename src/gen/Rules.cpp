@@ -208,24 +208,9 @@ FormulaRef gen::ruleDCT3EvenOdd(std::int64_t N, FormulaRef Dct3Half,
                       makeStride(N, 2)});
 }
 
-FormulaRef gen::ruleRDFTViaComplexFFT(std::int64_t N, FormulaRef FftN) {
-  assert(N >= 2 && N % 2 == 0 && "halfcomplex extraction needs even n");
-  // X_n: row k <= n/2 takes (Y_k + Y_{n-k}) / 2 = Re Y_k (rows 0 and n/2
-  // collapse to a single 1), row n-k takes (Y_k - Y_{n-k}) / (2i) = Im Y_k
-  // (Y_{n-k} = conj Y_k on real input; as a matrix identity the pairing
-  // cancels the imaginary parts without that assumption). Every row
-  // combines a conjugate pair, so X_n F_n is entrywise real and equals
-  // rdftMatrix(n).
-  std::vector<std::vector<Cplx>> X(N, std::vector<Cplx>(N, Cplx(0, 0)));
-  X[0][0] = Cplx(1, 0);
-  X[N / 2][N / 2] = Cplx(1, 0);
-  for (std::int64_t K = 1; K != N / 2; ++K) {
-    X[K][K] = Cplx(0.5, 0);
-    X[K][N - K] = Cplx(0.5, 0);
-    X[N - K][K] = Cplx(0, -0.5);
-    X[N - K][N - K] = Cplx(0, 0.5);
-  }
-  return makeCompose(makeGenMatrix(std::move(X)), std::move(FftN));
+FormulaRef gen::ruleRDFT(std::int64_t N, FormulaRef FHalf) {
+  assert(N >= 2 && (N & (N - 1)) == 0 && "size must be a power of two");
+  return makeCompose(makeSplit(N), makeRealify(std::move(FHalf)));
 }
 
 FormulaRef gen::recursiveFFT(std::int64_t N, int Variant) {
@@ -271,5 +256,5 @@ FormulaRef gen::recursiveDCT4(std::int64_t N) {
 
 FormulaRef gen::recursiveRDFT(std::int64_t N) {
   assert(N >= 2 && (N & (N - 1)) == 0 && "size must be a power of two");
-  return ruleRDFTViaComplexFFT(N, recursiveFFT(N));
+  return ruleRDFT(N, N == 2 ? makeDFT(1) : recursiveFFT(N / 2));
 }

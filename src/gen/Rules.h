@@ -8,10 +8,10 @@
 /// The formula generator's breakdown rules (paper Section 2.1): the
 /// Cooley-Tukey factorization (Equation 5) with its decimation-in-frequency
 /// (7), parallel (8) and vector (9) variants, the general multi-factor
-/// factorization (Equation 10), the Walsh-Hadamard rule, and the recursive
-/// DCT-II / DCT-IV rules. Each rule returns an SPL formula that denotes
-/// exactly the transform it factors; tests verify every rule against the
-/// dense definitions.
+/// factorization (Equation 10), the Walsh-Hadamard rule, the recursive
+/// DCT-II / DCT-IV rules and the real-input DFT rule. Each rule returns an
+/// SPL formula that denotes exactly the transform it factors; tests verify
+/// every rule against the dense definitions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,14 +98,13 @@ FormulaRef ruleDCT3Base2();
 FormulaRef ruleDCT3EvenOdd(std::int64_t N, FormulaRef Dct3Half,
                            FormulaRef Dct4Half);
 
-/// The real-input DFT in halfcomplex layout, via the complex FFT:
-/// RDFT_n = X_n F_n, where X_n extracts (Re Y_0, Re Y_1, ..., Re Y_{n/2},
-/// Im Y_{n/2-1}, ..., Im Y_1) from the complex spectrum using conjugate
-/// pairs: row k <= n/2 is (Y_k + Y_{n-k}) / 2 and row n-k is
-/// (Y_{n-k} - Y_k) / (2i). The product is an entrywise-real matrix equal to
-/// rdftMatrix(n) — no "input must be real" side condition is needed.
-/// \p FftN computes F_n (pass makeDFT or a searched factorization).
-FormulaRef ruleRDFTViaComplexFFT(std::int64_t N, FormulaRef FftN);
+/// The real-input DFT in halfcomplex layout from a half-size complex DFT:
+/// RDFT_n = S_n realify(F_{n/2}). realify(F_{n/2}) runs F_{n/2} on the n
+/// real inputs read as n/2 interleaved complex points, and the split
+/// butterfly S_n turns its output into the halfcomplex spectrum. \p FHalf
+/// computes F_{n/2} (a searched factorization, or (F 1) for n = 2). The
+/// planner, the registry rule and splc all build rdft here.
+FormulaRef ruleRDFT(std::int64_t N, FormulaRef FHalf);
 
 /// Fully recursive FFT formula of size n = 2^k built with rule \p Variant
 /// at every level, splitting as r=2 ("right-most"), down to (F 2) leaves.
@@ -121,7 +120,7 @@ FormulaRef recursiveDCT3(std::int64_t N);
 /// Fully recursive DCT-IV of size n = 2^k (via DCT-II).
 FormulaRef recursiveDCT4(std::int64_t N);
 
-/// RDFT of size n = 2^k: ruleRDFTViaComplexFFT over a recursive FFT.
+/// RDFT of size n = 2^k: ruleRDFT over a recursive FFT of size n/2.
 FormulaRef recursiveRDFT(std::int64_t N);
 
 } // namespace gen

@@ -15,6 +15,13 @@ IntrinsicRegistry::IntrinsicRegistry() {
   add("W", 2, [](const std::vector<std::int64_t> &A) {
     return wRoot(A[0], A[1]);
   }, 1);
+  // Its real and imaginary parts, for real-typed templates such as (S n).
+  add("WR", 2, [](const std::vector<std::int64_t> &A) {
+    return Cplx(wRoot(A[0], A[1]).real(), 0);
+  }, 1);
+  add("WI", 2, [](const std::vector<std::int64_t> &A) {
+    return Cplx(wRoot(A[0], A[1]).imag(), 0);
+  }, 1);
   add("TW", 3, [](const std::vector<std::int64_t> &A) {
     return twiddleEntry(A[0], A[1], A[2]);
   }, 2, {"n to divide mn", [](const std::int64_t *O) {

@@ -42,6 +42,7 @@ class IntrinsicRegistry {
 public:
   /// A registry pre-populated with the built-ins:
   ///   W(n,k)        = w_n^k = exp(-2*pi*i*k/n)
+  ///   WR(n,k)       = Re w_n^k,  WI(n,k) = Im w_n^k
   ///   TW(mn,n,i)    = diagonal element i of the twiddle matrix T^{mn}_n
   ///   DCT2E(n,k,j)  = element (k,j) of the unnormalized DCT-II
   ///   DCT4E(n,k,j)  = element (k,j) of the unnormalized DCT-IV

@@ -142,6 +142,14 @@ FormulaRef spl::makeDCT4(IntArg N, SourceLoc Loc, Diagnostics *Diags) {
   return makeSquareParam(FKind::DCT4, N, Loc, Diags);
 }
 
+FormulaRef spl::makeSplit(IntArg N, SourceLoc Loc, Diagnostics *Diags) {
+  if (!N.isVar() && (N.Value < 2 || (N.Value & (N.Value - 1)) != 0))
+    return invalid(Diags, Loc,
+                   "(S n) requires a power-of-two size of at least 2 (got " +
+                       std::to_string(N.Value) + ")");
+  return makeSquareParam(FKind::Split, N, Loc, Diags);
+}
+
 FormulaRef spl::makeStride(IntArg MN, IntArg N, SourceLoc Loc,
                            Diagnostics *Diags) {
   return makeStrideLike(FKind::Stride, MN, N, Loc, Diags);
@@ -260,6 +268,23 @@ FormulaRef spl::makeDirectSum(FormulaRef A, FormulaRef B, SourceLoc Loc,
 FormulaRef spl::makeDirectSum(std::vector<FormulaRef> Fs, SourceLoc Loc,
                               Diagnostics *Diags) {
   return foldRight(std::move(Fs), &spl::makeDirectSum, Loc, Diags);
+}
+
+FormulaRef spl::makeRealify(FormulaRef A, SourceLoc Loc,
+                             Diagnostics *Diags) {
+  if (!A)
+    return nullptr;
+  std::int64_t In = -1, Out = -1;
+  if (A->inSize() >= 0) {
+    if (mulOverflows(2, A->inSize()) || mulOverflows(2, A->outSize()))
+      return invalid(Diags, Loc, "realify size overflows");
+    In = 2 * A->inSize();
+    Out = 2 * A->outSize();
+  }
+  auto F = FormulaFactory::create(FKind::Realify, Loc);
+  FormulaFactory::setChildren(*F, {std::move(A)});
+  FormulaFactory::setSizes(*F, In, Out);
+  return F;
 }
 
 FormulaRef spl::makePatFormula(std::string Name, SourceLoc Loc,

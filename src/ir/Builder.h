@@ -47,6 +47,10 @@ FormulaRef makeDCT2(IntArg N, SourceLoc Loc = SourceLoc(),
 /// (DCT4 n) — the unnormalized DCT type IV.
 FormulaRef makeDCT4(IntArg N, SourceLoc Loc = SourceLoc(),
                     Diagnostics *Diags = nullptr);
+/// (S n) — the real split butterfly of the rdft (rdftSplitMatrix); n a
+/// power of two, at least 2.
+FormulaRef makeSplit(IntArg N, SourceLoc Loc = SourceLoc(),
+                     Diagnostics *Diags = nullptr);
 
 /// (matrix (...rows...)) — a general matrix given by its elements. All rows
 /// must have equal, nonzero length.
@@ -83,6 +87,11 @@ FormulaRef makeDirectSum(FormulaRef A, FormulaRef B,
 FormulaRef makeDirectSum(std::vector<FormulaRef> Fs,
                          SourceLoc Loc = SourceLoc(),
                          Diagnostics *Diags = nullptr);
+
+/// (realify A) — the real 2m x 2n matrix acting on interleaved (re, im)
+/// pairs the way the complex m x n matrix A acts on points.
+FormulaRef makeRealify(FormulaRef A, SourceLoc Loc = SourceLoc(),
+                       Diagnostics *Diags = nullptr);
 
 /// "A_" — a formula pattern variable (template patterns only).
 FormulaRef makePatFormula(std::string Name, SourceLoc Loc = SourceLoc(),

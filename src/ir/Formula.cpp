@@ -29,6 +29,8 @@ const char *spl::kindName(FKind Kind) {
     return "DCT2";
   case FKind::DCT4:
     return "DCT4";
+  case FKind::Split:
+    return "S";
   case FKind::GenMatrix:
     return "matrix";
   case FKind::Diagonal:
@@ -41,6 +43,8 @@ const char *spl::kindName(FKind Kind) {
     return "tensor";
   case FKind::DirectSum:
     return "direct-sum";
+  case FKind::Realify:
+    return "realify";
   case FKind::UserParam:
     return "<user>";
   case FKind::PatFormula:
@@ -97,6 +101,8 @@ Matrix Formula::toMatrix() const {
     return dct2Matrix(param(0));
   case FKind::DCT4:
     return dct4Matrix(param(0));
+  case FKind::Split:
+    return rdftSplitMatrix(param(0));
   case FKind::GenMatrix: {
     Matrix M(MatrixRows.size(), MatrixRows.empty() ? 0 : MatrixRows[0].size());
     for (size_t R = 0; R != MatrixRows.size(); ++R)
@@ -122,6 +128,8 @@ Matrix Formula::toMatrix() const {
     return child(0)->toMatrix().kron(child(1)->toMatrix());
   case FKind::DirectSum:
     return child(0)->toMatrix().directSum(child(1)->toMatrix());
+  case FKind::Realify:
+    return realifyMatrix(child(0)->toMatrix());
   case FKind::UserParam:
     assert(false && "user-defined matrices have no dense semantics; "
                     "execute their template instead");
@@ -174,6 +182,11 @@ void Formula::printInto(std::string &Out) const {
     Out += "))";
     return;
   }
+  case FKind::Realify:
+    Out += "(realify ";
+    child(0)->printInto(Out);
+    Out += ')';
+    return;
   case FKind::Compose:
   case FKind::Tensor:
   case FKind::DirectSum: {

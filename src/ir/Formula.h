@@ -44,6 +44,7 @@ enum class FKind {
   WHT,         ///< (WHT n), Walsh-Hadamard transform
   DCT2,        ///< (DCT2 n), unnormalized DCT type II
   DCT4,        ///< (DCT4 n), unnormalized DCT type IV
+  Split,       ///< (S n), the real split butterfly of the rdft (n = 2^k)
   // Explicit matrices.
   GenMatrix,   ///< (matrix ((a11 ... a1n) ...))
   Diagonal,    ///< (diagonal (d1 ... dn))
@@ -52,6 +53,10 @@ enum class FKind {
   Compose,     ///< (compose A B) = A * B
   Tensor,      ///< (tensor A B) = A (x) B
   DirectSum,   ///< (direct-sum A B) = diag(A, B)
+  /// (realify A): the real 2m x 2n matrix acting on interleaved (re, im)
+  /// pairs the way the complex m x n matrix A acts on points (the type
+  /// transformation of Section 3.3 applied to one sub-formula).
+  Realify,
   /// A user-defined parameterized matrix, introduced by a template whose
   /// pattern head is not a built-in name, e.g. (template (J n_) ...). Its
   /// sizes are unknown at formula-build time and are inferred by the

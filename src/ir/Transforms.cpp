@@ -166,3 +166,39 @@ Matrix spl::rdftMatrix(std::int64_t N) {
       M.at(K, J) = Cplx(rdftEntry(N, K, J), 0);
   return M;
 }
+
+Matrix spl::rdftSplitMatrix(std::int64_t N) {
+  const std::int64_t H = N / 2;
+  Matrix M(N, N);
+  // X_k = a_k Z_k + b_k conj Z_{(H-k) mod H}, a_k = (1 - i w^k) / 2 and
+  // b_k = (1 + i w^k) / 2; column j is the unit Z_{j/2} = 1 (j even) or i.
+  for (std::int64_t J = 0; J != N; ++J) {
+    const std::int64_t P = J / 2;
+    const Cplx U = J % 2 ? Cplx(0, 1) : Cplx(1, 0);
+    for (std::int64_t K = 0; K <= H; ++K) {
+      const Cplx IW = Cplx(0, 1) * wRoot(N, K);
+      Cplx X(0, 0);
+      if (K % H == P)
+        X += (1.0 - IW) / 2.0 * U;
+      if ((H - K) % H == P)
+        X += (1.0 + IW) / 2.0 * std::conj(U);
+      M.at(K, J) = X.real();
+      if (K != 0 && K != H)
+        M.at(N - K, J) = X.imag();
+    }
+  }
+  return M;
+}
+
+Matrix spl::realifyMatrix(const Matrix &A) {
+  Matrix R(2 * A.rows(), 2 * A.cols());
+  for (size_t I = 0; I != A.rows(); ++I)
+    for (size_t J = 0; J != A.cols(); ++J) {
+      const Cplx V = A.at(I, J);
+      R.at(2 * I, 2 * J) = V.real();
+      R.at(2 * I, 2 * J + 1) = -V.imag();
+      R.at(2 * I + 1, 2 * J) = V.imag();
+      R.at(2 * I + 1, 2 * J + 1) = V.real();
+    }
+  return R;
+}

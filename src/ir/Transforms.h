@@ -82,6 +82,18 @@ Matrix dct4Matrix(std::int64_t N);
 /// Dense real n x n matrix of the halfcomplex real-input DFT (rdftEntry).
 Matrix rdftMatrix(std::int64_t N);
 
+/// Dense real n x n matrix of the split butterfly S_n (n even): it reads
+/// Z = F_{n/2} z as n/2 interleaved (re, im) points and writes the
+/// halfcomplex spectrum X_k = E_k + w_n^k O_k, k = 0 .. n/2, with
+/// E_k = (Z_k + conj Z_{n/2-k}) / 2, O_k = (Z_k - conj Z_{n/2-k}) / 2i and
+/// Z_{n/2} = Z_0. rdftMatrix(n) = S_n realifyMatrix(dftMatrix(n/2)).
+Matrix rdftSplitMatrix(std::int64_t N);
+
+/// The real 2m x 2n matrix that acts on n complex points stored as
+/// interleaved (re, im) doubles the way the m x n matrix \p A acts on the
+/// points.
+Matrix realifyMatrix(const Matrix &A);
+
 } // namespace spl
 
 #endif // SPL_IR_TRANSFORMS_H

@@ -7,6 +7,7 @@
 #include "lower/Expander.h"
 
 #include "ir/Builder.h"
+#include "opt/Pipeline.h"
 #include "support/StrUtil.h"
 
 #include <algorithm>
@@ -159,6 +160,10 @@ Expander::inferSizes(const FormulaRef &F) {
       Result = std::make_pair(A->first + B->first, A->second + B->second);
     break;
   }
+  case FKind::Realify:
+    if (auto A = inferSizes(F->child(0)))
+      Result = std::make_pair(2 * A->first, 2 * A->second);
+    break;
   case FKind::UserParam:
     Result = inferUserParamSizes(F);
     break;
@@ -283,6 +288,8 @@ bool Expander::expandInto(const FormulaRef &F, const VecMap &In,
     return expandPermutation(*F, In, Out);
   case FKind::Tensor:
     return expandTensorSplit(F, In, Out, Unroll);
+  case FKind::Realify:
+    return expandRealify(F, In, Out, Unroll);
   default:
     return fail(F->loc(), "no template matches formula " + F->print());
   }
@@ -791,4 +798,71 @@ bool Expander::expandTensorSplit(const FormulaRef &F, const VecMap &In,
       makeCompose(makeTensor(A, makeIdentity(SB->second)),
                   makeTensor(makeIdentity(SA->first), B), F->loc());
   return expandInto(Rewritten, In, Out, UnrollActive);
+}
+
+bool Expander::expandRealify(const FormulaRef &F, const VecMap &In,
+                             const VecMap &Out, bool UnrollActive) {
+  // A compiles as the complex program it is everywhere else, through the
+  // same prefix passes, so its part of the real body is the code A alone
+  // lowers to. An enclosing unroll decision carries over, as it does into
+  // any sub-formula.
+  FormulaRef A = F->child(0);
+  if (UnrollActive && !A->unrollHint())
+    A = withUnrollHint(A, true);
+  ExpandOptions SubOpts = Opts;
+  SubOpts.Datatype = DataType::Complex;
+  Expander Sub(Registry, Diags, Intrinsics);
+  std::optional<Program> Complex = Sub.expand(A, SubOpts);
+  if (!Complex)
+    return false;
+  opt::PipelineOptions PO;
+  PO.LowerToReal = true;
+  const Program Real = opt::runPrefix(*Complex, PO, Intrinsics);
+
+  // Splice: the body's loop variables, scalars, temporaries and tables are
+  // renumbered after this program's, and its $in/$out go through In/Out.
+  // Its constants are real, so the body is also right in a complex program.
+  const int VarBase = P->NumLoopVars, TempBase = P->NumFltTemps;
+  const int TableBase = static_cast<int>(P->Tables.size());
+  P->NumLoopVars += Real.NumLoopVars;
+  P->NumFltTemps += Real.NumFltTemps;
+  std::vector<int> Vecs;
+  for (std::int64_t Size : Real.TempVecSizes)
+    Vecs.push_back(allocTempVec(Size));
+  P->Tables.insert(P->Tables.end(), Real.Tables.begin(), Real.Tables.end());
+  auto Rebase = [&](Affine Subs) {
+    for (auto &Term : Subs.Terms)
+      Term.first += VarBase;
+    return Subs;
+  };
+  auto Map = [&](Operand O) {
+    switch (O.Kind) {
+    case OpndKind::FltTemp:
+      O.Id += TempBase;
+      return O;
+    case OpndKind::TableElem:
+      O.Id += TableBase;
+      O.Subs = Rebase(O.Subs);
+      return O;
+    case OpndKind::VecElem:
+      if (O.Id == VecIn || O.Id == VecOut)
+        return mapVec(O.Id == VecIn ? In : Out, Rebase(O.Subs));
+      O.Id = Vecs[O.Id - FirstTempVec];
+      O.Subs = Rebase(O.Subs);
+      return O;
+    default:
+      return O;
+    }
+  };
+  for (Instr I : Real.Body) {
+    if (I.Opcode == Op::Loop) {
+      I.LoopVar += VarBase;
+    } else if (I.Opcode != Op::End) {
+      I.Dst = Map(I.Dst);
+      I.A = Map(I.A);
+      I.B = Map(I.B);
+    }
+    P->Body.push_back(std::move(I));
+  }
+  return true;
 }

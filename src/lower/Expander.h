@@ -12,9 +12,12 @@
 /// strides), which are composed through nested formula calls so the final
 /// program addresses only the real input/output and temporary vectors.
 ///
-/// Explicit matrices (matrix/diagonal/permutation) and the general tensor
-/// split A (x) B = (A (x) I)(I (x) B) are native rules, applied only when no
-/// template matches, so user templates can override them too.
+/// Explicit matrices (matrix/diagonal/permutation), the general tensor
+/// split A (x) B = (A (x) I)(I (x) B) and (realify A) are native rules,
+/// applied only when no template matches, so user templates can override
+/// them too. (realify A) expands A as a complex program of its own, runs it
+/// through the pipeline's prefix up to the complex-to-real transformation
+/// (opt::runPrefix) and splices the real body in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,6 +131,8 @@ private:
                          const VecMap &Out);
   bool expandTensorSplit(const FormulaRef &F, const VecMap &In,
                          const VecMap &Out, bool UnrollActive);
+  bool expandRealify(const FormulaRef &F, const VecMap &In, const VecMap &Out,
+                     bool UnrollActive);
 
   // Helpers.
   int freshFltTemp() { return P->NumFltTemps++; }

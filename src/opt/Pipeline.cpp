@@ -16,8 +16,8 @@ using namespace spl;
 using namespace spl::opt;
 using namespace spl::icode;
 
-Program opt::runPipeline(const Program &Expanded, const PipelineOptions &Opts,
-                         const IntrinsicRegistry &Intrinsics) {
+Program opt::runPrefix(const Program &Expanded, const PipelineOptions &Opts,
+                       const IntrinsicRegistry &Intrinsics) {
   Program P = Expanded;
   if (Opts.DoUnroll)
     P = xform::unrollLoops(P);
@@ -26,7 +26,12 @@ Program opt::runPipeline(const Program &Expanded, const PipelineOptions &Opts,
   P = xform::evalIntrinsics(P, Intrinsics);
   if (Opts.LowerToReal && P.Type == DataType::Complex)
     P = xform::lowerToReal(P);
+  return P;
+}
 
+Program opt::runPipeline(const Program &Expanded, const PipelineOptions &Opts,
+                         const IntrinsicRegistry &Intrinsics) {
+  Program P = runPrefix(Expanded, Opts, Intrinsics);
   if (Opts.Level == OptLevel::None)
     return P;
   P = xform::scalarizeTemps(P);

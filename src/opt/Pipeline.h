@@ -56,6 +56,13 @@ struct PipelineOptions {
   bool RunDCE = true;
 };
 
+/// The pipeline's first stage: full then partial unrolling, intrinsic
+/// evaluation and, with LowerToReal, the complex-to-real type
+/// transformation. The expander runs it on the operand of (realify A).
+icode::Program runPrefix(const icode::Program &Expanded,
+                         const PipelineOptions &Opts,
+                         const icode::IntrinsicRegistry &Intrinsics);
+
 /// Runs the configured pipeline over an expanded program.
 icode::Program runPipeline(const icode::Program &Expanded,
                            const PipelineOptions &Opts,

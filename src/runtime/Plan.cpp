@@ -7,7 +7,6 @@
 #include "runtime/Plan.h"
 
 #include "driver/Compiler.h"
-#include "ir/Transforms.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Trace.h"
 #include "transforms/Registry.h"
@@ -100,7 +99,7 @@ bool Plan::lower(Diagnostics &Diags) const {
     CO.EmitCode = false; // Plans hold i-code; the backends render on demand.
     DirectiveState Dirs;
     Dirs.SubName = SubName;
-    Dirs.Datatype = KernelDatatype;
+    Dirs.Datatype = Spec.Datatype;
     Dirs.Language = "c";
     if (auto Unit = Compiler.compileFormula(Winner, Dirs, CO)) {
       Final = std::move(Unit->Final);
@@ -143,10 +142,9 @@ void Plan::releaseCtx(std::unique_ptr<ExecCtx> Ctx) {
 void Plan::applyOracle(double *Y, const double *X) const {
   // The input is fully read into a complex vector before Y is written, so
   // in-place calls (Y == X) need no scratch on this tier. The oracle
-  // matrix always has user-facing semantics: interleaved complex pairs for
-  // Interleaved plans, real-in/real-out otherwise (a halfcomplex plan's
-  // oracle is the entrywise-real rdft matrix, so its output is already in
-  // halfcomplex order).
+  // matrix is the winner's: interleaved complex pairs for Interleaved
+  // plans, real-in/real-out otherwise (an rdft winner's matrix is the
+  // entrywise-real rdft matrix, already in halfcomplex order).
   const size_t N = OracleMat.cols();
   std::vector<Cplx> In(N);
   if (IOLayout == Layout::Interleaved) {
@@ -173,44 +171,6 @@ void Plan::runKernel(ExecCtx &Ctx, double *KY, const double *KX) {
     Ctx.VM->runReal(KX, KY);
   else
     applyOracle(KY, KX);
-}
-
-std::vector<double> spl::runtime::splitTwiddles(std::int64_t N) {
-  std::vector<double> Tw;
-  for (std::int64_t K = 0; K <= N / 4; ++K) {
-    const Cplx W = wRoot(N, K);
-    Tw.push_back(W.real());
-    Tw.push_back(W.imag());
-  }
-  return Tw;
-}
-
-void spl::runtime::splitHalfComplex(double *Y, std::int64_t SY,
-                                    const double *Z, std::int64_t M,
-                                    std::int64_t N, const double *Tw) {
-  const std::int64_t H = N / 2;
-  auto Re = [&](std::int64_t K) { return Z[2 * K * M]; };
-  auto Im = [&](std::int64_t K) { return Z[(2 * K + 1) * M]; };
-  Y[0] = Re(0) + Im(0);
-  Y[H * SY] = Re(0) - Im(0);
-  // Bins k and N/2-k from one pair Z_k, Z_{N/2-k}: E = (Er, Ei) and
-  // O = (Or, Oi) as in the file comment of Plan.h, T = w_N^k O.
-  for (std::int64_t K = 1; 2 * K < H; ++K) {
-    const double A = Re(K), B = Im(K), C = Re(H - K), D = Im(H - K);
-    const double Er = 0.5 * (A + C), Ei = 0.5 * (B - D);
-    const double Or = 0.5 * (B + D), Oi = 0.5 * (C - A);
-    const double Wr = Tw[2 * K], Wi = Tw[2 * K + 1];
-    const double Tr = Wr * Or - Wi * Oi, Ti = Wr * Oi + Wi * Or;
-    Y[K * SY] = Er + Tr;
-    Y[(N - K) * SY] = Ei + Ti;
-    Y[(H - K) * SY] = Er - Tr;
-    Y[(H + K) * SY] = Ti - Ei;
-  }
-  // k = N/4 pairs with itself: w_N^k = -i, so X_k = conj Z_k.
-  if (H % 2 == 0) {
-    Y[(H / 2) * SY] = Re(H / 2);
-    Y[(N - H / 2) * SY] = -Im(H / 2);
-  }
 }
 
 namespace {
@@ -253,17 +213,12 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
   const std::int64_t SX = L.StrideX, SY = L.StrideY;
   const std::int64_t DX = L.DistX ? L.DistX : (N - 1) * SX + 1;
   const std::int64_t DY = L.DistY ? L.DistY : (N - 1) * SY + 1;
-  // Halfcomplex plans end in the split pass on every tier but the oracle,
-  // whose matrix already speaks the user-facing layout.
-  const bool Split =
-      IOLayout == Layout::HalfComplex && Resolved != Backend::Oracle;
   // Direct access per side. A scalar kernel reads a dense user X in place:
   // it writes staging or a distinct Y, so in-place calls stay safe. It
-  // writes user Y only when no split follows and Y is dense and distinct
-  // from X (the generated kernels are out-of-place: y and x are
-  // restrict-qualified).
+  // writes user Y only when Y is dense and distinct from X (the generated
+  // kernels are out-of-place: y and x are restrict-qualified).
   const bool DirectX = M == 1 && SX == 1;
-  const bool DirectY = M == 1 && !Split && SY == 1 && Y != X;
+  const bool DirectY = M == 1 && SY == 1 && Y != X;
   const bool Timed = (Mask & telemetry::kMetrics) != 0;
 
   // One lane group: load -> kernel -> store for vectors V .. V+K-1.
@@ -304,17 +259,13 @@ ExecStatus Plan::run(double *Y, const double *X, const BatchLayout &L,
     const std::uint64_t T1 = Timed ? telemetry::traceNowNs() : 0;
     runKernel(Ctx, KY, KX);
     const std::uint64_t T2 = Timed ? telemetry::traceNowNs() : 0;
-    // Store: split or unpack each live lane.
+    // Store: unpack each live lane.
     if (!DirectY) {
       for (std::int64_t J = 0; J != K; ++J) {
         const double *P = PY + J;
         double *YJ = YV + J * DY;
-        if (Split) {
-          splitHalfComplex(YJ, SY, P, M, N, SplitTw.data());
-        } else {
-          for (std::int64_t S = 0; S != N; ++S)
-            YJ[S * SY] = P[S * M];
-        }
+        for (std::int64_t S = 0; S != N; ++S)
+          YJ[S * SY] = P[S * M];
       }
     }
     if (Timed) {

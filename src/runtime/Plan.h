@@ -18,17 +18,16 @@
 /// dense or FFTW-advanced strided, sharded across a worker pool). All three
 /// entry points wrap one core that runs every layout through the same
 /// pipeline per lane group: load (strided gather, lane pack) -> kernel ->
-/// store (unpack, strided scatter, or the rdft split pass). Each side is
-/// staged only when it must be: a scalar kernel reads a dense user X in
-/// place, and writes a dense, distinct user Y in place.
+/// store (unpack, strided scatter). Each side is staged only when it must
+/// be: a scalar kernel reads a dense user X in place, and writes a dense,
+/// distinct user Y in place.
 ///
-/// rdft N (the halfcomplex layout) runs the complex kernel F_{N/2} on x
-/// read as N/2 interleaved points z_n = x_{2n} + i x_{2n+1}, so kernel and
-/// user vectors are both N doubles. One split pass then writes the
-/// halfcomplex spectrum from the kernel's output Z:
-///   X_k = E_k + w_N^k O_k,  X_{N/2-k} = conj(E_k - w_N^k O_k),
-///   E_k = (Z_k + conj Z_{N/2-k}) / 2,  O_k = (Z_k - conj Z_{N/2-k}) / 2i.
-/// They are thread-safe: worker state (a VM instance plus aligned staging)
+/// The kernel computes the whole transform in the user layout on every
+/// tier. rdft N's winner is the real formula S_N realify(F_{N/2})
+/// (gen::ruleRDFT), so its kernel reads N reals and writes the N
+/// halfcomplex doubles like any other real plan.
+///
+/// Plans are thread-safe: worker state (a VM instance plus aligned staging)
 /// lives in a checkout pool of contexts, so concurrent callers never share
 /// mutable state.
 ///
@@ -144,17 +143,6 @@ enum class ExecStatus {
   DeadlineExceeded, ///< The deadline expired; remaining vectors were skipped.
 };
 
-/// The split pass's twiddles for rdft \p N: w_N^k = exp(-2 pi i k / N) for
-/// k = 0 .. N/4, as (re, im) pairs.
-std::vector<double> splitTwiddles(std::int64_t N);
-
-/// The rdft split pass for one vector of size \p N (see the file comment):
-/// reads the F_{N/2} output Z at lane stride \p M (point k's re/im at
-/// Z[2kM] and Z[(2k+1)M]) and writes the halfcomplex spectrum to \p Y at
-/// stride \p SY. \p Tw is splitTwiddles(N).
-void splitHalfComplex(double *Y, std::int64_t SY, const double *Z,
-                      std::int64_t M, std::int64_t N, const double *Tw);
-
 /// An executable transform plan: y = Mx for the searched winner M.
 ///
 /// Buffers are raw double arrays. For complex transforms (LoweredToReal),
@@ -195,8 +183,7 @@ public:
   const std::string &formulaText() const { return FormulaText; }
 
   /// The winning formula itself; lets callers build an independent dense
-  /// oracle (Formula::toMatrix) to verify the plan's output. For halfcomplex
-  /// plans it is the kernel's F_{N/2}, not the user-facing rdft matrix.
+  /// oracle (Formula::toMatrix) to verify the plan's output.
   const FormulaRef &formula() const { return Winner; }
 
   /// The winner's search cost (units depend on the planner's evaluator).
@@ -284,8 +271,7 @@ private:
 
   PlanSpec Spec;
   Backend Resolved = Backend::VM;
-  std::string SubName;        ///< The kernel's entry point ("fft1024").
-  std::string KernelDatatype; ///< What the kernel computes in.
+  std::string SubName; ///< The kernel's entry point ("fft1024").
   mutable std::once_flag FinalOnce;
   mutable icode::Program Final; ///< Written once, under FinalOnce.
   mutable bool FinalOk = false;
@@ -299,7 +285,6 @@ private:
   std::string FallbackReason;
   std::int64_t IOLen = 0; ///< Doubles per vector, user- and kernel-facing.
   Layout IOLayout = Layout::Interleaved;
-  std::vector<double> SplitTw; ///< splitTwiddles(N) (halfcomplex plans).
   int Lanes = 1; ///< Native->lanes() for vector kernels, else 1.
 
   std::mutex CtxM;

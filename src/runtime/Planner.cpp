@@ -9,6 +9,7 @@
 #include "driver/Compiler.h"
 #include "frontend/Parser.h"
 #include "gen/Enumerate.h"
+#include "gen/Rules.h"
 #include "ir/Builder.h"
 #include "perf/KernelCache.h"
 #include "search/DPSearch.h"
@@ -276,16 +277,16 @@ std::optional<Choice> Planner::choose(const PlanSpec &Spec,
   });
 
   const transforms::TransformInfo &TI = *transforms::lookup(S.Transform);
-  // Halfcomplex transforms (rdft N, always 1-D) search the complex F_{N/2}
-  // their plan runs before its split pass; everything else searches in the
-  // spec's own datatype over its own dimensions.
+  // rdft N (halfcomplex, always 1-D) searches the complex F_{N/2} that
+  // gen::ruleRDFT wraps; everything else searches in the spec's own
+  // datatype over its own dimensions.
   const bool HalfComplex = TI.IOLayout == transforms::Layout::HalfComplex;
   const std::vector<std::int64_t> Dims = planDims(S);
   const std::vector<std::int64_t> KernelDims =
       HalfComplex ? std::vector<std::int64_t>{S.Size / 2} : Dims;
 
   Choice C;
-  C.Eval = makeEvaluator(HalfComplex ? TI.KernelDatatype : S.Datatype,
+  C.Eval = makeEvaluator(HalfComplex ? "complex" : S.Datatype,
                          S.UnrollThreshold);
   C.Eval->setDeadline(Deadline);
   telemetry::StageTimer SearchTimer(telemetry::PlanSearchNs);
@@ -340,7 +341,8 @@ std::optional<Choice> Planner::choose(const PlanSpec &Spec,
       Parts.push_back(TI.Rule(Ni));
     break;
   }
-  C.Formula = tensorOfDims(std::move(Parts));
+  C.Formula = HalfComplex ? gen::ruleRDFT(S.Size, std::move(Parts.front()))
+                          : tensorOfDims(std::move(Parts));
   C.Evaluations = C.Eval->evaluations();
   return C;
 }
@@ -374,27 +376,19 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
 
   const PlanSpec S = normalize(Spec);
   const transforms::TransformInfo &TI = *transforms::lookup(S.Transform);
-  // Halfcomplex plans compile the complex F_{N/2} kernel choose() picked,
-  // then run the split pass on top.
-  const bool HalfComplex = TI.IOLayout == transforms::Layout::HalfComplex;
   const bool Rule = TI.PlanFamily == transforms::Family::Recursive;
 
   auto P = std::shared_ptr<Plan>(new Plan());
   P->Spec = S;
   P->SubName = subNameFor(S);
-  P->KernelDatatype = HalfComplex ? TI.KernelDatatype : S.Datatype;
   P->Winner = Winner;
   P->FormulaText = Winner->print();
   P->Cost = Chosen->Cost;
   // The I/O shape comes from the spec and the winner, so a plan whose
   // kernel comes from a plan record never needs its program.
-  const bool Complex = P->KernelDatatype == "complex";
+  const bool Complex = S.Datatype == "complex";
   P->IOLen = Complex ? 2 * Winner->inSize() : Winner->inSize();
-  P->IOLayout = HalfComplex ? Plan::Layout::HalfComplex
-                : Complex   ? Plan::Layout::Interleaved
-                            : Plan::Layout::Real;
-  if (HalfComplex)
-    P->SplitTw = splitTwiddles(S.Size);
+  P->IOLayout = Complex ? Plan::Layout::Interleaved : TI.IOLayout;
 
   // The program, lowered on first need: a kernel-cache miss, the VM tier,
   // or a rule plan's cost. A failed lowering fails the plan.
@@ -440,7 +434,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       perf::KernelCache::PlanKeyInputs In;
       In.FormulaText = P->FormulaText;
       In.SubName = P->SubName;
-      In.Datatype = P->KernelDatatype;
+      In.Datatype = S.Datatype;
       In.UnrollThreshold = S.UnrollThreshold;
       In.Evaluator = Eval.kindName();
       In.Variant = codegen::variantName(BO.Variant);
@@ -595,13 +589,10 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
   }
 
   if (!Placed) {
-    // Last tier: the registered dense oracle of the transform (for
-    // halfcomplex plans, whose winner formula is the kernel F_{N/2}, not
-    // the user-facing matrix) or the dense matrix the formula denotes.
-    // O(N^2) per transform and O(N^2) doubles of storage, so capped.
+    // Last tier: the dense matrix the winner denotes. O(N^2) per transform
+    // and O(N^2) doubles of storage, so capped.
     constexpr std::int64_t OracleSizeCap = 4096;
-    if (S.Size > OracleSizeCap ||
-        (!HalfComplex && !Winner->hasDenseSemantics())) {
+    if (S.Size > OracleSizeCap || !Winner->hasDenseSemantics()) {
       Diags.error(SourceLoc(),
                   "no usable backend for " + P->SubName +
                       (Demotions.empty() ? std::string()
@@ -615,8 +606,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       Report(PlanError::Failed);
       return nullptr;
     }
-    P->OracleMat = HalfComplex ? transforms::oracleMatrix(TI, planDims(S))
-                               : Winner->toMatrix();
+    P->OracleMat = Winner->toMatrix();
     P->Resolved = Backend::Oracle;
   }
 

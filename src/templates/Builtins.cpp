@@ -99,6 +99,38 @@ const char *tpl::builtinTemplatesText() {
      end
    end))
 
+; (S n): the real split butterfly of rdft_n = S_n realify(F_{n/2}). It
+; reads Z = F_{n/2} z as n/2 interleaved (re, im) points and writes the
+; halfcomplex spectrum. One pair Z_k, Z_{n/2-k} gives bins k and n/2-k:
+;   E = (Z_k + conj Z_{n/2-k}) / 2,  O = (Z_k - conj Z_{n/2-k}) / 2i,
+;   X_k = E + w_n^k O,  X_{n/2-k} = conj(E - w_n^k O).
+; Bin n/4 pairs with itself (w_n^{n/4} = -i, so X_{n/4} = conj Z_{n/4}).
+(template (S n_) [n_ >= 4 && n_ % 4 == 0]
+  ($out(0) = $in(0) + $in(1)
+   $out(n_/2) = $in(0) - $in(1)
+   do $i0 = 1, n_/4-1
+      $f0 = $in(2*$i0)
+      $f1 = $in(2*$i0+1)
+      $f2 = $in(n_-2*$i0)
+      $f3 = $in(n_-2*$i0+1)
+      $f4 = 0.5 * ($f0 + $f2)
+      $f5 = 0.5 * ($f1 - $f3)
+      $f6 = 0.5 * ($f1 + $f3)
+      $f7 = 0.5 * ($f2 - $f0)
+      $f8 = WR(n_ $i0) * $f6 - WI(n_ $i0) * $f7
+      $f9 = WR(n_ $i0) * $f7 + WI(n_ $i0) * $f6
+      $out($i0) = $f4 + $f8
+      $out(n_-$i0) = $f5 + $f9
+      $out(n_/2-$i0) = $f4 - $f8
+      $out(n_/2+$i0) = $f9 - $f5
+   end
+   $out(n_/4) = $in(n_/2)
+   $out(3*n_/4) = -$in(n_/2+1)))
+
+(template (S 2)
+  ($out(0) = $in(0) + $in(1)
+   $out(1) = $in(0) - $in(1)))
+
 ; ---------------------------------------------------------------------------
 ; Matrix operations
 ; ---------------------------------------------------------------------------

@@ -49,8 +49,10 @@ enum class Layout {
 struct TransformInfo {
   const char *Name;            ///< Spec token ("fft", "dct2", ...).
   const char *NaturalDatatype; ///< Datatype an empty spec field resolves to.
-  const char *KernelDatatype;  ///< Datatype the compiled kernel runs in
-                               ///< (complex for rdft; else == natural).
+  const char *KernelDatatype;  ///< Datatype the searched formula is in:
+                               ///< complex for rdft, whose F_{N/2} is
+                               ///< searched before gen::ruleRDFT wraps it
+                               ///< into a real formula; else == natural.
   const char *AllowedDatatypes; ///< Comma-joined accepted spec datatypes
                                 ///< (wht kernels compile either way).
   Family PlanFamily;           ///< Planning strategy.
@@ -66,9 +68,9 @@ struct TransformInfo {
   /// Real/HalfComplex layouts.
   Matrix (*Oracle)(std::int64_t N);
 
-  /// Formula entry point for Family::Recursive (also provided for rdft so
-  /// the rule is testable/emittable); null for searched/enumerated kinds
-  /// with no closed-form rule (none currently).
+  /// Formula entry point for Family::Recursive (also provided for rdft:
+  /// gen::ruleRDFT over a recursive F_{N/2}); null for searched/enumerated
+  /// kinds with no closed-form rule.
   FormulaRef (*Rule)(std::int64_t N);
 };
 

@@ -56,6 +56,26 @@ void checkSource(const std::string &Source) {
   checkFormula(F);
 }
 
+TEST(Expander, RealifySplicesTheLoweredOperand) {
+  // (realify A) splices A's program, lowered to reals, under the offsets
+  // and strides of its instance: loops kept or unrolled, inside a tensor on
+  // either side, and composed with the split butterfly (S n). The spliced
+  // body is real-linear, so it also runs on complex data.
+  for (std::int64_t B : {0, 16})
+    for (const char *Source :
+         {"(realify (F 3))",
+          "(realify (compose (tensor (F 2) (I 4)) (T 8 4) "
+          "(tensor (I 2) (F 4)) (L 8 2)))",
+          "(tensor (I 2) (realify (F 4)))", "(tensor (realify (F 2)) (I 3))",
+          "(compose (S 16) (realify (F 8)))"}) {
+      Diagnostics Diags;
+      FormulaRef F = parseFormulaString(Source, Diags);
+      ASSERT_TRUE(F) << Diags.dump();
+      EXPECT_EQ(F->print(), Source);
+      checkFormula(F, B);
+    }
+}
+
 TEST(Expander, IdentityCopies) {
   checkFormula(makeIdentity(1));
   checkFormula(makeIdentity(7));

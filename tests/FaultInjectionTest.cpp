@@ -500,6 +500,7 @@ protected:
   void TearDown() override {
     perf::KernelCache::configure(Saved);
     std::filesystem::remove_all(Dir);
+    test::removeRecordFile(wisdomPath());
     telemetry::setMetricsEnabled(false);
     telemetry::resetAllMetrics();
     FaultTest::TearDown();
@@ -511,6 +512,8 @@ protected:
     return O;
   }
 
+  std::string wisdomPath() const { return Dir + ".wisdom"; }
+
   std::shared_ptr<runtime::Plan>
   plan(const runtime::PlannerOptions &O,
        const support::Deadline &D = support::Deadline()) {
@@ -521,6 +524,7 @@ protected:
     auto P = Planner.plan(Spec, D);
     EXPECT_TRUE(P) << Diags.dump();
     EXPECT_EQ(Diags.errorCount(), 0u) << Diags.dump();
+    EXPECT_TRUE(Planner.saveWisdom()) << Diags.dump();
     return P;
   }
 
@@ -582,10 +586,16 @@ TEST_F(PlanRecordFaultTest, TrialHangOnARecordHitDemotesToVm) {
 }
 
 TEST_F(PlanRecordFaultTest, ForcedFailureAndSpentDeadlineIgnoreTheRecord) {
+  // The plans here share wisdom, so the spent search at the end finds the
+  // winner the first plan recorded, and with it the plan record.
+  runtime::PlannerOptions O = options();
+  O.UseWisdom = true;
+  O.WisdomPath = wisdomPath();
+
   // A recorded kernel that fails its trial demotes the plan and leaves the
   // record as it was.
   arm("trial-crash");
-  auto F = plan(options());
+  auto F = plan(O);
   arm(nullptr);
   ASSERT_TRUE(F);
   EXPECT_EQ(F->backend(), runtime::Backend::VM);
@@ -593,7 +603,7 @@ TEST_F(PlanRecordFaultTest, ForcedFailureAndSpentDeadlineIgnoreTheRecord) {
       << F->fallbackReason();
   EXPECT_LT(oracleError(*F), 1e-10);
   const std::uint64_t Hits0 = hits();
-  auto Healthy = plan(options());
+  auto Healthy = plan(O);
   ASSERT_TRUE(Healthy);
   EXPECT_GE(hits() - Hits0, 1u) << "the record must survive the failed trial";
   EXPECT_EQ(Healthy->backend(), runtime::Backend::Native);
@@ -602,8 +612,10 @@ TEST_F(PlanRecordFaultTest, ForcedFailureAndSpentDeadlineIgnoreTheRecord) {
   // prove it, so the plan demotes rather than skipping the trial.
   support::Deadline Dead = support::Deadline::afterMs(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto D = plan(options(), Dead);
+  const std::uint64_t DeadHits0 = hits();
+  auto D = plan(O, Dead);
   ASSERT_TRUE(D);
+  EXPECT_GE(hits() - DeadHits0, 1u) << "the kernel must come from the record";
   EXPECT_TRUE(D->deadlinePressured());
   EXPECT_NE(D->backend(), runtime::Backend::Native);
   EXPECT_LT(oracleError(*D), 1e-10);

@@ -722,8 +722,8 @@ TEST_F(ServiceTest, ExecuteFromUnalignedCallerMemoryIsBitExact) {
 }
 
 TEST_F(ServiceTest, RdftServedBitIdenticalToInProcess) {
-  // rdft's kernel reads the received body and its split pass writes the
-  // response body; the bytes match an in-process plan's, F_1 included.
+  // rdft's kernel reads the received body and writes the response body;
+  // the bytes match an in-process plan's, F_1 included.
   startServer();
   Client C;
   ASSERT_TRUE(C.connect(Path)) << C.lastError();

@@ -502,6 +502,31 @@ TEST(Splc, RuleTransformsEmitSubroutines) {
   EXPECT_NE(W.Output.find("void wht8"), std::string::npos) << W.Output;
 }
 
+TEST(Splc, RdftEmitsLinearSizeCode) {
+  // rdft N compiles S_N realify(F_{N/2}): the searched F_{N/2} plus one
+  // split loop, so its C stays within twice the C of fft N/2. A dense
+  // N x N extraction matrix over F_N emitted hundreds of times more.
+  const std::string Base =
+      "/tmp/spl-tool-test-rdft-" + std::to_string(getpid());
+  const std::string Rdft = Base + "-rdft4096.c", Fft = Base + "-fft2048.c";
+  auto R = runCommand(splcPath() + " --best-fft 4096 --transform rdft "
+                                   "--no-wisdom -o " + Rdft);
+  ASSERT_EQ(exitStatus(R), 0) << R.Output;
+  auto F = runCommand(splcPath() + " --best-fft 2048 --no-wisdom -o " + Fft);
+  ASSERT_EQ(exitStatus(F), 0) << F.Output;
+  const auto RdftBytes = std::filesystem::file_size(Rdft);
+  const auto FftBytes = std::filesystem::file_size(Fft);
+  EXPECT_LE(RdftBytes, 2 * FftBytes)
+      << "rdft 4096: " << RdftBytes << " bytes, fft 2048: " << FftBytes;
+  if (std::system("cc --version > /dev/null 2>&1") == 0) {
+    auto C = runCommand("cc -c " + Rdft + " -o " + Base + ".o");
+    EXPECT_EQ(exitStatus(C), 0) << C.Output;
+    std::remove((Base + ".o").c_str());
+  }
+  std::remove(Rdft.c_str());
+  std::remove(Fft.c_str());
+}
+
 TEST(Splc, LowOptSearchDoesNotPoisonWisdom) {
   // -O only shapes splc's emitted code. The search costs candidates at the
   // default level, so the wisdom a -O0/-O1 search records is the wisdom

@@ -9,21 +9,27 @@
 /// definitions behind it: catalog lookups and datatype policies, the dense
 /// oracle matrices (dct3 as the dct2 transpose, rdft's halfcomplex rows),
 /// rule-vs-matrix parity for every recursive generator rule, the
-/// Kronecker composition of N-D oracles, and the factorization the runtime
-/// plans rdft N with: the real split matrix S_N after F_{N/2}, proved both
-/// densely and through the runtime's split pass, with rdft wisdom recorded
-/// by earlier versions still planning correctly.
+/// Kronecker composition of N-D oracles, and the factorization every rdft
+/// is built with: the real split matrix S_N after F_{N/2}, proved densely,
+/// through the compiled (S n) on every tier, and through the planner's and
+/// the registry's formulas, with rdft wisdom recorded by earlier versions
+/// still planning correctly.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "codegen/VectorISA.h"
 #include "gen/Rules.h"
+#include "ir/Builder.h"
 #include "ir/Transforms.h"
+#include "perf/KernelRunner.h"
 #include "runtime/Planner.h"
 #include "search/DPSearch.h"
 #include "search/Evaluator.h"
+#include "support/FaultInjection.h"
 #include "transforms/Registry.h"
+#include "vm/Executor.h"
 
 #include <gtest/gtest.h>
 
@@ -60,8 +66,8 @@ TEST(Registry, DatatypePolicies) {
   // wht kernels compile either way (the pre-registry behavior).
   EXPECT_TRUE(transforms::allowsDatatype(*Wht, "real"));
   EXPECT_TRUE(transforms::allowsDatatype(*Wht, "complex"));
-  // rdft is real-in by definition; the complex kernel is an internal
-  // detail (KernelDatatype), not a spec-level option.
+  // rdft is real-in by definition; the complex F_{N/2} it searches
+  // (KernelDatatype) is an internal detail, not a spec-level option.
   EXPECT_TRUE(transforms::allowsDatatype(*Rdft, "real"));
   EXPECT_FALSE(transforms::allowsDatatype(*Rdft, "complex"));
   EXPECT_STREQ(Rdft->NaturalDatatype, "real");
@@ -139,9 +145,9 @@ TEST(Transforms, RecursiveRulesMatchDenseOracles) {
 }
 
 TEST(Transforms, RdftRuleEntrywiseReal) {
-  // The extraction matrix times the complex DFT is entrywise real: the
-  // conjugate-pair combinations cancel every imaginary part exactly, so
-  // the halfcomplex fold in the runtime never drops information.
+  // The rule's matrix is entrywise real: the split's conjugate-pair
+  // combinations cancel every imaginary part exactly, so a real-typed
+  // kernel computes the whole transform.
   Matrix M = gen::recursiveRDFT(16)->toMatrix();
   double MaxImag = 0;
   for (size_t R = 0; R != M.rows(); ++R)
@@ -209,29 +215,88 @@ TEST(Transforms, RdftIsTheRealSplitAfterHalfSizeDft) {
   }
 }
 
-TEST(Transforms, RuntimeSplitPassMatchesTheSplitMatrix) {
-  // The runtime's split pass, fed the columns of realify(F_{N/2}), writes
-  // the columns of rdftMatrix(N) — at unit strides and at a lane stride
-  // and output stride like a vector lane group's.
+TEST(Transforms, CompiledSplitMatchesTheSplitMatrix) {
+  // The built-in (S n) template, compiled as a real program and fed unit
+  // vectors, writes the columns of splitMatrix(N): on the VM, as a native
+  // scalar kernel, and as a native vector kernel (lanes packed slot-major)
+  // when the host has a SIMD ISA.
+  const bool Native =
+      perf::NativeModule::available() && !fault::armed();
+  std::vector<codegen::CodegenVariant> Variants;
+  if (Native) {
+    Variants.push_back(codegen::CodegenVariant::Scalar);
+    if (codegen::vectorBackendAvailable())
+      Variants.push_back(codegen::CodegenVariant::Vector);
+  }
   for (std::int64_t N = 2; N <= 256; N *= 2) {
-    const Matrix F = realify(dftMatrix(N / 2));
-    const Matrix Want = rdftMatrix(N);
-    const std::vector<double> Tw = runtime::splitTwiddles(N);
-    for (std::int64_t M : {1, 3}) {
-      const std::int64_t SY = M == 1 ? 1 : 2;
-      double MaxDiff = 0;
-      for (std::int64_t J = 0; J != N; ++J) {
-        std::vector<double> Z(static_cast<size_t>(N * M), 0.0);
-        for (std::int64_t S = 0; S != N; ++S)
-          Z[S * M] = F.at(S, J).real();
-        std::vector<double> Y(static_cast<size_t>(N * SY), 0.0);
-        runtime::splitHalfComplex(Y.data(), SY, Z.data(), M, N, Tw.data());
-        for (std::int64_t K = 0; K != N; ++K)
-          MaxDiff =
-              std::max(MaxDiff, std::abs(Y[K * SY] - Want.at(K, J).real()));
-      }
-      EXPECT_LT(MaxDiff, 1e-12) << "N=" << N << " lane stride " << M;
+    Diagnostics Diags;
+    driver::Compiler Compiler(Diags);
+    DirectiveState Dirs;
+    Dirs.SubName = "split" + std::to_string(N);
+    Dirs.Datatype = "real";
+    driver::CompilerOptions CO;
+    CO.UnrollThreshold = 16;
+    CO.EmitCode = false;
+    auto Unit = Compiler.compileFormula(makeSplit(N), Dirs, CO);
+    ASSERT_TRUE(Unit) << Diags.dump();
+    const Matrix Want = splitMatrix(N);
+    EXPECT_LT(Unit->Formula->toMatrix().maxAbsDiff(Want), 1e-12) << "N=" << N;
+
+    vm::Executor VM(Unit->Final);
+    double VMDiff = 0;
+    for (std::int64_t J = 0; J != N; ++J) {
+      std::vector<double> X(static_cast<size_t>(N), 0.0), Y(X.size());
+      X[J] = 1;
+      VM.runReal(X.data(), Y.data());
+      for (std::int64_t K = 0; K != N; ++K)
+        VMDiff = std::max(VMDiff, std::abs(Y[K] - Want.at(K, J).real()));
     }
+    EXPECT_LT(VMDiff, 1e-12) << "vm N=" << N;
+
+    for (codegen::CodegenVariant V : Variants) {
+      perf::KernelBuildOptions BO;
+      BO.Variant = V;
+      perf::KernelError Err;
+      auto K = perf::CompiledKernel::create(Unit->Final, &Err, BO);
+      ASSERT_TRUE(K) << Err.str();
+      const std::int64_t M = K->lanes();
+      double Diff = 0;
+      for (std::int64_t J0 = 0; J0 < N; J0 += M) {
+        // Lane j carries unit vector J0 + j (zero past the last column).
+        std::vector<double> X(static_cast<size_t>(N * M), 0.0), Y(X.size());
+        for (std::int64_t J = 0; J != M && J0 + J < N; ++J)
+          X[(J0 + J) * M + J] = 1;
+        K->run(Y.data(), X.data());
+        for (std::int64_t J = 0; J != M && J0 + J < N; ++J)
+          for (std::int64_t R = 0; R != N; ++R)
+            Diff = std::max(
+                Diff, std::abs(Y[R * M + J] - Want.at(R, J0 + J).real()));
+      }
+      EXPECT_LT(Diff, 1e-12) << codegen::variantName(V) << " N=" << N;
+    }
+  }
+}
+
+TEST(Transforms, PlannedRdftFormulaIsTheRdftMatrix) {
+  // The planner's winner and the registry rule are both S_N realify(F_{N/2})
+  // from gen::ruleRDFT, and each denotes the rdft matrix: the formula a
+  // plan compiles is checked against the specification itself.
+  runtime::PlannerOptions Opts;
+  Opts.UseWisdom = false;
+  Diagnostics Diags;
+  runtime::Planner Planner(Diags, Opts);
+  const transforms::TransformInfo &TI = *transforms::lookup("rdft");
+  for (std::int64_t N = 2; N <= 256; N *= 2) {
+    runtime::PlanSpec Spec;
+    Spec.Transform = "rdft";
+    Spec.Size = N;
+    auto Chosen = Planner.choose(Spec, support::Deadline());
+    ASSERT_TRUE(Chosen) << Diags.dump();
+    const Matrix Want = rdftMatrix(N);
+    EXPECT_LT(Chosen->Formula->toMatrix().maxAbsDiff(Want), 1e-12)
+        << "planned rdft " << N << ": " << Chosen->Formula->print();
+    EXPECT_LT(TI.Rule(N)->toMatrix().maxAbsDiff(Want), 1e-12)
+        << "rule rdft " << N;
   }
 }
 
@@ -240,8 +305,8 @@ TEST(Transforms, RdftWisdomOfFullSizeDftsStillPlans) {
   // Wisdom files from before the split record, under the rdft tag, the
   // best F_n for each n that rdft n searched. Those entries keep their
   // meaning: rdft 2n now plans on the F_n entry. Seed a file with chosen
-  // (non-default) F_32 and F_64 winners and check rdft 64 and 128 pick
-  // them up and stay correct.
+  // (non-default) F_32 and F_64 winners and check rdft 64 and 128 wrap
+  // exactly them as S_N realify(F_{N/2}) and stay correct.
   const std::string Path = "/tmp/spl-rdft-wisdom-compat-" +
                            std::to_string(getpid()) + ".tmp";
   std::remove(Path.c_str());
@@ -276,12 +341,14 @@ TEST(Transforms, RdftWisdomOfFullSizeDftsStillPlans) {
   }
   Diagnostics Diags;
   runtime::Planner Planner(Diags, Opts);
-  for (const auto &[N, Want] : {std::pair<std::int64_t, std::string>{64, F32},
+  for (const auto &[N, Half] : {std::pair<std::int64_t, std::string>{64, F32},
                                 {128, F64}}) {
     Spec.Size = N;
     auto P = Planner.plan(Spec);
     ASSERT_TRUE(P) << Diags.dump();
-    EXPECT_EQ(P->formulaText(), Want) << "rdft " << N;
+    EXPECT_EQ(P->formulaText(), "(compose (S " + std::to_string(N) +
+                                    ") (realify " + Half + "))")
+        << "rdft " << N;
     const std::vector<double> X = test::randomRealVector(N, 7);
     std::vector<double> Y(static_cast<size_t>(N));
     P->execute(Y.data(), X.data());

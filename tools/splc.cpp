@@ -28,8 +28,9 @@
 ///                        costs at the default level, ignoring -O/-u/--sparc
 ///     --transform <t>    with --best-fft: which registry transform to
 ///                        emit (default fft). fft runs the DP search, wht
-///                        the flat enumeration; rdft/dct2/dct3/dct4 expand
-///                        their recursive rule (docs/WORKLOADS.md)
+///                        the flat enumeration, rdft wraps the searched
+///                        F_{n/2} as S_n realify(F_{n/2}); dct2/dct3/dct4
+///                        expand their recursive rule (docs/WORKLOADS.md)
 ///     --codegen <m>      auto (default) | scalar | vector: which codegen
 ///                        variant to emit for the winner. auto and scalar
 ///                        render plain C (splc builds no kernels to race);
@@ -265,7 +266,7 @@ static int run(int Argc, char **Argv) {
     const bool Vector = CodegenArg == "vector";
     DirectiveState Dirs;
     Dirs.SubName = Transform + std::to_string(BestFFT);
-    Dirs.Datatype = TI.KernelDatatype;
+    Dirs.Datatype = TI.NaturalDatatype;
     Dirs.Language =
         Opts.LanguageOverride.empty() ? "c" : Opts.LanguageOverride;
     if (Vector && Dirs.Language != "c") {
@@ -276,13 +277,13 @@ static int run(int Argc, char **Argv) {
     }
 
     // Rule transforms expand their registry rule, the known-good
-    // factorization; fft and wht take the Planner's choice, costed at the
-    // default optimization level whatever -O/-u/--sparc say, so the wisdom
-    // recorded here is the wisdom splrun and spld would record.
+    // factorization; fft, wht and rdft take the Planner's choice, costed at
+    // the default optimization level whatever -O/-u/--sparc say, so the
+    // wisdom recorded here is the wisdom splrun and spld would record.
     FormulaRef F;
     std::optional<runtime::Choice> Won;
     runtime::Planner Planner(Diags, POpts);
-    if (TI.Rule) {
+    if (TI.PlanFamily == transforms::Family::Recursive) {
       F = TI.Rule(BestFFT);
     } else {
       // The whole --deadline-ms budget goes to the search, which hands back
